@@ -15,6 +15,7 @@ from . import (
     errors,
     family,
     numkit,
+    pairmodel,
 )
 from .degeneracy import (
     DPFrame,
@@ -43,6 +44,7 @@ from .ep_asymptotics import (
     complex_plane_conic,
     cross_section,
     curve_split,
+    eigenvalue_pair,
     loop_trajectory,
     sensitivities,
     surface_eval,
@@ -54,10 +56,12 @@ from .family import (
     PolynomialFamily,
     derivative,
     evaluate,
+    evaluate_many,
     parse_family,
     second_derivative,
     taylor_along_curve,
 )
 from .numkit import eig_all, hermitian_inner, null_vector, rank_at, solve_on_complement
+from .pairmodel import PairSheets, sheets
 
 __version__ = "0.1.0"

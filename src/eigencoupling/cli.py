@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import crystal_optics, degeneracy, dp_asymptotics, ep_asymptotics
+from . import crystal_optics, degeneracy, dp_asymptotics, ep_asymptotics, numkit
 from . import family as family_mod
 from .errors import (
     ChartError,
@@ -34,6 +35,7 @@ from .errors import (
     ResolutionError,
     TrackingError,
 )
+from .pairmodel import sheets, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,17 +43,26 @@ EXIT_NO_DEGENERACY = 2
 EXIT_DOMAIN = 3
 EXIT_NO_CONVERGENCE = 4
 
-_USAGE_ERRORS = (
-    FamilyParseError, DimensionError, ChartError, DegenerateModelError,
-    ResolutionError, ModelError,
-)
-_DEGENERACY_ERRORS = (
-    MultiplicityError, ClassificationError, IndeterminateRankError, FrameError,
-)
+#: grid points per block of ``surface``: a block shares one family
+#: evaluation, one stacked eigvals and one pair assignment; fixed blocks keep
+#: the peak memory flat
+BLOCK = 256
 
 
 class _UsageError(Exception):
     pass
+
+
+#: exception -> exit code; the first matching entry wins
+_EXIT_CODES = (
+    ((_UsageError, FamilyParseError, DimensionError, ChartError,
+      DegenerateModelError, ResolutionError, ModelError), EXIT_USAGE),
+    ((MultiplicityError, ClassificationError, IndeterminateRankError,
+      FrameError), EXIT_NO_DEGENERACY),
+    (DomainError, EXIT_DOMAIN),
+    ((ConvergenceError, TrackingError), EXIT_NO_CONVERGENCE),
+    (EigenCouplingError, EXIT_USAGE),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,20 +75,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: lossless round trip for doubles
-    return f"{float(x):.17g}"
-
-
 def _cnum(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
 def _floats(text: str, what: str):
     try:
-        return [float(tok) for tok in text.split(",")]
+        values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise _UsageError(f"cannot parse {what} '{text}': {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise _UsageError(f"{what} '{text}' has non-finite values")
+    return values
 
 
 def _load_family(source: str) -> family_mod.MatrixFamily:
@@ -111,18 +120,22 @@ def _write_text(path: str, text: str):
 
 
 def _emit_json(obj, out: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out:
         _write_text(out, text)
     else:
         sys.stdout.write(text)
 
 
-def _csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) if not isinstance(x, str) else x for x in row)
-                 for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header, table) -> str:
+    """CSV text of a 2-d float array; 17 significant digits round-trip doubles.
+
+    One template formats the whole table: formatting block by block leaves
+    the heap fragmented between commands.
+    """
+    table = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
 
 
 def cmd_classify(opts) -> int:
@@ -134,7 +147,9 @@ def cmd_classify(opts) -> int:
         "kind": kind.kind,
         "geometric_multiplicity": kind.geometric_multiplicity,
         "cluster_gap": cluster.internal_gap,
-        "external_gap": cluster.external_gap,
+        # null when no eigenvalue lies outside the pair
+        "external_gap": (cluster.external_gap
+                         if math.isfinite(cluster.external_gap) else None),
         "codimension": degeneracy.codimension("complex-nonsymmetric", kind.kind),
     }
     _emit_json(report, opts.get("out"))
@@ -154,17 +169,13 @@ def _window_axes(window, res):
     return np.linspace(lo1, hi1, res), np.linspace(lo2, hi2, res)
 
 
-def _exact_pair(a, model_pair):
-    """Exact eigenvalues assigned to a model pair + assignment margin."""
-    values = np.linalg.eigvals(a)
-    m = len(values)
-    costs = sorted(
-        (abs(values[i] - model_pair[0]) + abs(values[j] - model_pair[1]), i, j)
-        for i in range(m) for j in range(m) if i != j
-    )
-    best = costs[0]
-    margin = costs[1][0] - best[0] if len(costs) > 1 else float("inf")
-    return values[best[1]], values[best[2]], margin
+def _local_model(fam, p0, a0, cluster, kind, tol_rank):
+    """The EP or DP local model of the classified anchor cluster."""
+    if kind.kind == "EP":
+        chain = degeneracy.jordan_chain(a0, cluster.center, tol_rank)
+        return ep_asymptotics.sensitivities(fam, chain, p0)
+    frame = degeneracy.dp_frame(a0, cluster.center, tol_rank=tol_rank)
+    return dp_asymptotics.dp_sensitivities(fam, frame, p0)
 
 
 def cmd_surface(opts) -> int:
@@ -175,40 +186,30 @@ def cmd_surface(opts) -> int:
     if fam.n_params != 2:
         raise _UsageError("surface grids need a two-parameter family")
     a0, cluster, kind = _anchor_cluster(fam, p0, opts["tol_cluster"], opts["tol_rank"])
-    if kind.kind == "EP":
-        chain = degeneracy.jordan_chain(a0, cluster.center, opts["tol_rank"])
-        model = ep_asymptotics.sensitivities(fam, chain, p0)
-
-        def sheets_at(dp):
-            sh = ep_asymptotics.surface_eval(model, dp)
-            return (sh.re_plus, sh.re_minus, sh.im_plus, sh.im_minus), sh.paired()
-    else:
-        frame = degeneracy.dp_frame(a0, cluster.center, tol_rank=opts["tol_rank"])
-        model = dp_asymptotics.dp_sensitivities(fam, frame, p0)
-
-        def sheets_at(dp):
-            sp = dp_asymptotics.split_multiparam(model, dp)
-            return ((sp.re_plus, sp.re_minus, sp.im_plus, sp.im_minus),
-                    (sp.lam_plus, sp.lam_minus))
-
+    model = _local_model(fam, p0, a0, cluster, kind, opts["tol_rank"])
     axis1, axis2 = _window_axes(opts["window"], opts["res"])
-    rows = []
-    for dp1 in axis1:
-        for dp2 in axis2:
-            dp = np.array([dp1, dp2])
-            point = p0 + dp
-            (re_p, re_m, im_p, im_m), pair = sheets_at(dp)
-            exact_a, exact_b, margin = _exact_pair(family_mod.evaluate(fam, point), pair)
-            rows.append((
-                point[0], point[1], re_p, re_m, im_p, im_m,
-                max(exact_a.real, exact_b.real), min(exact_a.real, exact_b.real),
-                max(exact_a.imag, exact_b.imag), min(exact_a.imag, exact_b.imag),
-                1.0 if margin < 1e-3 else 0.0,
-            ))
+    dps = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
+    table = np.empty((len(dps), 11))
+    for start in range(0, len(dps), BLOCK):
+        rows = table[start:start + BLOCK]
+        block = dps[start:start + BLOCK]
+        points = p0 + block
+        model_pair = sheets(model, block)
+        values = np.linalg.eigvals(family_mod.evaluate_many(fam, points))
+        i, j, margin = numkit.pair_assignment(values, model_pair.pair)
+        at = np.arange(len(block))
+        exact_a, exact_b = values[at, i], values[at, j]
+        rows[:, :2] = points
+        rows[:, 2:6] = model_pair.sheets
+        rows[:, 6] = np.maximum(exact_a.real, exact_b.real)
+        rows[:, 7] = np.minimum(exact_a.real, exact_b.real)
+        rows[:, 8] = np.maximum(exact_a.imag, exact_b.imag)
+        rows[:, 9] = np.minimum(exact_a.imag, exact_b.imag)
+        rows[:, 10] = margin < 1e-3
     header = ["p1", "p2", "re_plus", "re_minus", "im_plus", "im_minus",
               "re_plus_exact", "re_minus_exact", "im_plus_exact",
               "im_minus_exact", "pair_margin_flag"]
-    _write_text(opts["out"], _csv(header, rows))
+    _write_text(opts["out"], _csv(header, table))
     return EXIT_OK
 
 
@@ -230,13 +231,10 @@ def cmd_loop(opts) -> int:
     spec = ep_asymptotics.LoopSpec(a=vals[0], b=vals[1], r=vals[2],
                                    samples=opts["samples"])
     report = ep_asymptotics.loop_trajectory(model, spec)
-    rows = [
-        (report.phis[k], report.lam_plus[k].real, report.lam_plus[k].imag,
-         report.lam_minus[k].real, report.lam_minus[k].imag)
-        for k in range(len(report.phis))
-    ]
+    table = np.column_stack((report.phis, report.lam_plus.real, report.lam_plus.imag,
+                             report.lam_minus.real, report.lam_minus.imag))
     _write_text(opts["out"], _csv(
-        ["phi", "re_plus", "im_plus", "re_minus", "im_minus"], rows))
+        ["phi", "re_plus", "im_plus", "re_minus", "im_minus"], table))
     side = {
         "regime": report.regime,
         "sigma": report.sigma,
@@ -255,6 +253,8 @@ def cmd_loop(opts) -> int:
 
 def cmd_find_ep(opts) -> int:
     fam = _load_family(opts["family"])
+    if fam.n_params != 2:
+        raise _UsageError("find-ep needs a two-parameter family")
     guess = np.asarray(_floats(opts["at"], "--at"))
     result = degeneracy.find_ep(fam, guess, tol_cluster=opts["tol_cluster"])
     report = {
@@ -276,19 +276,15 @@ def cmd_scenario(opts) -> int:
               if opts.get("offset") else [0.0] * (fam.n_params - 1))
     if len(offset) != fam.n_params - 1:
         raise _UsageError(f"--offset needs {fam.n_params - 1} components")
+    model = _local_model(fam, p0, a0, cluster, kind, opts["tol_rank"])
+    section_header = ["p1", "re_plus", "re_minus", "im_plus", "im_minus"]
     if kind.kind == "EP":
-        chain = degeneracy.jordan_chain(a0, cluster.center, opts["tol_rank"])
-        model = ep_asymptotics.sensitivities(fam, chain, p0)
         section = ep_asymptotics.cross_section(model, offset)
         if opts.get("format") == "csv":
             if not opts.get("out"):
                 raise _UsageError("--format csv requires --out")
-            rows = [
-                (section.sample_p1[k], *section.sample_sheets[k])
-                for k in range(len(section.sample_p1))
-            ]
-            _write_text(opts["out"], _csv(
-                ["p1", "re_plus", "re_minus", "im_plus", "im_minus"], rows))
+            _write_text(opts["out"], _csv(section_header, np.column_stack(
+                (section.sample_p1, section.sample_sheets))))
             return EXIT_OK
         report = {
             "kind": "EP",
@@ -303,20 +299,13 @@ def cmd_scenario(opts) -> int:
         }
         _emit_json(report, opts.get("out"))
         return EXIT_OK
-    frame = degeneracy.dp_frame(a0, cluster.center, tol_rank=opts["tol_rank"])
-    model = dp_asymptotics.dp_sensitivities(fam, frame, p0)
     if opts.get("offset"):
         if opts.get("format") == "csv":
             if not opts.get("out"):
                 raise _UsageError("--format csv requires --out")
-            rows = []
-            for dp1 in np.linspace(-0.1, 0.1, 401):
-                split = dp_asymptotics.split_multiparam(
-                    model, np.concatenate(([dp1], offset)))
-                rows.append((p0[0] + dp1, split.re_plus, split.re_minus,
-                             split.im_plus, split.im_minus))
-            _write_text(opts["out"], _csv(
-                ["p1", "re_plus", "re_minus", "im_plus", "im_minus"], rows))
+            dps = sweep(offset, 0.1, 401)
+            _write_text(opts["out"], _csv(section_header, np.column_stack(
+                (p0[0] + dps[:, 0], sheets(model, dps).sheets))))
             return EXIT_OK
         rep = dp_asymptotics.avoided_crossing_1p(model, offset)
         roots = [x for x in (rep.dp1_a, rep.dp1_b) if x is not None] or None
@@ -417,27 +406,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         opts = _merge_options(args)
         return _COMMANDS[args.command](opts)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DEGENERACY_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_DEGENERACY
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ConvergenceError, TrackingError) as exc:
+    except (_UsageError, EigenCouplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.residual_history:
             history = ", ".join(f"{x:.3e}" for x in exc.residual_history)
             print(f"residual history: {history}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except EigenCouplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 def entry():

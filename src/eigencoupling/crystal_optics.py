@@ -56,39 +56,49 @@ class DielectricSpec:
         object.__setattr__(self, "activity", _symmetric3("activity", self.activity))
 
 
-def direction(s1: float, s2: float) -> np.ndarray:
-    """Unit direction on the upper hemisphere from chart coordinates."""
+def direction(s1, s2) -> np.ndarray:
+    """Unit direction on the upper hemisphere from chart coordinates.
+
+    Broadcasts: array coordinates give directions along a trailing axis.
+    """
+    s1 = np.asarray(s1, dtype=float)
+    s2 = np.asarray(s2, dtype=float)
     rho2 = s1 * s1 + s2 * s2
-    if rho2 >= 1.0:
-        raise DomainError(f"chart point ({s1}, {s2}) outside the unit disk")
-    return np.array([s1, s2, np.sqrt(1.0 - rho2)])
+    if np.any(rho2 >= 1.0):
+        raise DomainError(f"chart point with s1^2 + s2^2 = {np.max(rho2)} "
+                          "outside the unit disk")
+    return np.stack((s1, s2, np.sqrt(1.0 - rho2)), axis=-1)
 
 
 def gyration_matrix(g) -> np.ndarray:
     """Skew-symmetric chirality contribution for activity vector g.
 
     G = i * [[0, -g3, g2], [g3, 0, -g1], [-g2, g1, 0]]; satisfies G = -G^T.
+    Broadcasts over leading axes of g.
     """
     g = np.asarray(g, dtype=complex)
-    if g.shape != (3,):
+    if g.shape[-1:] != (3,):
         raise DimensionError(f"activity vector must have 3 entries, got {g.shape}")
-    return 1j * np.array([
-        [0.0, -g[2], g[1]],
-        [g[2], 0.0, -g[0]],
-        [-g[1], g[0], 0.0],
-    ])
+    skew = np.zeros(g.shape[:-1] + (3, 3), dtype=complex)
+    skew[..., 0, 1], skew[..., 0, 2] = -g[..., 2], g[..., 1]
+    skew[..., 1, 0], skew[..., 1, 2] = g[..., 2], -g[..., 0]
+    skew[..., 2, 0], skew[..., 2, 1] = -g[..., 1], g[..., 0]
+    return 1j * skew
 
 
 def eta(spec: DielectricSpec, s) -> np.ndarray:
-    """Inverse dielectric tensor eta(s) = U + G(gamma . s)."""
+    """Inverse dielectric tensor eta(s) = U + G(gamma . s); s is (..., 3)."""
     s = np.asarray(s, dtype=float)
-    return spec.anisotropy + gyration_matrix(spec.activity @ s)
+    return spec.anisotropy + gyration_matrix((spec.activity @ s[..., None])[..., 0])
 
 
 def optical_matrix(spec: DielectricSpec, s) -> np.ndarray:
-    """A(s) = (I - s s^T) eta(s); satisfies s^T A = 0 identically."""
+    """A(s) = (I - s s^T) eta(s); satisfies s^T A = 0 identically.
+
+    Broadcasts: directions of shape (..., 3) give matrices (..., 3, 3).
+    """
     s = np.asarray(s, dtype=float)
-    projector = np.eye(3) - np.outer(s, s)
+    projector = np.eye(3) - s[..., :, None] * s[..., None, :]
     return projector @ eta(spec, s)
 
 
@@ -131,14 +141,15 @@ def family_adapter(spec: DielectricSpec) -> MatrixFamily:
 
     Derivatives are analytic (product rule on the projector, linearity of the
     gyration part, s3 chain rule included). The domain guard keeps a margin
-    of ``CHART_MARGIN`` from the chart boundary.
+    of ``CHART_MARGIN`` from the chart boundary. The evaluator and the guard
+    broadcast over a leading axis of points.
     """
 
     def guard(p):
-        return p[0] * p[0] + p[1] * p[1] < 1.0 - CHART_MARGIN
+        return p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] < 1.0 - CHART_MARGIN
 
     def evaluator(p):
-        return optical_matrix(spec, direction(p[0], p[1]))
+        return optical_matrix(spec, direction(p[..., 0], p[..., 1]))
 
     def deriv(p, i):
         s, ds, _ = _chart_frames(p)
@@ -167,7 +178,7 @@ def family_adapter(spec: DielectricSpec) -> MatrixFamily:
     return MatrixFamily(
         dim=3, n_params=2,
         evaluator=evaluator, deriv=deriv, second_deriv=second_deriv,
-        domain_guard=guard,
+        domain_guard=guard, vectorized=True,
     )
 
 

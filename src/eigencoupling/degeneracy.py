@@ -221,6 +221,11 @@ def jordan_chain(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) ->
     return chain
 
 
+def _trailing_right_singular_vectors(m) -> np.ndarray:
+    """The two right singular vectors of the smallest singular values, as columns."""
+    return np.linalg.svd(m)[2][-2:].conj().T
+
+
 def dp_frame(a, lam0: complex, right_basis=None,
              tol_rank: float = numkit.DEFAULT_RANK_TOL) -> DPFrame:
     """Bi-orthonormalized frame (u1, u2, v1, v2) of a semisimple double pair.
@@ -229,6 +234,12 @@ def dp_frame(a, lam0: complex, right_basis=None,
     sequence of two vectors); the left vectors are then the unique solutions
     of (u_k, v_l) = delta_kl inside the left eigenspace. Without it the
     gauge-fixed kernel basis is used.
+
+    ``classify`` has decided the two-dimensional kernel against sigma_max(A),
+    so both eigenspaces are spanned by the two trailing right singular
+    vectors of A - lam0 I and of its adjoint. (A threshold relative to
+    ||A - lam0 I|| would misjudge a scalar A, where that norm is rounding
+    noise.)
     """
     kind = classify(a, lam0, tol_rank)
     if kind.kind != "DP":
@@ -237,9 +248,7 @@ def dp_frame(a, lam0: complex, right_basis=None,
     m = arr.shape[0]
     shifted = arr - lam0 * np.eye(m)
     if right_basis is None:
-        basis = numkit.null_basis(shifted, tol_rank)
-        if basis.shape[1] != 2:
-            raise FrameError(f"right eigenspace dimension {basis.shape[1]} != 2")
+        basis = _trailing_right_singular_vectors(shifted)
         u_mat = np.column_stack([numkit.gauge_fix(basis[:, k]) for k in range(2)])
     else:
         vecs = np.asarray(right_basis, dtype=complex)
@@ -249,9 +258,7 @@ def dp_frame(a, lam0: complex, right_basis=None,
             u_mat = vecs.copy()
         else:
             raise FrameError("right_basis must supply two vectors of length m")
-    z_mat = numkit.null_basis(shifted.conj().T, tol_rank)
-    if z_mat.shape[1] != 2:
-        raise FrameError(f"left eigenspace dimension {z_mat.shape[1]} != 2")
+    z_mat = _trailing_right_singular_vectors(shifted.conj().T)
     gram = z_mat.conj().T @ u_mat          # gram[j, k] = (u_k, z_j)
     if np.linalg.cond(gram) > 1e8:
         raise FrameError("Gram matrix of the candidate frames is near singular")
@@ -294,16 +301,8 @@ def _select_pair(values, which, prev=None):
         raise TrackingError("family dimension < 2 has no eigenvalue pairs")
     if prev is not None:
         # assignment of the two previous values to the closest new ones
-        best = None
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                cost = abs(values[i] - prev[0]) + abs(values[j] - prev[1])
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-        _, i, j = best
-        return values[i], values[j]
+        i, j, _ = numkit.pair_assignment(values[None], np.array([prev]))
+        return values[i[0]], values[j[0]]
     if which is not None:
         order = sorted(range(m), key=lambda k: abs(values[k] - which))
         return values[order[0]], values[order[1]]

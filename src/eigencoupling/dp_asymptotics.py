@@ -17,6 +17,8 @@ Im sheets cross. Restricting c to one sweep parameter (quadratic in dp_1) or
 to a two-parameter chart (homogeneous quadratic) classifies the avoided
 crossings and the local surface type by the discriminant of Im c and the
 signs of the real values of c on its root lines.
+
+This is the shared pair model of ``pairmodel`` with radicand c(dp).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from . import family as family_mod
 from .degeneracy import DPFrame
 from .errors import ChartError, DimensionError
 from .numkit import as_cmatrix, hermitian_inner
+from .pairmodel import offsets, sheets
 
 #: Relative tolerance deciding when a discriminant / critical value is
 #: treated as exactly zero (degenerate scenario).
@@ -60,6 +63,13 @@ class DPLocalModel:
     @property
     def n_params(self) -> int:
         return self.coupling.shape[2]
+
+    def pair_terms(self, dps):
+        """Pair mean lam0 + <d11 + d22, dp>/2 and radicand c at (N, n) offsets."""
+        d = self.coupling
+        diff = dps @ (d[0, 0] - d[1, 1])
+        radicand = diff * diff / 4.0 + (dps @ d[0, 1]) * (dps @ d[1, 0])
+        return self.lam0 + dps @ (d[0, 0] + d[1, 1]) / 2.0, radicand
 
 
 @dataclass(frozen=True)
@@ -168,43 +178,27 @@ def dp_sensitivities(fam: family_mod.MatrixFamily, frame: DPFrame, p0) -> DPLoca
     return DPLocalModel(p0=p0, lam0=frame.lam0, coupling=coupling)
 
 
-def _model_dp(model: DPLocalModel, dp) -> np.ndarray:
-    dp = np.atleast_1d(np.asarray(dp, dtype=float))
-    if dp.shape != (model.n_params,):
-        raise DimensionError(
-            f"offset must have {model.n_params} components, got {dp.shape}"
-        )
-    return dp
-
-
 def coupling_scalar(model: DPLocalModel, dp) -> complex:
     """c(dp) = <d11 - d22, dp>^2/4 + <d12, dp><d21, dp>."""
-    dp = _model_dp(model, dp)
-    diff = (model.coupling[0, 0] - model.coupling[1, 1]) @ dp
-    return complex(diff * diff / 4.0 + (model.coupling[0, 1] @ dp) * (model.coupling[1, 0] @ dp))
+    return complex(model.pair_terms(offsets(model, dp))[1][0])
 
 
 def split_multiparam(model: DPLocalModel, dp) -> WeakSplit:
     """Pair values lam0 + trace-term/2 +- sqrt(c) and their Re/Im sheets."""
-    dp = _model_dp(model, dp)
-    c = coupling_scalar(model, dp)
-    mean_shift = (model.coupling[0, 0] + model.coupling[1, 1]) @ dp / 2.0
-    w = cmath.sqrt(c)
-    re_mid = model.lam0.real + mean_shift.real
-    im_mid = model.lam0.imag + mean_shift.imag
-    lam_p = model.lam0 + mean_shift + w
-    lam_m = model.lam0 + mean_shift - w
+    one = sheets(model, dp)
+    re_p, re_m, im_p, im_m = one.sheets[0].tolist()
+    lam_p, lam_m = one.pair[0].tolist()
+    c = complex(one.radicand[0])
     return WeakSplit(
-        c=c, lam_plus=complex(lam_p), lam_minus=complex(lam_m),
-        re_plus=re_mid + w.real, re_minus=re_mid - w.real,
-        im_plus=im_mid + abs(w.imag), im_minus=im_mid - abs(w.imag),
+        c=c, lam_plus=lam_p, lam_minus=lam_m,
+        re_plus=re_p, re_minus=re_m, im_plus=im_p, im_minus=im_m,
         pair_sign=1 if c.imag >= 0 else -1,
     )
 
 
 def persistence_conditions(model: DPLocalModel, dp) -> PersistenceReport:
     """Residuals of the persistence systems at one offset."""
-    dp = _model_dp(model, dp)
+    dp = offsets(model, dp)[0]
     c = coupling_scalar(model, dp)
     diff = (model.coupling[0, 0] - model.coupling[1, 1]) @ dp
     off12 = model.coupling[0, 1] @ dp

@@ -20,9 +20,10 @@ the branch-cut rays (G = 0 with a sign condition on F), the complex-plane
 conics traced under one-parameter sweeps, the cross-section cusps/tangents,
 and the closed trajectories traced under cyclic parameter loops.
 
-Branch pairing: the +- signs of the Re and Im radicals are not independent;
-the principal square root of F + iG ties them so that both squared-gap
-relations (Re d)^2 - (Im d)^2 = F and 2 Re d Im d = G hold exactly.
+This is the shared pair model of ``pairmodel`` with radicand F + iG. Its
+branch pairing (the principal square root ties the +- signs of the Re and
+Im radicals) makes both squared-gap relations (Re d)^2 - (Im d)^2 = F and
+2 Re d Im d = G hold exactly.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
     ResolutionError,
 )
 from .numkit import as_cmatrix, hermitian_inner
+from .pairmodel import complex_array, offsets, sheets, sweep
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,12 @@ class EPLocalModel:
     @property
     def n_params(self) -> int:
         return len(self.split_re)
+
+    def pair_terms(self, dps):
+        """Pair mean lam0 + <drift, dp>/2 and radicand F + iG at (N, n) offsets."""
+        mid = complex_array(self.lam0.real + 0.5 * (dps @ self.drift_re),
+                            self.lam0.imag + 0.5 * (dps @ self.drift_im))
+        return mid, complex_array(dps @ self.split_re, dps @ self.split_im)
 
 
 @dataclass(frozen=True)
@@ -140,14 +148,11 @@ class SurfaceSheets:
     im_minus: float
     pair_sign: int            # +1: (re_plus, im_plus) is one eigenvalue; -1: crossed
     split_quad: complex       # F + iG at this offset
+    pair: tuple               # the two eigenvalues, Re/Im radicals correctly paired
 
     def paired(self):
         """The two eigenvalues with Re/Im radicals correctly paired."""
-        if self.pair_sign >= 0:
-            return (complex(self.re_plus, self.im_plus),
-                    complex(self.re_minus, self.im_minus))
-        return (complex(self.re_plus, self.im_minus),
-                complex(self.re_minus, self.im_plus))
+        return self.pair
 
 
 def curve_split(chain: JordanChain, a0, a1) -> EPCurveSplit:
@@ -208,40 +213,27 @@ def sensitivities(fam: family_mod.MatrixFamily, chain: JordanChain, p0) -> EPLoc
     )
 
 
-def _model_dp(model: EPLocalModel, dp) -> np.ndarray:
-    dp = np.atleast_1d(np.asarray(dp, dtype=float))
-    if dp.shape != (model.n_params,):
-        raise DimensionError(
-            f"offset must have {model.n_params} components, got {dp.shape}"
-        )
-    return dp
-
-
 def tangency_conditions(model: EPLocalModel, dp):
     """(F, G) = (<split_re, dp>, <split_im, dp>); (0, 0) keeps the pair double."""
-    dp = _model_dp(model, dp)
+    dp = offsets(model, dp)[0]
     return float(model.split_re @ dp), float(model.split_im @ dp)
 
 
 def surface_eval(model: EPLocalModel, dp) -> SurfaceSheets:
     """The four Re/Im sheet values of the eigenvalue pair at offset dp."""
-    dp = _model_dp(model, dp)
-    f_dp = float(model.split_re @ dp)
-    g_dp = float(model.split_im @ dp)
-    w = cmath.sqrt(complex(f_dp, g_dp))     # stable: ties the +- signs together
-    re_mid = model.lam0.real + 0.5 * float(model.drift_re @ dp)
-    im_mid = model.lam0.imag + 0.5 * float(model.drift_im @ dp)
+    one = sheets(model, dp)
+    re_p, re_m, im_p, im_m = one.sheets[0].tolist()
+    quad = complex(one.radicand[0])
     return SurfaceSheets(
-        re_plus=re_mid + w.real, re_minus=re_mid - w.real,
-        im_plus=im_mid + abs(w.imag), im_minus=im_mid - abs(w.imag),
-        pair_sign=1 if g_dp >= 0 else -1,
-        split_quad=complex(f_dp, g_dp),
+        re_plus=re_p, re_minus=re_m, im_plus=im_p, im_minus=im_m,
+        pair_sign=1 if quad.imag >= 0 else -1, split_quad=quad,
+        pair=tuple(one.pair[0].tolist()),
     )
 
 
-def eigenvalue_pair(model: EPLocalModel, dp):
-    """The two model eigenvalues at offset dp (correctly paired sheets)."""
-    return surface_eval(model, dp).paired()
+def eigenvalue_pair(model, dp):
+    """The two model eigenvalues of an EP or DP model at offset dp."""
+    return tuple(sheets(model, dp).pair[0].tolist())
 
 
 def branch_cuts(model: EPLocalModel) -> BranchCutSet:
@@ -307,16 +299,11 @@ def complex_plane_conic(model: EPLocalModel, fixed_rest=None,
     kind = "perpendicular-lines" if gamma == 0.0 else "hyperbola"
     # sampled offsets satisfy the conic exactly: the linear drift terms are
     # not part of the squared-gap relation the conic is built from
-    pts = []
-    for t in np.linspace(-p1_span, p1_span, samples):
-        dp = np.concatenate(([t], rest))
-        f_dp, g_dp = tangency_conditions(model, dp)
-        w = cmath.sqrt(complex(f_dp, g_dp))
-        pts.extend((model.lam0 + w, model.lam0 - w))
+    root = sheets(model, sweep(rest, p1_span, samples)).root
     return ConicReport(
         gamma=gamma, quad_coeffs=(float(g1), float(-2 * f1), float(-g1)),
         kind=kind, asymptote_slopes=slopes, hyperbola_rhs=float(gamma * g1),
-        samples=np.asarray(pts),
+        samples=(model.lam0 + np.column_stack((root, -root))).ravel(),
     )
 
 
@@ -392,17 +379,13 @@ def cross_section(model: EPLocalModel, fixed_rest=None,
     offsets_zero = bool(np.all(rest == 0.0))
     cusp_re = ((f1 + rho1) / 2.0, (f1 - rho1) / 2.0, h1 / 2.0) if offsets_zero else None
     cusp_im = ((rho1 - f1) / 2.0, -(f1 + rho1) / 2.0, r1 / 2.0) if offsets_zero else None
-    grid = np.linspace(-p1_span, p1_span, samples)
-    sheets = np.empty((samples, 4))
-    for k, t in enumerate(grid):
-        sh = surface_eval(model, np.concatenate(([t], rest)))
-        sheets[k] = (sh.re_plus, sh.re_minus, sh.im_plus, sh.im_minus)
+    dps = sweep(rest, p1_span, samples)
     return SectionReport(
         gamma=gamma, p1_cross=float(model.p0[0] + dp1_cross),
         re_level=re_level, im_level=im_level, crossing=crossing,
         re_slopes=re_slopes, im_slopes=im_slopes, vertical_tangents=vertical,
         cusp_re_coeffs=cusp_re, cusp_im_coeffs=cusp_im,
-        sample_p1=model.p0[0] + grid, sample_sheets=sheets,
+        sample_p1=model.p0[0] + dps[:, 0], sample_sheets=sheets(model, dps).sheets,
     )
 
 

@@ -70,16 +70,21 @@ class MatrixFamily:
         ``second_deriv(p, i, j)``. When absent, finite differences are used.
     domain_guard:
         Optional predicate; points where it returns False raise DomainError.
+    vectorized:
+        True when ``evaluator`` and ``domain_guard`` broadcast over a leading
+        axis: (N, n) points -> (N, m, m) matrices and N booleans. Otherwise
+        ``evaluate_many`` calls them once per point.
     """
 
     def __init__(self, dim, n_params, evaluator,
-                 deriv=None, second_deriv=None, domain_guard=None):
+                 deriv=None, second_deriv=None, domain_guard=None, vectorized=False):
         self.dim = int(dim)
         self.n_params = int(n_params)
         self._evaluator = evaluator
         self._deriv = deriv
         self._second_deriv = second_deriv
         self.domain_guard = domain_guard
+        self.vectorized = bool(vectorized)
         if self.dim < 1 or self.n_params < 1:
             raise DimensionError("dim and n_params must be at least 1")
 
@@ -102,17 +107,46 @@ class MatrixFamily:
         return arr
 
 
+def _checked(a, shape) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.shape != shape:
+        raise DimensionError(f"evaluator returned shape {a.shape}, expected {shape}")
+    return a
+
+
 def evaluate(fam: MatrixFamily, p) -> np.ndarray:
     """A(p). Raises DomainError outside the family's validity domain."""
     pt = fam._point(p)
+    if fam.vectorized:
+        return evaluate_many(fam, pt[None])[0]
     if not fam.contains(pt):
         raise DomainError(f"point {pt.tolist()} outside the family domain")
-    a = np.asarray(fam._evaluator(pt), dtype=complex)
-    if a.shape != (fam.dim, fam.dim):
+    return _checked(fam._evaluator(pt), (fam.dim, fam.dim))
+
+
+def evaluate_many(fam: MatrixFamily, points) -> np.ndarray:
+    """A(p) at every row of an (N, n) point array, as an (N, m, m) array.
+
+    Makes the checks of ``evaluate`` at every point. Vectorized families are
+    evaluated in one call; the others point by point.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != fam.n_params:
         raise DimensionError(
-            f"evaluator returned shape {a.shape}, expected {(fam.dim, fam.dim)}"
-        )
-    return a
+            f"expected points of shape (N, {fam.n_params}), got shape {pts.shape}")
+    if not fam.vectorized:
+        out = np.empty((len(pts), fam.dim, fam.dim), dtype=complex)
+        for k, pt in enumerate(pts):
+            out[k] = evaluate(fam, pt)
+        return out
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("parameter point has non-finite entries")
+    if fam.domain_guard is not None:
+        inside = np.asarray(fam.domain_guard(pts), dtype=bool)
+        if not inside.all():
+            bad = pts[int(np.argmin(inside))]
+            raise DomainError(f"point {bad.tolist()} outside the family domain")
+    return _checked(fam._evaluator(pts), (len(pts), fam.dim, fam.dim))
 
 
 def _fd4(sample: Callable[[float], np.ndarray], h: float) -> np.ndarray:
@@ -184,9 +218,13 @@ class PolynomialFamily:
     terms: tuple = field(default_factory=tuple)  # of (coeff (m,m) complex, exps tuple)
 
     def value(self, p: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        """A(p) for points p of shape (..., n); broadcasts over leading axes."""
+        p = np.asarray(p, dtype=float)
+        out = np.zeros(p.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        term = np.empty_like(out)
         for coeff, exps in self.terms:
-            out += coeff * np.prod(np.power(p, exps))
+            out += np.multiply(coeff, np.prod(np.power(p, exps), axis=-1)[..., None, None],
+                               out=term)
         return out
 
     def deriv(self, p: np.ndarray, i: int) -> np.ndarray:
@@ -218,6 +256,7 @@ class PolynomialFamily:
         fam = MatrixFamily(
             self.dim, self.n_params,
             evaluator=self.value, deriv=self.deriv, second_deriv=self.second,
+            vectorized=True,
         )
         fam.polynomial = self  # keep the term list reachable for serialization
         return fam

@@ -183,3 +183,28 @@ def solve_on_complement(m, b, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
             f"exceeds {bound:.3e}"
         )
     return x
+
+
+def pair_assignment(values, targets):
+    """Assign two eigenvalues to each target pair, many spectra at once.
+
+    ``values`` is (N, m), ``targets`` is (N, 2). For each row the ordered pair
+    (i, j), i != j, minimises |values[i] - targets[0]| + |values[j] - targets[1]|;
+    ties go to the lowest i, then the lowest j. Returns the index arrays i, j
+    and the margin: second-lowest cost minus lowest. Needs m >= 2.
+    """
+    values = np.asarray(values, dtype=complex)
+    targets = np.asarray(targets, dtype=complex)
+    n, m = values.shape
+    # hypot rounds like abs() of a Python complex, unlike numpy's complex abs
+    d0 = values - targets[:, :1]
+    d1 = values - targets[:, 1:]
+    cost = (np.hypot(d0.real, d0.imag)[:, :, None]
+            + np.hypot(d1.real, d1.imag)[:, None, :])
+    flat = cost.reshape(n, m * m)
+    flat[:, ::m + 1] = np.inf          # the diagonal: i == j
+    best = np.argmin(flat, axis=1)     # first minimum: lowest i, then lowest j
+    rows = np.arange(n)
+    lowest = flat[rows, best]
+    flat[rows, best] = np.inf          # what is left holds the second-lowest cost
+    return best // m, best % m, flat.min(axis=1) - lowest

@@ -301,3 +301,63 @@ class TestConfigAndErrors:
         schema = json.loads((SCHEMA_DIR / "family.schema.json").read_text())
         jsonschema.validate(json.loads(TOY_FAMILY), schema)
         jsonschema.validate(json.loads(SEPARATED_FAMILY), schema)
+
+
+def planted_dp_family(tmp_path):
+    """Two-parameter 2x2 family with A(0) = S (lam0 I) S^-1 (a scalar matrix)."""
+    rng = np.random.default_rng(11)
+    s = np.eye(2) + 0.25 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    s_inv = np.linalg.inv(s)
+    terms = []
+    for exps, core in (([0, 0], (0.3 - 0.7j) * np.eye(2)),
+                       ([1, 0], rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))),
+                       ([0, 1], rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))):
+        coeff = s @ core @ s_inv
+        terms.append({"exp": exps, "re": coeff.real.tolist(), "im": coeff.imag.tolist()})
+    path = tmp_path / "scalar_dp.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "terms": terms}))
+    return str(path)
+
+
+class TestScalarMatrixDP:
+    def test_scenario_and_surface_at_scalar_matrix(self, capsys, tmp_path):
+        fam = planted_dp_family(tmp_path)
+        code, out = run(capsys, "scenario", "--family", fam, "--at", "0,0")
+        assert code == 0
+        validate(json.loads(out), "scenario_report.schema.json")
+        surface = tmp_path / "surface.csv"
+        code, _ = run(capsys, "surface", "--family", fam, "--at", "0,0",
+                      "--res", "5", "--out", str(surface))
+        assert code == 0
+        assert len(surface.read_text().splitlines()) == 1 + 25
+
+    def test_classify_report_without_outer_eigenvalue(self, capsys, tmp_path):
+        code, out = run(capsys, "classify", "--family", planted_dp_family(tmp_path),
+                        "--at", "0,0")
+        assert code == 0
+        assert "Infinity" not in out
+        report = json.loads(out)
+        assert report["external_gap"] is None
+        validate(report, "classify_report.schema.json")
+
+
+EXIT_CASES = [
+    (0, ["classify", "--family", "crystal-example-1", "--at", "0,0"]),
+    (1, ["find-ep", "--family", "{sep}", "--at", "0.3"]),
+    (1, ["surface", "--family", "crystal-example-1", "--at", "0,0",
+         "--window=nan,0.1", "--out", "{tmp}/s.csv"]),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "inf,0"]),
+    (2, ["classify", "--family", "{sep}", "--at", "0.3"]),
+    (3, ["classify", "--family", "crystal-example-1", "--at", "0.9,0.9"]),
+    (4, ["find-ep", "--family", "crystal-example-1", "--at", "0.2,0.1"]),
+]
+
+
+@pytest.mark.parametrize("code,argv", EXIT_CASES)
+def test_exit_codes(code, argv, capsys, tmp_path):
+    """One case per documented exit code; exit 1 also for find-ep on a
+    one-parameter family and for non-finite flag values."""
+    sep = tmp_path / "sep.json"
+    sep.write_text(SEPARATED_FAMILY)
+    argv = [a.replace("{sep}", str(sep)).replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(capsys, *argv)[0] == code

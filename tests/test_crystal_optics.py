@@ -250,3 +250,28 @@ class TestSpecJson:
         spec = co.spec_from_json(doc)
         assert np.array_equal(spec.anisotropy, SPEC1.anisotropy)
         assert np.array_equal(spec.activity, SPEC1.activity)
+
+
+def per_point_optical_matrix(spec, s1, s2):
+    """A(s) at one chart point, built with outer products and a 3-vector."""
+    s = np.array([s1, s2, np.sqrt(1.0 - (s1 * s1 + s2 * s2))])
+    g = spec.activity @ s
+    gyration = 1j * np.array([[0.0, -g[2], g[1]], [g[2], 0.0, -g[0]], [-g[1], g[0], 0.0]])
+    return (np.eye(3) - np.outer(s, s)) @ (spec.anisotropy + gyration)
+
+
+class TestBatchedAdapter:
+    def test_batched_matrices_equal_per_point_bitwise(self):
+        rng = np.random.default_rng(8)
+        points = rng.uniform(-0.6, 0.6, size=(400, 2))
+        for spec in (SPEC1, SPEC2):
+            fam = co.family_adapter(spec)
+            batch = family_mod.evaluate_many(fam, points)
+            want = np.array([per_point_optical_matrix(spec, *p) for p in points])
+            assert batch.tobytes() == want.tobytes()
+            singles = np.array([family_mod.evaluate(fam, p) for p in points])
+            assert singles.tobytes() == want.tobytes()
+
+    def test_guard_checked_at_every_point(self, crystal1):
+        with pytest.raises(DomainError):
+            family_mod.evaluate_many(crystal1, [[0.0, 0.0], [0.8, 0.7]])

@@ -275,3 +275,22 @@ class TestFindEP:
         with pytest.raises(ConvergenceError) as err:
             degeneracy.find_ep(crystal1, [0.05, -0.03], max_iter=1)
         assert len(err.value.residual_history) >= 1
+
+
+def planted_scalar_dp(lam0=0.3 - 0.7j):
+    """A(p*) = S (lam0 I) S^-1, evaluated in floating point: A - lam0 I is
+    rounding noise, not zero."""
+    rng = np.random.default_rng(11)
+    s = np.eye(2) + 0.25 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return s @ (lam0 * np.eye(2)) @ np.linalg.inv(s)
+
+
+class TestDPFrameScalarMatrix:
+    def test_frame_at_rounded_scalar_matrix(self):
+        a = planted_scalar_dp()
+        cluster = degeneracy.find_double_eigenvalues(a)[0]
+        assert degeneracy.classify(a, cluster.center).kind == "DP"
+        frame = degeneracy.dp_frame(a, cluster.center)
+        gram = np.array([[hermitian_inner(u, v) for u in (frame.u1, frame.u2)]
+                         for v in (frame.v1, frame.v2)])
+        assert np.allclose(gram, np.eye(2), atol=1e-12)

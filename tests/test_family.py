@@ -195,3 +195,71 @@ class TestParseFamily:
         with pytest.raises(FamilyParseError) as err:
             parse_family("{not json")
         assert err.value.path == "$"
+
+
+def per_point_polynomial(poly, p):
+    """Term-by-term sum at one point, the order the batched evaluator keeps."""
+    out = np.zeros((poly.dim, poly.dim), dtype=complex)
+    for coeff, exps in poly.terms:
+        out += coeff * np.prod(np.power(p, exps))
+    return out
+
+
+class TestEvaluateMany:
+    def test_polynomial_matches_per_point_sum_bitwise(self):
+        rng = np.random.default_rng(21)
+        poly = random_polynomial(rng, m=4, n=3, n_terms=6)
+        fam = poly.to_family()
+        points = rng.uniform(-1.5, 1.5, size=(300, 3))
+        batch = family_mod.evaluate_many(fam, points)
+        assert batch.shape == (300, 4, 4)
+        want = np.array([per_point_polynomial(poly, p) for p in points])
+        assert batch.tobytes() == want.tobytes()
+        singles = np.array([evaluate(fam, p) for p in points])
+        assert singles.tobytes() == want.tobytes()
+
+    def test_empty_batch(self):
+        fam = poly_family((C, (1,)))
+        assert family_mod.evaluate_many(fam, np.zeros((0, 1))).shape == (0, 2, 2)
+
+    def test_point_shape_checked(self):
+        fam = poly_family((C, (1, 0)))
+        for bad in (np.zeros((4, 3)), np.zeros(2), np.zeros((2, 2, 2))):
+            with pytest.raises(DimensionError):
+                family_mod.evaluate_many(fam, bad)
+
+    def test_non_finite_point_rejected(self):
+        fam = poly_family((C, (1,)))
+        with pytest.raises(DomainError):
+            family_mod.evaluate_many(fam, [[0.0], [np.nan]])
+
+    def test_domain_guard_at_every_point(self):
+        guard = lambda p: np.abs(p[..., 0]) < 1.0  # noqa: E731
+        fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros(p.shape[:-1] + (2, 2)),
+                                      domain_guard=guard, vectorized=True)
+        assert family_mod.evaluate_many(fam, [[0.0], [0.5]]).shape == (2, 2, 2)
+        with pytest.raises(DomainError, match="1.5"):
+            family_mod.evaluate_many(fam, [[0.0], [1.5], [0.2]])
+        with pytest.raises(DomainError):
+            evaluate(fam, [-2.0])
+
+    def test_output_shape_checked(self):
+        fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros((3, 2, 2)),
+                                      vectorized=True)
+        with pytest.raises(DimensionError):
+            family_mod.evaluate_many(fam, [[0.0], [1.0]])
+
+    def test_per_point_evaluator_falls_back_to_a_loop(self):
+        calls = []
+
+        def evaluator(p):
+            calls.append(p.shape)
+            return p[0] * C
+
+        fam = family_mod.MatrixFamily(2, 1, evaluator=evaluator,
+                                      domain_guard=lambda p: p[0] < 1.0)
+        batch = family_mod.evaluate_many(fam, [[0.5], [-2.0]])
+        assert calls == [(1,), (1,)]
+        assert np.array_equal(batch, np.array([0.5 * C, -2.0 * C]))
+        with pytest.raises(DomainError):
+            family_mod.evaluate_many(fam, [[0.5], [1.0]])

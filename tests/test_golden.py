@@ -1,0 +1,112 @@
+"""Golden outputs of the command line on the two builtin crystals.
+
+The files under ``tests/golden/`` hold what the CLI printed or wrote for
+each case below. JSON reports and loop files must match byte for byte.
+Surface grids and cross-section CSVs are compared to 1e-12 relative to
+max(1, |value|): batched evaluation may change the floating-point summation
+order and with it the last bits. Every case also runs twice, and both runs
+must give the same bytes.
+
+Regenerate the files (only when an output is meant to change) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from eigencoupling import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+CRYSTALS = ("crystal-example-1", "crystal-example-2")
+#: relative tolerance for the CSV files written by batched code paths
+CSV_RTOL = 1e-12
+
+# (case, argv after --family, outputs: golden suffix -> "stdout" or file name)
+CASES = [
+    ("classify", ["classify", "--at", "0,0"], {"classify.json": "stdout"}),
+    ("scenario", ["scenario", "--at", "0,0"], {"scenario.json": "stdout"}),
+    ("scenario-offset", ["scenario", "--at", "0,0", "--offset", "0.01"],
+     {"scenario-offset.json": "stdout"}),
+    ("section", ["scenario", "--at", "0,0", "--offset", "0.01", "--format", "csv",
+                 "--out", "{dir}/section.csv"], {"section.csv": "section.csv"}),
+    ("find-ep", ["find-ep", "--at", "0.05,-0.03"], {"find-ep.json": "stdout"}),
+    ("surface", ["surface", "--at", "0,0", "--window=-0.05,0.05", "--res", "21",
+                 "--out", "{dir}/surface.csv"], {"surface.csv": "surface.csv"}),
+]
+#: loop trajectories need an EP anchor
+EP_CASES = [
+    ("loop", ["loop", "--at", "0,0", "--loop=0.003,-0.002,0.01", "--samples", "720",
+              "--out", "{dir}/loop.csv"],
+     {"loop.csv": "loop.csv", "loop.json": "loop.json"}),
+]
+
+
+def all_cases():
+    for family in CRYSTALS:
+        cases = CASES + (EP_CASES if family == "crystal-example-1" else [])
+        for name, argv, outputs in cases:
+            yield family, name, argv, outputs
+
+
+def run_case(family, argv, outputs, out_dir: Path) -> dict:
+    """Run one case; return golden suffix -> output bytes."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    full = [argv[0], "--family", family] + [a.replace("{dir}", str(out_dir)) for a in argv[1:]]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(full)
+    assert code == 0, f"{full} exited {code}"
+    return {
+        suffix: stdout.getvalue().encode() if source == "stdout"
+        else (out_dir / source).read_bytes()
+        for suffix, source in outputs.items()
+    }
+
+
+def _csv_close(got: bytes, want: bytes) -> None:
+    got_lines = got.decode().splitlines()
+    want_lines = want.decode().splitlines()
+    assert got_lines[0] == want_lines[0]
+    assert len(got_lines) == len(want_lines)
+    got_arr = np.array([[float(x) for x in line.split(",")] for line in got_lines[1:]])
+    want_arr = np.array([[float(x) for x in line.split(",")] for line in want_lines[1:]])
+    scale = np.maximum(1.0, np.abs(want_arr))
+    worst = float((np.abs(got_arr - want_arr) / scale).max())
+    assert worst <= CSV_RTOL, f"largest relative difference {worst:.3e}"
+
+
+@pytest.mark.parametrize(
+    "family,name,argv,outputs", list(all_cases()),
+    ids=[f"{family}-{name}" for family, name, _, _ in all_cases()])
+def test_golden_output(family, name, argv, outputs, tmp_path):
+    first = run_case(family, argv, outputs, tmp_path / "first")
+    second = run_case(family, argv, outputs, tmp_path / "second")
+    assert first == second, "two runs of one configuration differ"
+    for suffix, got in first.items():
+        want = (GOLDEN / f"{family}.{suffix}").read_bytes()
+        if suffix in ("surface.csv", "section.csv"):
+            _csv_close(got, want)
+        else:
+            assert got == want, f"{family}.{suffix} differs from the golden file"
+
+
+def write_golden() -> None:
+    import tempfile
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for family, name, argv, outputs in all_cases():
+            for suffix, blob in run_case(family, argv, outputs, Path(tmp) / name).items():
+                (GOLDEN / f"{family}.{suffix}").write_bytes(blob)
+
+
+if __name__ == "__main__":
+    write_golden()
+    sys.exit(0)

@@ -187,3 +187,35 @@ class TestSolveOnComplement:
     def test_inconsistent_rhs(self):
         with pytest.raises(ConsistencyError):
             numkit.solve_on_complement([[0.0, 1.0], [0.0, 0.0]], [0.0, 1.0])
+
+
+def brute_force_assignment(values, targets):
+    costs = sorted(
+        (abs(values[i] - targets[0]) + abs(values[j] - targets[1]), i, j)
+        for i in range(len(values)) for j in range(len(values)) if i != j
+    )
+    return costs[0][1], costs[0][2], costs[1][0] - costs[0][0]
+
+
+class TestPairAssignment:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(17)
+        for m in range(2, 7):
+            values = rng.normal(size=(40, m)) + 1j * rng.normal(size=(40, m))
+            targets = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+            i, j, margin = numkit.pair_assignment(values, targets)
+            for k in range(40):
+                bi, bj, bm = brute_force_assignment(values[k], targets[k])
+                assert (i[k], j[k]) == (bi, bj)
+                assert margin[k] == bm
+
+    def test_ties_go_to_lowest_indices(self):
+        values = np.array([[1.0, 1.0, 2.0, 2.0]], dtype=complex)
+        i, j, margin = numkit.pair_assignment(values, [[1.0, 2.0]])
+        assert (i[0], j[0], margin[0]) == (0, 2, 0.0)
+
+    def test_same_target_twice_uses_two_eigenvalues(self):
+        values = np.array([[0.0, 5.0, 0.1]], dtype=complex)
+        i, j, margin = numkit.pair_assignment(values, [[0.0, 0.0]])
+        assert (i[0], j[0]) == (0, 2)
+        assert margin[0] == pytest.approx(0.0)
