@@ -103,15 +103,14 @@ def _load_family(source: str) -> family_mod.MatrixFamily:
 
 
 def _anchor_cluster(fam, at, tol_cluster, tol_rank):
-    """Classify the tightest eigenvalue cluster of A(at)."""
+    """The tightest eigenvalue cluster of A(at) and its classification."""
     a = family_mod.evaluate(fam, at)
     clusters = degeneracy.find_double_eigenvalues(a, tol_cluster)
     if not clusters:
         raise ClassificationError(
             f"no eigenvalue cluster at ({', '.join(str(float(x)) for x in at)})")
     cluster = min(clusters, key=lambda c: c.internal_gap)
-    kind = degeneracy.classify(a, cluster.center, tol_rank)
-    return a, cluster, kind
+    return cluster, degeneracy.classify(a, cluster.center, tol_rank)
 
 
 def _write_text(path: str, text: str):
@@ -138,10 +137,19 @@ def _csv(header, table) -> str:
     return ",".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
 
 
+def _write_section(out, p1, table):
+    """The scenario cross-section CSV: p1 and the four sheets per sample."""
+    if not out:
+        raise _UsageError("--format csv requires --out")
+    _write_text(out, _csv(["p1", "re_plus", "re_minus", "im_plus", "im_minus"],
+                          np.column_stack((p1, table))))
+    return EXIT_OK
+
+
 def cmd_classify(opts) -> int:
     fam = _load_family(opts["family"])
     at = np.asarray(_floats(opts["at"], "--at"))
-    _, cluster, kind = _anchor_cluster(fam, at, opts["tol_cluster"], opts["tol_rank"])
+    cluster, kind = _anchor_cluster(fam, at, opts["tol_cluster"], opts["tol_rank"])
     report = {
         "lambda0": _cnum(cluster.center),
         "kind": kind.kind,
@@ -169,13 +177,11 @@ def _window_axes(window, res):
     return np.linspace(lo1, hi1, res), np.linspace(lo2, hi2, res)
 
 
-def _local_model(fam, p0, a0, cluster, kind, tol_rank):
+def _local_model(fam, p0, kind):
     """The EP or DP local model of the classified anchor cluster."""
     if kind.kind == "EP":
-        chain = degeneracy.jordan_chain(a0, cluster.center, tol_rank)
-        return ep_asymptotics.sensitivities(fam, chain, p0)
-    frame = degeneracy.dp_frame(a0, cluster.center, tol_rank=tol_rank)
-    return dp_asymptotics.dp_sensitivities(fam, frame, p0)
+        return ep_asymptotics.sensitivities(fam, degeneracy.jordan_chain_of(kind), p0)
+    return dp_asymptotics.dp_sensitivities(fam, degeneracy.dp_frame_of(kind), p0)
 
 
 def cmd_surface(opts) -> int:
@@ -185,8 +191,8 @@ def cmd_surface(opts) -> int:
     p0 = np.asarray(_floats(opts["at"], "--at"))
     if fam.n_params != 2:
         raise _UsageError("surface grids need a two-parameter family")
-    a0, cluster, kind = _anchor_cluster(fam, p0, opts["tol_cluster"], opts["tol_rank"])
-    model = _local_model(fam, p0, a0, cluster, kind, opts["tol_rank"])
+    _, kind = _anchor_cluster(fam, p0, opts["tol_cluster"], opts["tol_rank"])
+    model = _local_model(fam, p0, kind)
     axis1, axis2 = _window_axes(opts["window"], opts["res"])
     dps = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
     table = np.empty((len(dps), 11))
@@ -223,11 +229,10 @@ def cmd_loop(opts) -> int:
         raise _UsageError("--loop needs exactly three values a,b,r")
     fam = _load_family(opts["family"])
     p0 = np.asarray(_floats(opts["at"], "--at"))
-    a0, cluster, kind = _anchor_cluster(fam, p0, opts["tol_cluster"], opts["tol_rank"])
+    _, kind = _anchor_cluster(fam, p0, opts["tol_cluster"], opts["tol_rank"])
     if kind.kind != "EP":
         raise ClassificationError("loop trajectories need an EP anchor")
-    chain = degeneracy.jordan_chain(a0, cluster.center, opts["tol_rank"])
-    model = ep_asymptotics.sensitivities(fam, chain, p0)
+    model = _local_model(fam, p0, kind)
     spec = ep_asymptotics.LoopSpec(a=vals[0], b=vals[1], r=vals[2],
                                    samples=opts["samples"])
     report = ep_asymptotics.loop_trajectory(model, spec)
@@ -256,7 +261,7 @@ def cmd_find_ep(opts) -> int:
     if fam.n_params != 2:
         raise _UsageError("find-ep needs a two-parameter family")
     guess = np.asarray(_floats(opts["at"], "--at"))
-    result = degeneracy.find_ep(fam, guess, tol_cluster=opts["tol_cluster"])
+    result = degeneracy.find_ep(fam, guess)
     report = {
         "p_star": [float(x) for x in result.p_star],
         "lambda0": _cnum(result.lam0),
@@ -271,21 +276,16 @@ def cmd_find_ep(opts) -> int:
 def cmd_scenario(opts) -> int:
     fam = _load_family(opts["family"])
     p0 = np.asarray(_floats(opts["at"], "--at"))
-    a0, cluster, kind = _anchor_cluster(fam, p0, opts["tol_cluster"], opts["tol_rank"])
+    _, kind = _anchor_cluster(fam, p0, opts["tol_cluster"], opts["tol_rank"])
     offset = (_floats(opts["offset"], "--offset")
               if opts.get("offset") else [0.0] * (fam.n_params - 1))
     if len(offset) != fam.n_params - 1:
         raise _UsageError(f"--offset needs {fam.n_params - 1} components")
-    model = _local_model(fam, p0, a0, cluster, kind, opts["tol_rank"])
-    section_header = ["p1", "re_plus", "re_minus", "im_plus", "im_minus"]
+    model = _local_model(fam, p0, kind)
     if kind.kind == "EP":
         section = ep_asymptotics.cross_section(model, offset)
         if opts.get("format") == "csv":
-            if not opts.get("out"):
-                raise _UsageError("--format csv requires --out")
-            _write_text(opts["out"], _csv(section_header, np.column_stack(
-                (section.sample_p1, section.sample_sheets))))
-            return EXIT_OK
+            return _write_section(opts.get("out"), section.sample_p1, section.sample_sheets)
         report = {
             "kind": "EP",
             "gamma": section.gamma,
@@ -297,16 +297,10 @@ def cmd_scenario(opts) -> int:
             "im_slopes": list(section.im_slopes) if section.im_slopes else None,
             "vertical_tangents": section.vertical_tangents,
         }
-        _emit_json(report, opts.get("out"))
-        return EXIT_OK
-    if opts.get("offset"):
+    elif opts.get("offset"):
         if opts.get("format") == "csv":
-            if not opts.get("out"):
-                raise _UsageError("--format csv requires --out")
             dps = sweep(offset, 0.1, 401)
-            _write_text(opts["out"], _csv(section_header, np.column_stack(
-                (p0[0] + dps[:, 0], sheets(model, dps).sheets))))
-            return EXIT_OK
+            return _write_section(opts.get("out"), p0[0] + dps[:, 0], sheets(model, dps).sheets)
         rep = dp_asymptotics.avoided_crossing_1p(model, offset)
         roots = [x for x in (rep.dp1_a, rep.dp1_b) if x is not None] or None
         cvals = [x for x in (rep.c_a, rep.c_b) if x is not None] or None
@@ -359,21 +353,19 @@ _DEFAULTS = {
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="eigencoupling", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--family", help="builtin name or family JSON path")
-        p.add_argument("--at", help="anchor point (find-ep: starting guess), comma-separated")
-        p.add_argument("--window", help="grid window 'lo,hi' or 'lo1,hi1,lo2,hi2'")
-        p.add_argument("--res", type=int, help="grid resolution per axis")
-        p.add_argument("--tol-cluster", type=float, dest="tol_cluster")
-        p.add_argument("--tol-rank", type=float, dest="tol_rank")
-        p.add_argument("--loop", help="loop parameters a,b,r")
-        p.add_argument("--samples", type=int, help="loop sample count")
-        p.add_argument("--offset", help="fixed offsets of parameters 2..n")
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--config", help="JSON config file; flags override it")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--family", help="builtin name or family JSON path")
+    parser.add_argument("--at", help="anchor point (find-ep: starting guess), comma-separated")
+    parser.add_argument("--window", help="grid window 'lo,hi' or 'lo1,hi1,lo2,hi2'")
+    parser.add_argument("--res", type=int, help="grid resolution per axis")
+    parser.add_argument("--tol-cluster", type=float, dest="tol_cluster")
+    parser.add_argument("--tol-rank", type=float, dest="tol_rank")
+    parser.add_argument("--loop", help="loop parameters a,b,r")
+    parser.add_argument("--samples", type=int, help="loop sample count")
+    parser.add_argument("--offset", help="fixed offsets of parameters 2..n")
+    parser.add_argument("--out", help="output file path")
+    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--config", help="JSON config file; flags override it")
     return parser
 
 
@@ -390,10 +382,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
         if not isinstance(cfg, dict):
             raise _UsageError("config file must hold a JSON object")
         opts.update({str(k).replace("-", "_"): v for k, v in cfg.items()})
-    for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        opts[key] = value
+    opts.update({key: value for key, value in vars(args).items()
+                 if value is not None and key not in ("command", "config")})
     for key in ("family", "at"):
         if not opts.get(key):
             raise _UsageError(f"--{key} is required")

@@ -109,7 +109,7 @@ def refractive_indices(spec: DielectricSpec, s, tol_cluster: float = 1e-6):
     separated from zero by 10x the cluster tolerance, otherwise the principal
     branch of the inverse square root is meaningless and BranchError is raised.
     """
-    w = numkit.eig_all(optical_matrix(spec, s)).values
+    w = numkit.eigvals(optical_matrix(spec, s))
     zero_idx = int(np.argmin(np.abs(w)))
     pair = [w[k] for k in range(3) if k != zero_idx]
     scale = 1.0 + max(abs(z) for z in w)

@@ -18,7 +18,7 @@ iteration on the analytic scalar ((lam_plus - lam_minus)/2)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -53,8 +53,15 @@ class SpectralCluster:
 
 @dataclass(frozen=True)
 class DegeneracyClass:
+    """EP or DP, with the factorisation of A - lam0 I that decided it; the
+    chain and frame builders ``*_of`` reuse it instead of factorising again."""
+
     kind: str                     # "EP" | "DP"
     geometric_multiplicity: int
+    lam0: complex = field(compare=False, repr=False)
+    shifted: numkit.SVD = field(compare=False, repr=False)    # of A - lam0 I
+    sigma_max: float = field(compare=False, repr=False)       # sigma_max(A)
+    tol_rank: float = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,7 @@ def find_double_eigenvalues(a, tol_cluster: float = DEFAULT_CLUSTER_TOL):
     """
     if tol_cluster <= 0:
         raise ValueError("tol_cluster must be positive")
-    w = numkit.eig_all(a).values
+    w = numkit.eigvals(a)
     m = len(w)
     candidates = []
     for i in range(m):
@@ -144,36 +151,33 @@ def classify(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) -> Deg
     (Jordan block), 2 a DP. The rank threshold is anchored to sigma_max(A)
     so that a semisimple pair (A - lam0 I ~ 0) is not misread as full rank.
     A singular value within a factor 10 of the threshold makes the decision
-    ambiguous and raises IndeterminateRankError carrying the spectrum.
+    ambiguous and raises IndeterminateRankError carrying the spectrum. The
+    result keeps the SVD of A - lam0 I and sigma_max(A) for the builders.
     """
     arr = numkit.as_cmatrix(a)
-    m = arr.shape[0]
-    shifted = arr - lam0 * np.eye(m)
-    s = numkit.singular_values(shifted)
-    ref = numkit.singular_values(arr)[0]
-    threshold = tol_rank * max(ref, 1e-300)
+    shifted = numkit.SVD(arr - lam0 * np.eye(arr.shape[0]))
+    s = shifted.s
+    sigma_max = numkit.singular_values(arr)[0]
+    threshold = tol_rank * max(sigma_max, 1e-300)
     ambiguous = [x for x in s if threshold / 10.0 < x < threshold * 10.0]
     if ambiguous:
         raise IndeterminateRankError(
             f"singular values {ambiguous} within a factor 10 of the rank "
             f"threshold {threshold:.3e}", singular_values=s,
         )
-    rank = int(np.count_nonzero(s > threshold))
-    gm = m - rank
-    if gm == 1:
-        return DegeneracyClass(kind="EP", geometric_multiplicity=1)
-    if gm == 2:
-        return DegeneracyClass(kind="DP", geometric_multiplicity=2)
-    raise ClassificationError(
-        f"geometric multiplicity {gm} outside {{1, 2}} for lam0 = {lam0:.6g}"
+    gm = len(s) - int(np.count_nonzero(s > threshold))
+    if gm not in (1, 2):
+        raise ClassificationError(
+            f"geometric multiplicity {gm} outside {{1, 2}} for lam0 = {lam0:.6g}"
+        )
+    return DegeneracyClass(
+        kind="EP" if gm == 1 else "DP", geometric_multiplicity=gm,
+        lam0=complex(lam0), shifted=shifted, sigma_max=sigma_max, tol_rank=tol_rank,
     )
 
 
-def _check_chain(a, chain: JordanChain, tol: float):
-    """Residuals of the six defining/normalization relations of a chain."""
-    arr = numkit.as_cmatrix(a)
-    m = arr.shape[0]
-    shifted = arr - chain.lam0 * np.eye(m)
+def _check_chain(shifted, chain: JordanChain):
+    """Residuals of the six defining/normalization relations of a chain at A - lam0 I."""
     adj = shifted.conj().T
     return {
         "eigvec": float(np.linalg.norm(shifted @ chain.u0)),
@@ -186,34 +190,38 @@ def _check_chain(a, chain: JordanChain, tol: float):
 
 
 def jordan_chain(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) -> JordanChain:
-    """Jordan chain (u0, u1, v0, v1) of a defective double eigenvalue.
+    """Jordan chain (u0, u1, v0, v1) of a defective double eigenvalue lam0 of A."""
+    return jordan_chain_of(classify(a, lam0, tol_rank))
+
+
+def jordan_chain_of(kind: DegeneracyClass) -> JordanChain:
+    """Jordan chain (u0, u1, v0, v1) of a double eigenvalue classified as EP.
 
     Construction: u0 from the kernel (gauge-fixed), u1 as the minimum-norm
     solution of the chain equation (which fixes the residual freedom
     u1 -> u1 + beta*u0 by (u1, u0) = 0), v0 as the adjoint kernel vector
     rescaled to (u1, v0) = 1, and v1 as the minimum-norm adjoint solve
-    corrected by a multiple of v0 so that (u1, v1) = 0.
+    corrected by a multiple of v0 so that (u1, v1) = 0. The right vectors
+    come from the classification's factorisation, the left ones from one
+    factorisation of the adjoint.
     """
-    kind = classify(a, lam0, tol_rank)
     if kind.kind != "EP":
         raise ClassificationError("jordan_chain needs an EP; classify says DP")
-    arr = numkit.as_cmatrix(a)
-    m = arr.shape[0]
-    shifted = arr - lam0 * np.eye(m)
-    u0 = numkit.null_vector(shifted, tol_rank)
-    u1 = numkit.solve_on_complement(shifted, u0, tol_rank)
-    v0_raw = numkit.null_vector(shifted.conj().T, tol_rank)
+    shifted, tol_rank = kind.shifted, kind.tol_rank
+    u0 = shifted.null_vector(tol_rank)
+    u1 = shifted.solve(u0, tol_rank)
+    adjoint = numkit.SVD(shifted.matrix.conj().T)
+    v0_raw = adjoint.null_vector(tol_rank)
     scale = hermitian_inner(u1, v0_raw)
     if abs(scale) < 1e-12 * np.linalg.norm(u1):
         raise FrameError("(u1, v0) vanishes; chain normalization impossible")
     v0 = v0_raw * np.conj(1.0 / scale)
-    v1 = numkit.solve_on_complement(shifted.conj().T, v0, tol_rank)
+    v1 = adjoint.solve(v0, tol_rank)
     v1 = v1 - np.conj(hermitian_inner(u1, v1)) * v0
-    chain = JordanChain(lam0=complex(lam0), u0=u0, u1=u1, v0=v0, v1=v1)
-    norm_a = numkit.singular_values(arr)[0]
-    residuals = _check_chain(arr, chain, tol_rank)
+    chain = JordanChain(lam0=kind.lam0, u0=u0, u1=u1, v0=v0, v1=v1)
+    residuals = _check_chain(shifted.matrix, chain)
     worst = max(residuals.values())
-    if worst > 1e-8 * max(norm_a, 1.0):
+    if worst > 1e-8 * max(kind.sigma_max, 1.0):
         raise FrameError(
             f"chain residuals too large ({residuals}); lam0 may not be a "
             "double eigenvalue at this point"
@@ -221,14 +229,15 @@ def jordan_chain(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) ->
     return chain
 
 
-def _trailing_right_singular_vectors(m) -> np.ndarray:
-    """The two right singular vectors of the smallest singular values, as columns."""
-    return np.linalg.svd(m)[2][-2:].conj().T
-
-
 def dp_frame(a, lam0: complex, right_basis=None,
              tol_rank: float = numkit.DEFAULT_RANK_TOL) -> DPFrame:
-    """Bi-orthonormalized frame (u1, u2, v1, v2) of a semisimple double pair.
+    """Bi-orthonormalized frame (u1, u2, v1, v2) of a semisimple double pair
+    lam0 of A; ``right_basis`` as in ``dp_frame_of``."""
+    return dp_frame_of(classify(a, lam0, tol_rank), right_basis)
+
+
+def dp_frame_of(kind: DegeneracyClass, right_basis=None) -> DPFrame:
+    """Bi-orthonormalized frame (u1, u2, v1, v2) of a pair classified as DP.
 
     ``right_basis`` optionally pins the right eigenvectors (columns or a
     sequence of two vectors); the left vectors are then the unique solutions
@@ -241,15 +250,11 @@ def dp_frame(a, lam0: complex, right_basis=None,
     ||A - lam0 I|| would misjudge a scalar A, where that norm is rounding
     noise.)
     """
-    kind = classify(a, lam0, tol_rank)
     if kind.kind != "DP":
         raise ClassificationError("dp_frame needs a DP; classify says EP")
-    arr = numkit.as_cmatrix(a)
-    m = arr.shape[0]
-    shifted = arr - lam0 * np.eye(m)
+    m = kind.shifted.matrix.shape[0]
     if right_basis is None:
-        basis = _trailing_right_singular_vectors(shifted)
-        u_mat = np.column_stack([numkit.gauge_fix(basis[:, k]) for k in range(2)])
+        u_mat = np.column_stack([numkit.gauge_fix(v.conj()) for v in kind.shifted.vh[-2:]])
     else:
         vecs = np.asarray(right_basis, dtype=complex)
         if vecs.shape == (2, m):          # two row vectors
@@ -258,13 +263,13 @@ def dp_frame(a, lam0: complex, right_basis=None,
             u_mat = vecs.copy()
         else:
             raise FrameError("right_basis must supply two vectors of length m")
-    z_mat = _trailing_right_singular_vectors(shifted.conj().T)
+    z_mat = numkit.SVD(kind.shifted.matrix.conj().T).vh[-2:].conj().T
     gram = z_mat.conj().T @ u_mat          # gram[j, k] = (u_k, z_j)
     if np.linalg.cond(gram) > 1e8:
         raise FrameError("Gram matrix of the candidate frames is near singular")
     v_mat = z_mat @ np.linalg.inv(gram).conj().T
     return DPFrame(
-        lam0=complex(lam0),
+        lam0=kind.lam0,
         u1=u_mat[:, 0], u2=u_mat[:, 1],
         v1=v_mat[:, 0], v2=v_mat[:, 1],
     )
@@ -306,13 +311,9 @@ def _select_pair(values, which, prev=None):
     if which is not None:
         order = sorted(range(m), key=lambda k: abs(values[k] - which))
         return values[order[0]], values[order[1]]
-    best = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            gap = abs(values[i] - values[j])
-            if best is None or gap < best[0]:
-                best = (gap, i, j)
-    _, i, j = best
+    # the closest pair; ties go to the lowest (i, j)
+    _, i, j = min((abs(values[i] - values[j]), i, j)
+                  for i in range(m) for j in range(i + 1, m))
     return values[i], values[j]
 
 
@@ -339,8 +340,7 @@ def _approximate_split_gradient(a, derivs, mean):
 
 
 def find_ep(fam: family_mod.MatrixFamily, p_guess, which=None,
-            tol_gap: float = 1e-8, max_iter: int = DEFAULT_MAX_ITER,
-            tol_cluster: float = DEFAULT_CLUSTER_TOL) -> EPSearchResult:
+            tol_gap: float = 1e-8, max_iter: int = DEFAULT_MAX_ITER) -> EPSearchResult:
     """Newton search for an exceptional point of a two-parameter family.
 
     Iterates on the analytic scalar z(p) = ((lam_plus - lam_minus)/2)^2 whose
@@ -360,31 +360,28 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess, which=None,
 
     def probe(point, prev=None):
         a = family_mod.evaluate(fam, point)
-        values = numkit.eig_all(a).values
+        values = numkit.eigvals(a)
         lam_p, lam_m = _select_pair(values, which, prev)
         mean = (lam_p + lam_m) / 2.0
         z = ((lam_p - lam_m) / 2.0) ** 2
         gap = abs(lam_p - lam_m)
         floor = eps_floor * numkit.singular_values(a)[0]
-        return a, (lam_p, lam_m), mean, z, gap, floor
+        converged = gap <= max(tol_gap * (1.0 + abs(mean)), floor)
+        return a, values, (lam_p, lam_m), mean, z, gap, converged
 
-    a, pair, mean, z, gap, floor = probe(p)
-    rest = [lam for lam in numkit.eig_all(a).values
-            if min(abs(lam - pair[0]), abs(lam - pair[1])) > 1e-14]
-    if rest:
-        external = min(abs(lam - mean) for lam in rest)
-        if external <= 1.2 * gap:
-            raise TrackingError(
-                f"eigenvalue pair not separated from the rest of the spectrum "
-                f"(external gap {external:.3e} vs internal {gap:.3e})"
-            )
+    a, values, pair, mean, z, gap, converged = probe(p)
+    external = min((abs(lam - mean) for lam in values
+                    if min(abs(lam - pair[0]), abs(lam - pair[1])) > 1e-14),
+                   default=math.inf)
+    if external <= 1.2 * gap:
+        raise TrackingError(
+            f"eigenvalue pair not separated from the rest of the spectrum "
+            f"(external gap {external:.3e} vs internal {gap:.3e})"
+        )
     history = [gap]
     for iteration in range(max_iter):
-        if gap <= max(tol_gap * (1.0 + abs(mean)), floor):
-            return EPSearchResult(
-                p_star=p, lam0=complex(mean), iterations=iteration,
-                residual_history=history, gap=float(gap),
-            )
+        if converged:
+            break
         derivs = [family_mod.derivative(fam, p, s) for s in range(2)]
         cols = _approximate_split_gradient(a, derivs, mean)
         jac = np.array([[cols[0].real, cols[1].real],
@@ -396,22 +393,20 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess, which=None,
                 f"singular Newton Jacobian at iterate {iteration}",
                 residual_history=history,
             ) from exc
-        accepted = False
         for halving in range(11):
             trial = p + step / (2 ** halving)
             if not fam.contains(trial):
                 continue
-            a_t, pair_t, mean_t, z_t, gap_t, floor_t = probe(trial, prev=pair)
-            if abs(z_t) < abs(z) or gap_t <= max(tol_gap * (1.0 + abs(mean_t)), floor_t):
-                p, a, pair, mean, z, gap, floor = trial, a_t, pair_t, mean_t, z_t, gap_t, floor_t
+            a_t, _, pair_t, mean_t, z_t, gap_t, conv_t = probe(trial, prev=pair)
+            if abs(z_t) < abs(z) or conv_t:
+                p, a, pair, mean, z, gap, converged = trial, a_t, pair_t, mean_t, z_t, gap_t, conv_t
                 history.append(gap)
-                accepted = True
                 break
-        if not accepted:
+        else:       # no trial step accepted
             break
         if np.linalg.norm(step) <= 1e-14 * (1.0 + np.linalg.norm(p)):
             break
-    if gap <= max(tol_gap * (1.0 + abs(mean)), floor):
+    if converged:
         return EPSearchResult(
             p_star=p, lam0=complex(mean), iterations=len(history) - 1,
             residual_history=history, gap=float(gap),

@@ -360,22 +360,17 @@ def cross_section(model: EPLocalModel, fixed_rest=None,
         / (2.0 * g1))
     rho1 = math.hypot(f1, g1)
     gamma_scale = abs(g1) * (np.abs(rest).max(initial=0.0) + 1e-300)
+    re_slopes = im_slopes = None
     if abs(gamma) <= 1e-12 * max(gamma_scale, 1e-12):
         crossing = "cusp"
-        re_slopes = im_slopes = None
-        vertical = True
     elif gamma / g1 < 0:
         crossing = "re"
         half = 0.5 * g1 * math.sqrt(-g1 / gamma)
         re_slopes = (0.5 * h1 + half, 0.5 * h1 - half)
-        im_slopes = None
-        vertical = False
     else:
         crossing = "im"
         half = 0.5 * g1 * math.sqrt(g1 / gamma)
         im_slopes = (0.5 * r1 + half, 0.5 * r1 - half)
-        re_slopes = None
-        vertical = False
     offsets_zero = bool(np.all(rest == 0.0))
     cusp_re = ((f1 + rho1) / 2.0, (f1 - rho1) / 2.0, h1 / 2.0) if offsets_zero else None
     cusp_im = ((rho1 - f1) / 2.0, -(f1 + rho1) / 2.0, r1 / 2.0) if offsets_zero else None
@@ -383,7 +378,7 @@ def cross_section(model: EPLocalModel, fixed_rest=None,
     return SectionReport(
         gamma=gamma, p1_cross=float(model.p0[0] + dp1_cross),
         re_level=re_level, im_level=im_level, crossing=crossing,
-        re_slopes=re_slopes, im_slopes=im_slopes, vertical_tangents=vertical,
+        re_slopes=re_slopes, im_slopes=im_slopes, vertical_tangents=crossing == "cusp",
         cusp_re_coeffs=cusp_re, cusp_im_coeffs=cusp_im,
         sample_p1=model.p0[0] + dps[:, 0], sample_sheets=sheets(model, dps).sheets,
     )
@@ -492,7 +487,6 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
                 f"increase samples (currently {nphi})"
             )
     # closure: does branch a return to itself after one loop, or cross over?
-    wrap_keep = abs(core_a[0] - roots[0]) + abs(core_b[0] + roots[0])
     end_keep = abs(core_a[-1] - core_a[0]) + abs(core_b[-1] - core_b[0])
     end_swap = abs(core_a[-1] - core_b[0]) + abs(core_b[-1] - core_a[0])
     n_curves = 2 if end_keep <= end_swap else 1

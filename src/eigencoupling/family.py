@@ -88,10 +88,6 @@ class MatrixFamily:
         if self.dim < 1 or self.n_params < 1:
             raise DimensionError("dim and n_params must be at least 1")
 
-    @property
-    def derivative_mode(self) -> str:
-        return "analytic" if self._deriv is not None else "finite-difference"
-
     def contains(self, p) -> bool:
         p = self._point(p)
         return self.domain_guard is None or bool(self.domain_guard(p))

@@ -87,9 +87,21 @@ class EigenSet:
     def __iter__(self):
         return ((self.values[k], self.vectors[:, k]) for k in range(len(self.values)))
 
-    @property
-    def m(self) -> int:
-        return len(self.values)
+
+def _sorted_spectrum(a, vectors: bool):
+    """Eigenvalues sorted by (Re, Im), and the matching eigenvector columns or None."""
+    arr = as_cmatrix(a)
+    try:
+        w, v = np.linalg.eig(arr) if vectors else (np.linalg.eigvals(arr), None)
+    except np.linalg.LinAlgError as exc:  # iteration cap inside LAPACK
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+    order = np.lexsort((w.imag, w.real))
+    return w[order], (v[:, order] if vectors else None)
+
+
+def eigvals(a) -> np.ndarray:
+    """All eigenvalues with multiplicity, sorted by (Re, Im) like ``eig_all``."""
+    return _sorted_spectrum(a, vectors=False)[0]
 
 
 def eig_all(a) -> EigenSet:
@@ -98,19 +110,8 @@ def eig_all(a) -> EigenSet:
     Eigenvectors are unit-norm and gauge-fixed; the set is sorted by
     (Re, Im) of the eigenvalue so identical inputs give identical output.
     """
-    arr = as_cmatrix(a)
-    try:
-        w, v = np.linalg.eig(arr)
-    except np.linalg.LinAlgError as exc:  # iteration cap inside LAPACK
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    v = v[:, order]
-    cols = []
-    for k in range(len(w)):
-        col = v[:, k]
-        nrm = np.linalg.norm(col)
-        cols.append(gauge_fix(col / nrm) if nrm > 0 else col)
+    w, v = _sorted_spectrum(a, vectors=True)
+    cols = [gauge_fix(col / np.linalg.norm(col)) for col in v.T]   # LAPACK's columns are nonzero
     return EigenSet(values=w, vectors=np.column_stack(cols))
 
 
@@ -119,70 +120,89 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_cmatrix(a), compute_uv=False)
 
 
-def rank_at(m, tol_rank: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank: number of singular values above ``tol_rank * sigma_max``.
+class SVD:
+    """A matrix with its full singular value decomposition, from one LAPACK call.
 
-    The zero matrix has rank 0.
+    ``matrix = u @ diag(s) @ vh`` with ``s`` descending. The rank threshold,
+    the kernel and the minimum-norm solve below are the package's only
+    copies; callers that need several of them factorise once and share it.
     """
+
+    def __init__(self, m):
+        self.matrix = as_cmatrix(m)
+        self.u, self.s, self.vh = np.linalg.svd(self.matrix)
+
+    def rank(self, tol_rank: float = DEFAULT_RANK_TOL) -> int:
+        """Number of singular values above ``tol_rank * sigma_max`` (0 for a zero matrix)."""
+        s = self.s
+        if s.size == 0 or s[0] == 0.0:
+            return 0
+        return int(np.count_nonzero(s > tol_rank * s[0]))
+
+    def null_basis(self, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
+        """Orthonormal basis of the numerical kernel, as columns (may be empty)."""
+        return self.vh[self.rank(tol_rank):].conj().T
+
+    def null_vector(self, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
+        """The kernel vector of a rank-(m-1) matrix, unit-norm and gauge-fixed.
+
+        Raises DegeneracyError unless the numerical kernel is exactly
+        one-dimensional at the given threshold.
+        """
+        basis = self.null_basis(tol_rank)
+        if basis.shape[1] != 1:
+            raise DegeneracyError(
+                f"kernel dimension is {basis.shape[1]}, expected 1 "
+                f"(tol_rank={tol_rank:g})"
+            )
+        return gauge_fix(basis[:, 0])
+
+    def solve(self, b, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
+        """Minimum-norm solution of M x = b for a (possibly) singular M.
+
+        Singular directions below ``tol_rank * sigma_max`` are excluded, so
+        the returned x is orthogonal to the numerical kernel of M. Raises
+        ConsistencyError when b has a component outside the range of M, i.e.
+        the residual exceeds ``tol_rank * (||M|| ||x|| + ||b||)``.
+        """
+        rhs = as_cvector(b)
+        if rhs.shape[0] != self.matrix.shape[0]:
+            raise DimensionError("right-hand side length does not match the matrix")
+        rank = self.rank(tol_rank)
+        inv = np.zeros_like(self.s)
+        inv[:rank] = 1.0 / self.s[:rank]
+        x = self.vh.conj().T @ (inv * (self.u.conj().T @ rhs))
+        residual = np.linalg.norm(self.matrix @ x - rhs)
+        smax = self.s[0] if self.s.size else 0.0
+        bound = tol_rank * (smax * np.linalg.norm(x) + np.linalg.norm(rhs))
+        if residual > bound:
+            raise ConsistencyError(
+                f"inconsistent right-hand side: residual {residual:.3e} "
+                f"exceeds {bound:.3e}"
+            )
+        return x
+
+
+def rank_at(m, tol_rank: float = DEFAULT_RANK_TOL) -> int:
+    """Numerical rank at a positive ``tol_rank``; see ``SVD.rank``."""
     if tol_rank <= 0:
         raise ValueError("tol_rank must be positive")
-    s = singular_values(m)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol_rank * s[0]))
+    return SVD(m).rank(tol_rank)
 
 
 def null_basis(m, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical kernel, as columns (may be empty)."""
-    arr = as_cmatrix(m)
-    _, s, vh = np.linalg.svd(arr)
-    smax = s[0] if s.size else 0.0
-    keep = s > tol_rank * smax if smax > 0 else np.zeros_like(s, dtype=bool)
-    rank = int(np.count_nonzero(keep))
-    return vh[rank:].conj().T
+    return SVD(m).null_basis(tol_rank)
 
 
 def null_vector(m, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """The kernel vector of a rank-(m-1) matrix, unit-norm and gauge-fixed.
-
-    Raises DegeneracyError unless the numerical kernel is exactly
-    one-dimensional at the given threshold.
-    """
-    basis = null_basis(m, tol_rank)
-    if basis.shape[1] != 1:
-        raise DegeneracyError(
-            f"kernel dimension is {basis.shape[1]}, expected 1 "
-            f"(tol_rank={tol_rank:g})"
-        )
-    return gauge_fix(basis[:, 0])
+    """The kernel vector of a rank-(m-1) matrix; see ``SVD.null_vector``."""
+    return SVD(m).null_vector(tol_rank)
 
 
 def solve_on_complement(m, b, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Minimum-norm solution of M x = b for a (possibly) singular M.
-
-    Singular directions below ``tol_rank * sigma_max`` are excluded, so the
-    returned x is orthogonal to the numerical kernel of M. Raises
-    ConsistencyError when b has a component outside the range of M, i.e.
-    the residual exceeds ``tol_rank * (||M|| ||x|| + ||b||)``.
-    """
-    arr = as_cmatrix(m)
-    rhs = as_cvector(b)
-    if rhs.shape[0] != arr.shape[0]:
-        raise DimensionError("right-hand side length does not match the matrix")
-    u, s, vh = np.linalg.svd(arr)
-    smax = s[0] if s.size else 0.0
-    inv = np.zeros_like(s)
-    keep = s > tol_rank * smax if smax > 0 else np.zeros_like(s, dtype=bool)
-    inv[keep] = 1.0 / s[keep]
-    x = vh.conj().T @ (inv * (u.conj().T @ rhs))
-    residual = np.linalg.norm(arr @ x - rhs)
-    bound = tol_rank * (smax * np.linalg.norm(x) + np.linalg.norm(rhs))
-    if residual > bound:
-        raise ConsistencyError(
-            f"inconsistent right-hand side: residual {residual:.3e} "
-            f"exceeds {bound:.3e}"
-        )
-    return x
+    """Minimum-norm solution of M x = b; see ``SVD.solve``."""
+    return SVD(m).solve(b, tol_rank)
 
 
 def pair_assignment(values, targets):

@@ -361,3 +361,24 @@ def test_exit_codes(code, argv, capsys, tmp_path):
     sep.write_text(SEPARATED_FAMILY)
     argv = [a.replace("{sep}", str(sep)).replace("{tmp}", str(tmp_path)) for a in argv]
     assert run(capsys, *argv)[0] == code
+
+
+def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch):
+    """classify factorises A - lam0 I and takes sigma_max(A); the chain or
+    frame adds one SVD of the adjoint and nothing else."""
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    limits = {"classify": 2, "scenario": 3}
+    counts = {}
+    for command in limits:
+        for crystal in ("crystal-example-1", "crystal-example-2"):
+            calls.clear()
+            assert run(capsys, command, "--family", crystal, "--at", "0,0")[0] == 0
+            counts[command, crystal] = len(calls)
+    assert all(n <= limits[command] for (command, _), n in counts.items()), counts

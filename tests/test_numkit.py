@@ -95,6 +95,24 @@ class TestEigAll:
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.vectors, second.vectors)
 
+    def test_values_only_path_matches(self):
+        rng = np.random.default_rng(14)
+        for m in range(2, 9):
+            a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            w = numkit.eigvals(a)
+            assert np.array_equal(w, numkit.eig_all(a).values)
+            assert np.array_equal(np.lexsort((w.imag, w.real)), np.arange(m))
+
+
+class TestSVD:
+    def test_one_factorisation_serves_kernel_and_solve(self):
+        shifted = CRYSTAL_A0 - 2.0 * np.eye(3)
+        svd = numkit.SVD(shifted)
+        assert svd.rank() == 2 == numkit.rank_at(shifted)
+        assert np.array_equal(svd.null_vector(), numkit.null_vector(shifted))
+        assert np.array_equal(svd.solve(U0), numkit.solve_on_complement(shifted, U0))
+        assert np.linalg.norm(svd.u @ np.diag(svd.s) @ svd.vh - shifted) < 1e-12
+
 
 class TestRankAt:
     def test_zero_matrix(self):
