@@ -9,6 +9,7 @@ error, 2 no degeneracy found at the anchor, 3 domain error, 4 non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -66,11 +67,6 @@ _EXIT_CODES = (
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # accept values like "-0.1,0.1" after --window / --offset / --loop
-        self._negative_number_matcher = re.compile(r"^-\d|^-\.\d")
-
     def error(self, message):
         raise _UsageError(message)
 
@@ -316,6 +312,9 @@ def cmd_scenario(opts) -> int:
         if fam.n_params != 2:
             raise _UsageError("two-parameter classification needs n = 2; "
                               "pass --offset for the one-parameter scenario")
+        if opts.get("format") == "csv":
+            raise _UsageError("--format csv at a DP anchor needs --offset (the "
+                              "two-parameter classification is a JSON report)")
         rep = dp_asymptotics.surface_classification_2p(model)
         lines = (None if rep.line_a is None
                  else [[float(x) for x in rep.line_a], [float(x) for x in rep.line_b]])
@@ -351,22 +350,54 @@ _DEFAULTS = {
 }
 
 
+#: the flags, each taking one value, and their ``add_argument`` keywords
+_FLAGS = (
+    ("--family", {"help": "builtin name or family JSON path"}),
+    ("--at", {"help": "anchor point (find-ep: starting guess), comma-separated"}),
+    ("--window", {"help": "grid window 'lo,hi' or 'lo1,hi1,lo2,hi2'"}),
+    ("--res", {"type": int, "help": "grid resolution per axis"}),
+    ("--tol-cluster", {"type": float, "dest": "tol_cluster"}),
+    ("--tol-rank", {"type": float, "dest": "tol_rank"}),
+    ("--loop", {"help": "loop parameters a,b,r"}),
+    ("--samples", {"type": int, "help": "loop sample count"}),
+    ("--offset", {"help": "fixed offsets of parameters 2..n"}),
+    ("--out", {"help": "output file path"}),
+    ("--format", {"choices": ("csv", "json")}),
+    ("--config", {"help": "JSON config file; flags override it"}),
+)
+
+#: a flag value that starts like a negative number: "-0.1,0.1", "-.5", "-1e-3"
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
+
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process on first use."""
     parser = _Parser(prog="eigencoupling", description=__doc__)
     parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--family", help="builtin name or family JSON path")
-    parser.add_argument("--at", help="anchor point (find-ep: starting guess), comma-separated")
-    parser.add_argument("--window", help="grid window 'lo,hi' or 'lo1,hi1,lo2,hi2'")
-    parser.add_argument("--res", type=int, help="grid resolution per axis")
-    parser.add_argument("--tol-cluster", type=float, dest="tol_cluster")
-    parser.add_argument("--tol-rank", type=float, dest="tol_rank")
-    parser.add_argument("--loop", help="loop parameters a,b,r")
-    parser.add_argument("--samples", type=int, help="loop sample count")
-    parser.add_argument("--offset", help="fixed offsets of parameters 2..n")
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--config", help="JSON config file; flags override it")
+    for flag, keywords in _FLAGS:
+        parser.add_argument(flag, **keywords)
     return parser
+
+
+def _attach_negative_values(argv: list) -> list:
+    """Spell ``--flag -0.1,0.1`` as ``--flag=-0.1,0.1``.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    plain negative number, so a list such as -0.1,0.1 after --window, --loop
+    or --offset would not reach its flag; the attached spelling always does.
+    A unique prefix of a flag counts as the flag, as it does for argparse;
+    an ambiguous one is left for argparse to refuse.
+    """
+    out = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (_NEGATIVE_VALUE.match(token) and len(flag) > 2 and "=" not in flag
+                and sum(name.startswith(flag) for name, _ in _FLAGS) == 1):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
@@ -391,9 +422,9 @@ def _merge_options(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_attach_negative_values(argv))
         opts = _merge_options(args)
         return _COMMANDS[args.command](opts)
     except (_UsageError, EigenCouplingError) as exc:

@@ -136,6 +136,9 @@ class LoopSpec:
             raise DimensionError("loop radius must be positive")
         if self.samples < 16:
             raise DimensionError("need at least 16 loop samples")
+        if not (math.isfinite(self.a * self.a + self.b * self.b)
+                and math.isfinite(self.r * self.r)):
+            raise DimensionError("loop centre and radius must have finite squares")
 
 
 @dataclass(frozen=True)
@@ -417,6 +420,8 @@ def _axis_crossings(model, a, b, r):
         return ()
     s = g2 * a - g1 * b
     disc = s * s + (r * r - a * a - b * b) * denom
+    if not math.isfinite(disc):
+        raise DimensionError("the axis crossings overflow on this loop; shrink the loop")
     if disc < 0.0:
         return ()
     root = math.sqrt(disc)
@@ -446,13 +451,44 @@ def loop_quartic_residual(model: EPLocalModel, spec: LoopSpec, core: complex) ->
     return float(lhs - kappa * kappa * spec.r * spec.r)
 
 
+def _track_branch(roots: np.ndarray) -> np.ndarray:
+    """Branch a of the pair +-roots, tracked as ``loop_trajectory`` states.
+
+    Keeping the sign s = s_{k-1} costs 2 |s r[k-1] - r[k]| and swapping
+    costs 2 |s r[k-1] + r[k]|. IEEE negation and rounding are symmetric in
+    sign, so both costs are 2 near or 2 far, and the keep-or-swap decisions
+    reduce to: near < far keeps s, near > far flips it, a tie restarts at +1
+    and an unordered (NaN) pair restarts at -1. s_k is then the parity of
+    the flips since the last restart, decided bit for bit as a per-sample
+    keep-or-swap loop decides it.
+    """
+    near = np.abs(roots[:-1] - roots[1:])
+    far = np.abs(roots[:-1] + roots[1:])
+    flip = np.concatenate(([False], near > far))
+    restart = np.concatenate(([True], ~((near < far) | (near > far))))
+    unordered = np.concatenate(([False], ~((near <= far) | (near > far))))
+    start = np.maximum.accumulate(np.where(restart, np.arange(len(roots)), 0))
+    flips = np.cumsum(flip)
+    negated = ((flips - flips[start]) & 1).astype(bool) ^ unordered[start]
+    return np.negative(roots, out=roots.copy(), where=negated)
+
+
+# overflow is detected and reported as DimensionError, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
     """Trace the eigenvalue pair around a circular parameter loop.
 
-    The core parts +-sqrt(F + iG) are branch-tracked by nearest-neighbor
-    matching between consecutive samples; the full trajectories add the
-    drift term. Regime: the loop encloses the EP (single closed curve winding
-    once about lam0), touches it, or misses it (two "kidneys"). The sign of
+    The core parts +-sqrt(F + iG) are branch-tracked by nearest-neighbour
+    matching between consecutive samples. With r[k] the principal root at
+    sample k, branch a is s_k r[k] (s_0 = +1) and branch b is -s_k r[k]; with
+    near = |r[k-1] - r[k]| and far = |r[k-1] + r[k]|, the sign s_k keeps
+    s_{k-1} when near < far, flips it when near > far, and restarts at +1 on
+    an exact tie (near == far, as at an exact zero root). A jump of branch
+    a above 0.3 (|a[k]| + |a[k-1]|), away from lam0, raises ResolutionError;
+    a loop whose squares, radicand, sigma or axis crossings overflow raises
+    DimensionError. The full trajectories add the drift term. Regime: the
+    loop encloses the EP (single closed curve winding once about lam0),
+    touches it, or misses it (two "kidneys"). The sign of
     sigma = (f2 g1 - f1 g2)(g1 b - g2 a) selects which axis line the
     trajectories cross in the on/outside regimes.
     """
@@ -463,29 +499,25 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
     dps = np.column_stack((spec.a + spec.r * np.cos(phis),
                            spec.b + spec.r * np.sin(phis)))
     w = dps @ (model.split_re + 1j * model.split_im).astype(complex)
+    if not np.isfinite(w).all():
+        raise DimensionError("the radicand F + iG overflows on this loop; "
+                             "shrink the loop")
     roots = np.sqrt(w.astype(complex))
     drift = dps @ (0.5 * (model.drift_re + 1j * model.drift_im))
-    core_a = np.empty(nphi, dtype=complex)
-    core_b = np.empty(nphi, dtype=complex)
-    core_a[0], core_b[0] = roots[0], -roots[0]
+    core_a = _track_branch(roots)
+    core_b = -core_a
     scale = float(np.abs(roots).max(initial=0.0))
-    for k in range(1, nphi):
-        r_k = roots[k]
-        keep = abs(core_a[k - 1] - r_k) + abs(core_b[k - 1] + r_k)
-        swap = abs(core_a[k - 1] + r_k) + abs(core_b[k - 1] - r_k)
-        if keep <= swap:
-            core_a[k], core_b[k] = r_k, -r_k
-        else:
-            core_a[k], core_b[k] = -r_k, r_k
-        jump = abs(core_a[k] - core_a[k - 1])
-        span = abs(core_a[k]) + abs(core_a[k - 1])
-        # near the trajectory's passage through lam0 the root speed is
-        # genuinely unbounded; only police jumps away from that region
-        if span > 0.1 * scale and jump > 0.3 * span:
-            raise ResolutionError(
-                f"branch jump {jump:.3e} at phi={phis[k]:.3f} too large; "
-                f"increase samples (currently {nphi})"
-            )
+    jump = np.abs(core_a[1:] - core_a[:-1])
+    span = np.abs(core_a[1:]) + np.abs(core_a[:-1])
+    # near the trajectory's passage through lam0 the root speed is
+    # genuinely unbounded; only police jumps away from that region
+    bad = np.flatnonzero((span > 0.1 * scale) & (jump > 0.3 * span))
+    if bad.size:
+        k = bad[0]
+        raise ResolutionError(
+            f"branch jump {jump[k]:.3e} at phi={phis[k + 1]:.3f} too large; "
+            f"increase samples (currently {nphi})"
+        )
     # closure: does branch a return to itself after one loop, or cross over?
     end_keep = abs(core_a[-1] - core_a[0]) + abs(core_b[-1] - core_b[0])
     end_swap = abs(core_a[-1] - core_b[0]) + abs(core_b[-1] - core_a[0])
@@ -501,6 +533,10 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
     g1, g2 = model.split_im[:2]
     sigma = (f2 * g1 - f1 * g2) * (g1 * spec.b - g2 * spec.a)
     sigma_sign = 0 if sigma == 0.0 else (1 if sigma > 0 else -1)
+    crossings = _axis_crossings(model, spec.a, spec.b, spec.r)
+    if not all(math.isfinite(x) for x in (sigma, *(c.ordinate for c in crossings))):
+        raise DimensionError("sigma or an axis crossing overflows on this loop; "
+                             "shrink the loop")
     winding = None
     if regime != "on":
         curve = np.concatenate((core_a, core_b)) if n_curves == 1 else core_a
@@ -513,5 +549,5 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
         lam_minus=model.lam0 + drift + core_b,
         core_plus=core_a, core_minus=core_b,
         n_curves=n_curves, winding=winding,
-        crossings=_axis_crossings(model, spec.a, spec.b, spec.r),
+        crossings=crossings,
     )

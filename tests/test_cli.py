@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +172,17 @@ class TestLoop:
         report = json.loads((tmp_path / "loop.json").read_text())
         assert report["regime"] == "on"
 
+    @pytest.mark.parametrize("loop", ["0,0,1e300", "1e300,0,1", "0,0,1.3e154"])
+    def test_overflowing_loop_exit_one(self, capsys, tmp_path, loop):
+        out = tmp_path / "loop.csv"
+        code = cli.main(["loop", "--family", "crystal-example-1", "--at", "0,0",
+                         f"--loop={loop}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and ("overflow" in err or "finite" in err)
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFindEP:
     def test_crystal_report(self, capsys):
@@ -253,6 +267,68 @@ class TestScenario:
         c = (45 + 8j) * s1 * s1 + 128j * s1 * 0.01 + (-83 + 8j) * 1e-4
         assert re_p == pytest.approx(1 - s1 + np.sqrt((abs(c) + c.real) / 2),
                                      abs=1e-10)
+
+    def test_dp_two_parameter_csv_needs_offset(self, capsys, tmp_path):
+        out = tmp_path / "dp.csv"
+        code = cli.main(["scenario", "--family", "crystal-example-2", "--at", "0,0",
+                         "--format", "csv", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--offset" in captured.err
+        assert captured.out == "" and not out.exists()
+
+
+class TestNegativeValues:
+    """Values that start like negative numbers reach their flag in both the
+    ``--flag value`` and the ``--flag=value`` spelling."""
+
+    CASES = [
+        ("surface", "--window", "-0.05,0.05", ["--res", "3", "--out", "{tmp}/s.csv"]),
+        ("surface", "--window", "-0.05,0.05,-.02,0.03", ["--res", "3", "--out", "{tmp}/s.csv"]),
+        ("loop", "--loop", "-0.003,-0.002,0.01", ["--out", "{tmp}/l.csv"]),
+        ("scenario", "--offset", "-0.01", []),
+        ("scenario", "--off", "-1e-2", []),
+    ]
+
+    @pytest.mark.parametrize("command,flag,value,rest", CASES)
+    def test_both_spellings(self, capsys, tmp_path, command, flag, value, rest):
+        rest = [a.replace("{tmp}", str(tmp_path)) for a in rest]
+        base = [command, "--family", "crystal-example-1", "--at", "0,0"]
+        outputs = []
+        for spelled in ([flag, value], [f"{flag}={value}"]):
+            code, out = run(capsys, *base, *spelled, *rest)
+            assert code == 0
+            files = sorted(p.read_bytes() for p in tmp_path.iterdir())
+            outputs.append((out, files))
+        assert outputs[0] == outputs[1]
+
+    def test_negative_radius_reaches_the_loop_check(self, capsys, tmp_path):
+        code = cli.main(["loop", "--family", "crystal-example-1", "--at", "0,0",
+                         "--loop", "0,0,-0.01", "--out", str(tmp_path / "l.csv")])
+        assert code == 1
+        assert "radius" in capsys.readouterr().err
+
+    def test_ambiguous_prefix_is_refused(self, capsys):
+        code = cli.main(["classify", "--family", "crystal-example-1", "--at", "0,0",
+                         "--tol", "-1e-8"])
+        assert code == 1
+        assert "ambiguous option: --tol could match" in capsys.readouterr().err
+
+    def test_non_numbers_stay_options(self, capsys):
+        assert run(capsys, "classify", "--family", "crystal-example-1",
+                   "--at", "-inf,0")[0] == 1
+
+
+def test_parser_built_once_on_first_use():
+    """Importing the CLI builds no parser; the first call builds the only one."""
+    probe = ("import eigencoupling.cli as c; n = c._build_parser.cache_info().currsize; "
+             "c.main(['classify', '--family', 'crystal-example-1', '--at', '0,0']); "
+             "c.main(['classify', '--family', 'crystal-example-1', '--at', '0,0']); "
+             "i = c._build_parser.cache_info(); print(n, i.misses, i.hits)")
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.split()[-3:] == ["0", "1", "1"]
 
 
 class TestConfigAndErrors:

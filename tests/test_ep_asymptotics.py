@@ -371,6 +371,126 @@ class TestLoopTrajectory:
             ep.LoopSpec(a=0.0, b=0.0, r=-1.0)
         with pytest.raises(DimensionError):
             ep.LoopSpec(a=0.0, b=0.0, r=1.0, samples=8)
+        for a, b, r in ((0.0, 0.0, 1e300), (1e200, 0.0, 1.0), (1e154, 1e154, 1.0),
+                        (0.0, 0.0, float("nan"))):
+            with pytest.raises(DimensionError):
+                ep.LoopSpec(a=a, b=b, r=r)
+
+    def test_overflowing_loop_is_refused(self, ep_model):
+        # radicand F + iG overflows although the loop's squares are finite
+        with pytest.raises(DimensionError, match="radicand"):
+            ep.loop_trajectory(synthetic_model([1e300, 0.0], [0.0, 1.0]),
+                               ep.LoopSpec(a=0.0, b=0.0, r=1e10))
+        # the closed-form axis crossings overflow on the crystal's model
+        with pytest.raises(DimensionError, match="axis crossing"):
+            ep.loop_trajectory(ep_model, ep.LoopSpec(a=0.0, b=0.0, r=1.3e154))
+        # sigma = (f2 g1 - f1 g2)(g1 b - g2 a) = 1e300 * 1e10
+        with pytest.raises(DimensionError, match="sigma"):
+            ep.loop_trajectory(synthetic_model([0.0, 1e150], [1e150, 0.0]),
+                               ep.LoopSpec(a=0.0, b=1e-140, r=1.0))
+
+
+def reference_tracking(roots, phis=None):
+    """Per-sample nearest-neighbour tracking, one keep-or-swap decision per
+    sample, with the branch-jump check when ``phis`` is given: the oracle of
+    the vectorised tracker."""
+    nphi = len(roots)
+    core_a = np.empty(nphi, dtype=complex)
+    core_b = np.empty(nphi, dtype=complex)
+    core_a[0], core_b[0] = roots[0], -roots[0]
+    scale = float(np.abs(roots).max(initial=0.0))
+    for k in range(1, nphi):
+        r_k = roots[k]
+        keep = abs(core_a[k - 1] - r_k) + abs(core_b[k - 1] + r_k)
+        swap = abs(core_a[k - 1] + r_k) + abs(core_b[k - 1] - r_k)
+        if keep <= swap:
+            core_a[k], core_b[k] = r_k, -r_k
+        else:
+            core_a[k], core_b[k] = -r_k, r_k
+        if phis is None:
+            continue
+        jump = abs(core_a[k] - core_a[k - 1])
+        span = abs(core_a[k]) + abs(core_a[k - 1])
+        if span > 0.1 * scale and jump > 0.3 * span:
+            raise ResolutionError(
+                f"branch jump {jump:.3e} at phi={phis[k]:.3f} too large; "
+                f"increase samples (currently {nphi})"
+            )
+    return core_a, core_b
+
+
+def reference_loop(model, spec):
+    phis = np.linspace(0.0, 2.0 * np.pi, spec.samples, endpoint=False)
+    dps = np.column_stack((spec.a + spec.r * np.cos(phis),
+                           spec.b + spec.r * np.sin(phis)))
+    w = dps @ (model.split_re + 1j * model.split_im).astype(complex)
+    return reference_tracking(np.sqrt(w.astype(complex)), phis)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+class TestTrackingOracle:
+    """The vectorised branch tracker takes the per-sample loop's decisions."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_models_and_loops(self, seed):
+        rng = np.random.default_rng(seed)
+        model = synthetic_model(rng.normal(size=2) * 10.0 ** rng.uniform(-2, 2),
+                                rng.normal(size=2) * 10.0 ** rng.uniform(-2, 2),
+                                rng.normal(size=2), rng.normal(size=2))
+        raised = 0
+        for regime in ("inside", "on", "outside"):
+            r = 10.0 ** rng.uniform(-4, -1)
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            d = {"inside": rng.uniform(0.0, 0.9), "on": 1.0,
+                 "outside": rng.uniform(1.1, 3.0)}[regime] * r
+            for samples in (16, 17, 720, 14400):
+                spec = ep.LoopSpec(a=d * np.cos(phi), b=d * np.sin(phi), r=r,
+                                   samples=samples)
+                try:
+                    want_a, want_b = reference_loop(model, spec)
+                except ResolutionError as exc:
+                    with pytest.raises(ResolutionError) as got:
+                        ep.loop_trajectory(model, spec)
+                    assert str(got.value) == str(exc)
+                    raised += 1
+                    continue
+                report = ep.loop_trajectory(model, spec)
+                assert same_bits(report.core_plus, want_a)
+                assert same_bits(report.core_minus, want_b)
+        assert raised < 12
+
+    def test_same_resolution_error_text(self):
+        model = synthetic_model([1.0, 0.0], [0.0, 50.0])
+        for samples in (16, 17, 20):
+            spec = ep.LoopSpec(a=0.0, b=0.0, r=0.01, samples=samples)
+            with pytest.raises(ResolutionError) as want:
+                reference_loop(model, spec)
+            with pytest.raises(ResolutionError) as got:
+                ep.loop_trajectory(model, spec)
+            assert str(got.value) == str(want.value)
+
+    def test_crafted_ties(self):
+        # |1 - 1j| == |1 + 1j| and an exact zero root give near == far; NaN
+        # and inf pairs are unordered or tied
+        specials = np.array([0.0, 1.0, -1.0, 1j, -1j, 1 + 1j, 2.0, -0.0,
+                             complex(np.nan, 0.0), complex(np.inf, 0.0)])
+        fixed = [np.array([1.0, 0.0, 1j, 0.0, -1.0, 1.0 + 0j]),
+                 np.array([1.0, 1j, -1.0, -1j, 1.0, 1j]),
+                 np.array([1j, 1.0, 1j, 1.0, -1j])]
+        rng = np.random.default_rng(7)
+        random = [np.where(rng.random(200) < 0.5, rng.choice(specials, 200),
+                           rng.normal(size=200) + 1j * rng.normal(size=200))
+                  for _ in range(20)]
+        with np.errstate(invalid="ignore"):
+            for roots in fixed + random:
+                roots = roots.astype(complex)
+                want_a, _ = reference_tracking(roots)
+                assert same_bits(ep._track_branch(roots), want_a)
+        # four ties keep branch a on the principal root, then -1 -> 1 flips it
+        assert ep._track_branch(fixed[0].astype(complex))[-1] == -1.0
 
 
 class TestGenericFamilyPipeline:
