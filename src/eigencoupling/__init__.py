@@ -46,7 +46,6 @@ from .ep_asymptotics import (
     complex_plane_conic,
     cross_section,
     curve_split,
-    eigenvalue_pair,
     loop_trajectory,
     sensitivities,
     surface_eval,
@@ -63,7 +62,7 @@ from .family import (
     second_derivative,
     taylor_along_curve,
 )
-from .numkit import eig_all, hermitian_inner, null_vector, rank_at, solve_on_complement
+from .numkit import eig_all, hermitian_inner
 from .pairmodel import PairSheets, sheets
 
 __version__ = "0.1.0"

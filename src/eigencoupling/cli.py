@@ -295,7 +295,7 @@ def cmd_scenario(opts) -> int:
         }
     elif opts.get("offset"):
         if opts.get("format") == "csv":
-            dps = sweep(offset, 0.1, 401)
+            dps = sweep(offset)
             return _write_section(opts.get("out"), p0[0] + dps[:, 0], sheets(model, dps).sheets)
         rep = dp_asymptotics.avoided_crossing_1p(model, offset)
         roots = [x for x in (rep.dp1_a, rep.dp1_b) if x is not None] or None
@@ -332,20 +332,23 @@ def cmd_scenario(opts) -> int:
     return EXIT_OK
 
 
+_ANCHOR_FLAGS = ("family", "at", "tol_cluster", "tol_rank", "out")
+
+#: command -> its function and the flags it reads (as option keys)
 _COMMANDS = {
-    "classify": cmd_classify,
-    "surface": cmd_surface,
-    "loop": cmd_loop,
-    "find-ep": cmd_find_ep,
-    "scenario": cmd_scenario,
+    "classify": (cmd_classify, _ANCHOR_FLAGS),
+    "surface": (cmd_surface, _ANCHOR_FLAGS + ("window", "res")),
+    "loop": (cmd_loop, _ANCHOR_FLAGS + ("loop", "samples")),
+    "find-ep": (cmd_find_ep, ("family", "at", "out")),
+    "scenario": (cmd_scenario, _ANCHOR_FLAGS + ("offset", "format")),
 }
 
 _DEFAULTS = {
     "window": "-0.1,0.1",
     "res": 41,
-    "tol_cluster": 1e-6,
-    "tol_rank": 1e-8,
-    "samples": 720,
+    "tol_cluster": degeneracy.DEFAULT_CLUSTER_TOL,
+    "tol_rank": numkit.DEFAULT_RANK_TOL,
+    "samples": ep_asymptotics.LoopSpec.samples,
     "format": "json",
 }
 
@@ -401,6 +404,14 @@ def _attach_negative_values(argv: list) -> list:
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
+    """Defaults, then the config file (its keys may serve other commands),
+    then the flags, each of which the command must read."""
+    flags = {key: value for key, value in vars(args).items()
+             if value is not None and key not in ("command", "config")}
+    unread = ["--" + key.replace("_", "-") for key in flags
+              if key not in _COMMANDS[args.command][1]]
+    if unread:
+        raise _UsageError(f"{args.command} does not read {', '.join(unread)}")
     opts = dict(_DEFAULTS)
     if args.config:
         path = Path(args.config)
@@ -413,11 +424,13 @@ def _merge_options(args: argparse.Namespace) -> dict:
         if not isinstance(cfg, dict):
             raise _UsageError("config file must hold a JSON object")
         opts.update({str(k).replace("-", "_"): v for k, v in cfg.items()})
-    opts.update({key: value for key, value in vars(args).items()
-                 if value is not None and key not in ("command", "config")})
+    opts.update(flags)
     for key in ("family", "at"):
         if not opts.get(key):
             raise _UsageError(f"--{key} is required")
+    for flag, value in (("--tol-cluster", opts["tol_cluster"]), ("--tol-rank", opts["tol_rank"])):
+        if type(value) not in (int, float) or not 0 < value < math.inf:
+            raise _UsageError(f"{flag} must be a positive finite number, got {value!r}")
     return opts
 
 
@@ -426,7 +439,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(_attach_negative_values(argv))
         opts = _merge_options(args)
-        return _COMMANDS[args.command](opts)
+        return _COMMANDS[args.command][0](opts)
     except (_UsageError, EigenCouplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.residual_history:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .degeneracy import DEFAULT_CLUSTER_TOL
 from .errors import BranchError, DimensionError, DomainError
 from .family import MatrixFamily
 from . import numkit
@@ -102,7 +103,7 @@ def optical_matrix(spec: DielectricSpec, s) -> np.ndarray:
     return projector @ eta(spec, s)
 
 
-def refractive_indices(spec: DielectricSpec, s, tol_cluster: float = 1e-6):
+def refractive_indices(spec: DielectricSpec, s):
     """The two refractive indices n = lambda^(-1/2) for direction s.
 
     The structural zero eigenvalue is excluded; the remaining pair must be
@@ -114,7 +115,7 @@ def refractive_indices(spec: DielectricSpec, s, tol_cluster: float = 1e-6):
     pair = [w[k] for k in range(3) if k != zero_idx]
     scale = 1.0 + max(abs(z) for z in w)
     for lam in pair:
-        if abs(lam) <= 10.0 * tol_cluster * scale:
+        if abs(lam) <= 10.0 * DEFAULT_CLUSTER_TOL * scale:
             raise BranchError(
                 f"eigenvalue {lam:.3e} too close to zero for n = lambda^(-1/2)"
             )

@@ -39,14 +39,15 @@ from .numkit import hermitian_inner
 DEFAULT_CLUSTER_TOL = 1e-6
 #: Default Newton iteration cap for the exceptional-point search.
 DEFAULT_MAX_ITER = 30
+#: Relative pair-gap target of the exceptional-point search.
+EP_GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class SpectralCluster:
     """A near-double eigenvalue pair."""
 
-    center: complex          # arithmetic mean of the two members
-    members: tuple           # the two eigenvalues
+    center: complex          # arithmetic mean of the two eigenvalues
     internal_gap: float      # |lam_i - lam_j|
     external_gap: float      # distance from center to the nearest non-member
 
@@ -138,8 +139,7 @@ def find_double_eigenvalues(a, tol_cluster: float = DEFAULT_CLUSTER_TOL):
                 f"{external:.3e} <= internal gap {gap:.3e}"
             )
         clusters.append(SpectralCluster(
-            center=complex(center), members=(complex(w[i]), complex(w[j])),
-            internal_gap=float(gap), external_gap=float(external),
+            center=complex(center), internal_gap=float(gap), external_gap=float(external),
         ))
     return clusters
 
@@ -340,7 +340,7 @@ def _approximate_split_gradient(a, derivs, mean):
 
 
 def find_ep(fam: family_mod.MatrixFamily, p_guess, which=None,
-            tol_gap: float = 1e-8, max_iter: int = DEFAULT_MAX_ITER) -> EPSearchResult:
+            max_iter: int = DEFAULT_MAX_ITER) -> EPSearchResult:
     """Newton search for an exceptional point of a two-parameter family.
 
     Iterates on the analytic scalar z(p) = ((lam_plus - lam_minus)/2)^2 whose
@@ -348,7 +348,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess, which=None,
     recomputed each step from the approximate chain of the tracked pair.
     Damped with step halving (up to 10 halvings per step).
 
-    Convergence: pair gap below max(tol_gap * (1 + |mean|), eigensolver noise
+    Convergence: pair gap below max(EP_GAP_TOL * (1 + |mean|), eigensolver noise
     floor 2 sqrt(eps) sigma_max(A)); at a defective matrix the computed pair
     gap saturates near sqrt(eps)||A|| even though the parameter error is many
     orders smaller (the squared half-gap is linear in dp near the EP).
@@ -366,7 +366,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess, which=None,
         z = ((lam_p - lam_m) / 2.0) ** 2
         gap = abs(lam_p - lam_m)
         floor = eps_floor * numkit.singular_values(a)[0]
-        converged = gap <= max(tol_gap * (1.0 + abs(mean)), floor)
+        converged = gap <= max(EP_GAP_TOL * (1.0 + abs(mean)), floor)
         return a, values, (lam_p, lam_m), mean, z, gap, converged
 
     a, values, pair, mean, z, gap, converged = probe(p)

@@ -34,7 +34,7 @@ from . import family as family_mod
 from .degeneracy import DPFrame
 from .errors import ChartError, DimensionError
 from .numkit import as_cmatrix, hermitian_inner
-from .pairmodel import offsets, sheets
+from .pairmodel import PairPoint, offsets, pair_at
 
 #: Relative tolerance deciding when a discriminant / critical value is
 #: treated as exactly zero (degenerate scenario).
@@ -70,20 +70,6 @@ class DPLocalModel:
         diff = dps @ (d[0, 0] - d[1, 1])
         radicand = diff * diff / 4.0 + (dps @ d[0, 1]) * (dps @ d[1, 0])
         return self.lam0 + dps @ (d[0, 0] + d[1, 1]) / 2.0, radicand
-
-
-@dataclass(frozen=True)
-class WeakSplit:
-    """Pair values and Re/Im sheets at one offset."""
-
-    c: complex
-    lam_plus: complex
-    lam_minus: complex
-    re_plus: float
-    re_minus: float
-    im_plus: float
-    im_minus: float
-    pair_sign: int
 
 
 @dataclass(frozen=True)
@@ -178,28 +164,15 @@ def dp_sensitivities(fam: family_mod.MatrixFamily, frame: DPFrame, p0) -> DPLoca
     return DPLocalModel(p0=p0, lam0=frame.lam0, coupling=coupling)
 
 
-def coupling_scalar(model: DPLocalModel, dp) -> complex:
-    """c(dp) = <d11 - d22, dp>^2/4 + <d12, dp><d21, dp>."""
-    return complex(model.pair_terms(offsets(model, dp))[1][0])
-
-
-def split_multiparam(model: DPLocalModel, dp) -> WeakSplit:
-    """Pair values lam0 + trace-term/2 +- sqrt(c) and their Re/Im sheets."""
-    one = sheets(model, dp)
-    re_p, re_m, im_p, im_m = one.sheets[0].tolist()
-    lam_p, lam_m = one.pair[0].tolist()
-    c = complex(one.radicand[0])
-    return WeakSplit(
-        c=c, lam_plus=lam_p, lam_minus=lam_m,
-        re_plus=re_p, re_minus=re_m, im_plus=im_p, im_minus=im_m,
-        pair_sign=1 if c.imag >= 0 else -1,
-    )
+def split_multiparam(model: DPLocalModel, dp) -> PairPoint:
+    """Pair values lam0 + trace-term/2 +- sqrt(c), their Re/Im sheets and c."""
+    return pair_at(model, dp)
 
 
 def persistence_conditions(model: DPLocalModel, dp) -> PersistenceReport:
     """Residuals of the persistence systems at one offset."""
     dp = offsets(model, dp)[0]
-    c = coupling_scalar(model, dp)
+    c = complex(model.pair_terms(dp[None])[1][0])
     diff = (model.coupling[0, 0] - model.coupling[1, 1]) @ dp
     off12 = model.coupling[0, 1] @ dp
     off21 = model.coupling[1, 0] @ dp

@@ -45,7 +45,7 @@ from .errors import (
     ResolutionError,
 )
 from .numkit import as_cmatrix, hermitian_inner
-from .pairmodel import complex_array, offsets, sheets, sweep
+from .pairmodel import PairPoint, complex_array, offsets, pair_at, sheets, sweep
 
 
 @dataclass(frozen=True)
@@ -141,23 +141,6 @@ class LoopSpec:
             raise DimensionError("loop centre and radius must have finite squares")
 
 
-@dataclass(frozen=True)
-class SurfaceSheets:
-    """The four sheet values at one parameter offset, plus pairing data."""
-
-    re_plus: float
-    re_minus: float
-    im_plus: float
-    im_minus: float
-    pair_sign: int            # +1: (re_plus, im_plus) is one eigenvalue; -1: crossed
-    split_quad: complex       # F + iG at this offset
-    pair: tuple               # the two eigenvalues, Re/Im radicals correctly paired
-
-    def paired(self):
-        """The two eigenvalues with Re/Im radicals correctly paired."""
-        return self.pair
-
-
 def curve_split(chain: JordanChain, a0, a1) -> EPCurveSplit:
     """Eigenvalue/eigenvector splitting along one curve direction.
 
@@ -222,21 +205,9 @@ def tangency_conditions(model: EPLocalModel, dp):
     return float(model.split_re @ dp), float(model.split_im @ dp)
 
 
-def surface_eval(model: EPLocalModel, dp) -> SurfaceSheets:
-    """The four Re/Im sheet values of the eigenvalue pair at offset dp."""
-    one = sheets(model, dp)
-    re_p, re_m, im_p, im_m = one.sheets[0].tolist()
-    quad = complex(one.radicand[0])
-    return SurfaceSheets(
-        re_plus=re_p, re_minus=re_m, im_plus=im_p, im_minus=im_m,
-        pair_sign=1 if quad.imag >= 0 else -1, split_quad=quad,
-        pair=tuple(one.pair[0].tolist()),
-    )
-
-
-def eigenvalue_pair(model, dp):
-    """The two model eigenvalues of an EP or DP model at offset dp."""
-    return tuple(sheets(model, dp).pair[0].tolist())
+def surface_eval(model: EPLocalModel, dp) -> PairPoint:
+    """The four Re/Im sheet values and the eigenvalue pair at offset dp."""
+    return pair_at(model, dp)
 
 
 def branch_cuts(model: EPLocalModel) -> BranchCutSet:
@@ -276,23 +247,28 @@ class ConicReport:
     samples: np.ndarray        # trajectory points (complex) for plotting
 
 
-def complex_plane_conic(model: EPLocalModel, fixed_rest=None,
-                        p1_span: float = 0.1, samples: int = 401) -> ConicReport:
-    """Conic traced by the pair in the complex plane as p_1 sweeps.
-
-    ``fixed_rest`` holds the frozen offsets of parameters 2..n. Requires
-    g1 != 0 for the asymptote/hyperbola normal forms (reindex otherwise).
-    """
+def _fixed_rest(model: EPLocalModel, fixed_rest):
+    """The frozen offsets of parameters 2..n (zeros when None) and
+    gamma = <f_rest g1 - f1 g_rest, rest>, which shapes the conic and the section."""
     n = model.n_params
     rest = np.zeros(n - 1) if fixed_rest is None else np.atleast_1d(
         np.asarray(fixed_rest, dtype=float))
     if rest.shape != (n - 1,):
         raise DimensionError(f"fixed_rest must have {n - 1} components")
     f1, g1 = model.split_re[0], model.split_im[0]
+    return rest, float(np.sum((model.split_re[1:] * g1 - f1 * model.split_im[1:]) * rest))
+
+
+def complex_plane_conic(model: EPLocalModel, fixed_rest=None) -> ConicReport:
+    """Conic traced by the pair in the complex plane as p_1 sweeps.
+
+    ``fixed_rest`` holds the frozen offsets of parameters 2..n. Requires
+    g1 != 0 for the asymptote/hyperbola normal forms (reindex otherwise).
+    """
+    rest, gamma = _fixed_rest(model, fixed_rest)
+    f1, g1 = model.split_re[0], model.split_im[0]
     if f1 * f1 + g1 * g1 < 1e-28:
         raise DegenerateModelError("f1 = g1 = 0: pair insensitive to p_1")
-    gamma = float(np.sum(
-        (model.split_re[1:] * g1 - f1 * model.split_im[1:]) * rest))
     if abs(g1) < 1e-14:
         raise ChartError(
             "g1 = 0: asymptote/hyperbola forms need a parameter reindexing"
@@ -302,7 +278,7 @@ def complex_plane_conic(model: EPLocalModel, fixed_rest=None,
     kind = "perpendicular-lines" if gamma == 0.0 else "hyperbola"
     # sampled offsets satisfy the conic exactly: the linear drift terms are
     # not part of the squared-gap relation the conic is built from
-    root = sheets(model, sweep(rest, p1_span, samples)).root
+    root = sheets(model, sweep(rest)).root
     return ConicReport(
         gamma=gamma, quad_coeffs=(float(g1), float(-2 * f1), float(-g1)),
         kind=kind, asymptote_slopes=slopes, hyperbola_rhs=float(gamma * g1),
@@ -333,8 +309,7 @@ class SectionReport:
     sample_sheets: np.ndarray  # rows: (re_plus, re_minus, im_plus, im_minus)
 
 
-def cross_section(model: EPLocalModel, fixed_rest=None,
-                  p1_span: float = 0.1, samples: int = 401) -> SectionReport:
+def cross_section(model: EPLocalModel, fixed_rest=None) -> SectionReport:
     """Cross-section lam(p_1) at fixed offsets of the other parameters.
 
     Tangent slopes at the crossing: Re curves drift_re[0]/2 +- (g1/2)
@@ -343,17 +318,11 @@ def cross_section(model: EPLocalModel, fixed_rest=None,
     crosses (real slopes) exactly when gamma/g1 < 0 and the Im pair when
     gamma/g1 > 0; the radicand signs encode that dichotomy.
     """
-    n = model.n_params
-    rest = np.zeros(n - 1) if fixed_rest is None else np.atleast_1d(
-        np.asarray(fixed_rest, dtype=float))
-    if rest.shape != (n - 1,):
-        raise DimensionError(f"fixed_rest must have {n - 1} components")
+    rest, gamma = _fixed_rest(model, fixed_rest)
     f1, g1 = model.split_re[0], model.split_im[0]
     h1, r1 = model.drift_re[0], model.drift_im[0]
     if abs(g1) < 1e-14:
         raise ChartError("g1 = 0: cross-section formulas need reindexing")
-    gamma = float(np.sum(
-        (model.split_re[1:] * g1 - f1 * model.split_im[1:]) * rest))
     dp1_cross = -float(np.sum(model.split_im[1:] * rest)) / g1
     re_level = model.lam0.real - (
         float(np.sum((h1 * model.split_im[1:] - g1 * model.drift_re[1:]) * rest))
@@ -377,7 +346,7 @@ def cross_section(model: EPLocalModel, fixed_rest=None,
     offsets_zero = bool(np.all(rest == 0.0))
     cusp_re = ((f1 + rho1) / 2.0, (f1 - rho1) / 2.0, h1 / 2.0) if offsets_zero else None
     cusp_im = ((rho1 - f1) / 2.0, -(f1 + rho1) / 2.0, r1 / 2.0) if offsets_zero else None
-    dps = sweep(rest, p1_span, samples)
+    dps = sweep(rest)
     return SectionReport(
         gamma=gamma, p1_cross=float(model.p0[0] + dp1_cross),
         re_level=re_level, im_level=im_level, crossing=crossing,
@@ -397,7 +366,6 @@ class AxisCrossing:
 class LoopReport:
     """Eigenvalue trajectories under a cyclic parameter loop."""
 
-    spec: LoopSpec
     regime: str                # "inside" | "on" | "outside"
     sigma: float
     sigma_sign: int
@@ -544,7 +512,7 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
             angles = np.angle(curve / np.roll(curve, 1))
             winding = int(round(angles.sum() / (2.0 * math.pi)))
     return LoopReport(
-        spec=spec, regime=regime, sigma=float(sigma), sigma_sign=sigma_sign,
+        regime=regime, sigma=float(sigma), sigma_sign=sigma_sign,
         phis=phis, lam_plus=model.lam0 + drift + core_a,
         lam_minus=model.lam0 + drift + core_b,
         core_plus=core_a, core_minus=core_b,

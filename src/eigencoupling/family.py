@@ -277,11 +277,18 @@ def _require(cond, path, message):
         raise FamilyParseError(path, message)
 
 
+def _only_keys(obj: dict, path: str, keys):
+    extra = sorted(set(obj) - set(keys))
+    if extra:
+        raise FamilyParseError(f"{path}.{extra[0]}", "unknown key")
+
+
 def parse_polynomial(text: str) -> PolynomialFamily:
     """Parse the family JSON document into a PolynomialFamily.
 
-    Schema: {"m": int, "n": int, "terms": [{"exp": [int; n],
-    "re": [[float; m]; m], "im": [[float; m]; m]}]}. Violations raise
+    Schema (``schemas/family.schema.json``): {"m": int, "n": int, "terms":
+    [{"exp": [int; n], "re": [[float; m]; m], "im": [[float; m]; m]}]}, no
+    other keys; true and false are not numbers. Violations raise
     FamilyParseError carrying the JSON path.
     """
     try:
@@ -291,9 +298,10 @@ def parse_polynomial(text: str) -> PolynomialFamily:
     _require(isinstance(doc, dict), "$", "top level must be an object")
     for key in ("m", "n", "terms"):
         _require(key in doc, f"$.{key}", f"missing required key '{key}'")
+    _only_keys(doc, "$", ("m", "n", "terms"))
     m, n = doc["m"], doc["n"]
-    _require(isinstance(m, int) and m >= 1, "$.m", "must be a positive integer")
-    _require(isinstance(n, int) and n >= 1, "$.n", "must be a positive integer")
+    _require(type(m) is int and m >= 1, "$.m", "must be a positive integer")
+    _require(type(n) is int and n >= 1, "$.n", "must be a positive integer")
     _require(isinstance(doc["terms"], list), "$.terms", "must be an array")
     terms = []
     for t, raw in enumerate(doc["terms"]):
@@ -301,13 +309,14 @@ def parse_polynomial(text: str) -> PolynomialFamily:
         _require(isinstance(raw, dict), path, "must be an object")
         for key in ("exp", "re", "im"):
             _require(key in raw, f"{path}.{key}", f"missing required key '{key}'")
+        _only_keys(raw, path, ("exp", "re", "im"))
         exps = raw["exp"]
         _require(
             isinstance(exps, list) and len(exps) == n,
             f"{path}.exp", f"must be an array of length n={n}",
         )
         _require(
-            all(isinstance(e, int) and e >= 0 for e in exps),
+            all(type(e) is int and e >= 0 for e in exps),
             f"{path}.exp", "exponents must be non-negative integers",
         )
         parts = []
@@ -321,10 +330,9 @@ def parse_polynomial(text: str) -> PolynomialFamily:
                 raise DimensionError(
                     f"{path}.{key}: coefficient matrix must be {m}x{m}"
                 )
-            try:
-                parts.append(np.asarray(rows, dtype=float))
-            except (TypeError, ValueError) as exc:
-                raise FamilyParseError(f"{path}.{key}", "entries must be numbers") from exc
+            _require(all(type(x) in (int, float) for row in rows for x in row),
+                     f"{path}.{key}", "entries must be numbers")
+            parts.append(np.asarray(rows, dtype=float))
         coeff = parts[0] + 1j * parts[1]
         terms.append((coeff, tuple(int(e) for e in exps)))
     return PolynomialFamily(dim=m, n_params=n, terms=tuple(terms))

@@ -133,29 +133,25 @@ class SVD:
         self.u, self.s, self.vh = np.linalg.svd(self.matrix)
 
     def rank(self, tol_rank: float = DEFAULT_RANK_TOL) -> int:
-        """Number of singular values above ``tol_rank * sigma_max`` (0 for a zero matrix)."""
+        """Count of singular values above ``tol_rank * sigma_max``, tol_rank > 0 (0 if all zero)."""
+        if tol_rank <= 0:
+            raise ValueError("tol_rank must be positive")
         s = self.s
         if s.size == 0 or s[0] == 0.0:
             return 0
         return int(np.count_nonzero(s > tol_rank * s[0]))
 
-    def null_basis(self, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
-        """Orthonormal basis of the numerical kernel, as columns (may be empty)."""
-        return self.vh[self.rank(tol_rank):].conj().T
-
     def null_vector(self, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
         """The kernel vector of a rank-(m-1) matrix, unit-norm and gauge-fixed.
 
-        Raises DegeneracyError unless the numerical kernel is exactly
-        one-dimensional at the given threshold.
+        Raises DegeneracyError unless the numerical kernel (the trailing right
+        singular vectors) is exactly one-dimensional at the given threshold.
         """
-        basis = self.null_basis(tol_rank)
-        if basis.shape[1] != 1:
+        kernel = self.vh[self.rank(tol_rank):]
+        if len(kernel) != 1:
             raise DegeneracyError(
-                f"kernel dimension is {basis.shape[1]}, expected 1 "
-                f"(tol_rank={tol_rank:g})"
-            )
-        return gauge_fix(basis[:, 0])
+                f"kernel dimension is {len(kernel)}, expected 1 (tol_rank={tol_rank:g})")
+        return gauge_fix(kernel[0].conj())
 
     def solve(self, b, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
         """Minimum-norm solution of M x = b for a (possibly) singular M.
@@ -181,28 +177,6 @@ class SVD:
                 f"exceeds {bound:.3e}"
             )
         return x
-
-
-def rank_at(m, tol_rank: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank at a positive ``tol_rank``; see ``SVD.rank``."""
-    if tol_rank <= 0:
-        raise ValueError("tol_rank must be positive")
-    return SVD(m).rank(tol_rank)
-
-
-def null_basis(m, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel, as columns (may be empty)."""
-    return SVD(m).null_basis(tol_rank)
-
-
-def null_vector(m, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """The kernel vector of a rank-(m-1) matrix; see ``SVD.null_vector``."""
-    return SVD(m).null_vector(tol_rank)
-
-
-def solve_on_complement(m, b, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Minimum-norm solution of M x = b; see ``SVD.solve``."""
-    return SVD(m).solve(b, tol_rank)
 
 
 def pair_assignment(values, targets):

@@ -7,7 +7,8 @@ Near the degenerate point p0 both regimes give the eigenvalue pair as
 with a radicand q that is linear in dp at an EP (F + iG) and quadratic at a
 DP (c(dp)). A local model supplies mid and q at N offsets at once through
 its ``pair_terms(dps)`` method; ``sheets`` turns them into the four Re/Im
-sheets and the paired eigenvalues.
+sheets and the paired eigenvalues, and ``pair_at`` gives the same at one
+offset as a ``PairPoint`` record.
 
 Branch pairing: the +- signs of the Re and Im radicals are not independent.
 The principal root w = sqrt(q) ties them, so the two eigenvalues are
@@ -23,6 +24,12 @@ import numpy as np
 from .errors import DimensionError
 
 
+#: the p_1 sweep of cross-sections and conics: dp_1 in [-SWEEP_SPAN,
+#: SWEEP_SPAN] at SWEEP_SAMPLES evenly spaced points
+SWEEP_SPAN = 0.1
+SWEEP_SAMPLES = 401
+
+
 @dataclass(frozen=True)
 class PairSheets:
     """The model pair at N offsets."""
@@ -31,6 +38,19 @@ class PairSheets:
     root: np.ndarray          # (N,) complex: principal sqrt(q)
     sheets: np.ndarray        # (N, 4): re_plus, re_minus, im_plus, im_minus
     pair: np.ndarray          # (N, 2) complex: mid + root, mid - root
+
+
+@dataclass(frozen=True)
+class PairPoint:
+    """The model pair at one offset: row 0 of ``sheets``."""
+
+    re_plus: float
+    re_minus: float
+    im_plus: float
+    im_minus: float
+    lam_plus: complex         # mid + principal sqrt(q)
+    lam_minus: complex        # mid - principal sqrt(q)
+    radicand: complex         # q(dp)
 
 
 def offsets(model, dps) -> np.ndarray:
@@ -44,10 +64,10 @@ def offsets(model, dps) -> np.ndarray:
     return arr
 
 
-def sweep(rest, p1_span, samples) -> np.ndarray:
-    """(samples, n) offsets: dp_1 on a symmetric grid, dp_2..n fixed at rest."""
-    grid = np.linspace(-p1_span, p1_span, samples)
-    return np.column_stack((grid, np.broadcast_to(rest, (samples, len(rest)))))
+def sweep(rest) -> np.ndarray:
+    """(SWEEP_SAMPLES, n) offsets: dp_1 on the sweep grid, dp_2..n fixed at rest."""
+    grid = np.linspace(-SWEEP_SPAN, SWEEP_SPAN, SWEEP_SAMPLES)
+    return np.column_stack((grid, np.broadcast_to(rest, (SWEEP_SAMPLES, len(rest)))))
 
 
 def complex_array(re, im) -> np.ndarray:
@@ -69,3 +89,9 @@ def sheets(model, dps) -> PairSheets:
                                 mid.imag + spread, mid.imag - spread)),
         pair=np.column_stack((mid + root, mid - root)),
     )
+
+
+def pair_at(model, dp) -> PairPoint:
+    """The sheets, eigenvalues and radicand of an EP or DP model at one offset."""
+    one = sheets(model, dp)
+    return PairPoint(*one.sheets[0].tolist(), *one.pair[0].tolist(), complex(one.radicand[0]))

@@ -142,7 +142,8 @@ def test_criterion_03_example1_surfaces(ex1):
         for rr in np.linspace(radius / 4, radius, 4):
             for theta in np.linspace(0, 2 * np.pi, 72, endpoint=False):
                 dp = rr * np.array([np.cos(theta), np.sin(theta)])
-                pair = ep_asymptotics.surface_eval(model, dp).paired()
+                point = ep_asymptotics.surface_eval(model, dp)
+                pair = (point.lam_plus, point.lam_minus)
                 err = max(err, exact_pair_error(fam, dp, *pair))
         return err
 
@@ -310,7 +311,7 @@ def test_criterion_09_squared_consistency():
         f_dp = float(model.split_re @ dp)
         g_dp = float(model.split_im @ dp)
         sheets = ep_asymptotics.surface_eval(model, dp)
-        lam_a, lam_b = sheets.paired()
+        lam_a, lam_b = sheets.lam_plus, sheets.lam_minus
         mid = complex(model.lam0.real + 0.5 * model.drift_re @ dp,
                       model.lam0.imag + 0.5 * model.drift_im @ dp)
         delta = lam_a - mid
@@ -354,20 +355,20 @@ def test_criterion_10_dp_scenario_classifier():
         # independent oracle: dense scan of Im c sign changes + bisection
         xs = np.linspace(-0.05, 0.05, 5001)
         ims = np.array([
-            dp_asymptotics.coupling_scalar(model, [x, delta]).imag for x in xs])
+            dp_asymptotics.split_multiparam(model, [x, delta]).radicand.imag for x in xs])
         found = []
         for k in range(len(xs) - 1):
             if ims[k] * ims[k + 1] < 0:
                 a, b = xs[k], xs[k + 1]
                 for _ in range(60):
                     mid = (a + b) / 2
-                    v = dp_asymptotics.coupling_scalar(model, [mid, delta]).imag
+                    v = dp_asymptotics.split_multiparam(model, [mid, delta]).radicand.imag
                     if v * ims[k] < 0:
                         b = mid
                     else:
                         a = mid
                 found.append(
-                    dp_asymptotics.coupling_scalar(model, [(a + b) / 2, delta]).real)
+                    dp_asymptotics.split_multiparam(model, [(a + b) / 2, delta]).radicand.real)
         if want == "no-crossing":
             assert found == []
         else:

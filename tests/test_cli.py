@@ -372,6 +372,26 @@ class TestConfigAndErrors:
                       "--at", "0,0", "--tol-cluster", "1e-12")
         assert code == 2
 
+    def test_unread_flag_is_named(self, capsys):
+        code = cli.main(["classify", "--family", "crystal-example-1", "--at", "0,0",
+                         "--res", "5", "--samples", "3", "--loop", "1,2,3"])
+        assert code == 1
+        assert "classify does not read --res, --loop, --samples" in capsys.readouterr().err
+
+    def test_config_keys_may_serve_other_commands(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": "crystal-example-1", "at": "0,0", "res": 3,
+                                   "loop": "0,0,0.01", "samples": 32}))
+        assert run(capsys, "classify", "--config", str(cfg))[0] == 0
+
+    @pytest.mark.parametrize("value", [0, -1e-6, 1e999, "1e-6", True])
+    def test_bad_config_tolerance_exit_one(self, capsys, tmp_path, value):
+        for key in ("tol_cluster", "tol-rank"):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"family": "crystal-example-1", "at": "0,0", key: value}))
+            assert cli.main(["classify", "--config", str(cfg)]) == 1
+            assert "must be a positive finite number" in capsys.readouterr().err
+
     def test_family_schema_file_validates_builtin_docs(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads((SCHEMA_DIR / "family.schema.json").read_text())
@@ -426,13 +446,21 @@ EXIT_CASES = [
     (2, ["classify", "--family", "{sep}", "--at", "0.3"]),
     (3, ["classify", "--family", "crystal-example-1", "--at", "0.9,0.9"]),
     (4, ["find-ep", "--family", "crystal-example-1", "--at", "0.2,0.1"]),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-cluster", "-1e-6"]),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-rank", "-1e-8"]),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-rank", "0"]),
+    (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--tol-rank", "nan"]),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--res", "5"]),
+    (1, ["find-ep", "--family", "crystal-example-1", "--at", "0.05,-0.03",
+         "--tol-cluster", "1e-3"]),
 ]
 
 
 @pytest.mark.parametrize("code,argv", EXIT_CASES)
 def test_exit_codes(code, argv, capsys, tmp_path):
     """One case per documented exit code; exit 1 also for find-ep on a
-    one-parameter family and for non-finite flag values."""
+    one-parameter family, for non-finite flag values, for tolerances that
+    are not positive and finite, and for a flag the command does not read."""
     sep = tmp_path / "sep.json"
     sep.write_text(SEPARATED_FAMILY)
     argv = [a.replace("{sep}", str(sep)).replace("{tmp}", str(tmp_path)) for a in argv]

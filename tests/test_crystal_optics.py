@@ -224,7 +224,8 @@ class TestGridInvariants:
             for rr in np.linspace(radius / 4, radius, 4):
                 for theta in np.linspace(0.0, 2 * np.pi, 60, endpoint=False):
                     dp = rr * np.array([np.cos(theta), np.sin(theta)])
-                    pair = ep_asymptotics.surface_eval(ep_model, dp).paired()
+                    point = ep_asymptotics.surface_eval(ep_model, dp)
+                    pair = (point.lam_plus, point.lam_minus)
                     eigs = np.linalg.eigvals(family_mod.evaluate(crystal1, dp))
                     best = min(
                         max(abs(eigs[i] - pair[0]), abs(eigs[j] - pair[1]))

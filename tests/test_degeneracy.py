@@ -140,8 +140,8 @@ class TestJordanChain:
             reference = hermitian_inner(a1 @ chain.u0, chain.v0)
             theta = rng.uniform(0.0, 2 * np.pi)
             u0 = chain.u0 * np.exp(1j * theta)
-            u1 = numkit.solve_on_complement(shifted, u0)
-            v0 = numkit.null_vector(shifted.conj().T)
+            u1 = numkit.SVD(shifted).solve(u0)
+            v0 = numkit.SVD(shifted.conj().T).null_vector()
             v0 = v0 * np.conj(1.0 / hermitian_inner(u1, v0))
             rescaled = hermitian_inner(a1 @ u0, v0)
             assert abs(rescaled - reference) < 1e-10

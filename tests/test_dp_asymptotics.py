@@ -121,7 +121,7 @@ class TestSplitMultiparam:
             s1, s2 = rng.uniform(-0.05, 0.05, size=2)
             c_want = (45 + 8j) * s1 * s1 + 128j * s1 * s2 + (-83 + 8j) * s2 * s2
             split = dp.split_multiparam(model, [s1, s2])
-            assert split.c == pytest.approx(c_want, abs=1e-12)
+            assert split.radicand == pytest.approx(c_want, abs=1e-12)
             root = cmath.sqrt(c_want)
             re_rad = np.sqrt((abs(c_want) + c_want.real) / 2)
             im_rad = np.sqrt((abs(c_want) - c_want.real) / 2)
@@ -141,8 +141,8 @@ class TestSplitMultiparam:
         on = dp.split_multiparam(model, [0.0, 0.0])
         assert on.lam_plus == pytest.approx(on.lam_minus)
         off = dp.split_multiparam(model, [0.5, 0.4])
-        assert off.c.real > 0
-        assert off.c.imag == pytest.approx(0.0, abs=1e-15)
+        assert off.radicand.real > 0
+        assert off.radicand.imag == pytest.approx(0.0, abs=1e-15)
         assert off.im_plus == pytest.approx(off.im_minus)
 
 
@@ -211,7 +211,7 @@ class TestOneParamSlopes:
 def brute_force_scan(model, rest, lo=-0.25, hi=0.25, n=20001):
     """Roots of Im c(dp1) by dense sign-change scan + bisection, with Re c there."""
     xs = np.linspace(lo, hi, n)
-    ims = np.array([dp.coupling_scalar(model, np.concatenate(([x], rest))).imag
+    ims = np.array([dp.split_multiparam(model, np.concatenate(([x], rest))).radicand.imag
                     for x in xs])
     roots = []
     for k in range(n - 1):
@@ -221,10 +221,10 @@ def brute_force_scan(model, rest, lo=-0.25, hi=0.25, n=20001):
             a, b = xs[k], xs[k + 1]
             for _ in range(80):
                 mid = (a + b) / 2
-                val = dp.coupling_scalar(model, np.concatenate(([mid], rest))).imag
+                val = dp.split_multiparam(model, np.concatenate(([mid], rest))).radicand.imag
                 if val == 0.0:
                     break
-                if val * dp.coupling_scalar(model, np.concatenate(([a], rest))).imag < 0:
+                if val * dp.split_multiparam(model, np.concatenate(([a], rest))).radicand.imag < 0:
                     b = mid
                 else:
                     a = mid
@@ -232,7 +232,7 @@ def brute_force_scan(model, rest, lo=-0.25, hi=0.25, n=20001):
     res = []
     for root in roots:
         res.append((root,
-                    dp.coupling_scalar(model, np.concatenate(([root], rest))).real))
+                    dp.split_multiparam(model, np.concatenate(([root], rest))).radicand.real))
     return res
 
 
@@ -288,7 +288,7 @@ class TestAvoidedCrossing1P:
         assert report.scenario == "degenerate"
         assert report.dp1_a is not None
         x = report.dp1_a
-        value = dp.coupling_scalar(model, [x, delta])
+        value = dp.split_multiparam(model, [x, delta]).radicand
         assert value.imag == pytest.approx(0.0, abs=1e-14)
         assert report.c_a == pytest.approx(value.real)
 
@@ -361,7 +361,7 @@ class TestSurfaceClassification2P:
         # dense direction scan: Re lam sheets meet exactly where Im c = 0 and Re c < 0
         for theta in np.linspace(0.0, np.pi, 181, endpoint=False):
             direction = np.array([np.cos(theta), np.sin(theta)])
-            value = dp.coupling_scalar(model, direction)
+            value = dp.split_multiparam(model, direction).radicand
             split = dp.split_multiparam(model, direction * 0.01)
             re_meet = abs(split.re_plus - split.re_minus) < 1e-12
             expected = abs(value.imag) < 1e-12 and value.real < 0
@@ -400,7 +400,7 @@ class TestFrameInvariance:
             for delta in offsets:
                 base = dp.split_multiparam(dp_model_pinned, delta)
                 new = dp.split_multiparam(other, delta)
-                assert abs(base.c - new.c) < 1e-10
+                assert abs(base.radicand - new.radicand) < 1e-10
                 assert abs(base.lam_plus - new.lam_plus) < 1e-10
                 assert abs(base.lam_minus - new.lam_minus) < 1e-10
 

@@ -135,7 +135,7 @@ class TestSurfaceEval:
             dp = rng.normal(size=n)
             f_dp, g_dp = ep.tangency_conditions(model, dp)
             sheets = ep.surface_eval(model, dp)
-            lam_a, lam_b = sheets.paired()
+            lam_a, lam_b = sheets.lam_plus, sheets.lam_minus
             mid = complex(
                 model.lam0.real + 0.5 * model.drift_re @ dp,
                 model.lam0.imag + 0.5 * model.drift_im @ dp,
@@ -259,6 +259,8 @@ class TestCrossSection:
         # inner radicand coefficients (f1 +- rho1)/2 with f1 = 0, rho1 = 4
         assert section.cusp_re_coeffs[0] == pytest.approx(2.0, abs=1e-8)
         assert section.cusp_re_coeffs[1] == pytest.approx(-2.0, abs=1e-8)
+        # and their Im counterparts (rho1 - f1)/2, -(f1 + rho1)/2
+        assert section.cusp_im_coeffs[:2] == pytest.approx((2.0, -2.0), abs=1e-8)
         # the cusp branches match the surfaces: Re delta = sqrt(2|t|)
         for t in (0.01, -0.01):
             sheets = ep.surface_eval(ep_model, [t, 0.0])
@@ -524,7 +526,8 @@ class TestGenericFamilyPipeline:
                 worst = 0.0
                 for d in directions:
                     dp = eps * d
-                    pair = ep.surface_eval(model, dp).paired()
+                    point = ep.surface_eval(model, dp)
+                    pair = (point.lam_plus, point.lam_minus)
                     eigs = np.linalg.eigvals(family_mod.evaluate(fam, dp))
                     best = min(
                         max(abs(eigs[i] - pair[0]), abs(eigs[j] - pair[1]))
@@ -564,7 +567,8 @@ class TestAsymptoticCorrectness:
             worst = 0.0
             for d in directions:
                 dp = eps * d
-                pair = ep.surface_eval(ep_model, dp).paired()
+                point = ep.surface_eval(ep_model, dp)
+                pair = (point.lam_plus, point.lam_minus)
                 eigs = np.linalg.eigvals(family_mod.evaluate(crystal1, dp))
                 best = min(
                     max(abs(eigs[i] - pair[0]), abs(eigs[j] - pair[1]))

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,6 +194,30 @@ class TestParseFamily:
         with pytest.raises(FamilyParseError) as err:
             parse_family("{not json")
         assert err.value.path == "$"
+
+    def test_agrees_with_schema(self):
+        """Documents the schema refuses raise FamilyParseError at their path."""
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((Path(family_mod.__file__).parent / "schemas"
+                             / "family.schema.json").read_text())
+        good = json.loads(self.DOC)
+        jsonschema.validate(good, schema)
+        parse_family(self.DOC)
+        term = good["terms"][0]
+        refused = [
+            ({**good, "note": "x"}, "$.note"),
+            ({**good, "m": True}, "$.m"),
+            ({**good, "terms": [{**term, "exp": [True]}]}, "$.terms[0].exp"),
+            ({**good, "terms": [{**term, "note": "x"}]}, "$.terms[0].note"),
+            ({**good, "terms": [{**term, "re": [[0, "1"], [0, 0]]}]}, "$.terms[0].re"),
+            ({**good, "terms": [{**term, "im": [[0, 0], [False, 0]]}]}, "$.terms[0].im"),
+        ]
+        for doc, path in refused:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(doc, schema)
+            with pytest.raises(FamilyParseError) as err:
+                parse_family(json.dumps(doc))
+            assert err.value.path == path
 
 
 def per_point_polynomial(poly, p):
