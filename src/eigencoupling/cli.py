@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -161,7 +162,7 @@ def cmd_classify(opts) -> int:
 
 
 def _window_axes(window, res):
-    vals = _floats(window, "--window") if isinstance(window, str) else list(window)
+    vals = _floats(window, "--window")
     if len(vals) == 2:
         lo1, hi1 = lo2, hi2 = vals
     elif len(vals) == 4:
@@ -180,6 +181,18 @@ def _local_model(fam, p0, kind):
     return dp_asymptotics.dp_sensitivities(fam, degeneracy.dp_frame_of(kind), p0)
 
 
+@functools.cache
+def _pool():
+    """Threads for ``surface``'s stacked eigvals, one per usable CPU; built
+    once per process, on the first ``surface``."""
+    from concurrent.futures import ThreadPoolExecutor
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="eigvals")
+
+
 def cmd_surface(opts) -> int:
     if not opts.get("out"):
         raise _UsageError("surface requires --out for the CSV file")
@@ -192,22 +205,30 @@ def cmd_surface(opts) -> int:
     axis1, axis2 = _window_axes(opts["window"], opts["res"])
     dps = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
     table = np.empty((len(dps), 11))
-    for start in range(0, len(dps), BLOCK):
-        rows = table[start:start + BLOCK]
-        block = dps[start:start + BLOCK]
-        points = p0 + block
-        model_pair = sheets(model, block)
-        values = np.linalg.eigvals(family_mod.evaluate_many(fam, points))
-        i, j, margin = numkit.pair_assignment(values, model_pair.pair)
-        at = np.arange(len(block))
-        exact_a, exact_b = values[at, i], values[at, j]
-        rows[:, :2] = points
-        rows[:, 2:6] = model_pair.sheets
-        rows[:, 6] = np.maximum(exact_a.real, exact_b.real)
-        rows[:, 7] = np.minimum(exact_a.real, exact_b.real)
-        rows[:, 8] = np.maximum(exact_a.imag, exact_b.imag)
-        rows[:, 9] = np.minimum(exact_a.imag, exact_b.imag)
-        rows[:, 10] = margin < 1e-3
+    pool = _pool()
+    workers = pool._max_workers
+    starts = range(0, len(dps), BLOCK)
+    # one block per worker: this thread evaluates the group's matrices, the
+    # workers factorise them (LAPACK releases the GIL), this thread pairs them
+    for first in range(0, len(starts), workers):
+        group = starts[first:first + workers]
+        # no name holds the stacks, so each is freed once its worker is done
+        spectra = pool.map(np.linalg.eigvals, [
+            family_mod.evaluate_many(fam, p0 + dps[start:start + BLOCK]) for start in group])
+        for start, values in zip(group, spectra):
+            rows = table[start:start + BLOCK]
+            block = dps[start:start + BLOCK]
+            model_pair = sheets(model, block)
+            i, j, margin = numkit.pair_assignment(values, model_pair.pair)
+            at = np.arange(len(block))
+            exact_a, exact_b = values[at, i], values[at, j]
+            rows[:, :2] = p0 + block
+            rows[:, 2:6] = model_pair.sheets
+            rows[:, 6] = np.maximum(exact_a.real, exact_b.real)
+            rows[:, 7] = np.minimum(exact_a.real, exact_b.real)
+            rows[:, 8] = np.maximum(exact_a.imag, exact_b.imag)
+            rows[:, 9] = np.minimum(exact_a.imag, exact_b.imag)
+            rows[:, 10] = margin < 1e-3
     header = ["p1", "p2", "re_plus", "re_minus", "im_plus", "im_minus",
               "re_plus_exact", "re_minus_exact", "im_plus_exact",
               "im_minus_exact", "pair_margin_flag"]
@@ -403,13 +424,33 @@ def _attach_negative_values(argv: list) -> list:
     return out
 
 
+def _check_value(name: str, key: str, value) -> None:
+    """Refuse a value of option ``key`` that its entry in ``_FLAGS`` does
+    not admit: an integer for an int flag, a positive finite number for a
+    float flag (the tolerances), one of the choices, or else a string."""
+    keywords = dict(_FLAGS)["--" + key.replace("_", "-")]
+    kind = keywords.get("type")
+    if "choices" in keywords:
+        ok, what = value in keywords["choices"], "one of " + ", ".join(keywords["choices"])
+    elif kind is int:
+        ok, what = type(value) is int, "an integer"
+    elif kind is float:
+        ok = type(value) in (int, float) and 0 < value < math.inf
+        what = "a positive finite number"
+    else:
+        ok, what = isinstance(value, str), "a string"
+    if not ok:
+        raise _UsageError(f"{name} must be {what}, got {value!r}")
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
     """Defaults, then the config file (its keys may serve other commands),
-    then the flags, each of which the command must read."""
+    then the flags, each of which the command must read. Every value the
+    command reads passes ``_check_value``."""
+    read = _COMMANDS[args.command][1]
     flags = {key: value for key, value in vars(args).items()
              if value is not None and key not in ("command", "config")}
-    unread = ["--" + key.replace("_", "-") for key in flags
-              if key not in _COMMANDS[args.command][1]]
+    unread = ["--" + key.replace("_", "-") for key in flags if key not in read]
     if unread:
         raise _UsageError(f"{args.command} does not read {', '.join(unread)}")
     opts = dict(_DEFAULTS)
@@ -423,14 +464,17 @@ def _merge_options(args: argparse.Namespace) -> dict:
             raise _UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise _UsageError("config file must hold a JSON object")
-        opts.update({str(k).replace("-", "_"): v for k, v in cfg.items()})
+        for name, value in cfg.items():
+            key = str(name).replace("-", "_")
+            if key in read:
+                _check_value(f"config key '{name}'", key, value)
+            opts[key] = value
+    for key, value in flags.items():
+        _check_value("--" + key.replace("_", "-"), key, value)
     opts.update(flags)
     for key in ("family", "at"):
         if not opts.get(key):
             raise _UsageError(f"--{key} is required")
-    for flag, value in (("--tol-cluster", opts["tol_cluster"]), ("--tol-rank", opts["tol_rank"])):
-        if type(value) not in (int, float) or not 0 < value < math.inf:
-            raise _UsageError(f"{flag} must be a positive finite number, got {value!r}")
     return opts
 
 

@@ -16,6 +16,7 @@ from / written to a small JSON format (see ``parse_family``).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -283,13 +284,23 @@ def _only_keys(obj: dict, path: str, keys):
         raise FamilyParseError(f"{path}.{extra[0]}", "unknown key")
 
 
+def _integer(x):
+    """x as an int where the schema's "integer" admits it (2 and 2.0, not
+    true or 2.5); None otherwise."""
+    if type(x) is float and x.is_integer():
+        return int(x)
+    return x if type(x) is int else None
+
+
 def parse_polynomial(text: str) -> PolynomialFamily:
     """Parse the family JSON document into a PolynomialFamily.
 
     Schema (``schemas/family.schema.json``): {"m": int, "n": int, "terms":
     [{"exp": [int; n], "re": [[float; m]; m], "im": [[float; m]; m]}]}, no
-    other keys; true and false are not numbers. Violations raise
-    FamilyParseError carrying the JSON path.
+    other keys; true and false are not numbers, integral floats such as 2.0
+    are integers. Beyond the schema, every number must be a finite double
+    (no 1e400, 10**400 or NaN). Violations raise FamilyParseError carrying
+    the JSON path.
     """
     try:
         doc = json.loads(text)
@@ -299,9 +310,9 @@ def parse_polynomial(text: str) -> PolynomialFamily:
     for key in ("m", "n", "terms"):
         _require(key in doc, f"$.{key}", f"missing required key '{key}'")
     _only_keys(doc, "$", ("m", "n", "terms"))
-    m, n = doc["m"], doc["n"]
-    _require(type(m) is int and m >= 1, "$.m", "must be a positive integer")
-    _require(type(n) is int and n >= 1, "$.n", "must be a positive integer")
+    m, n = _integer(doc["m"]), _integer(doc["n"])
+    _require(m is not None and m >= 1, "$.m", "must be a positive integer")
+    _require(n is not None and n >= 1, "$.n", "must be a positive integer")
     _require(isinstance(doc["terms"], list), "$.terms", "must be an array")
     terms = []
     for t, raw in enumerate(doc["terms"]):
@@ -310,14 +321,14 @@ def parse_polynomial(text: str) -> PolynomialFamily:
         for key in ("exp", "re", "im"):
             _require(key in raw, f"{path}.{key}", f"missing required key '{key}'")
         _only_keys(raw, path, ("exp", "re", "im"))
-        exps = raw["exp"]
         _require(
-            isinstance(exps, list) and len(exps) == n,
+            isinstance(raw["exp"], list) and len(raw["exp"]) == n,
             f"{path}.exp", f"must be an array of length n={n}",
         )
+        exps = [_integer(e) for e in raw["exp"]]
         _require(
-            all(type(e) is int and e >= 0 for e in exps),
-            f"{path}.exp", "exponents must be non-negative integers",
+            all(e is not None and 0 <= e <= sys.float_info.max for e in exps),
+            f"{path}.exp", "exponents must be non-negative integers within the double range",
         )
         parts = []
         for key in ("re", "im"):
@@ -332,9 +343,11 @@ def parse_polynomial(text: str) -> PolynomialFamily:
                 )
             _require(all(type(x) in (int, float) for row in rows for x in row),
                      f"{path}.{key}", "entries must be numbers")
+            _require(all(abs(x) <= sys.float_info.max for row in rows for x in row),
+                     f"{path}.{key}", "entries must be finite doubles")
             parts.append(np.asarray(rows, dtype=float))
         coeff = parts[0] + 1j * parts[1]
-        terms.append((coeff, tuple(int(e) for e in exps)))
+        terms.append((coeff, tuple(exps)))
     return PolynomialFamily(dim=m, n_params=n, terms=tuple(terms))
 
 

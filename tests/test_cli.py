@@ -138,6 +138,95 @@ class TestSurface:
                 assert f"{float(tok):.17g}" == tok
 
 
+def planted_ep_family(tmp_path, m=6):
+    """Two-parameter m x m family A(p) = S (J + p1 B1 + p2 B2) S^-1, where J
+    holds a 2x2 Jordan block at 0.5 + 0.2i and m - 2 separated eigenvalues."""
+    rng = np.random.default_rng(6)
+    s = np.eye(m) + 0.2 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    s_inv = np.linalg.inv(s)
+    jordan = np.diag(np.r_[[0.5 + 0.2j] * 2, 2.0 + 1.5j * np.arange(1, m - 1)])
+    jordan[0, 1] = 1.0
+    terms = []
+    for exps, core in (([0, 0], jordan),
+                       ([1, 0], rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))),
+                       ([0, 1], rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))):
+        coeff = s @ core @ s_inv
+        terms.append({"exp": exps, "re": coeff.real.tolist(), "im": coeff.imag.tolist()})
+    path = tmp_path / f"planted_ep_m{m}.json"
+    path.write_text(json.dumps({"m": m, "n": 2, "terms": terms}))
+    return str(path)
+
+
+class TestThreadedSurface:
+    """``surface`` factorises groups of blocks on a pool of threads; its
+    output must not depend on how many threads there are."""
+
+    def run_with_pool(self, monkeypatch, capsys, workers, argv):
+        """Exit code, stderr and written CSV of ``argv``; ``workers`` None
+        keeps the process's own pool."""
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers or 1) as pool, monkeypatch.context() as mp:
+            if workers:
+                mp.setattr(cli, "_pool", lambda: pool)
+            code = cli.main(argv)
+        out = Path(argv[argv.index("--out") + 1])
+        return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize("family", ["crystal-example-1", "planted-m6"])
+    @pytest.mark.parametrize("workers", [None, 3], ids=["usable-cpus", "3-workers"])
+    def test_csv_matches_one_worker(self, monkeypatch, capsys, tmp_path, family, workers):
+        # res 37: 1369 points, five full blocks and a ragged sixth
+        if family == "planted-m6":
+            family = planted_ep_family(tmp_path)
+        base = ["surface", "--family", family, "--at", "0,0", "--window=-0.05,0.05",
+                "--res", "37", "--out"]
+        pooled = self.run_with_pool(monkeypatch, capsys, workers, base + [str(tmp_path / "a.csv")])
+        single = self.run_with_pool(monkeypatch, capsys, 1, base + [str(tmp_path / "b.csv")])
+        assert pooled[0] == 0
+        assert len(pooled[2].splitlines()) == 1 + 37 * 37
+        assert pooled == single
+
+    @pytest.mark.parametrize("workers", [None, 3], ids=["usable-cpus", "3-workers"])
+    def test_chart_exit_matches_one_worker(self, monkeypatch, capsys, tmp_path, workers):
+        # only the last row of p1 = 1.0 leaves the chart: grid points 1332..1368,
+        # all in the sixth block
+        argv = ["surface", "--family", "crystal-example-1", "--at", "0,0",
+                "--window=-0.5,1.0,-0.2,0.2", "--res", "37", "--out", str(tmp_path / "s.csv")]
+        pooled = self.run_with_pool(monkeypatch, capsys, workers, argv)
+        single = self.run_with_pool(monkeypatch, capsys, 1, argv)
+        assert pooled[0] == 3
+        assert "outside the family domain" in pooled[1]
+        assert pooled == single
+
+
+def test_pool_built_by_surface_alone(tmp_path):
+    """Importing the package and the other four commands neither import
+    concurrent.futures nor build the pool; surface builds it once."""
+    probe = """
+import sys
+import eigencoupling
+from eigencoupling import cli
+out = sys.argv[1]
+seen = ["concurrent.futures" in sys.modules]
+for argv in (["classify", "--at", "0,0"], ["scenario", "--at", "0,0"],
+             ["find-ep", "--at", "0.05,-0.03"],
+             ["loop", "--at", "0,0", "--loop", "0,0,0.01", "--out", out + "/l.csv"]):
+    assert cli.main(argv + ["--family", "crystal-example-1"]) == 0, argv
+    seen.append("concurrent.futures" in sys.modules)
+seen.append(cli._pool.cache_info().currsize)
+for _ in range(2):
+    assert cli.main(["surface", "--family", "crystal-example-1", "--at", "0,0",
+                     "--res", "3", "--out", out + "/s.csv"]) == 0
+info = cli._pool.cache_info()
+print(*seen, "concurrent.futures" in sys.modules, info.misses, info.hits)
+"""
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-9:] == ["False"] * 5 + ["0", "True", "1", "1"]
+
+
 class TestLoop:
     def test_inside_loop_report(self, capsys, tmp_path):
         out = tmp_path / "loop.csv"
@@ -391,6 +480,22 @@ class TestConfigAndErrors:
             cfg.write_text(json.dumps({"family": "crystal-example-1", "at": "0,0", key: value}))
             assert cli.main(["classify", "--config", str(cfg)]) == 1
             assert "must be a positive finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("surface", "res", "abc"), ("surface", "res", 4.0), ("loop", "samples", True),
+        ("classify", "at", [0, 0]), ("surface", "window", [-0.05, 0.05]),
+        ("scenario", "format", "xml"), ("classify", "out", None)])
+    def test_bad_config_value_exit_one(self, capsys, tmp_path, command, key, value):
+        """A config value must have its flag's type; keys a command does not
+        read are not checked."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": "crystal-example-1", "at": "0,0",
+                                   "loop": "0,0,0.01", "out": str(tmp_path / "o.csv"),
+                                   key: value}))
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        assert f"config key '{key}' must be" in capsys.readouterr().err
+        if key not in cli._COMMANDS["find-ep"][1]:
+            assert cli.main(["find-ep", "--config", str(cfg), "--at", "0.05,-0.03"]) == 0
 
     def test_family_schema_file_validates_builtin_docs(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")

@@ -196,13 +196,22 @@ class TestParseFamily:
         assert err.value.path == "$"
 
     def test_agrees_with_schema(self):
-        """Documents the schema refuses raise FamilyParseError at their path."""
+        """Documents the schema admits parse to the same family; documents it
+        refuses raise FamilyParseError at their path."""
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads((Path(family_mod.__file__).parent / "schemas"
                              / "family.schema.json").read_text())
         good = json.loads(self.DOC)
-        jsonschema.validate(good, schema)
-        parse_family(self.DOC)
+        want = parse_polynomial(self.DOC)
+        # the schema's "integer" admits integral floats
+        floats = {**good, "m": 2.0, "n": 1.0,
+                  "terms": [{**term, "exp": [float(term["exp"][0])]} for term in good["terms"]]}
+        for doc in (good, floats):
+            jsonschema.validate(doc, schema)
+            got = parse_polynomial(json.dumps(doc))
+            assert (got.dim, got.n_params) == (2, 1)
+            assert all(type(e) is int for _, exps in got.terms for e in exps)
+            assert np.array_equal(got.value(np.array([0.25])), want.value(np.array([0.25])))
         term = good["terms"][0]
         refused = [
             ({**good, "note": "x"}, "$.note"),
@@ -211,6 +220,8 @@ class TestParseFamily:
             ({**good, "terms": [{**term, "note": "x"}]}, "$.terms[0].note"),
             ({**good, "terms": [{**term, "re": [[0, "1"], [0, 0]]}]}, "$.terms[0].re"),
             ({**good, "terms": [{**term, "im": [[0, 0], [False, 0]]}]}, "$.terms[0].im"),
+            ({**good, "n": 1.5}, "$.n"),
+            ({**good, "terms": [{**term, "exp": [0.5]}]}, "$.terms[0].exp"),
         ]
         for doc, path in refused:
             with pytest.raises(jsonschema.ValidationError):
@@ -218,6 +229,21 @@ class TestParseFamily:
             with pytest.raises(FamilyParseError) as err:
                 parse_family(json.dumps(doc))
             assert err.value.path == path
+
+
+    @pytest.mark.parametrize("key,number", [
+        ("re", "1" + "0" * 400), ("im", "-1e400"), ("re", "NaN"), ("exp", "1" + "0" * 400),
+    ], ids=["re-int", "im-float", "re-nan", "exp-int"])
+    def test_number_beyond_double_range(self, key, number):
+        """Numbers no double holds (json reads 10**400 as an int, 1e400 as
+        inf) are refused at their path instead of overflowing later."""
+        rows = {"re": "[[0, 1], [0, 0]]", "im": "[[0, 0], [0, 0]]", "exp": "[1]"}
+        rows[key] = rows[key].replace("1" if key != "im" else "0", number, 1)
+        doc = ('{"m": 2, "n": 1, "terms": [{"exp": %(exp)s, "re": %(re)s, "im": %(im)s}]}'
+               % rows)
+        with pytest.raises(FamilyParseError) as err:
+            parse_family(doc)
+        assert err.value.path == f"$.terms[0].{key}"
 
 
 def per_point_polynomial(poly, p):
