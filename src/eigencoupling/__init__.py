@@ -52,15 +52,12 @@ from .ep_asymptotics import (
     tangency_conditions,
 )
 from .family import (
-    DirectionalCurve,
     MatrixFamily,
     PolynomialFamily,
     derivative,
     evaluate,
     evaluate_many,
     parse_family,
-    second_derivative,
-    taylor_along_curve,
 )
 from .numkit import eig_all, hermitian_inner
 from .pairmodel import PairSheets, sheets

@@ -58,7 +58,7 @@ class _UsageError(Exception):
 #: exception -> exit code; the first matching entry wins
 _EXIT_CODES = (
     ((_UsageError, FamilyParseError, DimensionError, ChartError,
-      DegenerateModelError, ResolutionError, ModelError), EXIT_USAGE),
+      DegenerateModelError, ResolutionError, ModelError, MemoryError), EXIT_USAGE),
     ((MultiplicityError, ClassificationError, IndeterminateRankError,
       FrameError), EXIT_NO_DEGENERACY),
     (DomainError, EXIT_DOMAIN),
@@ -484,8 +484,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(_attach_negative_values(argv))
         opts = _merge_options(args)
         return _COMMANDS[args.command][0](opts)
-    except (_UsageError, EigenCouplingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, EigenCouplingError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.residual_history:
             history = ", ".join(f"{x:.3e}" for x in exc.residual_history)
             print(f"residual history: {history}", file=sys.stderr)

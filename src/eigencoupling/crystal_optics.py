@@ -9,7 +9,7 @@ activity vector g(s) = gamma . s (chirality), linear in s.
 
 The direction is parametrized by the upper-hemisphere chart (s1, s2) with
 s3 = +sqrt(1 - s1^2 - s2^2); ``family_adapter`` exposes A over this chart as
-a MatrixFamily with analytic first and second derivatives.
+a MatrixFamily with analytic first derivatives.
 
 Structural identities: s^T A(s) = 0 (s is a left eigenvector with eigenvalue
 zero), so A always has a zero eigenvalue and the physics lives in the other
@@ -18,7 +18,6 @@ two.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,21 +121,6 @@ def refractive_indices(spec: DielectricSpec, s):
     return tuple(1.0 / np.sqrt(complex(lam)) for lam in pair)
 
 
-def _chart_frames(p):
-    """s, ds/dp_i and d2s/dp_i dp_j on the chart (shared by the adapter)."""
-    s1, s2 = float(p[0]), float(p[1])
-    s = direction(s1, s2)
-    s3 = s[2]
-    ds = [np.array([1.0, 0.0, -s1 / s3]), np.array([0.0, 1.0, -s2 / s3])]
-    p12 = np.array([s1, s2])
-
-    def d2s(i, j):
-        comp = -(1.0 if i == j else 0.0) / s3 - p12[i] * p12[j] / s3 ** 3
-        return np.array([0.0, 0.0, comp])
-
-    return s, ds, d2s
-
-
 def family_adapter(spec: DielectricSpec) -> MatrixFamily:
     """A(s1, s2) as a 3x3 MatrixFamily over the hemisphere chart.
 
@@ -153,34 +137,17 @@ def family_adapter(spec: DielectricSpec) -> MatrixFamily:
         return optical_matrix(spec, direction(p[..., 0], p[..., 1]))
 
     def deriv(p, i):
-        s, ds, _ = _chart_frames(p)
+        # ds/dp_i on the chart: e_i with the s3 chain rule in the last entry
+        s = direction(float(p[0]), float(p[1]))
+        ds = np.zeros(3)
+        ds[i], ds[2] = 1.0, -p[i] / s[2]
         eta_s = eta(spec, s)
-        dproj = -(np.outer(ds[i], s) + np.outer(s, ds[i]))
-        deta = gyration_matrix(spec.activity @ ds[i])
+        dproj = -(np.outer(ds, s) + np.outer(s, ds))
+        deta = gyration_matrix(spec.activity @ ds)
         return dproj @ eta_s + (np.eye(3) - np.outer(s, s)) @ deta
 
-    def second_deriv(p, i, j):
-        s, ds, d2s = _chart_frames(p)
-        eta_s = eta(spec, s)
-        proj = np.eye(3) - np.outer(s, s)
-        deta_i = gyration_matrix(spec.activity @ ds[i])
-        deta_j = gyration_matrix(spec.activity @ ds[j])
-        d2eta = gyration_matrix(spec.activity @ d2s(i, j))
-        dproj_i = -(np.outer(ds[i], s) + np.outer(s, ds[i]))
-        dproj_j = -(np.outer(ds[j], s) + np.outer(s, ds[j]))
-        d2proj = -(
-            np.outer(d2s(i, j), s) + np.outer(ds[i], ds[j])
-            + np.outer(ds[j], ds[i]) + np.outer(s, d2s(i, j))
-        )
-        return (
-            d2proj @ eta_s + dproj_i @ deta_j + dproj_j @ deta_i + proj @ d2eta
-        )
-
-    return MatrixFamily(
-        dim=3, n_params=2,
-        evaluator=evaluator, deriv=deriv, second_deriv=second_deriv,
-        domain_guard=guard, vectorized=True,
-    )
+    return MatrixFamily(dim=3, n_params=2, evaluator=evaluator, deriv=deriv,
+                        domain_guard=guard, vectorized=True)
 
 
 def builtin_specs() -> dict:
@@ -206,14 +173,3 @@ def builtin_specs() -> dict:
         "crystal-example-1": DielectricSpec(anisotropy=u1, activity=gamma1),
         "crystal-example-2": DielectricSpec(anisotropy=u2, activity=gamma2),
     }
-
-
-def spec_from_json(text: str) -> DielectricSpec:
-    """Dielectric spec from JSON: {"U_re", "U_im", "gamma_re", "gamma_im"}."""
-    doc = json.loads(text)
-    for key in ("U_re", "U_im", "gamma_re", "gamma_im"):
-        if key not in doc:
-            raise DimensionError(f"dielectric spec JSON missing '{key}'")
-    u = np.asarray(doc["U_re"], dtype=float) + 1j * np.asarray(doc["U_im"], dtype=float)
-    g = np.asarray(doc["gamma_re"], dtype=float) + 1j * np.asarray(doc["gamma_im"], dtype=float)
-    return DielectricSpec(anisotropy=u, activity=g)

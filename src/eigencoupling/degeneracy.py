@@ -299,7 +299,7 @@ def codimension(matrix_type: str, kind: str) -> Optional[int]:
     return _CODIMENSION_TABLE[key]
 
 
-def _select_pair(values, which, prev=None):
+def _select_pair(values, prev=None):
     """Pick the tracked eigenvalue pair out of the full spectrum."""
     m = len(values)
     if m < 2:
@@ -308,9 +308,6 @@ def _select_pair(values, which, prev=None):
         # assignment of the two previous values to the closest new ones
         i, j, _ = numkit.pair_assignment(values[None], np.array([prev]))
         return values[i[0]], values[j[0]]
-    if which is not None:
-        order = sorted(range(m), key=lambda k: abs(values[k] - which))
-        return values[order[0]], values[order[1]]
     # the closest pair; ties go to the lowest (i, j)
     _, i, j = min((abs(values[i] - values[j]), i, j)
                   for i in range(m) for j in range(i + 1, m))
@@ -339,7 +336,7 @@ def _approximate_split_gradient(a, derivs, mean):
     return np.array([hermitian_inner(d @ u0, v0) for d in derivs])
 
 
-def find_ep(fam: family_mod.MatrixFamily, p_guess, which=None,
+def find_ep(fam: family_mod.MatrixFamily, p_guess,
             max_iter: int = DEFAULT_MAX_ITER) -> EPSearchResult:
     """Newton search for an exceptional point of a two-parameter family.
 
@@ -361,7 +358,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess, which=None,
     def probe(point, prev=None):
         a = family_mod.evaluate(fam, point)
         values = numkit.eigvals(a)
-        lam_p, lam_m = _select_pair(values, which, prev)
+        lam_p, lam_m = _select_pair(values, prev)
         mean = (lam_p + lam_m) / 2.0
         z = ((lam_p - lam_m) / 2.0) ** 2
         gap = abs(lam_p - lam_m)

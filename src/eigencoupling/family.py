@@ -1,16 +1,12 @@
 """Parameter-dependent matrix families A(p).
 
-A family bundles an evaluator over n real parameters with first and second
-parameter derivatives (analytic when available, 4th-order central finite
-differences otherwise) and Taylor data A0, A1, A2 along parametrized curves
-p(eps), where
+A family bundles an evaluator over n real parameters with the first
+parameter derivatives dA/dp_i (analytic when available, 4th-order central
+finite differences otherwise): the data A0 = A(p0) and A1 = sum_i dA/dp_i dp_i
+that the first-order models at a double eigenvalue read.
 
-    A(p(eps)) = A0 + eps*A1 + eps^2/2 * A2 + o(eps^2),
-    A1 = sum_i dA/dp_i * dp_i/deps,
-    A2 = sum_i dA/dp_i * d2p_i/deps2 + sum_{i,j} d2A/dp_i dp_j * dp_i' dp_j'.
-
-Concrete analytic families are polynomial in the parameters and can be read
-from / written to a small JSON format (see ``parse_family``).
+Concrete analytic families are polynomial in the parameters and are read
+from a small JSON format (see ``parse_family``).
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -26,33 +21,6 @@ from .errors import DimensionError, DomainError, FamilyParseError
 
 #: Relative finite-difference step; balances truncation vs roundoff at 4th order.
 FD_STEP = 1e-5
-
-
-@dataclass(frozen=True)
-class DirectionalCurve:
-    """Curve p(eps) through ``origin`` with given velocity and acceleration."""
-
-    origin: np.ndarray
-    velocity: np.ndarray
-    acceleration: np.ndarray
-
-    def __post_init__(self):
-        for name in ("origin", "velocity", "acceleration"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise DimensionError(f"curve {name} has non-finite entries")
-            object.__setattr__(self, name, arr)
-        if not (self.origin.shape == self.velocity.shape == self.acceleration.shape):
-            raise DimensionError("curve fields must have matching lengths")
-
-
-@dataclass(frozen=True)
-class TaylorTriple:
-    """Matrices A0, A1, A2 of the expansion along a curve."""
-
-    a0: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
 
 
 class MatrixFamily:
@@ -66,9 +34,9 @@ class MatrixFamily:
         Number of real parameters n.
     evaluator:
         Callable p -> (m, m) complex array.
-    deriv, second_deriv:
-        Optional analytic derivatives, ``deriv(p, i)`` and
-        ``second_deriv(p, i, j)``. When absent, finite differences are used.
+    deriv:
+        Optional analytic derivative ``deriv(p, i)``. When absent, finite
+        differences are used.
     domain_guard:
         Optional predicate; points where it returns False raise DomainError.
     vectorized:
@@ -78,12 +46,11 @@ class MatrixFamily:
     """
 
     def __init__(self, dim, n_params, evaluator,
-                 deriv=None, second_deriv=None, domain_guard=None, vectorized=False):
+                 deriv=None, domain_guard=None, vectorized=False):
         self.dim = int(dim)
         self.n_params = int(n_params)
         self._evaluator = evaluator
         self._deriv = deriv
-        self._second_deriv = second_deriv
         self.domain_guard = domain_guard
         self.vectorized = bool(vectorized)
         if self.dim < 1 or self.n_params < 1:
@@ -104,21 +71,28 @@ class MatrixFamily:
         return arr
 
 
-def _checked(a, shape) -> np.ndarray:
+def _checked(a, shape, points) -> np.ndarray:
+    """The evaluator's output at ``points`` ((n,) or (N, n)), refused unless it
+    has the expected shape and finite entries."""
     a = np.asarray(a, dtype=complex)
     if a.shape != shape:
         raise DimensionError(f"evaluator returned shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        finite = np.isfinite(a).all(axis=(-2, -1)).ravel()
+        bad = np.reshape(points, (-1, points.shape[-1]))[int(np.argmin(finite))]
+        raise DimensionError(f"A(p) has non-finite entries at point {bad.tolist()}")
     return a
 
 
 def evaluate(fam: MatrixFamily, p) -> np.ndarray:
-    """A(p). Raises DomainError outside the family's validity domain."""
+    """A(p). Raises DomainError outside the family's validity domain and
+    DimensionError where A(p) has non-finite entries (overflow)."""
     pt = fam._point(p)
     if fam.vectorized:
         return evaluate_many(fam, pt[None])[0]
     if not fam.contains(pt):
         raise DomainError(f"point {pt.tolist()} outside the family domain")
-    return _checked(fam._evaluator(pt), (fam.dim, fam.dim))
+    return _checked(fam._evaluator(pt), (fam.dim, fam.dim), pt)
 
 
 def evaluate_many(fam: MatrixFamily, points) -> np.ndarray:
@@ -143,12 +117,7 @@ def evaluate_many(fam: MatrixFamily, points) -> np.ndarray:
         if not inside.all():
             bad = pts[int(np.argmin(inside))]
             raise DomainError(f"point {bad.tolist()} outside the family domain")
-    return _checked(fam._evaluator(pts), (len(pts), fam.dim, fam.dim))
-
-
-def _fd4(sample: Callable[[float], np.ndarray], h: float) -> np.ndarray:
-    # 4th-order central stencil: (-f(2h) + 8f(h) - 8f(-h) + f(-2h)) / 12h
-    return (-sample(2 * h) + 8 * sample(h) - 8 * sample(-h) + sample(-2 * h)) / (12 * h)
+    return _checked(fam._evaluator(pts), (len(pts), fam.dim, fam.dim), pts)
 
 
 def derivative(fam: MatrixFamily, p, i: int) -> np.ndarray:
@@ -165,45 +134,8 @@ def derivative(fam: MatrixFamily, p, i: int) -> np.ndarray:
         q[i] += delta
         return evaluate(fam, q)
 
-    return _fd4(sample, h)
-
-
-def second_derivative(fam: MatrixFamily, p, i: int, j: int) -> np.ndarray:
-    """d2A/dp_i dp_j at p (symmetric in i, j up to FD truncation)."""
-    pt = fam._point(p)
-    for k in (i, j):
-        if not 0 <= k < fam.n_params:
-            raise DimensionError(f"parameter index {k} out of range")
-    if fam._second_deriv is not None:
-        return np.asarray(fam._second_deriv(pt, i, j), dtype=complex)
-    # nested first differences: outer FD in p_j of (dA/dp_i)
-    h = FD_STEP * max(1.0, abs(pt[j]))
-
-    def sample(delta):
-        q = pt.copy()
-        q[j] += delta
-        return derivative(fam, q, i)
-
-    return _fd4(sample, h)
-
-
-def taylor_along_curve(fam: MatrixFamily, curve: DirectionalCurve) -> TaylorTriple:
-    """A0, A1, A2 of the family along p(eps) = origin + eps*v + eps^2/2 * a."""
-    p0 = fam._point(curve.origin)
-    vel = curve.velocity
-    acc = curve.acceleration
-    a0 = evaluate(fam, p0)
-    firsts = [derivative(fam, p0, i) for i in range(fam.n_params)]
-    a1 = sum((firsts[i] * vel[i] for i in range(fam.n_params)),
-             start=np.zeros_like(a0))
-    a2 = sum((firsts[i] * acc[i] for i in range(fam.n_params)),
-             start=np.zeros_like(a0))
-    for i in range(fam.n_params):
-        for j in range(fam.n_params):
-            if vel[i] == 0.0 or vel[j] == 0.0:
-                continue
-            a2 = a2 + second_derivative(fam, p0, i, j) * vel[i] * vel[j]
-    return TaylorTriple(a0=a0, a1=a1, a2=a2)
+    # 4th-order central stencil: (-f(2h) + 8f(h) - 8f(-h) + f(-2h)) / 12h
+    return (-sample(2 * h) + 8 * sample(h) - 8 * sample(-h) + sample(-2 * h)) / (12 * h)
 
 
 @dataclass(frozen=True)
@@ -214,6 +146,8 @@ class PolynomialFamily:
     n_params: int
     terms: tuple = field(default_factory=tuple)  # of (coeff (m,m) complex, exps tuple)
 
+    # overflow is refused by evaluate's finite check, not warned about
+    @np.errstate(over="ignore", invalid="ignore")
     def value(self, p: np.ndarray) -> np.ndarray:
         """A(p) for points p of shape (..., n); broadcasts over leading axes."""
         p = np.asarray(p, dtype=float)
@@ -234,43 +168,9 @@ class PolynomialFamily:
             out += coeff * exps[i] * np.prod(np.power(p, shifted))
         return out
 
-    def second(self, p: np.ndarray, i: int, j: int) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for coeff, exps in self.terms:
-            shifted = list(exps)
-            factor = shifted[i]
-            if factor == 0:
-                continue
-            shifted[i] -= 1
-            factor *= shifted[j]
-            if factor == 0:
-                continue
-            shifted[j] -= 1
-            out += coeff * factor * np.prod(np.power(p, shifted))
-        return out
-
     def to_family(self) -> MatrixFamily:
-        fam = MatrixFamily(
-            self.dim, self.n_params,
-            evaluator=self.value, deriv=self.deriv, second_deriv=self.second,
-            vectorized=True,
-        )
-        fam.polynomial = self  # keep the term list reachable for serialization
-        return fam
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.dim,
-            "n": self.n_params,
-            "terms": [
-                {
-                    "exp": [int(e) for e in exps],
-                    "re": coeff.real.tolist(),
-                    "im": coeff.imag.tolist(),
-                }
-                for coeff, exps in self.terms
-            ],
-        }
+        return MatrixFamily(self.dim, self.n_params, evaluator=self.value,
+                            deriv=self.deriv, vectorized=True)
 
 
 def _require(cond, path, message):
@@ -354,11 +254,3 @@ def parse_polynomial(text: str) -> PolynomialFamily:
 def parse_family(text: str) -> MatrixFamily:
     """Parse the family JSON document into an analytic MatrixFamily."""
     return parse_polynomial(text).to_family()
-
-
-def serialize_family(fam) -> str:
-    """Serialize a polynomial-backed family back to its JSON document."""
-    poly = fam if isinstance(fam, PolynomialFamily) else getattr(fam, "polynomial", None)
-    if poly is None:
-        raise DimensionError("only polynomial-backed families can be serialized")
-    return json.dumps(poly.to_json_dict(), sort_keys=True)

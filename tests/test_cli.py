@@ -28,6 +28,14 @@ SEPARATED_FAMILY = json.dumps({
     ],
 })
 
+#: the toy EP family plus p1^400 I: finite at the anchor, overflowing at |p1| = 10
+OVERFLOWING_FAMILY = json.dumps({
+    "m": 2, "n": 2,
+    "terms": json.loads(TOY_FAMILY)["terms"] + [
+        {"exp": [400, 0], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    ],
+})
+
 
 def validate(report, schema_name):
     jsonschema = pytest.importorskip("jsonschema")
@@ -558,18 +566,46 @@ EXIT_CASES = [
     (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--res", "5"]),
     (1, ["find-ep", "--family", "crystal-example-1", "--at", "0.05,-0.03",
          "--tol-cluster", "1e-3"]),
+    (1, ["surface", "--family", "{ovf}", "--at", "0,0", "--window=-10,10", "--res", "5",
+         "--out", "{tmp}/s.csv"]),
 ]
 
 
 @pytest.mark.parametrize("code,argv", EXIT_CASES)
-def test_exit_codes(code, argv, capsys, tmp_path):
+def test_exit_codes(code, argv, capsys, tmp_path, recwarn):
     """One case per documented exit code; exit 1 also for find-ep on a
     one-parameter family, for non-finite flag values, for tolerances that
-    are not positive and finite, and for a flag the command does not read."""
-    sep = tmp_path / "sep.json"
-    sep.write_text(SEPARATED_FAMILY)
-    argv = [a.replace("{sep}", str(sep)).replace("{tmp}", str(tmp_path)) for a in argv]
-    assert run(capsys, *argv)[0] == code
+    are not positive and finite, for a flag the command does not read and
+    for a family that overflows on the surface grid. A failure prints one
+    error line, and no case warns."""
+    for name, doc in (("sep", SEPARATED_FAMILY), ("ovf", OVERFLOWING_FAMILY)):
+        (tmp_path / f"{name}.json").write_text(doc)
+    argv = [a.replace("{sep}", str(tmp_path / "sep.json"))
+            .replace("{ovf}", str(tmp_path / "ovf.json"))
+            .replace("{tmp}", str(tmp_path)) for a in argv]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error: ")]) == (code != 0)
+    assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command,allocator,flags", [
+    ("surface", "meshgrid", ["--window=-0.1,0.1", "--res", "100000"]),
+    ("loop", "linspace", ["--loop", "0,0,0.01", "--samples", "1000000000"]),
+])
+def test_allocation_failure_exit_one(command, allocator, flags, capsys, tmp_path,
+                                     monkeypatch):
+    """An array too large for memory ends in exit 1 and one error line; the
+    allocation is refused by a stand-in, not attempted."""
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(np, allocator, refuse)
+    code = cli.main([command, "--family", "crystal-example-1", "--at", "0,0", *flags,
+                     "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array\n"
 
 
 def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -147,6 +145,7 @@ class TestRefractiveIndices:
 
 class TestFamilyAdapter:
     def test_reference_derivatives(self, crystal1):
+        assert np.allclose(family_mod.evaluate(crystal1, [0.0, 0.0]), A1_POLE)
         assert np.allclose(family_mod.derivative(crystal1, [0.0, 0.0], 0),
                            DA1_DS1, atol=1e-12)
         assert np.allclose(family_mod.derivative(crystal1, [0.0, 0.0], 1),
@@ -163,23 +162,6 @@ class TestFamilyAdapter:
                 exact = family_mod.derivative(fam, p, i)
                 approx = family_mod.derivative(fd, p, i)
                 assert np.linalg.norm(exact - approx) < 1e-6 * np.linalg.norm(exact)
-
-    def test_second_derivative_matches_fd(self, crystal1):
-        fd = family_mod.MatrixFamily(
-            3, 2, evaluator=lambda p: family_mod.evaluate(crystal1, p),
-            domain_guard=crystal1.domain_guard,
-        )
-        for (i, j) in ((0, 0), (0, 1), (1, 1)):
-            exact = family_mod.second_derivative(crystal1, [0.0, 0.0], i, j)
-            approx = family_mod.second_derivative(fd, [0.0, 0.0], i, j)
-            scale = max(np.linalg.norm(exact), 1.0)
-            assert np.linalg.norm(exact - approx) < 1e-6 * scale
-
-    def test_taylor_velocity_e1(self, crystal1):
-        curve = family_mod.DirectionalCurve([0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
-        triple = family_mod.taylor_along_curve(crystal1, curve)
-        assert np.allclose(triple.a0, A1_POLE)
-        assert np.allclose(triple.a1, DA1_DS1, atol=1e-12)
 
     def test_chart_boundary(self, crystal1):
         with pytest.raises(DomainError):
@@ -238,19 +220,6 @@ class TestGridInvariants:
         err_half = sup_error(0.025)
         assert err_full <= 0.02
         assert err_full / err_half >= 2.5
-
-
-class TestSpecJson:
-    def test_round_trip(self):
-        doc = json.dumps({
-            "U_re": SPEC1.anisotropy.real.tolist(),
-            "U_im": SPEC1.anisotropy.imag.tolist(),
-            "gamma_re": SPEC1.activity.real.tolist(),
-            "gamma_im": SPEC1.activity.imag.tolist(),
-        })
-        spec = co.spec_from_json(doc)
-        assert np.array_equal(spec.anisotropy, SPEC1.anisotropy)
-        assert np.array_equal(spec.activity, SPEC1.activity)
 
 
 def per_point_optical_matrix(spec, s1, s2):

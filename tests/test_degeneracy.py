@@ -231,7 +231,6 @@ def toy_family():
         evaluator=lambda p: np.array([[0.0, 1.0], [p[0] + 1j * p[1], 0.0]]),
         deriv=lambda p, i: (np.array([[0.0, 0.0], [1.0, 0.0]]) if i == 0
                             else np.array([[0.0, 0.0], [1j, 0.0]])),
-        second_deriv=lambda p, i, j: np.zeros((2, 2), dtype=complex),
     )
 
 
@@ -247,12 +246,6 @@ class TestFindEP:
     def test_toy_family(self):
         result = degeneracy.find_ep(toy_family(), [0.2, 0.1])
         assert np.linalg.norm(result.p_star) <= 1e-10
-
-    def test_pair_selector(self, crystal1):
-        # selecting the pair nearest a target eigenvalue
-        result = degeneracy.find_ep(crystal1, [0.05, -0.03], which=2.0)
-        assert np.linalg.norm(result.p_star) <= 1e-10
-        assert result.lam0 == pytest.approx(2.0, abs=1e-6)
 
     def test_start_at_ep(self):
         result = degeneracy.find_ep(toy_family(), [0.0, 0.0])

@@ -510,7 +510,6 @@ class TestGenericFamilyPipeline:
             4, 2,
             evaluator=lambda p: a0 + p[0] * b1 + p[1] * b2,
             deriv=lambda p, i: b1 if i == 0 else b2,
-            second_deriv=lambda p, i, j: np.zeros((4, 4), dtype=complex),
         )
         return fam, a0, lam0
 
