@@ -145,7 +145,6 @@ class TestRefractiveIndices:
 
 class TestFamilyAdapter:
     def test_reference_derivatives(self, crystal1):
-        assert np.allclose(family_mod.evaluate(crystal1, [0.0, 0.0]), A1_POLE)
         assert np.allclose(family_mod.derivative(crystal1, [0.0, 0.0], 0),
                            DA1_DS1, atol=1e-12)
         assert np.allclose(family_mod.derivative(crystal1, [0.0, 0.0], 1),
@@ -162,6 +161,15 @@ class TestFamilyAdapter:
                 exact = family_mod.derivative(fam, p, i)
                 approx = family_mod.derivative(fd, p, i)
                 assert np.linalg.norm(exact - approx) < 1e-6 * np.linalg.norm(exact)
+
+    def test_taylor_velocity_e1(self, crystal1):
+        # Along p(eps) = eps * e1 the Taylor terms are A(0) and dA/ds1(0).
+        direction = np.array([1.0, 0.0])
+        a0 = family_mod.evaluate(crystal1, [0.0, 0.0])
+        a1 = sum(direction[i] * family_mod.derivative(crystal1, [0.0, 0.0], i)
+                 for i in range(2))
+        assert np.allclose(a0, A1_POLE)
+        assert np.allclose(a1, DA1_DS1, atol=1e-12)
 
     def test_chart_boundary(self, crystal1):
         with pytest.raises(DomainError):
