@@ -22,19 +22,13 @@ import numpy as np
 from . import crystal_optics, degeneracy, dp_asymptotics, ep_asymptotics, numkit
 from . import family as family_mod
 from .errors import (
-    ChartError,
     ClassificationError,
     ConvergenceError,
-    DegenerateModelError,
-    DimensionError,
     DomainError,
     EigenCouplingError,
-    FamilyParseError,
     FrameError,
     IndeterminateRankError,
-    ModelError,
     MultiplicityError,
-    ResolutionError,
     TrackingError,
 )
 from .pairmodel import sheets, sweep
@@ -57,8 +51,7 @@ class _UsageError(Exception):
 
 #: exception -> exit code; the first matching entry wins
 _EXIT_CODES = (
-    ((_UsageError, FamilyParseError, DimensionError, ChartError,
-      DegenerateModelError, ResolutionError, ModelError, MemoryError), EXIT_USAGE),
+    ((_UsageError, MemoryError), EXIT_USAGE),
     ((MultiplicityError, ClassificationError, IndeterminateRankError,
       FrameError), EXIT_NO_DEGENERACY),
     (DomainError, EXIT_DOMAIN),
@@ -132,15 +125,6 @@ def _csv(header, table) -> str:
     table = np.asarray(table, dtype=float)
     line = ",".join(["%.17g"] * len(header)) + "\n"
     return ",".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
-
-
-def _write_section(out, p1, table):
-    """The scenario cross-section CSV: p1 and the four sheets per sample."""
-    if not out:
-        raise _UsageError("--format csv requires --out")
-    _write_text(out, _csv(["p1", "re_plus", "re_minus", "im_plus", "im_minus"],
-                          np.column_stack((p1, table))))
-    return EXIT_OK
 
 
 def cmd_classify(opts) -> int:
@@ -299,10 +283,22 @@ def cmd_scenario(opts) -> int:
     if len(offset) != fam.n_params - 1:
         raise _UsageError(f"--offset needs {fam.n_params - 1} components")
     model = _local_model(fam, p0, kind)
+    chart_2p = kind.kind == "DP" and not opts.get("offset")
+    if chart_2p and fam.n_params != 2:
+        raise _UsageError("two-parameter classification needs n = 2; "
+                          "pass --offset for the one-parameter scenario")
+    if opts.get("format") == "csv":
+        if chart_2p:
+            raise _UsageError("--format csv at a DP anchor needs --offset (the "
+                              "two-parameter classification is a JSON report)")
+        if not opts.get("out"):
+            raise _UsageError("--format csv requires --out")
+        dps = sweep(offset)
+        table = np.column_stack((p0[0] + dps[:, 0], sheets(model, dps).sheets))
+        _write_text(opts["out"], _csv(["p1", "re_plus", "re_minus", "im_plus", "im_minus"], table))
+        return EXIT_OK
     if kind.kind == "EP":
         section = ep_asymptotics.cross_section(model, offset)
-        if opts.get("format") == "csv":
-            return _write_section(opts.get("out"), section.sample_p1, section.sample_sheets)
         report = {
             "kind": "EP",
             "gamma": section.gamma,
@@ -314,10 +310,7 @@ def cmd_scenario(opts) -> int:
             "im_slopes": list(section.im_slopes) if section.im_slopes else None,
             "vertical_tangents": section.vertical_tangents,
         }
-    elif opts.get("offset"):
-        if opts.get("format") == "csv":
-            dps = sweep(offset)
-            return _write_section(opts.get("out"), p0[0] + dps[:, 0], sheets(model, dps).sheets)
+    elif not chart_2p:
         rep = dp_asymptotics.avoided_crossing_1p(model, offset)
         roots = [x for x in (rep.dp1_a, rep.dp1_b) if x is not None] or None
         cvals = [x for x in (rep.c_a, rep.c_b) if x is not None] or None
@@ -330,12 +323,6 @@ def cmd_scenario(opts) -> int:
             "c_values": cvals,
         }
     else:
-        if fam.n_params != 2:
-            raise _UsageError("two-parameter classification needs n = 2; "
-                              "pass --offset for the one-parameter scenario")
-        if opts.get("format") == "csv":
-            raise _UsageError("--format csv at a DP anchor needs --offset (the "
-                              "two-parameter classification is a JSON report)")
         rep = dp_asymptotics.surface_classification_2p(model)
         lines = (None if rep.line_a is None
                  else [[float(x) for x in rep.line_a], [float(x) for x in rep.line_b]])

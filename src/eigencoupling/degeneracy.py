@@ -154,6 +154,8 @@ def classify(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) -> Deg
     ambiguous and raises IndeterminateRankError carrying the spectrum. The
     result keeps the SVD of A - lam0 I and sigma_max(A) for the builders.
     """
+    if tol_rank <= 0:
+        raise ValueError("tol_rank must be positive")
     arr = numkit.as_cmatrix(a)
     shifted = numkit.SVD(arr - lam0 * np.eye(arr.shape[0]))
     s = shifted.s
@@ -203,15 +205,17 @@ def jordan_chain_of(kind: DegeneracyClass) -> JordanChain:
     rescaled to (u1, v0) = 1, and v1 as the minimum-norm adjoint solve
     corrected by a multiple of v0 so that (u1, v1) = 0. The right vectors
     come from the classification's factorisation, the left ones from one
-    factorisation of the adjoint.
+    factorisation of the adjoint. ``classify`` has decided the kernel is
+    one-dimensional, so both kernels are trailing singular vectors, as in
+    ``dp_frame_of``, and both solves run on their complements.
     """
     if kind.kind != "EP":
         raise ClassificationError("jordan_chain needs an EP; classify says DP")
     shifted, tol_rank = kind.shifted, kind.tol_rank
-    u0 = shifted.null_vector(tol_rank)
+    u0 = shifted.null_vector()
     u1 = shifted.solve(u0, tol_rank)
     adjoint = numkit.SVD(shifted.matrix.conj().T)
-    v0_raw = adjoint.null_vector(tol_rank)
+    v0_raw = adjoint.null_vector()
     scale = hermitian_inner(u1, v0_raw)
     if abs(scale) < 1e-12 * np.linalg.norm(u1):
         raise FrameError("(u1, v0) vanishes; chain normalization impossible")

@@ -33,8 +33,8 @@ import numpy as np
 from . import family as family_mod
 from .degeneracy import DPFrame
 from .errors import ChartError, DimensionError
-from .numkit import as_cmatrix, hermitian_inner
-from .pairmodel import PairPoint, offsets, pair_at
+from .numkit import as_cmatrix
+from .pairmodel import PairPoint, offsets, pair_at, projection
 
 #: Relative tolerance deciding when a discriminant / critical value is
 #: treated as exactly zero (degenerate scenario).
@@ -120,16 +120,8 @@ class SurfaceTypeReport:
 
 def reduced_problem(a1, frame: DPFrame) -> ReducedProblem:
     """Project a perturbation direction onto the 2x2 reduced problem."""
-    a1 = as_cmatrix(a1)
-    us = (frame.u1, frame.u2)
-    vs = (frame.v1, frame.v2)
-    mat = np.array([
-        [hermitian_inner(a1 @ us[k], vs[j]) for k in range(2)]
-        for j in range(2)
-    ])
-    mean = (mat[0, 0] + mat[1, 1]) / 2.0
-    rad = cmath.sqrt((mat[0, 0] - mat[1, 1]) ** 2 / 4.0 + mat[0, 1] * mat[1, 0])
-    mu_p, mu_m = mean + rad, mean - rad
+    mat = projection(as_cmatrix(a1), (frame.u1, frame.u2), (frame.v1, frame.v2)).T
+    mu_p, mu_m = _eigenvalues(mat)
 
     def eigvec(mu):
         # null vector of (mat - mu I), larger of the two analytic candidates
@@ -140,9 +132,16 @@ def reduced_problem(a1, frame: DPFrame) -> ReducedProblem:
         return vec / nrm if nrm > 0 else np.array([1.0 + 0j, 0.0 + 0j])
 
     return ReducedProblem(
-        matrix=mat, mu_plus=complex(mu_p), mu_minus=complex(mu_m),
+        matrix=mat, mu_plus=mu_p, mu_minus=mu_m,
         vec_plus=eigvec(mu_p), vec_minus=eigvec(mu_m),
     )
+
+
+def _eigenvalues(mat):
+    """The eigenvalues mean +- rad of a 2x2 matrix."""
+    mean = (mat[0, 0] + mat[1, 1]) / 2.0
+    rad = cmath.sqrt((mat[0, 0] - mat[1, 1]) ** 2 / 4.0 + mat[0, 1] * mat[1, 0])
+    return complex(mean + rad), complex(mean - rad)
 
 
 def dp_sensitivities(fam: family_mod.MatrixFamily, frame: DPFrame, p0) -> DPLocalModel:
@@ -152,15 +151,9 @@ def dp_sensitivities(fam: family_mod.MatrixFamily, frame: DPFrame, p0) -> DPLoca
     built from them are not.
     """
     p0 = fam._point(p0)
-    n = fam.n_params
-    us = (frame.u1, frame.u2)
-    vs = (frame.v1, frame.v2)
-    coupling = np.zeros((2, 2, n), dtype=complex)
-    for s in range(n):
-        d = family_mod.derivative(fam, p0, s)
-        for i in range(2):
-            for j in range(2):
-                coupling[i, j, s] = hermitian_inner(d @ us[i], vs[j])
+    coupling = np.stack([
+        projection(family_mod.derivative(fam, p0, s), (frame.u1, frame.u2), (frame.v1, frame.v2))
+        for s in range(fam.n_params)], axis=-1)
     return DPLocalModel(p0=p0, lam0=frame.lam0, coupling=coupling)
 
 
@@ -191,12 +184,17 @@ def one_param_slopes(model: DPLocalModel):
 
     Equal to the eigenvalues of the reduced problem for the p_1 direction.
     """
-    d11_1 = model.coupling[0, 0, 0]
-    d22_1 = model.coupling[1, 1, 0]
-    rad = cmath.sqrt((d11_1 - d22_1) ** 2 / 4.0
-                     + model.coupling[0, 1, 0] * model.coupling[1, 0, 0])
-    mean = (d11_1 + d22_1) / 2.0
-    return complex(mean + rad), complex(mean - rad)
+    return _eigenvalues(model.coupling[:, :, 0])
+
+
+def _quadratic_form(model: DPLocalModel, x, y):
+    """(cxx, cxy, cyy) with c(a x + b y) = cxx a^2 + cxy a b + cyy b^2, where
+    x and y read a coupling vector at the two directions."""
+    d = model.coupling
+    vectors = (d[0, 0] - d[1, 1], d[0, 1], d[1, 0])
+    dx, ux, wx = (x(v) for v in vectors)
+    dy, uy, wy = (y(v) for v in vectors)
+    return dx ** 2 / 4.0 + ux * wx, dx * dy / 2.0 + ux * wy + wx * uy, dy ** 2 / 4.0 + uy * wy
 
 
 def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
@@ -211,15 +209,7 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
         raise DimensionError(
             f"dp_rest must have {model.n_params - 1} components, got {rest.shape}"
         )
-    diff = model.coupling[0, 0] - model.coupling[1, 1]
-    d12 = model.coupling[0, 1]
-    d21 = model.coupling[1, 0]
-    diff_rest = diff[1:] @ rest
-    d12_rest = d12[1:] @ rest
-    d21_rest = d21[1:] @ rest
-    c0 = diff_rest ** 2 / 4.0 + d12_rest * d21_rest
-    c1 = diff[0] * diff_rest / 2.0 + d12[0] * d21_rest + d21[0] * d12_rest
-    c2 = diff[0] ** 2 / 4.0 + d12[0] * d21[0]
+    c2, c1, c0 = _quadratic_form(model, lambda v: v[0], lambda v: v[1:] @ rest)
 
     def report(disc, a=None, b=None, ca=None, cb=None, scenario="degenerate"):
         return AvoidedCrossingReport(
@@ -230,17 +220,22 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     if not np.any(rest != 0.0):
         # exact coupling: c vanishes at dp1 = 0 with no transversal offset
         return report(0.0)
-    coeff_scale = max(abs(c0.imag), abs(c1.imag), abs(c2.imag))
-    if coeff_scale <= DEGENERACY_TOL * max(abs(c0), abs(c1), abs(c2), 1e-300):
+    # the checks below read c(t x) / t^2, t = max |dp_rest|: c is homogeneous,
+    # so its coefficients in x, and the label, do not depend on the scale t
+    t = float(np.abs(rest).max())
+    im0, im1, im2 = c0.imag / t / t, c1.imag / t, c2.imag
+    coeff_scale = max(abs(im0), abs(im1), abs(im2))
+    if coeff_scale <= DEGENERACY_TOL * max(abs(c0) / t / t, abs(c1) / t, abs(c2), 1e-300):
         return report(0.0)      # Im c identically ~0: crossing structure degenerate
     disc = c1.imag ** 2 - 4.0 * c0.imag * c2.imag
-    disc_scale = max(c1.imag ** 2, abs(4.0 * c0.imag * c2.imag), 1e-300)
-    if abs(c2.imag) <= DEGENERACY_TOL * coeff_scale:
+    if abs(im2) <= DEGENERACY_TOL * coeff_scale:
+        if abs(im1) <= DEGENERACY_TOL * coeff_scale:
+            return report(disc, scenario="no-crossing")     # Im c ~ Im c0 != 0
         # quadratic degenerates: Im c is linear with a single root
         root = -c0.imag / c1.imag
         c_root = c0 + c1 * root + c2 * root * root
         return report(disc, a=float(root), ca=float(c_root.real))
-    if abs(disc) <= DEGENERACY_TOL * disc_scale:
+    if abs(im1 ** 2 - 4.0 * im0 * im2) <= DEGENERACY_TOL * max(im1 ** 2, abs(4.0 * im0 * im2)):
         return report(disc)
     if disc < 0.0:
         return report(disc, scenario="no-crossing")
@@ -255,14 +250,19 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     value_scale = max(abs(ca), abs(cb), 1e-300)
     if min(abs(ca.real), abs(cb.real)) <= DEGENERACY_TOL * value_scale:
         return report(disc, dp1_a, dp1_b, float(ca.real), float(cb.real))
-    if ca.real * cb.real < 0.0:
-        scenario = "one-re-one-im"
-    elif ca.real < 0.0:
-        scenario = "two-re"
-    else:
-        scenario = "two-im"
+    _, scenario = _sign_ladder((ca, cb), "one-re-one-im", "two-re", "two-im")
     return report(disc, float(dp1_a), float(dp1_b),
                   float(ca.real), float(cb.real), scenario)
+
+
+def _sign_ladder(values, mixed, negative, positive):
+    """The signs of Re c (nonzero) at the two roots or lines of Im c, and
+    the label they decide; by the signs, as a product of two tiny values
+    underflows."""
+    signs = [1 if v.real > 0 else -1 for v in values]
+    if signs[0] != signs[1]:
+        return signs, mixed
+    return signs, negative if signs[0] < 0 else positive
 
 
 def surface_classification_2p(model: DPLocalModel) -> SurfaceTypeReport:
@@ -275,12 +275,7 @@ def surface_classification_2p(model: DPLocalModel) -> SurfaceTypeReport:
     """
     if model.n_params != 2:
         raise ChartError("surface classification needs a two-parameter model")
-    diff = model.coupling[0, 0] - model.coupling[1, 1]
-    d12 = model.coupling[0, 1]
-    d21 = model.coupling[1, 0]
-    c11 = diff[0] ** 2 / 4.0 + d12[0] * d21[0]
-    c22 = diff[1] ** 2 / 4.0 + d12[1] * d21[1]
-    c12 = diff[0] * diff[1] / 2.0 + d12[0] * d21[1] + d12[1] * d21[0]
+    c11, c12, c22 = _quadratic_form(model, lambda v: v[0], lambda v: v[1])
 
     def c_on(direction):
         x, y = direction
@@ -322,12 +317,7 @@ def surface_classification_2p(model: DPLocalModel) -> SurfaceTypeReport:
     value_scale = max(max(abs(v) for v in values), 1e-300)
     if min(abs(v.real) for v in values) <= DEGENERACY_TOL * value_scale:
         return report(disc, lines[0], lines[1], chart_degenerate=chart_degenerate)
-    signs = [1 if v.real > 0 else -1 for v in values]
-    if signs[0] * signs[1] < 0:
-        kind = "one-re-one-im-line"
-    elif signs[0] < 0:
-        kind = "re-cluster-of-shells"
-    else:
-        kind = "im-double-intersection"
+    signs, kind = _sign_ladder(values, "one-re-one-im-line", "re-cluster-of-shells",
+                               "im-double-intersection")
     return report(disc, lines[0], lines[1], signs[0], signs[1],
                   kind=kind, chart_degenerate=chart_degenerate)

@@ -44,8 +44,8 @@ from .errors import (
     ModelError,
     ResolutionError,
 )
-from .numkit import as_cmatrix, hermitian_inner
-from .pairmodel import PairPoint, complex_array, offsets, pair_at, sheets, sweep
+from .numkit import as_cmatrix
+from .pairmodel import PairPoint, complex_array, offsets, pair_at, projection, sheets, sweep
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,9 @@ def curve_split(chain: JordanChain, a0, a1) -> EPCurveSplit:
     """
     a0 = as_cmatrix(a0)
     a1 = as_cmatrix(a1)
-    mu1 = hermitian_inner(a1 @ chain.u0, chain.v0)
-    mu2 = (hermitian_inner(a1 @ chain.u0, chain.v1)
-           + hermitian_inner(a1 @ chain.u1, chain.v0)) / 2.0
+    proj = projection(a1, (chain.u0, chain.u1), (chain.v0, chain.v1))
+    mu1 = proj[0, 0]
+    mu2 = (proj[0, 1] + proj[1, 0]) / 2.0
     m = a0.shape[0]
     bordered = a0 - chain.lam0 * np.eye(m) + np.outer(chain.u1, chain.v1.conj())
     if np.linalg.cond(bordered) > 1e10:
@@ -186,10 +186,10 @@ def sensitivities(fam: family_mod.MatrixFamily, chain: JordanChain, p0) -> EPLoc
     split = np.zeros(n, dtype=complex)
     drift = np.zeros(n, dtype=complex)
     for s in range(n):
-        d = family_mod.derivative(fam, p0, s)
-        split[s] = hermitian_inner(d @ chain.u0, chain.v0)
-        drift[s] = (hermitian_inner(d @ chain.u0, chain.v1)
-                    + hermitian_inner(d @ chain.u1, chain.v0))
+        proj = projection(family_mod.derivative(fam, p0, s),
+                          (chain.u0, chain.u1), (chain.v0, chain.v1))
+        split[s] = proj[0, 0]
+        drift[s] = proj[0, 1] + proj[1, 0]
     scale = max(np.abs(split).max(initial=0.0), np.abs(drift).max(initial=0.0))
     return EPLocalModel(
         p0=p0, lam0=chain.lam0,
@@ -305,8 +305,6 @@ class SectionReport:
     vertical_tangents: bool
     cusp_re_coeffs: Optional[tuple]   # ((f1+rho1)/2, (f1-rho1)/2, h1/2)
     cusp_im_coeffs: Optional[tuple]   # ((rho1-f1)/2, -(f1+rho1)/2, r1/2)
-    sample_p1: np.ndarray
-    sample_sheets: np.ndarray  # rows: (re_plus, re_minus, im_plus, im_minus)
 
 
 def cross_section(model: EPLocalModel, fixed_rest=None) -> SectionReport:
@@ -346,13 +344,11 @@ def cross_section(model: EPLocalModel, fixed_rest=None) -> SectionReport:
     offsets_zero = bool(np.all(rest == 0.0))
     cusp_re = ((f1 + rho1) / 2.0, (f1 - rho1) / 2.0, h1 / 2.0) if offsets_zero else None
     cusp_im = ((rho1 - f1) / 2.0, -(f1 + rho1) / 2.0, r1 / 2.0) if offsets_zero else None
-    dps = sweep(rest)
     return SectionReport(
         gamma=gamma, p1_cross=float(model.p0[0] + dp1_cross),
         re_level=re_level, im_level=im_level, crossing=crossing,
         re_slopes=re_slopes, im_slopes=im_slopes, vertical_tangents=crossing == "cusp",
         cusp_re_coeffs=cusp_re, cusp_im_coeffs=cusp_im,
-        sample_p1=model.p0[0] + dps[:, 0], sample_sheets=sheets(model, dps).sheets,
     )
 
 

@@ -13,10 +13,6 @@ class NumericError(EigenCouplingError, RuntimeError):
     """Backend numerical routine failed (e.g. eigensolver non-convergence)."""
 
 
-class DegeneracyError(EigenCouplingError):
-    """Kernel dimension differs from the one required by the operation."""
-
-
 class ConsistencyError(EigenCouplingError):
     """Right-hand side of a singular system is not in the range of the matrix."""
 

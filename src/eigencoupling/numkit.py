@@ -1,7 +1,7 @@
 """Dense complex linear-algebra kernel.
 
 Self-contained routines used by every other module: full eigendecomposition,
-rank and null-space decisions, and minimum-norm solves of singular systems.
+kernel vectors, and minimum-norm solves of singular systems.
 Everything works on plain ``complex128`` ndarrays in double precision; the
 problem sizes of interest are tiny (m = 2..10), so robustness is preferred
 over asymptotic speed and the routines lean on LAPACK throughout.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DegeneracyError, DimensionError, NumericError
+from .errors import ConsistencyError, DimensionError, NumericError
 
 #: Default relative threshold (w.r.t. the largest singular value) separating
 #: "numerically zero" from "numerically nonzero" singular values.
@@ -123,50 +123,34 @@ def singular_values(a) -> np.ndarray:
 class SVD:
     """A matrix with its full singular value decomposition, from one LAPACK call.
 
-    ``matrix = u @ diag(s) @ vh`` with ``s`` descending. The rank threshold,
-    the kernel and the minimum-norm solve below are the package's only
-    copies; callers that need several of them factorise once and share it.
+    ``matrix = u @ diag(s) @ vh`` with ``s`` descending. The kernel vector
+    and the minimum-norm solve below are the package's only copies; callers
+    that need both factorise once and share it. Neither decides a rank: the
+    caller has decided (``degeneracy.classify``) that the trailing singular
+    direction spans the kernel.
     """
 
     def __init__(self, m):
         self.matrix = as_cmatrix(m)
         self.u, self.s, self.vh = np.linalg.svd(self.matrix)
 
-    def rank(self, tol_rank: float = DEFAULT_RANK_TOL) -> int:
-        """Count of singular values above ``tol_rank * sigma_max``, tol_rank > 0 (0 if all zero)."""
-        if tol_rank <= 0:
-            raise ValueError("tol_rank must be positive")
-        s = self.s
-        if s.size == 0 or s[0] == 0.0:
-            return 0
-        return int(np.count_nonzero(s > tol_rank * s[0]))
-
-    def null_vector(self, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
-        """The kernel vector of a rank-(m-1) matrix, unit-norm and gauge-fixed.
-
-        Raises DegeneracyError unless the numerical kernel (the trailing right
-        singular vectors) is exactly one-dimensional at the given threshold.
-        """
-        kernel = self.vh[self.rank(tol_rank):]
-        if len(kernel) != 1:
-            raise DegeneracyError(
-                f"kernel dimension is {len(kernel)}, expected 1 (tol_rank={tol_rank:g})")
-        return gauge_fix(kernel[0].conj())
+    def null_vector(self) -> np.ndarray:
+        """The trailing right singular vector, unit-norm and gauge-fixed."""
+        return gauge_fix(self.vh[-1].conj())
 
     def solve(self, b, tol_rank: float = DEFAULT_RANK_TOL) -> np.ndarray:
-        """Minimum-norm solution of M x = b for a (possibly) singular M.
+        """Minimum-norm solution of M x = b on the complement of the trailing
+        right singular vector (the kernel of a rank-(m-1) M).
 
-        Singular directions below ``tol_rank * sigma_max`` are excluded, so
-        the returned x is orthogonal to the numerical kernel of M. Raises
-        ConsistencyError when b has a component outside the range of M, i.e.
-        the residual exceeds ``tol_rank * (||M|| ||x|| + ||b||)``.
+        The returned x is orthogonal to that vector. Raises ConsistencyError
+        when b has a component outside the range of M, i.e. the residual
+        exceeds ``tol_rank * (||M|| ||x|| + ||b||)``.
         """
         rhs = as_cvector(b)
         if rhs.shape[0] != self.matrix.shape[0]:
             raise DimensionError("right-hand side length does not match the matrix")
-        rank = self.rank(tol_rank)
         inv = np.zeros_like(self.s)
-        inv[:rank] = 1.0 / self.s[:rank]
+        inv[:-1] = 1.0 / self.s[:-1]
         x = self.vh.conj().T @ (inv * (self.u.conj().T @ rhs))
         residual = np.linalg.norm(self.matrix @ x - rhs)
         smax = self.s[0] if self.s.size else 0.0

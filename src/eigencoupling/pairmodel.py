@@ -5,10 +5,11 @@ Near the degenerate point p0 both regimes give the eigenvalue pair as
     lam_pm(dp) = mid(dp) +- sqrt(q(dp)),    mid = lam0 + <mean, dp>,
 
 with a radicand q that is linear in dp at an EP (F + iG) and quadratic at a
-DP (c(dp)). A local model supplies mid and q at N offsets at once through
-its ``pair_terms(dps)`` method; ``sheets`` turns them into the four Re/Im
-sheets and the paired eigenvalues, and ``pair_at`` gives the same at one
-offset as a ``PairPoint`` record.
+DP (c(dp)). Both are read off ``projection``, the restriction of dA/dp_s
+to the pair's two-dimensional subspace. A local model supplies mid and q at
+N offsets at once through its ``pair_terms(dps)`` method; ``sheets`` turns
+them into the four Re/Im sheets and the paired eigenvalues, and ``pair_at``
+gives the same at one offset as a ``PairPoint`` record.
 
 Branch pairing: the +- signs of the Re and Im radicals are not independent.
 The principal root w = sqrt(q) ties them, so the two eigenvalues are
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .numkit import hermitian_inner
 
 
 #: the p_1 sweep of cross-sections and conics: dp_1 in [-SWEEP_SPAN,
@@ -51,6 +53,16 @@ class PairPoint:
     lam_plus: complex         # mid + principal sqrt(q)
     lam_minus: complex        # mid - principal sqrt(q)
     radicand: complex         # q(dp)
+
+
+def projection(d, us, vs) -> np.ndarray:
+    """The 2x2 restriction of a matrix d to the pair: [i, j] = (d u_i, v_j).
+
+    ``us`` and ``vs`` are the pair's right and left vectors: the Jordan
+    chain (u0, u1), (v0, v1) at an EP, the bi-orthonormal frame at a DP.
+    """
+    images = [d @ u for u in us]
+    return np.array([[hermitian_inner(image, v) for v in vs] for image in images])
 
 
 def offsets(model, dps) -> np.ndarray:

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from eigencoupling import crystal_optics, degeneracy, dp_asymptotics, ep_asymptotics
 from eigencoupling import family as family_mod
+
+# the same examples on every run and interpreter, and no deadline: a
+# one-CPU or loaded runner must not turn a slow example into a failure
+settings.register_profile("eigencoupling", derandomize=True, deadline=None)
+settings.load_profile("eigencoupling")
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigencoupling import cli
+from eigencoupling import cli, degeneracy, ep_asymptotics, pairmodel
+from eigencoupling import family as family_mod
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 
@@ -33,6 +34,32 @@ OVERFLOWING_FAMILY = json.dumps({
     "m": 2, "n": 2,
     "terms": json.loads(TOY_FAMILY)["terms"] + [
         {"exp": [400, 0], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+    ],
+})
+
+
+#: A(0) = 1000 I + [[0, 1e-3], [1e-7, 0]] beside 1005: A - lam0 I has singular
+#: values 5, 1e-3 and 1e-7, a one-dimensional kernel against 1e-8 sigma_max(A)
+#: but none against 1e-8 sigma_max(A - lam0 I)
+SMALL_SHIFT_FAMILY = json.dumps({
+    "m": 3, "n": 2,
+    "terms": [
+        {"exp": [0, 0], "re": [[1000, 1e-3, 0], [1e-7, 1000, 0], [0, 0, 1005]],
+         "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]},
+        {"exp": [1, 0], "re": [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+         "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]},
+        {"exp": [0, 1], "re": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+         "im": [[0, 0, 0], [1, 0, 0], [0, 0, 0]]},
+    ],
+})
+
+#: a DP at 0 whose c = dp1^2 + i dp2^2 has Im c constant along every p_1 sweep
+FLAT_IM_FAMILY = json.dumps({
+    "m": 2, "n": 2,
+    "terms": [
+        {"exp": [0, 0], "re": [[0, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+        {"exp": [1, 0], "re": [[2, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+        {"exp": [0, 1], "re": [[0, 0], [1, 0]], "im": [[0, 1], [0, 0]]},
     ],
 })
 
@@ -69,6 +96,19 @@ class TestClassify:
         assert report["kind"] == "DP"
         assert report["lambda0"] == {"re": pytest.approx(1.0), "im": pytest.approx(5.0)}
         assert report["codimension"] == 6
+
+    def test_kernel_decided_once(self, capsys, tmp_path):
+        """classify calls A(0) an EP, and the chain the model needs is built
+        on that kernel instead of a second rank decision that finds none."""
+        fam = tmp_path / "small_shift.json"
+        fam.write_text(SMALL_SHIFT_FAMILY)
+        base = ["--family", str(fam), "--at", "0,0"]
+        code, out = run(capsys, "classify", *base)
+        assert code == 0 and json.loads(out)["kind"] == "EP"
+        assert cli.main(["surface", *base, "--res", "5",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert cli.main(["loop", *base, "--loop", "0,0,0.01",
+                         "--out", str(tmp_path / "l.csv")]) == 0
 
     def test_no_cluster_exit_two(self, capsys, tmp_path):
         fam = tmp_path / "sep.json"
@@ -365,6 +405,31 @@ class TestScenario:
         assert re_p == pytest.approx(1 - s1 + np.sqrt((abs(c) + c.real) / 2),
                                      abs=1e-10)
 
+    def test_section_csv_at_ep_with_g1_zero(self, capsys, tmp_path):
+        """The CSV holds the swept sheets, which are defined where the
+        cross-section's crossing formulas (g1 != 0) are not."""
+        fam_path = tmp_path / "toy.json"
+        fam_path.write_text(TOY_FAMILY)
+        base = ["scenario", "--family", str(fam_path), "--at", "0,0"]
+        out = tmp_path / "section.csv"
+        assert cli.main(base + ["--format", "csv", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        fam = family_mod.parse_family(TOY_FAMILY)
+        kind = degeneracy.classify(family_mod.evaluate(fam, [0.0, 0.0]), 0.0)
+        model = ep_asymptotics.sensitivities(fam, degeneracy.jordan_chain_of(kind), [0.0, 0.0])
+        assert model.split_im[0] == 0.0
+        dps = pairmodel.sweep([0.0])
+        assert np.array_equal(rows[:, 0], dps[:, 0])
+        assert np.array_equal(rows[:, 1:], pairmodel.sheets(model, dps).sheets)
+        assert cli.main(base) == 1
+        assert "g1 = 0" in capsys.readouterr().err
+
+    def test_dp_label_independent_of_offset_scale(self, capsys):
+        for k in range(2, 101):
+            code, out = run(capsys, "scenario", "--family", "crystal-example-2",
+                            "--at", "0,0", f"--offset=1e-{k}")
+            assert (code, json.loads(out)["scenario"]) == (0, "one-re-one-im"), k
+
     def test_dp_two_parameter_csv_needs_offset(self, capsys, tmp_path):
         out = tmp_path / "dp.csv"
         code = cli.main(["scenario", "--family", "crystal-example-2", "--at", "0,0",
@@ -568,6 +633,7 @@ EXIT_CASES = [
          "--tol-cluster", "1e-3"]),
     (1, ["surface", "--family", "{ovf}", "--at", "0,0", "--window=-10,10", "--res", "5",
          "--out", "{tmp}/s.csv"]),
+    (0, ["scenario", "--family", "{flat}", "--at", "0,0", "--offset", "0.01"]),
 ]
 
 
@@ -576,12 +642,15 @@ def test_exit_codes(code, argv, capsys, tmp_path, recwarn):
     """One case per documented exit code; exit 1 also for find-ep on a
     one-parameter family, for non-finite flag values, for tolerances that
     are not positive and finite, for a flag the command does not read and
-    for a family that overflows on the surface grid. A failure prints one
+    for a family that overflows on the surface grid; exit 0 for a DP
+    scenario whose Im c is constant along the sweep. A failure prints one
     error line, and no case warns."""
-    for name, doc in (("sep", SEPARATED_FAMILY), ("ovf", OVERFLOWING_FAMILY)):
+    for name, doc in (("sep", SEPARATED_FAMILY), ("ovf", OVERFLOWING_FAMILY),
+                      ("flat", FLAT_IM_FAMILY)):
         (tmp_path / f"{name}.json").write_text(doc)
     argv = [a.replace("{sep}", str(tmp_path / "sep.json"))
             .replace("{ovf}", str(tmp_path / "ovf.json"))
+            .replace("{flat}", str(tmp_path / "flat.json"))
             .replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.main(argv) == code
     err = capsys.readouterr().err

@@ -78,6 +78,27 @@ class TestClassify:
         a = family_mod.evaluate(crystal2, [0.0, 0.0])
         assert degeneracy.classify(a, 1 + 5j).kind == "DP"
 
+    def test_crystal_shifted(self):
+        kind = degeneracy.classify(CRYSTAL_A0, 2.0)
+        assert (kind.kind, kind.geometric_multiplicity) == ("EP", 1)
+
+    def test_zero_matrix(self):
+        with pytest.raises(ClassificationError):       # kernel dimension 3
+            degeneracy.classify(np.zeros((3, 3)), 0.0)
+
+    def test_rejects_bad_tolerance(self):
+        with pytest.raises(ValueError):
+            degeneracy.classify(np.eye(2), 1.0, tol_rank=0.0)
+
+    def test_kernel_decided_against_sigma_max_of_a(self):
+        """A - lam0 I is tiny next to A: its smallest singular value 1e-7
+        is above 1e-8 sigma_max(A - lam0 I) but below 1e-8 sigma_max(A), so
+        the kernel is one-dimensional and the chain is built on it."""
+        a = np.array([[1000.0, 1e-3, 0.0], [1e-7, 1000.0, 0.0], [0.0, 0.0, 1005.0]])
+        kind = degeneracy.classify(a, 1000.0)
+        assert kind.kind == "EP"
+        assert max(chain_residuals(a, degeneracy.jordan_chain_of(kind))) < 1e-5
+
     def test_indeterminate_rank(self):
         with pytest.raises(IndeterminateRankError) as err:
             degeneracy.classify(np.diag([1.0, 3e-8]), 0.0)

@@ -2,6 +2,7 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from eigencoupling import degeneracy, dp_asymptotics as dp
 from eigencoupling import family as family_mod
@@ -327,6 +328,51 @@ class TestAvoidedCrossing1P:
                     "two-im": {1.0},
                 }[want]
                 assert {np.sign(c) for _, c in scan} == signs
+
+    def test_label_independent_of_offset_scale(self):
+        # c_a > 0 > c_b: their product underflows to -0.0 from 1e-83 on
+        model = reference_model()
+        labels = {dp.avoided_crossing_1p(model, [10.0 ** -k]).scenario for k in range(2, 101)}
+        assert labels == {"one-re-one-im"}
+
+    def test_constant_imaginary_part_never_crosses(self, recwarn):
+        # Im c = Im c0 = dp2^2 on the whole line, c1 = 0: no root of Im c
+        model = model_from_vectors(
+            d11=np.array([2.0, 0.0]), d12=np.array([0.0, 1j]),
+            d21=np.array([0.0, 1.0]), d22=np.zeros(2),
+        )
+        for delta in (0.01, 1e-60):
+            report = dp.avoided_crossing_1p(model, [delta])
+            assert report.scenario == "no-crossing"
+            assert report.dp1_a is None and report.c_a is None
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+#: a real or imaginary part of a coupling: 0 or of a size whose products,
+#: times an offset scale down to 1e-103, stay far above the underflow limit
+PART = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+OFFSET = st.builds(lambda sign, size: sign * size, st.sampled_from((-1.0, 1.0)),
+                   st.floats(1e-3, 1.0))
+
+
+def scale_free_labels(model, offset):
+    return {dp.avoided_crossing_1p(model, [offset * 10.0 ** -k]).scenario
+            for k in range(101)}
+
+
+@given(OFFSET)
+def test_dp_1p_label_scale_free_on_crystal_two(dp_model_pinned, offset):
+    """c is homogeneous of degree 2 in the offsets, so scaling the offset
+    by 10^-k, k = 0..100, scales the roots of Im c and the values of c on
+    them and changes no label."""
+    assert len(scale_free_labels(dp_model_pinned, offset)) == 1
+
+
+@given(st.lists(st.builds(complex, PART, PART), min_size=8, max_size=8), OFFSET)
+def test_dp_1p_label_scale_free_on_random_couplings(parts, offset):
+    model = dp.DPLocalModel(p0=np.zeros(2), lam0=0j,
+                            coupling=np.array(parts).reshape(2, 2, 2))
+    assert len(scale_free_labels(model, offset)) == 1
 
 
 class TestSurfaceClassification2P:
