@@ -37,7 +37,7 @@ from .numkit import hermitian_inner
 
 #: Relative eigenvalue-distance threshold for treating a pair as a cluster.
 DEFAULT_CLUSTER_TOL = 1e-6
-#: Default Newton iteration cap for the exceptional-point search.
+#: Newton iteration cap of the exceptional-point search.
 DEFAULT_MAX_ITER = 30
 #: Relative pair-gap target of the exceptional-point search.
 EP_GAP_TOL = 1e-8
@@ -62,7 +62,6 @@ class DegeneracyClass:
     lam0: complex = field(compare=False, repr=False)
     shifted: numkit.SVD = field(compare=False, repr=False)    # of A - lam0 I
     sigma_max: float = field(compare=False, repr=False)       # sigma_max(A)
-    tol_rank: float = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def classify(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) -> Deg
         )
     return DegeneracyClass(
         kind="EP" if gm == 1 else "DP", geometric_multiplicity=gm,
-        lam0=complex(lam0), shifted=shifted, sigma_max=sigma_max, tol_rank=tol_rank,
+        lam0=complex(lam0), shifted=shifted, sigma_max=sigma_max,
     )
 
 
@@ -207,25 +206,27 @@ def jordan_chain_of(kind: DegeneracyClass) -> JordanChain:
     come from the classification's factorisation, the left ones from one
     factorisation of the adjoint. ``classify`` has decided the kernel is
     one-dimensional, so both kernels are trailing singular vectors, as in
-    ``dp_frame_of``, and both solves run on their complements.
+    ``dp_frame_of``, and both solves run on their complements. The solves
+    check nothing; ``_check_chain`` does, and an inconsistent chain raises
+    FrameError.
     """
     if kind.kind != "EP":
         raise ClassificationError("jordan_chain needs an EP; classify says DP")
-    shifted, tol_rank = kind.shifted, kind.tol_rank
+    shifted = kind.shifted
     u0 = shifted.null_vector()
-    u1 = shifted.solve(u0, tol_rank)
+    u1 = shifted.solve(u0)
     adjoint = numkit.SVD(shifted.matrix.conj().T)
     v0_raw = adjoint.null_vector()
     scale = hermitian_inner(u1, v0_raw)
-    if abs(scale) < 1e-12 * np.linalg.norm(u1):
+    if not abs(scale) > 1e-12 * np.linalg.norm(u1):
         raise FrameError("(u1, v0) vanishes; chain normalization impossible")
     v0 = v0_raw * np.conj(1.0 / scale)
-    v1 = adjoint.solve(v0, tol_rank)
+    v1 = adjoint.solve(v0)
     v1 = v1 - np.conj(hermitian_inner(u1, v1)) * v0
     chain = JordanChain(lam0=kind.lam0, u0=u0, u1=u1, v0=v0, v1=v1)
     residuals = _check_chain(shifted.matrix, chain)
     worst = max(residuals.values())
-    if worst > 1e-8 * max(kind.sigma_max, 1.0):
+    if not worst <= 1e-8 * max(kind.sigma_max, 1.0):
         raise FrameError(
             f"chain residuals too large ({residuals}); lam0 may not be a "
             "double eigenvalue at this point"
@@ -319,35 +320,27 @@ def _select_pair(values, prev=None):
 
 
 def _approximate_split_gradient(a, derivs, mean):
-    """Columns f_s + i g_s of the Newton Jacobian from the nearest-to-defective
-    chain approximation at the current iterate."""
-    arr = numkit.as_cmatrix(a)
-    m = arr.shape[0]
-    shifted = arr - mean * np.eye(m)
-    u, s, vh = np.linalg.svd(shifted)
-    u0 = vh[-1].conj()
-    v0 = u[:, -1]
-    # rank-(m-1) pseudo-solve of (A - mean I) u1 = u0
-    coeffs = u.conj().T @ u0
-    u1 = np.zeros(m, dtype=complex)
-    for k in range(m - 1):
-        if s[k] > 0:
-            u1 += (coeffs[k] / s[k]) * vh[k].conj()
-    scale = hermitian_inner(u1, v0)
+    """Columns f_s + i g_s = (dA/dp_s u0, v0) of the Newton Jacobian on the
+    approximate chain of ``jordan_chain_of`` at the current iterate, from one
+    SVD of A - mean I; v0 is its trailing left singular vector."""
+    shifted = numkit.SVD(a - mean * np.eye(len(a)))
+    u0 = shifted.null_vector()
+    v0 = shifted.u[:, -1]
+    scale = hermitian_inner(shifted.solve(u0), v0)
     if abs(scale) < 1e-300:
         raise TrackingError("approximate chain normalization broke down")
     v0 = v0 * np.conj(1.0 / scale)
     return np.array([hermitian_inner(d @ u0, v0) for d in derivs])
 
 
-def find_ep(fam: family_mod.MatrixFamily, p_guess,
-            max_iter: int = DEFAULT_MAX_ITER) -> EPSearchResult:
+def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     """Newton search for an exceptional point of a two-parameter family.
 
     Iterates on the analytic scalar z(p) = ((lam_plus - lam_minus)/2)^2 whose
     first-order model is <f, dp> + i <g, dp>; the Jacobian columns f + i g are
     recomputed each step from the approximate chain of the tracked pair.
-    Damped with step halving (up to 10 halvings per step).
+    Damped with step halving (up to 10 halvings per step), at most
+    ``DEFAULT_MAX_ITER`` steps.
 
     Convergence: pair gap below max(EP_GAP_TOL * (1 + |mean|), eigensolver noise
     floor 2 sqrt(eps) sigma_max(A)); at a defective matrix the computed pair
@@ -380,7 +373,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess,
             f"(external gap {external:.3e} vs internal {gap:.3e})"
         )
     history = [gap]
-    for iteration in range(max_iter):
+    for iteration in range(DEFAULT_MAX_ITER):
         if converged:
             break
         derivs = [family_mod.derivative(fam, p, s) for s in range(2)]
@@ -413,6 +406,6 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess,
             residual_history=history, gap=float(gap),
         )
     raise ConvergenceError(
-        f"no exceptional point within {max_iter} iterations "
+        f"no exceptional point within {DEFAULT_MAX_ITER} iterations "
         f"(last gap {gap:.3e})", residual_history=history,
     )

@@ -203,45 +203,48 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     Writes c = c0 + c1 dp1 + c2 dp1^2; the real roots of Im c (when the
     discriminant is positive) carry real values c_a, c_b whose signs decide
     which sheets intersect there.
+
+    All of it is computed at dp_rest 2^-k, 2^k the power of two above
+    max |dp_rest|, so no scale of dp_rest under- or overflows c (homogeneous
+    of degree 2) or sways the label; the report scales back exactly.
     """
     rest = np.atleast_1d(np.asarray(dp_rest, dtype=float))
     if rest.shape != (model.n_params - 1,):
         raise DimensionError(
             f"dp_rest must have {model.n_params - 1} components, got {rest.shape}"
         )
-    c2, c1, c0 = _quadratic_form(model, lambda v: v[0], lambda v: v[1:] @ rest)
+    k = math.frexp(float(np.abs(rest).max(initial=0.0)))[1]
+    c2, c1, c0 = _quadratic_form(model, lambda v: v[0], lambda v: v[1:] @ np.ldexp(rest, -k))
 
     def report(disc, a=None, b=None, ca=None, cb=None, scenario="degenerate"):
         return AvoidedCrossingReport(
-            c0=complex(c0), c1=complex(c1), c2=complex(c2), disc=float(disc),
-            dp1_a=a, dp1_b=b, c_a=ca, c_b=cb, scenario=scenario,
+            c0=_scaled(c0, 2 * k), c1=_scaled(c1, k), c2=complex(c2),
+            disc=_scaled(disc, 2 * k), dp1_a=_scaled(a, k), dp1_b=_scaled(b, k),
+            c_a=_scaled(ca, 2 * k), c_b=_scaled(cb, 2 * k), scenario=scenario,
         )
 
     if not np.any(rest != 0.0):
         # exact coupling: c vanishes at dp1 = 0 with no transversal offset
         return report(0.0)
-    # the checks below read c(t x) / t^2, t = max |dp_rest|: c is homogeneous,
-    # so its coefficients in x, and the label, do not depend on the scale t
-    t = float(np.abs(rest).max())
-    im0, im1, im2 = c0.imag / t / t, c1.imag / t, c2.imag
+    im0, im1, im2 = c0.imag, c1.imag, c2.imag
     coeff_scale = max(abs(im0), abs(im1), abs(im2))
-    if coeff_scale <= DEGENERACY_TOL * max(abs(c0) / t / t, abs(c1) / t, abs(c2), 1e-300):
+    if coeff_scale <= DEGENERACY_TOL * max(abs(c0), abs(c1), abs(c2), 1e-300):
         return report(0.0)      # Im c identically ~0: crossing structure degenerate
-    disc = c1.imag ** 2 - 4.0 * c0.imag * c2.imag
+    disc = im1 ** 2 - 4.0 * im0 * im2
     if abs(im2) <= DEGENERACY_TOL * coeff_scale:
         if abs(im1) <= DEGENERACY_TOL * coeff_scale:
             return report(disc, scenario="no-crossing")     # Im c ~ Im c0 != 0
         # quadratic degenerates: Im c is linear with a single root
-        root = -c0.imag / c1.imag
+        root = -im0 / im1
         c_root = c0 + c1 * root + c2 * root * root
         return report(disc, a=float(root), ca=float(c_root.real))
-    if abs(im1 ** 2 - 4.0 * im0 * im2) <= DEGENERACY_TOL * max(im1 ** 2, abs(4.0 * im0 * im2)):
+    if abs(disc) <= DEGENERACY_TOL * max(im1 ** 2, abs(4.0 * im0 * im2)):
         return report(disc)
     if disc < 0.0:
         return report(disc, scenario="no-crossing")
     root = math.sqrt(disc)
-    dp1_a = (-c1.imag - root) / (2.0 * c2.imag)
-    dp1_b = (-c1.imag + root) / (2.0 * c2.imag)
+    dp1_a = (-im1 - root) / (2.0 * im2)
+    dp1_b = (-im1 + root) / (2.0 * im2)
 
     def c_at(x):
         return c0 + c1 * x + c2 * x * x
@@ -253,6 +256,16 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     _, scenario = _sign_ladder((ca, cb), "one-re-one-im", "two-re", "two-im")
     return report(disc, float(dp1_a), float(dp1_b),
                   float(ca.real), float(cb.real), scenario)
+
+
+def _scaled(x, k):
+    """x 2^k, exact (None stays None); DimensionError where no double holds it."""
+    try:
+        if isinstance(x, complex):
+            return complex(math.ldexp(x.real, k), math.ldexp(x.imag, k))
+        return None if x is None else math.ldexp(x, k)
+    except OverflowError:
+        raise DimensionError("the DP-1p scenario overflows at this offset") from None
 
 
 def _sign_ladder(values, mixed, negative, positive):

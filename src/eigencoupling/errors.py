@@ -13,10 +13,6 @@ class NumericError(EigenCouplingError, RuntimeError):
     """Backend numerical routine failed (e.g. eigensolver non-convergence)."""
 
 
-class ConsistencyError(EigenCouplingError):
-    """Right-hand side of a singular system is not in the range of the matrix."""
-
-
 class DomainError(EigenCouplingError):
     """Parameter point outside the validity domain of a matrix family."""
 

@@ -90,9 +90,13 @@ def complex_array(re, im) -> np.ndarray:
     return out
 
 
+# overflow is refused as DimensionError, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def sheets(model, dps) -> PairSheets:
     """Sheets and paired eigenvalues of an EP or DP local model at offsets dps."""
     mid, radicand = model.pair_terms(offsets(model, dps))
+    if not (np.isfinite(mid).all() and np.isfinite(radicand).all()):
+        raise DimensionError("the pair model overflows at these offsets")
     root = np.sqrt(radicand)
     spread = np.abs(root.imag)
     return PairSheets(

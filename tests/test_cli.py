@@ -29,6 +29,12 @@ SEPARATED_FAMILY = json.dumps({
     ],
 })
 
+#: a 1x1 family over two parameters: no eigenvalue pair to search
+SCALAR_FAMILY = json.dumps({
+    "m": 1, "n": 2,
+    "terms": [{"exp": [0, 0], "re": [[1]], "im": [[0]]}],
+})
+
 #: the toy EP family plus p1^400 I: finite at the anchor, overflowing at |p1| = 10
 OVERFLOWING_FAMILY = json.dumps({
     "m": 2, "n": 2,
@@ -425,7 +431,7 @@ class TestScenario:
         assert "g1 = 0" in capsys.readouterr().err
 
     def test_dp_label_independent_of_offset_scale(self, capsys):
-        for k in range(2, 101):
+        for k in range(2, 308):
             code, out = run(capsys, "scenario", "--family", "crystal-example-2",
                             "--at", "0,0", f"--offset=1e-{k}")
             assert (code, json.loads(out)["scenario"]) == (0, "one-re-one-im"), k
@@ -634,23 +640,29 @@ EXIT_CASES = [
     (1, ["surface", "--family", "{ovf}", "--at", "0,0", "--window=-10,10", "--res", "5",
          "--out", "{tmp}/s.csv"]),
     (0, ["scenario", "--family", "{flat}", "--at", "0,0", "--offset", "0.01"]),
+    (1, ["find-ep", "--family", "{one}", "--at", "0,0"]),
+    (1, ["scenario", "--family", "crystal-example-2", "--at", "0,0", "--offset=1e155"]),
+    (1, ["scenario", "--family", "crystal-example-2", "--at", "0,0", "--offset=1e300",
+         "--format", "csv", "--out", "{tmp}/section.csv"]),
 ]
 
 
 @pytest.mark.parametrize("code,argv", EXIT_CASES)
 def test_exit_codes(code, argv, capsys, tmp_path, recwarn):
     """One case per documented exit code; exit 1 also for find-ep on a
-    one-parameter family, for non-finite flag values, for tolerances that
-    are not positive and finite, for a flag the command does not read and
-    for a family that overflows on the surface grid; exit 0 for a DP
+    one-parameter family or a 1x1 one, for non-finite flag values, for
+    tolerances that are not positive and finite, for a flag the command does
+    not read, for a family that overflows on the surface grid and for a DP
+    offset whose c overflows (JSON report and section CSV); exit 0 for a DP
     scenario whose Im c is constant along the sweep. A failure prints one
     error line, and no case warns."""
     for name, doc in (("sep", SEPARATED_FAMILY), ("ovf", OVERFLOWING_FAMILY),
-                      ("flat", FLAT_IM_FAMILY)):
+                      ("flat", FLAT_IM_FAMILY), ("one", SCALAR_FAMILY)):
         (tmp_path / f"{name}.json").write_text(doc)
     argv = [a.replace("{sep}", str(tmp_path / "sep.json"))
             .replace("{ovf}", str(tmp_path / "ovf.json"))
             .replace("{flat}", str(tmp_path / "flat.json"))
+            .replace("{one}", str(tmp_path / "one.json"))
             .replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.main(argv) == code
     err = capsys.readouterr().err

@@ -6,6 +6,7 @@ from eigencoupling import family as family_mod
 from eigencoupling.errors import (
     ClassificationError,
     ConvergenceError,
+    FrameError,
     IndeterminateRankError,
     MultiplicityError,
     TrackingError,
@@ -151,6 +152,15 @@ class TestJordanChain:
         with pytest.raises(ClassificationError):
             degeneracy.jordan_chain(2.0 * np.eye(2), 2.0)
 
+    def test_simple_eigenvalue_has_no_chain(self):
+        # a one-dimensional kernel but no Jordan block: (A - 0 I) u1 = u0 has
+        # no solution, the solve returns u1 = 0 and (u1, v0) vanishes
+        kind = degeneracy.classify(np.diag([0.0, 1.0]), 0.0)
+        assert kind.kind == "EP"
+        with np.errstate(all="raise"):
+            with pytest.raises(FrameError):
+                degeneracy.jordan_chain_of(kind)
+
     def test_gauge_invariance_of_split_coefficient(self, ep_chain):
         a0, cluster, chain = ep_chain
         rng = np.random.default_rng(23)
@@ -285,10 +295,20 @@ class TestFindEP:
         with pytest.raises(ConvergenceError):
             degeneracy.find_ep(crystal1, [0.2, 0.1])
 
-    def test_iteration_cap(self, crystal1):
+    def test_iteration_cap(self, crystal1, monkeypatch):
+        monkeypatch.setattr(degeneracy, "DEFAULT_MAX_ITER", 1)
         with pytest.raises(ConvergenceError) as err:
-            degeneracy.find_ep(crystal1, [0.05, -0.03], max_iter=1)
+            degeneracy.find_ep(crystal1, [0.05, -0.03])
         assert len(err.value.residual_history) >= 1
+
+    def test_jacobian_is_the_ep_model_gradient(self, crystal1, ep_chain, ep_model):
+        # at the EP the approximate chain is the Jordan chain, so the Newton
+        # Jacobian columns are the squared-gap gradient F + iG of the model
+        a0, cluster, _ = ep_chain
+        derivs = [family_mod.derivative(crystal1, np.zeros(2), s) for s in range(2)]
+        cols = degeneracy._approximate_split_gradient(a0, derivs, cluster.center)
+        model = ep_model.split_re + 1j * ep_model.split_im
+        assert np.abs(cols - model).max() <= 1e-12 * np.abs(model).max()
 
 
 def planted_scalar_dp(lam0=0.3 - 0.7j):

@@ -330,9 +330,10 @@ class TestAvoidedCrossing1P:
                 assert {np.sign(c) for _, c in scan} == signs
 
     def test_label_independent_of_offset_scale(self):
-        # c_a > 0 > c_b: their product underflows to -0.0 from 1e-83 on
+        # c_a > 0 > c_b: their product underflows to -0.0 from 1e-83 on, and
+        # c itself from 1e-155 on
         model = reference_model()
-        labels = {dp.avoided_crossing_1p(model, [10.0 ** -k]).scenario for k in range(2, 101)}
+        labels = {dp.avoided_crossing_1p(model, [10.0 ** -k]).scenario for k in range(2, 308)}
         assert labels == {"one-re-one-im"}
 
     def test_constant_imaginary_part_never_crosses(self, recwarn):
@@ -348,8 +349,9 @@ class TestAvoidedCrossing1P:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-#: a real or imaginary part of a coupling: 0 or of a size whose products,
-#: times an offset scale down to 1e-103, stay far above the underflow limit
+#: a real or imaginary part of a coupling: 0 or of a size whose products
+#: stay far above the underflow limit (the offset's scale, down to 1e-303,
+#: does not enter the decisions)
 PART = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 OFFSET = st.builds(lambda sign, size: sign * size, st.sampled_from((-1.0, 1.0)),
                    st.floats(1e-3, 1.0))
@@ -357,13 +359,13 @@ OFFSET = st.builds(lambda sign, size: sign * size, st.sampled_from((-1.0, 1.0)),
 
 def scale_free_labels(model, offset):
     return {dp.avoided_crossing_1p(model, [offset * 10.0 ** -k]).scenario
-            for k in range(101)}
+            for k in range(301)}
 
 
 @given(OFFSET)
 def test_dp_1p_label_scale_free_on_crystal_two(dp_model_pinned, offset):
     """c is homogeneous of degree 2 in the offsets, so scaling the offset
-    by 10^-k, k = 0..100, scales the roots of Im c and the values of c on
+    by 10^-k, k = 0..300, scales the roots of Im c and the values of c on
     them and changes no label."""
     assert len(scale_free_labels(dp_model_pinned, offset)) == 1
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eigencoupling import numkit
-from eigencoupling.errors import ConsistencyError, DimensionError
+from eigencoupling.errors import DimensionError
 
 # hand-derived chain vectors of the first builtin crystal
 U0 = np.array([1j, -1.0, 0.0])
@@ -167,10 +167,6 @@ class TestSolveOnComplement:
         basis = np.column_stack((U1, U0))
         coeffs, *_ = np.linalg.lstsq(basis, x, rcond=None)
         assert np.linalg.norm(basis @ coeffs - x) < 1e-10
-
-    def test_inconsistent_rhs(self):
-        with pytest.raises(ConsistencyError):
-            numkit.SVD([[0.0, 1.0], [0.0, 0.0]]).solve([0.0, 1.0])
 
 
 def brute_force_assignment(values, targets):
