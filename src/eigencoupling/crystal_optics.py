@@ -126,8 +126,7 @@ def family_adapter(spec: DielectricSpec) -> MatrixFamily:
 
     Derivatives are analytic (product rule on the projector, linearity of the
     gyration part, s3 chain rule included). The domain guard keeps a margin
-    of ``CHART_MARGIN`` from the chart boundary. The evaluator and the guard
-    broadcast over a leading axis of points.
+    of ``CHART_MARGIN`` from the chart boundary.
     """
 
     def guard(p):
@@ -147,7 +146,7 @@ def family_adapter(spec: DielectricSpec) -> MatrixFamily:
         return dproj @ eta_s + (np.eye(3) - np.outer(s, s)) @ deta
 
     return MatrixFamily(dim=3, n_params=2, evaluator=evaluator, deriv=deriv,
-                        domain_guard=guard, vectorized=True)
+                        domain_guard=guard)
 
 
 def builtin_specs() -> dict:

@@ -33,26 +33,23 @@ class MatrixFamily:
     n_params:
         Number of real parameters n.
     evaluator:
-        Callable p -> (m, m) complex array.
+        Callable p -> A(p). It and the guard broadcast over leading axes:
+        ``evaluate`` calls them on one point (n,), ``evaluate_many`` once on
+        an (N, n) block ((N, m, m) matrices, N booleans). An evaluator of
+        single points only serves everything but ``evaluate_many``.
     deriv:
-        Optional analytic derivative ``deriv(p, i)``. When absent, finite
-        differences are used.
+        Optional analytic derivative ``deriv(p, i)`` at one point. When
+        absent, finite differences are used.
     domain_guard:
         Optional predicate; points where it returns False raise DomainError.
-    vectorized:
-        True when ``evaluator`` and ``domain_guard`` broadcast over a leading
-        axis: (N, n) points -> (N, m, m) matrices and N booleans. Otherwise
-        ``evaluate_many`` calls them once per point.
     """
 
-    def __init__(self, dim, n_params, evaluator,
-                 deriv=None, domain_guard=None, vectorized=False):
+    def __init__(self, dim, n_params, evaluator, deriv=None, domain_guard=None):
         self.dim = int(dim)
         self.n_params = int(n_params)
         self._evaluator = evaluator
         self._deriv = deriv
         self.domain_guard = domain_guard
-        self.vectorized = bool(vectorized)
         if self.dim < 1 or self.n_params < 1:
             raise DimensionError("dim and n_params must be at least 1")
 
@@ -71,62 +68,56 @@ class MatrixFamily:
         return arr
 
 
-def _checked(a, shape, points) -> np.ndarray:
-    """The evaluator's output at ``points`` ((n,) or (N, n)), refused unless it
-    has the expected shape and finite entries."""
+def _checked(a, shape, points, name="A(p)", source="evaluator") -> np.ndarray:
+    """``name`` at ``points`` ((n,) or (N, n)), as ``source`` returned it,
+    refused unless it has the expected shape and finite entries."""
     a = np.asarray(a, dtype=complex)
     if a.shape != shape:
-        raise DimensionError(f"evaluator returned shape {a.shape}, expected {shape}")
+        raise DimensionError(f"{source} returned shape {a.shape}, expected {shape}")
     if not np.isfinite(a).all():
         finite = np.isfinite(a).all(axis=(-2, -1)).ravel()
         bad = np.reshape(points, (-1, points.shape[-1]))[int(np.argmin(finite))]
-        raise DimensionError(f"A(p) has non-finite entries at point {bad.tolist()}")
+        raise DimensionError(f"{name} has non-finite entries at point {bad.tolist()}")
     return a
+
+
+def _at(fam: MatrixFamily, points) -> np.ndarray:
+    """A(p) at finite ``points`` of shape (n,) or (N, n): the domain guard,
+    one evaluator call and the output check."""
+    if fam.domain_guard is not None:
+        inside = np.asarray(fam.domain_guard(points), dtype=bool)
+        if not inside.all():
+            bad = np.reshape(points, (-1, fam.n_params))[int(np.argmin(inside))]
+            raise DomainError(f"point {bad.tolist()} outside the family domain")
+    return _checked(fam._evaluator(points), points.shape[:-1] + (fam.dim, fam.dim), points)
 
 
 def evaluate(fam: MatrixFamily, p) -> np.ndarray:
     """A(p). Raises DomainError outside the family's validity domain and
     DimensionError where A(p) has non-finite entries (overflow)."""
-    pt = fam._point(p)
-    if fam.vectorized:
-        return evaluate_many(fam, pt[None])[0]
-    if not fam.contains(pt):
-        raise DomainError(f"point {pt.tolist()} outside the family domain")
-    return _checked(fam._evaluator(pt), (fam.dim, fam.dim), pt)
+    return _at(fam, fam._point(p))
 
 
 def evaluate_many(fam: MatrixFamily, points) -> np.ndarray:
-    """A(p) at every row of an (N, n) point array, as an (N, m, m) array.
-
-    Makes the checks of ``evaluate`` at every point. Vectorized families are
-    evaluated in one call; the others point by point.
-    """
+    """A(p) at every row of an (N, n) point array, as an (N, m, m) array,
+    from one evaluator call; makes the checks of ``evaluate`` at every point."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != fam.n_params:
         raise DimensionError(
             f"expected points of shape (N, {fam.n_params}), got shape {pts.shape}")
-    if not fam.vectorized:
-        out = np.empty((len(pts), fam.dim, fam.dim), dtype=complex)
-        for k, pt in enumerate(pts):
-            out[k] = evaluate(fam, pt)
-        return out
     if not np.all(np.isfinite(pts)):
         raise DomainError("parameter point has non-finite entries")
-    if fam.domain_guard is not None:
-        inside = np.asarray(fam.domain_guard(pts), dtype=bool)
-        if not inside.all():
-            bad = pts[int(np.argmin(inside))]
-            raise DomainError(f"point {bad.tolist()} outside the family domain")
-    return _checked(fam._evaluator(pts), (len(pts), fam.dim, fam.dim), pts)
+    return _at(fam, pts)
 
 
 def derivative(fam: MatrixFamily, p, i: int) -> np.ndarray:
-    """dA/dp_i at p; analytic when the family provides it, else FD4."""
+    """dA/dp_i at p; analytic when the family provides it, else FD4. Raises
+    DimensionError where it has non-finite entries (overflow)."""
     pt = fam._point(p)
     if not 0 <= i < fam.n_params:
         raise DimensionError(f"parameter index {i} out of range")
     if fam._deriv is not None:
-        return np.asarray(fam._deriv(pt, i), dtype=complex)
+        return _checked(fam._deriv(pt, i), (fam.dim, fam.dim), pt, f"dA/dp_{i}", "deriv")
     h = FD_STEP * max(1.0, abs(pt[i]))
 
     def sample(delta):
@@ -158,19 +149,18 @@ class PolynomialFamily:
                                out=term)
         return out
 
-    def deriv(self, p: np.ndarray, i: int) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for coeff, exps in self.terms:
-            if exps[i] == 0:
-                continue
-            shifted = list(exps)
-            shifted[i] -= 1
-            out += coeff * exps[i] * np.prod(np.power(p, shifted))
-        return out
-
+    @np.errstate(over="ignore", invalid="ignore")
     def to_family(self) -> MatrixFamily:
+        """The MatrixFamily of ``value``; dA/dp_i is ``value`` of the i-th
+        partial polynomial (terms with e_i > 0, coefficient C_t e_i, e_i - 1)."""
+        partials = [
+            PolynomialFamily(self.dim, self.n_params, tuple(
+                (coeff * exps[i], exps[:i] + (exps[i] - 1,) + exps[i + 1:])
+                for coeff, exps in self.terms if exps[i] > 0))
+            for i in range(self.n_params)
+        ]
         return MatrixFamily(self.dim, self.n_params, evaluator=self.value,
-                            deriv=self.deriv, vectorized=True)
+                            deriv=lambda p, i: partials[i].value(p))
 
 
 def _require(cond, path, message):

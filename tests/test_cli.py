@@ -59,6 +59,17 @@ SMALL_SHIFT_FAMILY = json.dumps({
     ],
 })
 
+#: finite at (0.9, 0), where 3e308 p1^2 I overflows dA/dp_1
+OVERFLOWING_DERIVATIVE_FAMILY = json.dumps({
+    "m": 2, "n": 2,
+    "terms": [
+        {"exp": [0, 0], "re": [[0, 1], [-0.9, 0]], "im": [[0, 0], [0, 0]]},
+        {"exp": [1, 0], "re": [[0, 0], [1, 0]], "im": [[0, 0], [0, 0]]},
+        {"exp": [0, 1], "re": [[0, 0], [0, 0]], "im": [[0, 0], [1, 0]]},
+        {"exp": [3, 0], "re": [[1e308, 0], [0, 1e308]], "im": [[0, 0], [0, 0]]},
+    ],
+})
+
 #: a DP at 0 whose c = dp1^2 + i dp2^2 has Im c constant along every p_1 sweep
 FLAT_IM_FAMILY = json.dumps({
     "m": 2, "n": 2,
@@ -644,6 +655,7 @@ EXIT_CASES = [
     (1, ["scenario", "--family", "crystal-example-2", "--at", "0,0", "--offset=1e155"]),
     (1, ["scenario", "--family", "crystal-example-2", "--at", "0,0", "--offset=1e300",
          "--format", "csv", "--out", "{tmp}/section.csv"]),
+    (1, ["scenario", "--family", "{dovf}", "--at", "0.9,0"]),
 ]
 
 
@@ -652,17 +664,20 @@ def test_exit_codes(code, argv, capsys, tmp_path, recwarn):
     """One case per documented exit code; exit 1 also for find-ep on a
     one-parameter family or a 1x1 one, for non-finite flag values, for
     tolerances that are not positive and finite, for a flag the command does
-    not read, for a family that overflows on the surface grid and for a DP
-    offset whose c overflows (JSON report and section CSV); exit 0 for a DP
-    scenario whose Im c is constant along the sweep. A failure prints one
-    error line, and no case warns."""
+    not read, for a family that overflows on the surface grid or whose
+    derivative overflows at the anchor, and for a DP offset whose c overflows
+    (JSON report and section CSV); exit 0 for a DP scenario whose Im c is
+    constant along the sweep. A failure prints one error line, and no case
+    warns."""
     for name, doc in (("sep", SEPARATED_FAMILY), ("ovf", OVERFLOWING_FAMILY),
-                      ("flat", FLAT_IM_FAMILY), ("one", SCALAR_FAMILY)):
+                      ("flat", FLAT_IM_FAMILY), ("one", SCALAR_FAMILY),
+                      ("dovf", OVERFLOWING_DERIVATIVE_FAMILY)):
         (tmp_path / f"{name}.json").write_text(doc)
     argv = [a.replace("{sep}", str(tmp_path / "sep.json"))
             .replace("{ovf}", str(tmp_path / "ovf.json"))
             .replace("{flat}", str(tmp_path / "flat.json"))
             .replace("{one}", str(tmp_path / "one.json"))
+            .replace("{dovf}", str(tmp_path / "dovf.json"))
             .replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.main(argv) == code
     err = capsys.readouterr().err

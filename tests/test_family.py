@@ -73,6 +73,23 @@ class TestDerivative:
             scale = max(np.linalg.norm(exact), 1.0)
             assert np.linalg.norm(exact - approx) < 1e-6 * scale
 
+    def test_matches_per_term_formula_bitwise(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            poly = random_polynomial(rng, m=int(rng.integers(1, 5)), n=int(rng.integers(1, 4)),
+                                     n_terms=int(rng.integers(1, 7)), max_exp=5)
+            fam = poly.to_family()
+            for p in rng.uniform(-2.0, 2.0, size=(10, poly.n_params)):
+                for i in range(poly.n_params):
+                    want = per_term_derivative(poly, p, i)
+                    assert derivative(fam, p, i).tobytes() == want.tobytes()
+
+    def test_deriv_output_shape_checked(self):
+        fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.eye(2),
+                                      deriv=lambda p, i: np.zeros((3, 3)))
+        with pytest.raises(DimensionError, match="deriv returned shape"):
+            derivative(fam, [0.0], 0)
+
     def test_index_range(self):
         fam = poly_family((C, (1,)))
         with pytest.raises(DimensionError):
@@ -178,6 +195,19 @@ def per_point_polynomial(poly, p):
     return out
 
 
+def per_term_derivative(poly, p, i):
+    """dA/dp_i summed term by term at one point, with the power rule applied
+    to each term in place."""
+    out = np.zeros((poly.dim, poly.dim), dtype=complex)
+    for coeff, exps in poly.terms:
+        if exps[i] == 0:
+            continue
+        shifted = list(exps)
+        shifted[i] -= 1
+        out += coeff * exps[i] * np.prod(np.power(p, shifted))
+    return out
+
+
 class TestEvaluateMany:
     def test_polynomial_matches_per_point_sum_bitwise(self):
         rng = np.random.default_rng(21)
@@ -209,7 +239,7 @@ class TestEvaluateMany:
     def test_domain_guard_at_every_point(self):
         guard = lambda p: np.abs(p[..., 0]) < 1.0  # noqa: E731
         fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros(p.shape[:-1] + (2, 2)),
-                                      domain_guard=guard, vectorized=True)
+                                      domain_guard=guard)
         assert family_mod.evaluate_many(fam, [[0.0], [0.5]]).shape == (2, 2, 2)
         with pytest.raises(DomainError, match="1.5"):
             family_mod.evaluate_many(fam, [[0.0], [1.5], [0.2]])
@@ -217,8 +247,7 @@ class TestEvaluateMany:
             evaluate(fam, [-2.0])
 
     def test_output_shape_checked(self):
-        fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros((3, 2, 2)),
-                                      vectorized=True)
+        fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros((3, 2, 2)))
         with pytest.raises(DimensionError):
             family_mod.evaluate_many(fam, [[0.0], [1.0]])
 
@@ -229,22 +258,32 @@ class TestEvaluateMany:
             family_mod.evaluate_many(fam, [[1.0], [10.0], [-10.0]])
         with pytest.raises(DimensionError, match=r"\[-10.0\]"):
             evaluate(fam, [-10.0])
+        with pytest.raises(DimensionError, match=r"dA/dp_0 .* at point \[10.0\]"):
+            derivative(fam, [10.0], 0)
         per_point = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.full((2, 2), np.inf))
         with pytest.raises(DimensionError, match=r"\[0.5\]"):
             evaluate(per_point, [0.5])
         assert not recwarn.list
 
-    def test_per_point_evaluator_falls_back_to_a_loop(self):
+    def test_evaluator_called_once_per_point_or_block(self):
+        """evaluate hands the evaluator and the guard one (n,) point;
+        evaluate_many hands them one (N, n) block."""
         calls = []
 
         def evaluator(p):
-            calls.append(p.shape)
-            return p[0] * C
+            calls.append(("evaluator", p.shape))
+            return p[..., 0, None, None] * C
 
-        fam = family_mod.MatrixFamily(2, 1, evaluator=evaluator,
-                                      domain_guard=lambda p: p[0] < 1.0)
-        batch = family_mod.evaluate_many(fam, [[0.5], [-2.0]])
-        assert calls == [(1,), (1,)]
-        assert np.array_equal(batch, np.array([0.5 * C, -2.0 * C]))
-        with pytest.raises(DomainError):
+        def guard(p):
+            calls.append(("guard", p.shape))
+            return p[..., 0] < 1.0
+
+        fam = family_mod.MatrixFamily(2, 1, evaluator=evaluator, domain_guard=guard)
+        assert np.array_equal(evaluate(fam, [0.5]), 0.5 * C)
+        assert calls == [("guard", (1,)), ("evaluator", (1,))]
+        calls.clear()
+        batch = family_mod.evaluate_many(fam, [[0.5], [-2.0], [0.25]])
+        assert calls == [("guard", (3, 1)), ("evaluator", (3, 1))]
+        assert np.array_equal(batch, np.array([0.5 * C, -2.0 * C, 0.25 * C]))
+        with pytest.raises(DomainError, match=r"\[1.0\]"):
             family_mod.evaluate_many(fam, [[0.5], [1.0]])
