@@ -18,6 +18,7 @@ two.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +150,10 @@ def family_adapter(spec: DielectricSpec) -> MatrixFamily:
                         domain_guard=guard)
 
 
+@functools.cache
 def builtin_specs() -> dict:
-    """The two built-in demonstration crystals.
+    """The two built-in demonstration crystals, built on the first call; every
+    later call returns the same dict, which callers must not modify.
 
     ``crystal-example-1``: dichroic, optically active biaxial crystal whose
     optical matrix has a defective double eigenvalue (an exceptional

@@ -1,9 +1,9 @@
 """Parameter-dependent matrix families A(p).
 
-A family bundles an evaluator over n real parameters with the first
-parameter derivatives dA/dp_i (analytic when available, 4th-order central
-finite differences otherwise): the data A0 = A(p0) and A1 = sum_i dA/dp_i dp_i
-that the first-order models at a double eigenvalue read.
+A family bundles an evaluator over n real parameters with the analytic
+first parameter derivatives dA/dp_i it is built with: the data A0 = A(p0) and
+A1 = sum_i dA/dp_i dp_i that the first-order models at a double eigenvalue
+read.
 
 Concrete analytic families are polynomial in the parameters and are read
 from a small JSON format (see ``parse_family``).
@@ -11,6 +11,7 @@ from a small JSON format (see ``parse_family``).
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -18,9 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, FamilyParseError
-
-#: Relative finite-difference step; balances truncation vs roundoff at 4th order.
-FD_STEP = 1e-5
 
 
 class MatrixFamily:
@@ -38,13 +36,13 @@ class MatrixFamily:
         an (N, n) block ((N, m, m) matrices, N booleans). An evaluator of
         single points only serves everything but ``evaluate_many``.
     deriv:
-        Optional analytic derivative ``deriv(p, i)`` at one point. When
-        absent, finite differences are used.
+        Analytic derivative ``deriv(p, i)`` = dA/dp_i at one point (n,);
+        required, since the models read dA/dp_i to first order.
     domain_guard:
         Optional predicate; points where it returns False raise DomainError.
     """
 
-    def __init__(self, dim, n_params, evaluator, deriv=None, domain_guard=None):
+    def __init__(self, dim, n_params, evaluator, deriv, domain_guard=None):
         self.dim = int(dim)
         self.n_params = int(n_params)
         self._evaluator = evaluator
@@ -63,7 +61,7 @@ class MatrixFamily:
             raise DimensionError(
                 f"expected {self.n_params} parameters, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError("parameter point has non-finite entries")
         return arr
 
@@ -105,28 +103,18 @@ def evaluate_many(fam: MatrixFamily, points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != fam.n_params:
         raise DimensionError(
             f"expected points of shape (N, {fam.n_params}), got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise DomainError("parameter point has non-finite entries")
     return _at(fam, pts)
 
 
 def derivative(fam: MatrixFamily, p, i: int) -> np.ndarray:
-    """dA/dp_i at p; analytic when the family provides it, else FD4. Raises
+    """dA/dp_i at p from the family's analytic ``deriv``. Raises
     DimensionError where it has non-finite entries (overflow)."""
     pt = fam._point(p)
     if not 0 <= i < fam.n_params:
         raise DimensionError(f"parameter index {i} out of range")
-    if fam._deriv is not None:
-        return _checked(fam._deriv(pt, i), (fam.dim, fam.dim), pt, f"dA/dp_{i}", "deriv")
-    h = FD_STEP * max(1.0, abs(pt[i]))
-
-    def sample(delta):
-        q = pt.copy()
-        q[i] += delta
-        return evaluate(fam, q)
-
-    # 4th-order central stencil: (-f(2h) + 8f(h) - 8f(-h) + f(-2h)) / 12h
-    return (-sample(2 * h) + 8 * sample(h) - 8 * sample(-h) + sample(-2 * h)) / (12 * h)
+    return _checked(fam._deriv(pt, i), (fam.dim, fam.dim), pt, f"dA/dp_{i}", "deriv")
 
 
 @dataclass(frozen=True)
@@ -145,7 +133,7 @@ class PolynomialFamily:
         out = np.zeros(p.shape[:-1] + (self.dim, self.dim), dtype=complex)
         term = np.empty_like(out)
         for coeff, exps in self.terms:
-            out += np.multiply(coeff, np.prod(np.power(p, exps), axis=-1)[..., None, None],
+            out += np.multiply(coeff, np.power(p, exps).prod(axis=-1)[..., None, None],
                                out=term)
         return out
 
@@ -231,11 +219,19 @@ def parse_polynomial(text: str) -> PolynomialFamily:
                 raise DimensionError(
                     f"{path}.{key}: coefficient matrix must be {m}x{m}"
                 )
-            _require(all(type(x) in (int, float) for row in rows for x in row),
+            _require(set(map(type, itertools.chain.from_iterable(rows))) <= {int, float},
                      f"{path}.{key}", "entries must be numbers")
-            _require(all(abs(x) <= sys.float_info.max for row in rows for x in row),
+            try:
+                part = np.array(rows, dtype=float)
+                below = np.abs(part).max() < sys.float_info.max  # False for NaN
+            except OverflowError:  # an integer that rounds beyond the largest double
+                below = False
+            # the rest is tested number by number: an integer just above the
+            # largest double rounds to it, and abs(x) <= max compares it exactly
+            _require(below or all(abs(x) <= sys.float_info.max
+                                  for x in itertools.chain.from_iterable(rows)),
                      f"{path}.{key}", "entries must be finite doubles")
-            parts.append(np.asarray(rows, dtype=float))
+            parts.append(part)
         coeff = parts[0] + 1j * parts[1]
         terms.append((coeff, tuple(exps)))
     return PolynomialFamily(dim=m, n_params=n, terms=tuple(terms))

@@ -632,43 +632,58 @@ class TestScalarMatrixDP:
         validate(report, "classify_report.schema.json")
 
 
-EXIT_CASES = [
-    (0, ["classify", "--family", "crystal-example-1", "--at", "0,0"]),
-    (1, ["find-ep", "--family", "{sep}", "--at", "0.3"]),
+EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
+    (0, ["classify", "--family", "crystal-example-1", "--at", "0,0"], None),
+    (1, ["find-ep", "--family", "{sep}", "--at", "0.3"],
+     "find-ep needs a two-parameter family of dimension >= 2"),
     (1, ["surface", "--family", "crystal-example-1", "--at", "0,0",
-         "--window=nan,0.1", "--out", "{tmp}/s.csv"]),
-    (1, ["classify", "--family", "crystal-example-1", "--at", "inf,0"]),
-    (2, ["classify", "--family", "{sep}", "--at", "0.3"]),
-    (3, ["classify", "--family", "crystal-example-1", "--at", "0.9,0.9"]),
-    (4, ["find-ep", "--family", "crystal-example-1", "--at", "0.2,0.1"]),
-    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-cluster", "-1e-6"]),
-    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-rank", "-1e-8"]),
-    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-rank", "0"]),
-    (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--tol-rank", "nan"]),
-    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--res", "5"]),
+         "--window=nan,0.1", "--out", "{tmp}/s.csv"],
+     "--window 'nan,0.1' has non-finite values"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "inf,0"],
+     "--at 'inf,0' has non-finite values"),
+    (2, ["classify", "--family", "{sep}", "--at", "0.3"], "no eigenvalue cluster at (0.3)"),
+    (3, ["classify", "--family", "crystal-example-1", "--at", "0.9,0.9"],
+     "point [0.9, 0.9] outside the family domain"),
+    (4, ["find-ep", "--family", "crystal-example-1", "--at", "0.2,0.1"],
+     "no exceptional point within 30 iterations (last gap 1.074e+00)"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-cluster", "-1e-6"],
+     "--tol-cluster must be a positive finite number, got -1e-06"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-rank", "-1e-8"],
+     "--tol-rank must be a positive finite number, got -1e-08"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-rank", "0"],
+     "--tol-rank must be a positive finite number, got 0.0"),
+    (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--tol-rank", "nan"],
+     "--tol-rank must be a positive finite number, got nan"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--res", "5"],
+     "classify does not read --res"),
     (1, ["find-ep", "--family", "crystal-example-1", "--at", "0.05,-0.03",
-         "--tol-cluster", "1e-3"]),
+         "--tol-cluster", "1e-3"], "find-ep does not read --tol-cluster"),
     (1, ["surface", "--family", "{ovf}", "--at", "0,0", "--window=-10,10", "--res", "5",
-         "--out", "{tmp}/s.csv"]),
-    (0, ["scenario", "--family", "{flat}", "--at", "0,0", "--offset", "0.01"]),
-    (1, ["find-ep", "--family", "{one}", "--at", "0,0"]),
-    (1, ["scenario", "--family", "crystal-example-2", "--at", "0,0", "--offset=1e155"]),
+         "--out", "{tmp}/s.csv"], "A(p) has non-finite entries at point [-10.0, -10.0]"),
+    (0, ["scenario", "--family", "{flat}", "--at", "0,0", "--offset", "0.01"], None),
+    (1, ["find-ep", "--family", "{one}", "--at", "0,0"],
+     "find-ep needs a two-parameter family of dimension >= 2"),
+    (1, ["scenario", "--family", "crystal-example-2", "--at", "0,0", "--offset=1e155"],
+     "the DP-1p scenario overflows at this offset"),
     (1, ["scenario", "--family", "crystal-example-2", "--at", "0,0", "--offset=1e300",
-         "--format", "csv", "--out", "{tmp}/section.csv"]),
-    (1, ["scenario", "--family", "{dovf}", "--at", "0.9,0"]),
+         "--format", "csv", "--out", "{tmp}/section.csv"],
+     "the pair model overflows at these offsets"),
+    (1, ["scenario", "--family", "{dovf}", "--at", "0.9,0"],
+     "dA/dp_0 has non-finite entries at point [0.9, 0.0]"),
 ]
 
 
-@pytest.mark.parametrize("code,argv", EXIT_CASES)
-def test_exit_codes(code, argv, capsys, tmp_path, recwarn):
+@pytest.mark.parametrize("code,argv,error", EXIT_CASES,
+                         ids=[f"{code}-argv{k}" for k, (code, *_) in enumerate(EXIT_CASES)])
+def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     """One case per documented exit code; exit 1 also for find-ep on a
     one-parameter family or a 1x1 one, for non-finite flag values, for
     tolerances that are not positive and finite, for a flag the command does
     not read, for a family that overflows on the surface grid or whose
     derivative overflows at the anchor, and for a DP offset whose c overflows
     (JSON report and section CSV); exit 0 for a DP scenario whose Im c is
-    constant along the sweep. A failure prints one error line, and no case
-    warns."""
+    constant along the sweep. A failure prints one error line, with the
+    text that names its cause, and no case warns."""
     for name, doc in (("sep", SEPARATED_FAMILY), ("ovf", OVERFLOWING_FAMILY),
                       ("flat", FLAT_IM_FAMILY), ("one", SCALAR_FAMILY),
                       ("dovf", OVERFLOWING_DERIVATIVE_FAMILY)):
@@ -681,7 +696,8 @@ def test_exit_codes(code, argv, capsys, tmp_path, recwarn):
             .replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.main(argv) == code
     err = capsys.readouterr().err
-    assert len([line for line in err.splitlines() if line.startswith("error: ")]) == (code != 0)
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == (
+        [] if error is None else [f"error: {error}"])
     assert "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 

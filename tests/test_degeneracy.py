@@ -286,7 +286,8 @@ class TestFindEP:
     def test_ambiguous_pair_rejected(self):
         # third eigenvalue sits within 1.2x of the tightest pair's gap
         fam = family_mod.MatrixFamily(
-            3, 2, evaluator=lambda p: np.diag([0.0, 1.0, 1.05j]))
+            3, 2, evaluator=lambda p: np.diag([0.0, 1.0, 1.05j]),
+            deriv=lambda p, i: np.zeros((3, 3)))
         with pytest.raises(TrackingError):
             degeneracy.find_ep(fam, [0.0, 0.0])
 

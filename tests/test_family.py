@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from eigencoupling.family import (
     parse_family,
     parse_polynomial,
 )
+from fd_oracle import fd_derivative
 
 C = np.array([[1.0, 2j], [0.5, -1.0]])
 
@@ -42,13 +44,14 @@ class TestEvaluate:
         assert np.allclose(evaluate(fam, [2.0]), 2.0 * C)
 
     def test_shape_guard(self):
-        fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros((3, 3)))
+        fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros((3, 3)),
+                                      deriv=lambda p, i: np.zeros((2, 2)))
         with pytest.raises(DimensionError):
             evaluate(fam, [0.0])
 
     def test_domain_guard(self):
         fam = family_mod.MatrixFamily(
-            2, 1, evaluator=lambda p: np.eye(2),
+            2, 1, evaluator=lambda p: np.eye(2), deriv=lambda p, i: np.zeros((2, 2)),
             domain_guard=lambda p: abs(p[0]) < 1.0,
         )
         with pytest.raises(DomainError):
@@ -64,12 +67,11 @@ class TestDerivative:
         rng = np.random.default_rng(42)
         poly = random_polynomial(rng)
         analytic = poly.to_family()
-        fd = family_mod.MatrixFamily(poly.dim, poly.n_params, evaluator=poly.value)
         for _ in range(100):
             p = rng.uniform(-1.5, 1.5, size=poly.n_params)
             i = int(rng.integers(poly.n_params))
             exact = derivative(analytic, p, i)
-            approx = derivative(fd, p, i)
+            approx = fd_derivative(poly.value, p, i)
             scale = max(np.linalg.norm(exact), 1.0)
             assert np.linalg.norm(exact - approx) < 1e-6 * scale
 
@@ -174,17 +176,44 @@ class TestParseFamily:
 
     @pytest.mark.parametrize("key,number", [
         ("re", "1" + "0" * 400), ("im", "-1e400"), ("re", "NaN"), ("exp", "1" + "0" * 400),
-    ], ids=["re-int", "im-float", "re-nan", "exp-int"])
+        ("re", str(int(sys.float_info.max) + 1)), ("im", str(-int(sys.float_info.max) - 1)),
+    ], ids=["re-int", "im-float", "re-nan", "exp-int", "re-max-plus-one", "im-max-plus-one"])
     def test_number_beyond_double_range(self, key, number):
         """Numbers no double holds (json reads 10**400 as an int, 1e400 as
-        inf) are refused at their path instead of overflowing later."""
+        inf) are refused at their path instead of overflowing later; so is
+        an integer one above the largest double, which rounds down to it."""
         rows = {"re": "[[0, 1], [0, 0]]", "im": "[[0, 0], [0, 0]]", "exp": "[1]"}
         rows[key] = rows[key].replace("1" if key != "im" else "0", number, 1)
         doc = ('{"m": 2, "n": 1, "terms": [{"exp": %(exp)s, "re": %(re)s, "im": %(im)s}]}'
                % rows)
         with pytest.raises(FamilyParseError) as err:
             parse_family(doc)
-        assert err.value.path == f"$.terms[0].{key}"
+        message = ("exponents must be non-negative integers within the double range"
+                   if key == "exp" else "entries must be finite doubles")
+        assert str(err.value) == f"$.terms[0].{key}: {message}"
+
+    def test_largest_double_accepted(self):
+        """The largest double, as a float or as the integer it equals, parses
+        to itself; the exact comparison for entries that round to it refuses
+        only integers above it."""
+        top = sys.float_info.max
+        doc = json.dumps({"m": 2, "n": 1, "terms": [
+            {"exp": [0], "re": [[top, 0], [1, 0]], "im": [[0, int(top)], [-int(top), 0]]}]})
+        coeff, _ = parse_polynomial(doc).terms[0]
+        assert np.array_equal(coeff.real, [[top, 0], [1, 0]])
+        assert np.array_equal(coeff.imag, [[0, top], [-top, 0]])
+
+    @pytest.mark.parametrize("key", ["re", "im"])
+    @pytest.mark.parametrize("entry", [True, None, "1", [1]],
+                             ids=["true", "null", "string", "array"])
+    def test_entry_not_a_number(self, key, entry):
+        """An re or im entry that is not a JSON number is refused at its
+        term's path."""
+        doc = json.loads(self.DOC)
+        doc["terms"][1][key][1][0] = entry
+        with pytest.raises(FamilyParseError) as err:
+            parse_family(json.dumps(doc))
+        assert str(err.value) == f"$.terms[1].{key}: entries must be numbers"
 
 
 def per_point_polynomial(poly, p):
@@ -239,7 +268,7 @@ class TestEvaluateMany:
     def test_domain_guard_at_every_point(self):
         guard = lambda p: np.abs(p[..., 0]) < 1.0  # noqa: E731
         fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros(p.shape[:-1] + (2, 2)),
-                                      domain_guard=guard)
+                                      deriv=lambda p, i: np.zeros((2, 2)), domain_guard=guard)
         assert family_mod.evaluate_many(fam, [[0.0], [0.5]]).shape == (2, 2, 2)
         with pytest.raises(DomainError, match="1.5"):
             family_mod.evaluate_many(fam, [[0.0], [1.5], [0.2]])
@@ -247,7 +276,8 @@ class TestEvaluateMany:
             evaluate(fam, [-2.0])
 
     def test_output_shape_checked(self):
-        fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros((3, 2, 2)))
+        fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros((3, 2, 2)),
+                                      deriv=lambda p, i: np.zeros((2, 2)))
         with pytest.raises(DimensionError):
             family_mod.evaluate_many(fam, [[0.0], [1.0]])
 
@@ -260,7 +290,8 @@ class TestEvaluateMany:
             evaluate(fam, [-10.0])
         with pytest.raises(DimensionError, match=r"dA/dp_0 .* at point \[10.0\]"):
             derivative(fam, [10.0], 0)
-        per_point = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.full((2, 2), np.inf))
+        per_point = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.full((2, 2), np.inf),
+                                            deriv=lambda p, i: np.zeros((2, 2)))
         with pytest.raises(DimensionError, match=r"\[0.5\]"):
             evaluate(per_point, [0.5])
         assert not recwarn.list
@@ -278,7 +309,8 @@ class TestEvaluateMany:
             calls.append(("guard", p.shape))
             return p[..., 0] < 1.0
 
-        fam = family_mod.MatrixFamily(2, 1, evaluator=evaluator, domain_guard=guard)
+        fam = family_mod.MatrixFamily(2, 1, evaluator=evaluator,
+                                      deriv=lambda p, i: np.zeros((2, 2)), domain_guard=guard)
         assert np.array_equal(evaluate(fam, [0.5]), 0.5 * C)
         assert calls == [("guard", (1,)), ("evaluator", (1,))]
         calls.clear()
