@@ -29,7 +29,7 @@ from .family import MatrixFamily
 from . import numkit
 
 #: Chart guard margin: points with s1^2 + s2^2 >= 1 - margin are rejected so
-#: finite-difference stencils of consumers stay inside the hemisphere.
+#: s3 stays off 0, where the derivative's chain-rule term -p_i / s3 blows up.
 CHART_MARGIN = 1e-6
 
 

@@ -34,6 +34,7 @@ from .errors import (
     TrackingError,
 )
 from .numkit import hermitian_inner
+from .pairmodel import coupling
 
 #: Relative eigenvalue-distance threshold for treating a pair as a cluster.
 DEFAULT_CLUSTER_TOL = 1e-6
@@ -41,6 +42,8 @@ DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_MAX_ITER = 30
 #: Relative pair-gap target of the exceptional-point search.
 EP_GAP_TOL = 1e-8
+#: Residual bound of chain and frame vectors, relative to max(sigma_max(A), 1).
+_FRAME_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,10 @@ def classify(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) -> Deg
     (Jordan block), 2 a DP. The rank threshold is anchored to sigma_max(A)
     so that a semisimple pair (A - lam0 I ~ 0) is not misread as full rank.
     A singular value within a factor 10 of the threshold makes the decision
-    ambiguous and raises IndeterminateRankError carrying the spectrum. The
+    ambiguous and raises IndeterminateRankError carrying the spectrum. At
+    multiplicity 1 the unit kernel vectors of A - lam0 I and its adjoint are
+    orthogonal if lam0 is double; |(u0, v0)| = 1/cond(lam0) above 10 sqrt(tol_rank)
+    refuses lam0 as simple, and within a factor 10 of it is indeterminate. The
     result keeps the SVD of A - lam0 I and sigma_max(A) for the builders.
     """
     if tol_rank <= 0:
@@ -171,6 +177,16 @@ def classify(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) -> Deg
         raise ClassificationError(
             f"geometric multiplicity {gm} outside {{1, 2}} for lam0 = {lam0:.6g}"
         )
+    if gm == 1:
+        # |(u0, v0)| of the unit kernel vectors u0 = conj(vh[-1]), v0 = u[:, -1]
+        overlap = abs(shifted.vh[-1] @ shifted.u[:, -1])
+        simple = math.sqrt(tol_rank)
+        if overlap > 10.0 * simple:
+            raise ClassificationError(f"lam0 = {lam0:.6g} is a simple eigenvalue: "
+                                      f"|(u0, v0)| = {overlap:.3e} > 10 x {simple:.3e}")
+        if overlap > simple / 10.0:
+            raise IndeterminateRankError(f"|(u0, v0)| = {overlap:.3e} within a factor 10 of "
+                                         f"the threshold {simple:.3e}", singular_values=s)
     return DegeneracyClass(
         kind="EP" if gm == 1 else "DP", geometric_multiplicity=gm,
         lam0=complex(lam0), shifted=shifted, sigma_max=sigma_max,
@@ -190,9 +206,9 @@ def _check_chain(shifted, chain: JordanChain):
     }
 
 
-def jordan_chain(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) -> JordanChain:
+def jordan_chain(a, lam0: complex) -> JordanChain:
     """Jordan chain (u0, u1, v0, v1) of a defective double eigenvalue lam0 of A."""
-    return jordan_chain_of(classify(a, lam0, tol_rank))
+    return jordan_chain_of(classify(a, lam0))
 
 
 def jordan_chain_of(kind: DegeneracyClass) -> JordanChain:
@@ -226,7 +242,7 @@ def jordan_chain_of(kind: DegeneracyClass) -> JordanChain:
     chain = JordanChain(lam0=kind.lam0, u0=u0, u1=u1, v0=v0, v1=v1)
     residuals = _check_chain(shifted.matrix, chain)
     worst = max(residuals.values())
-    if not worst <= 1e-8 * max(kind.sigma_max, 1.0):
+    if not worst <= _FRAME_TOL * max(kind.sigma_max, 1.0):
         raise FrameError(
             f"chain residuals too large ({residuals}); lam0 may not be a "
             "double eigenvalue at this point"
@@ -234,20 +250,19 @@ def jordan_chain_of(kind: DegeneracyClass) -> JordanChain:
     return chain
 
 
-def dp_frame(a, lam0: complex, right_basis=None,
-             tol_rank: float = numkit.DEFAULT_RANK_TOL) -> DPFrame:
+def dp_frame(a, lam0: complex, right_basis=None) -> DPFrame:
     """Bi-orthonormalized frame (u1, u2, v1, v2) of a semisimple double pair
     lam0 of A; ``right_basis`` as in ``dp_frame_of``."""
-    return dp_frame_of(classify(a, lam0, tol_rank), right_basis)
+    return dp_frame_of(classify(a, lam0), right_basis)
 
 
 def dp_frame_of(kind: DegeneracyClass, right_basis=None) -> DPFrame:
     """Bi-orthonormalized frame (u1, u2, v1, v2) of a pair classified as DP.
 
-    ``right_basis`` optionally pins the right eigenvectors (columns or a
-    sequence of two vectors); the left vectors are then the unique solutions
-    of (u_k, v_l) = delta_kl inside the left eigenspace. Without it the
-    gauge-fixed kernel basis is used.
+    ``right_basis`` optionally pins the right eigenvectors (two vectors of
+    the eigenspace, held to the chain residuals' bound); the left vectors are
+    then the unique solutions of (u_k, v_l) = delta_kl inside the left
+    eigenspace. Without it the gauge-fixed kernel basis is used.
 
     ``classify`` has decided the two-dimensional kernel against sigma_max(A),
     so both eigenspaces are spanned by the two trailing right singular
@@ -262,12 +277,14 @@ def dp_frame_of(kind: DegeneracyClass, right_basis=None) -> DPFrame:
         u_mat = np.column_stack([numkit.gauge_fix(v.conj()) for v in kind.shifted.vh[-2:]])
     else:
         vecs = np.asarray(right_basis, dtype=complex)
-        if vecs.shape == (2, m):          # two row vectors
-            u_mat = vecs.T.copy()
-        elif vecs.shape == (m, 2):        # two column vectors
-            u_mat = vecs.copy()
-        else:
+        if vecs.shape != (2, m):
             raise FrameError("right_basis must supply two vectors of length m")
+        u_mat = vecs.T.copy()
+        residuals = np.linalg.norm(kind.shifted.matrix @ u_mat, axis=0)
+        bound = _FRAME_TOL * max(kind.sigma_max, 1.0) * np.linalg.norm(u_mat, axis=0)
+        if not np.all(residuals <= bound):
+            raise FrameError(f"right_basis leaves the eigenspace: ||(A - lam0 I) u|| = "
+                             f"{residuals.tolist()} > {bound.tolist()}")
     z_mat = numkit.SVD(kind.shifted.matrix.conj().T).vh[-2:].conj().T
     gram = z_mat.conj().T @ u_mat          # gram[j, k] = (u_k, z_j)
     if np.linalg.cond(gram) > 1e8:
@@ -319,10 +336,10 @@ def _select_pair(values, prev=None):
     return values[i], values[j]
 
 
-def _approximate_split_gradient(a, derivs, mean):
+def _approximate_split_gradient(fam, p, a, mean):
     """Columns f_s + i g_s = (dA/dp_s u0, v0) of the Newton Jacobian on the
-    approximate chain of ``jordan_chain_of`` at the current iterate, from one
-    SVD of A - mean I; v0 is its trailing left singular vector."""
+    approximate chain of ``jordan_chain_of`` at the iterate p, A = A(p), from
+    one SVD of A - mean I; v0 is its trailing left singular vector."""
     shifted = numkit.SVD(a - mean * np.eye(len(a)))
     u0 = shifted.null_vector()
     v0 = shifted.u[:, -1]
@@ -330,7 +347,7 @@ def _approximate_split_gradient(a, derivs, mean):
     if abs(scale) < 1e-300:
         raise TrackingError("approximate chain normalization broke down")
     v0 = v0 * np.conj(1.0 / scale)
-    return np.array([hermitian_inner(d @ u0, v0) for d in derivs])
+    return coupling(fam, p, (u0,), (v0,))[0, 0]
 
 
 def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
@@ -376,8 +393,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     for iteration in range(DEFAULT_MAX_ITER):
         if converged:
             break
-        derivs = [family_mod.derivative(fam, p, s) for s in range(2)]
-        cols = _approximate_split_gradient(a, derivs, mean)
+        cols = _approximate_split_gradient(fam, p, a, mean)
         jac = np.array([[cols[0].real, cols[1].real],
                         [cols[0].imag, cols[1].imag]])
         try:

@@ -34,7 +34,7 @@ from . import family as family_mod
 from .degeneracy import DPFrame
 from .errors import ChartError, DimensionError
 from .numkit import as_cmatrix
-from .pairmodel import PairPoint, offsets, pair_at, projection
+from .pairmodel import PairPoint, coupling, offsets, pair_at, projection, rest_offsets
 
 #: Relative tolerance deciding when a discriminant / critical value is
 #: treated as exactly zero (degenerate scenario).
@@ -151,10 +151,8 @@ def dp_sensitivities(fam: family_mod.MatrixFamily, frame: DPFrame, p0) -> DPLoca
     built from them are not.
     """
     p0 = fam._point(p0)
-    coupling = np.stack([
-        projection(family_mod.derivative(fam, p0, s), (frame.u1, frame.u2), (frame.v1, frame.v2))
-        for s in range(fam.n_params)], axis=-1)
-    return DPLocalModel(p0=p0, lam0=frame.lam0, coupling=coupling)
+    return DPLocalModel(p0=p0, lam0=frame.lam0, coupling=coupling(
+        fam, p0, (frame.u1, frame.u2), (frame.v1, frame.v2)))
 
 
 def split_multiparam(model: DPLocalModel, dp) -> PairPoint:
@@ -208,11 +206,7 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     max |dp_rest|, so no scale of dp_rest under- or overflows c (homogeneous
     of degree 2) or sways the label; the report scales back exactly.
     """
-    rest = np.atleast_1d(np.asarray(dp_rest, dtype=float))
-    if rest.shape != (model.n_params - 1,):
-        raise DimensionError(
-            f"dp_rest must have {model.n_params - 1} components, got {rest.shape}"
-        )
+    rest = rest_offsets(model, dp_rest)
     k = math.frexp(float(np.abs(rest).max(initial=0.0)))[1]
     c2, c1, c0 = _quadratic_form(model, lambda v: v[0], lambda v: v[1:] @ np.ldexp(rest, -k))
 

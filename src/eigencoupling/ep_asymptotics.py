@@ -45,7 +45,8 @@ from .errors import (
     ResolutionError,
 )
 from .numkit import as_cmatrix
-from .pairmodel import PairPoint, complex_array, offsets, pair_at, projection, sheets, sweep
+from .pairmodel import (PairPoint, complex_array, coupling, offsets, pair_at, projection,
+                        rest_offsets, sheets, sweep)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,6 @@ class EPLocalModel:
     split_im: np.ndarray     # gradient of Im of the squared half-gap
     drift_re: np.ndarray     # gradient of 2 Re of the pair-mean shift
     drift_im: np.ndarray     # gradient of 2 Im of the pair-mean shift
-    degenerate: bool = False
 
     @property
     def n_params(self) -> int:
@@ -176,26 +176,15 @@ def curve_split(chain: JordanChain, a0, a1) -> EPCurveSplit:
 
 
 def sensitivities(fam: family_mod.MatrixFamily, chain: JordanChain, p0) -> EPLocalModel:
-    """Measure the four sensitivity vectors of the local model at p0.
-
-    All four are invariant under the gauge freedom of the chain. A model with
-    all vectors numerically zero (constant family) is flagged degenerate.
-    """
+    """Measure the four sensitivity vectors of the local model at p0; all
+    four are invariant under the gauge freedom of the chain."""
     p0 = fam._point(p0)
-    n = fam.n_params
-    split = np.zeros(n, dtype=complex)
-    drift = np.zeros(n, dtype=complex)
-    for s in range(n):
-        proj = projection(family_mod.derivative(fam, p0, s),
-                          (chain.u0, chain.u1), (chain.v0, chain.v1))
-        split[s] = proj[0, 0]
-        drift[s] = proj[0, 1] + proj[1, 0]
-    scale = max(np.abs(split).max(initial=0.0), np.abs(drift).max(initial=0.0))
+    d = coupling(fam, p0, (chain.u0, chain.u1), (chain.v0, chain.v1))
+    split, drift = d[0, 0], d[0, 1] + d[1, 0]
     return EPLocalModel(
         p0=p0, lam0=chain.lam0,
         split_re=split.real.copy(), split_im=split.imag.copy(),
         drift_re=drift.real.copy(), drift_im=drift.imag.copy(),
-        degenerate=bool(scale < 1e-14),
     )
 
 
@@ -250,11 +239,7 @@ class ConicReport:
 def _fixed_rest(model: EPLocalModel, fixed_rest):
     """The frozen offsets of parameters 2..n (zeros when None) and
     gamma = <f_rest g1 - f1 g_rest, rest>, which shapes the conic and the section."""
-    n = model.n_params
-    rest = np.zeros(n - 1) if fixed_rest is None else np.atleast_1d(
-        np.asarray(fixed_rest, dtype=float))
-    if rest.shape != (n - 1,):
-        raise DimensionError(f"fixed_rest must have {n - 1} components")
+    rest = rest_offsets(model, fixed_rest)
     f1, g1 = model.split_re[0], model.split_im[0]
     return rest, float(np.sum((model.split_re[1:] * g1 - f1 * model.split_im[1:]) * rest))
 
@@ -400,19 +385,6 @@ def _axis_crossings(model, a, b, r):
             out.extend(AxisCrossing(axis="im", ordinate=o)
                        for o in (math.sqrt(val), -math.sqrt(val)))
     return tuple(out)
-
-
-def loop_quartic_residual(model: EPLocalModel, spec: LoopSpec, core: complex) -> float:
-    """Residual of the closed-form quartic locus at one core trajectory point."""
-    f1, f2 = model.split_re[:2]
-    g1, g2 = model.split_im[:2]
-    x, y = core.real, core.imag
-    kappa = f2 * g1 - f1 * g2
-    lhs = (
-        (g1 * x * x - 2 * f1 * x * y - g1 * y * y - spec.b * kappa) ** 2
-        + (g2 * x * x - 2 * f2 * x * y - g2 * y * y - spec.a * (f1 * g2 - g1 * f2)) ** 2
-    )
-    return float(lhs - kappa * kappa * spec.r * spec.r)
 
 
 def _track_branch(roots: np.ndarray) -> np.ndarray:

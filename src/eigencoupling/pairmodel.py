@@ -5,7 +5,7 @@ Near the degenerate point p0 both regimes give the eigenvalue pair as
     lam_pm(dp) = mid(dp) +- sqrt(q(dp)),    mid = lam0 + <mean, dp>,
 
 with a radicand q that is linear in dp at an EP (F + iG) and quadratic at a
-DP (c(dp)). Both are read off ``projection``, the restriction of dA/dp_s
+DP (c(dp)). Both are read off ``coupling``, the restriction of each dA/dp_s
 to the pair's two-dimensional subspace. A local model supplies mid and q at
 N offsets at once through its ``pair_terms(dps)`` method; ``sheets`` turns
 them into the four Re/Im sheets and the paired eigenvalues, and ``pair_at``
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import family as family_mod
 from .errors import DimensionError
 from .numkit import hermitian_inner
 
@@ -65,6 +66,13 @@ def projection(d, us, vs) -> np.ndarray:
     return np.array([[hermitian_inner(image, v) for v in vs] for image in images])
 
 
+def coupling(fam, p0, us, vs) -> np.ndarray:
+    """[i, j, s] = (dA/dp_s u_i, v_j) at p0: ``projection`` of each of the
+    family's derivatives, stacked along the last axis."""
+    return np.stack([projection(family_mod.derivative(fam, p0, s), us, vs)
+                     for s in range(fam.n_params)], axis=-1)
+
+
 def offsets(model, dps) -> np.ndarray:
     """Parameter offsets as an (N, n) float array; one offset (n,) gives N = 1."""
     arr = np.asarray(dps, dtype=float)
@@ -73,6 +81,15 @@ def offsets(model, dps) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != model.n_params:
         raise DimensionError(
             f"offset must have {model.n_params} components, got {np.shape(dps)}")
+    return arr
+
+
+def rest_offsets(model, rest) -> np.ndarray:
+    """The fixed offsets of parameters 2..n as an (n - 1,) float array; None gives zeros."""
+    n = model.n_params
+    arr = np.zeros(n - 1) if rest is None else np.atleast_1d(np.asarray(rest, dtype=float))
+    if arr.shape != (n - 1,):
+        raise DimensionError(f"offsets of parameters 2..n must have {n - 1} components")
     return arr
 
 

@@ -720,7 +720,7 @@ def test_allocation_failure_exit_one(command, allocator, flags, capsys, tmp_path
     assert capsys.readouterr().err == "error: Unable to allocate 74.5 GiB for an array\n"
 
 
-def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch):
+def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch, tmp_path):
     """classify factorises A - lam0 I and takes sigma_max(A); the chain or
     frame adds one SVD of the adjoint and nothing else."""
     svd = np.linalg.svd
@@ -731,11 +731,33 @@ def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    limits = {"classify": 2, "scenario": 3}
+    limits = {"classify": 2, "scenario": 3, "surface": 3, "loop": 3}
+    flags = {"surface": ["--res", "3", "--out", str(tmp_path / "s.csv")],
+             "loop": ["--loop", "0,0,0.01", "--out", str(tmp_path / "l.csv")]}
+    cases = [(command, crystal) for command in ("classify", "scenario", "surface")
+             for crystal in ("crystal-example-1", "crystal-example-2")]
+    cases.append(("loop", "crystal-example-1"))     # loops need an EP anchor
     counts = {}
-    for command in limits:
-        for crystal in ("crystal-example-1", "crystal-example-2"):
-            calls.clear()
-            assert run(capsys, command, "--family", crystal, "--at", "0,0")[0] == 0
-            counts[command, crystal] = len(calls)
+    for command, crystal in cases:
+        calls.clear()
+        argv = [command, "--family", crystal, "--at", "0,0", *flags.get(command, [])]
+        assert run(capsys, *argv)[0] == 0
+        counts[command, crystal] = len(calls)
     assert all(n <= limits[command] for (command, _), n in counts.items()), counts
+
+
+def test_module_entry_point():
+    """``python -m eigencoupling`` exits with main's code: the report on
+    stdout, or one error line on stderr."""
+    src = str(Path(cli.__file__).parents[1])
+
+    def entry(*argv):
+        return subprocess.run([sys.executable, "-m", "eigencoupling", *argv], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+    golden = Path(__file__).parent / "golden" / "crystal-example-1.classify.json"
+    done = entry("classify", "--family", "crystal-example-1", "--at", "0,0")
+    assert (done.returncode, done.stdout, done.stderr) == (0, golden.read_bytes(), b"")
+    done = entry("classify", "--family", "crystal-example-1", "--at", "0.3,0.2")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"error: no eigenvalue cluster at (0.3, 0.2)\n"

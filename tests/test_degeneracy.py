@@ -153,13 +153,32 @@ class TestJordanChain:
             degeneracy.jordan_chain(2.0 * np.eye(2), 2.0)
 
     def test_simple_eigenvalue_has_no_chain(self):
-        # a one-dimensional kernel but no Jordan block: (A - 0 I) u1 = u0 has
-        # no solution, the solve returns u1 = 0 and (u1, v0) vanishes
-        kind = degeneracy.classify(np.diag([0.0, 1.0]), 0.0)
+        # a one-dimensional kernel but no Jordan block: the unit kernel
+        # vectors u0 = v0 = e1 overlap fully, so classify refuses lam0
+        with pytest.raises(ClassificationError, match=r"\|\(u0, v0\)\| = 1\.000e\+00"):
+            degeneracy.classify(np.diag([0.0, 1.0]), 0.0)
+
+    def test_triple_block_chain_guard(self):
+        # a 3x3 nilpotent block has (u0, v0) = (e1, e3) = 0 and passes
+        # classify, but its chain u1 = e2 misses v0: (u1, v0) vanishes
+        kind = degeneracy.classify(np.diag([1.0, 1.0], 1), 0.0)
         assert kind.kind == "EP"
         with np.errstate(all="raise"):
-            with pytest.raises(FrameError):
+            with pytest.raises(FrameError, match="vanishes"):
                 degeneracy.jordan_chain_of(kind)
+
+    @pytest.mark.parametrize("delta, error", [
+        (0.0, None), (1e-6, None), (1e-4, IndeterminateRankError),
+        (2e-3, ClassificationError), (0.5, ClassificationError)])
+    def test_simple_eigenvalue_threshold(self, delta, error):
+        # eigenvalues 0 and delta: at lam0 = 0, |(u0, v0)| = delta / sqrt(1 + delta^2),
+        # held against sqrt(tol_rank) = 1e-4 with a factor-10 band
+        a = np.array([[0.0, 1.0], [0.0, delta]])
+        if error is None:
+            assert degeneracy.classify(a, 0.0).kind == "EP"
+        else:
+            with pytest.raises(error, match=r"\|\(u0, v0\)\|"):
+                degeneracy.classify(a, 0.0)
 
     def test_gauge_invariance_of_split_coefficient(self, ep_chain):
         a0, cluster, chain = ep_chain
@@ -230,6 +249,19 @@ class TestDPFrame:
     def test_ep_input_rejected(self):
         with pytest.raises(ClassificationError):
             degeneracy.dp_frame(JORDAN_2, 2.0)
+
+    def test_pinned_vector_outside_eigenspace_refused(self, dp_frame_pinned):
+        # e3 is no eigenvector of crystal-example-2's A0: ||(A0 - lam0 I) e3|| = sqrt(55)
+        a0 = dp_frame_pinned[0]
+        e1, e3 = np.eye(3, dtype=complex)[[0, 2]]
+        with pytest.raises(FrameError, match=r"7\.416"):
+            degeneracy.dp_frame(a0, 1 + 5j, right_basis=[e1, e3])
+
+    def test_pinned_basis_needs_two_rows(self, dp_frame_pinned):
+        a0 = dp_frame_pinned[0]
+        columns = np.eye(3, dtype=complex)[:, :2]
+        with pytest.raises(FrameError, match="two vectors"):
+            degeneracy.dp_frame(a0, 1 + 5j, right_basis=columns)
 
 
 class TestCodimension:
@@ -306,8 +338,7 @@ class TestFindEP:
         # at the EP the approximate chain is the Jordan chain, so the Newton
         # Jacobian columns are the squared-gap gradient F + iG of the model
         a0, cluster, _ = ep_chain
-        derivs = [family_mod.derivative(crystal1, np.zeros(2), s) for s in range(2)]
-        cols = degeneracy._approximate_split_gradient(a0, derivs, cluster.center)
+        cols = degeneracy._approximate_split_gradient(crystal1, np.zeros(2), a0, cluster.center)
         model = ep_model.split_re + 1j * ep_model.split_im
         assert np.abs(cols - model).max() <= 1e-12 * np.abs(model).max()
 

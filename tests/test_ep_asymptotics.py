@@ -38,6 +38,20 @@ def synthetic_model(split_re, split_im, drift_re=None, drift_im=None, lam0=0.0):
     )
 
 
+def loop_quartic_residual(model, spec, core: complex) -> float:
+    """Residual of the closed-form quartic locus of the loop at one core
+    trajectory point: an oracle for ``loop_trajectory``."""
+    f1, f2 = model.split_re[:2]
+    g1, g2 = model.split_im[:2]
+    x, y = core.real, core.imag
+    kappa = f2 * g1 - f1 * g2
+    lhs = (
+        (g1 * x * x - 2 * f1 * x * y - g1 * y * y - spec.b * kappa) ** 2
+        + (g2 * x * x - 2 * f2 * x * y - g2 * y * y - spec.a * (f1 * g2 - g1 * f2)) ** 2
+    )
+    return float(lhs - kappa * kappa * spec.r * spec.r)
+
+
 class TestCurveSplit:
     def test_toy_square_root(self):
         split = ep.curve_split(toy_chain(), TOY_A0, TOY_A1)
@@ -75,7 +89,6 @@ class TestSensitivities:
         assert np.allclose(ep_model.split_im, [-4.0, 0.0], atol=1e-8)
         assert np.allclose(ep_model.drift_re, [0.0, 0.0], atol=1e-8)
         assert np.allclose(ep_model.drift_im, [-4.0, 0.0], atol=1e-8)
-        assert not ep_model.degenerate
 
     def test_toy_family(self):
         fam = family_mod.MatrixFamily(
@@ -90,14 +103,14 @@ class TestSensitivities:
         assert np.allclose(model.drift_re, 0.0, atol=1e-12)
         assert np.allclose(model.drift_im, 0.0, atol=1e-12)
 
-    def test_constant_family_flagged_degenerate(self):
+    def test_constant_family(self):
         fam = family_mod.MatrixFamily(
             2, 2, evaluator=lambda p: TOY_A0,
             deriv=lambda p, i: np.zeros((2, 2)),
         )
         model = ep.sensitivities(fam, toy_chain(), [0.0, 0.0])
-        assert model.degenerate
-        assert np.allclose(model.split_re, 0.0)
+        for vector in (model.split_re, model.split_im, model.drift_re, model.drift_im):
+            assert np.all(vector == 0.0)
 
 
 class TestSurfaceEval:
@@ -357,7 +370,7 @@ class TestLoopTrajectory:
         spec = ep.LoopSpec(a=0.003, b=-0.002, r=0.01)
         report = ep.loop_trajectory(ep_model, spec)
         scale = (16.0 * spec.r) ** 2   # (f2 g1 - f1 g2)^2 r^2
-        worst = max(abs(ep.loop_quartic_residual(ep_model, spec, z))
+        worst = max(abs(loop_quartic_residual(ep_model, spec, z))
                     for z in report.core_plus)
         assert worst < 1e-10 * scale
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from eigencoupling import dp_asymptotics, ep_asymptotics
+from eigencoupling import family as family_mod
+from eigencoupling.degeneracy import DPFrame, JordanChain
 from eigencoupling.errors import DimensionError
-from eigencoupling.pairmodel import sheets
+from eigencoupling.pairmodel import projection, sheets
 
 
 def grid(half=0.05, res=9):
@@ -73,3 +75,60 @@ class TestSheets:
                 sheets(model, np.zeros((4, 3)))
             with pytest.raises(DimensionError):
                 sheets(model, [0.1])
+
+
+def test_rest_offsets_checked_alike(ep_model, dp_model_pinned):
+    """The conic, the EP section and the DP-1p scenario refuse the same
+    wrong count of fixed offsets with the same error."""
+    for call in (lambda rest: ep_asymptotics.complex_plane_conic(ep_model, rest),
+                 lambda rest: ep_asymptotics.cross_section(ep_model, rest),
+                 lambda rest: dp_asymptotics.avoided_crossing_1p(dp_model_pinned, rest)):
+        with pytest.raises(DimensionError, match=r"parameters 2\.\.n must have 1 components"):
+            call([0.01, 0.02])
+
+
+def reference_ep_vectors(fam, chain, p0):
+    """split and drift by one projection per derivative, as a reference."""
+    n = fam.n_params
+    split = np.zeros(n, dtype=complex)
+    drift = np.zeros(n, dtype=complex)
+    for s in range(n):
+        proj = projection(family_mod.derivative(fam, p0, s),
+                          (chain.u0, chain.u1), (chain.v0, chain.v1))
+        split[s] = proj[0, 0]
+        drift[s] = proj[0, 1] + proj[1, 0]
+    return split, drift
+
+
+def reference_dp_coupling(fam, frame, p0):
+    """The DP coupling stack by one projection per derivative, as a reference."""
+    return np.stack([
+        projection(family_mod.derivative(fam, p0, s), (frame.u1, frame.u2), (frame.v1, frame.v2))
+        for s in range(fam.n_params)], axis=-1)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("n", range(1, 4))
+def test_coupling_matches_per_derivative_reference(m, n):
+    """Both local models read the pair's coupling stack bit for bit as the
+    per-derivative loops do, on random derivatives and vectors."""
+    rng = np.random.default_rng(100 * m + n)
+
+    def cvec(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    derivs = cvec(n, m, m)
+    fam = family_mod.MatrixFamily(m, n, evaluator=lambda p: derivs[0],
+                                  deriv=lambda p, i: derivs[i])
+    p0 = rng.normal(size=n)
+    lam0 = complex(*rng.normal(size=2))
+    chain = JordanChain(lam0, *cvec(4, m))
+    split, drift = reference_ep_vectors(fam, chain, p0)
+    model = ep_asymptotics.sensitivities(fam, chain, p0)
+    for got, want in ((model.split_re, split.real), (model.split_im, split.imag),
+                      (model.drift_re, drift.real), (model.drift_im, drift.imag)):
+        assert got.tobytes() == want.tobytes()
+    frame = DPFrame(lam0, *cvec(4, m))
+    got = dp_asymptotics.dp_sensitivities(fam, frame, p0).coupling
+    assert got.shape == (2, 2, n)
+    assert got.tobytes() == reference_dp_coupling(fam, frame, p0).tobytes()
