@@ -108,8 +108,8 @@ def find_double_eigenvalues(a, tol_cluster: float = DEFAULT_CLUSTER_TOL):
     eigenvalue within 10x tol of a cluster center raises MultiplicityError
     (triple or higher coincidences are out of scope).
     """
-    if tol_cluster <= 0:
-        raise ValueError("tol_cluster must be positive")
+    if not 0 < tol_cluster < math.inf:
+        raise ValueError("tol_cluster must be positive and finite")
     w = numkit.eigvals(a)
     m = len(w)
     candidates = []
@@ -159,8 +159,8 @@ def classify(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) -> Deg
     refuses lam0 as simple, and within a factor 10 of it is indeterminate. The
     result keeps the SVD of A - lam0 I and sigma_max(A) for the builders.
     """
-    if tol_rank <= 0:
-        raise ValueError("tol_rank must be positive")
+    if not 0 < tol_rank < math.inf:
+        raise ValueError("tol_rank must be positive and finite")
     arr = numkit.as_cmatrix(a)
     shifted = numkit.SVD(arr - lam0 * np.eye(arr.shape[0]))
     s = shifted.s
@@ -206,6 +206,19 @@ def _check_chain(shifted, chain: JordanChain):
     }
 
 
+def _chain_head(shifted: numkit.SVD):
+    """(u0, u1, v0) at M = A - lam0 I from its SVD: u0 the gauge-fixed kernel vector,
+    u1 the minimum-norm solve of M u1 = u0, and v0 = u[:, -1], the kernel of
+    M* = V S U*, scaled to (u1, v0) = 1; FrameError when (u1, v0) vanishes."""
+    u0 = shifted.null_vector()
+    u1 = shifted.solve(u0)
+    v0 = shifted.u[:, -1]
+    scale = hermitian_inner(u1, v0)
+    if not abs(scale) > 1e-12 * np.linalg.norm(u1):
+        raise FrameError("(u1, v0) vanishes; chain normalization impossible")
+    return u0, u1, v0 * np.conj(1.0 / scale)
+
+
 def jordan_chain(a, lam0: complex) -> JordanChain:
     """Jordan chain (u0, u1, v0, v1) of a defective double eigenvalue lam0 of A."""
     return jordan_chain_of(classify(a, lam0))
@@ -214,33 +227,20 @@ def jordan_chain(a, lam0: complex) -> JordanChain:
 def jordan_chain_of(kind: DegeneracyClass) -> JordanChain:
     """Jordan chain (u0, u1, v0, v1) of a double eigenvalue classified as EP.
 
-    Construction: u0 from the kernel (gauge-fixed), u1 as the minimum-norm
-    solution of the chain equation (which fixes the residual freedom
-    u1 -> u1 + beta*u0 by (u1, u0) = 0), v0 as the adjoint kernel vector
-    rescaled to (u1, v0) = 1, and v1 as the minimum-norm adjoint solve
-    corrected by a multiple of v0 so that (u1, v1) = 0. The right vectors
-    come from the classification's factorisation, the left ones from one
-    factorisation of the adjoint. ``classify`` has decided the kernel is
-    one-dimensional, so both kernels are trailing singular vectors, as in
-    ``dp_frame_of``, and both solves run on their complements. The solves
+    Construction: (u0, u1, v0) as in ``_chain_head``, and v1 as the
+    minimum-norm adjoint solve corrected by a multiple of v0 so that
+    (u1, v1) = 0. Every vector comes from the classification's factorisation
+    of A - lam0 I, read the other way, V S U*, for the adjoint. The solves
     check nothing; ``_check_chain`` does, and an inconsistent chain raises
     FrameError.
     """
     if kind.kind != "EP":
         raise ClassificationError("jordan_chain needs an EP; classify says DP")
-    shifted = kind.shifted
-    u0 = shifted.null_vector()
-    u1 = shifted.solve(u0)
-    adjoint = numkit.SVD(shifted.matrix.conj().T)
-    v0_raw = adjoint.null_vector()
-    scale = hermitian_inner(u1, v0_raw)
-    if not abs(scale) > 1e-12 * np.linalg.norm(u1):
-        raise FrameError("(u1, v0) vanishes; chain normalization impossible")
-    v0 = v0_raw * np.conj(1.0 / scale)
-    v1 = adjoint.solve(v0)
+    u0, u1, v0 = _chain_head(kind.shifted)
+    v1 = kind.shifted.adjoint().solve(v0)
     v1 = v1 - np.conj(hermitian_inner(u1, v1)) * v0
     chain = JordanChain(lam0=kind.lam0, u0=u0, u1=u1, v0=v0, v1=v1)
-    residuals = _check_chain(shifted.matrix, chain)
+    residuals = _check_chain(kind.shifted.matrix, chain)
     worst = max(residuals.values())
     if not worst <= _FRAME_TOL * max(kind.sigma_max, 1.0):
         raise FrameError(
@@ -265,8 +265,8 @@ def dp_frame_of(kind: DegeneracyClass, right_basis=None) -> DPFrame:
     eigenspace. Without it the gauge-fixed kernel basis is used.
 
     ``classify`` has decided the two-dimensional kernel against sigma_max(A),
-    so both eigenspaces are spanned by the two trailing right singular
-    vectors of A - lam0 I and of its adjoint. (A threshold relative to
+    so the two trailing right and left singular vectors of A - lam0 I span
+    the right and the left eigenspace. (A threshold relative to
     ||A - lam0 I|| would misjudge a scalar A, where that norm is rounding
     noise.)
     """
@@ -285,7 +285,7 @@ def dp_frame_of(kind: DegeneracyClass, right_basis=None) -> DPFrame:
         if not np.all(residuals <= bound):
             raise FrameError(f"right_basis leaves the eigenspace: ||(A - lam0 I) u|| = "
                              f"{residuals.tolist()} > {bound.tolist()}")
-    z_mat = numkit.SVD(kind.shifted.matrix.conj().T).vh[-2:].conj().T
+    z_mat = kind.shifted.u[:, -2:]          # the kernel of (A - lam0 I)* = V S U*
     gram = z_mat.conj().T @ u_mat          # gram[j, k] = (u_k, z_j)
     if np.linalg.cond(gram) > 1e8:
         raise FrameError("Gram matrix of the candidate frames is near singular")
@@ -337,16 +337,13 @@ def _select_pair(values, prev=None):
 
 
 def _approximate_split_gradient(fam, p, a, mean):
-    """Columns f_s + i g_s = (dA/dp_s u0, v0) of the Newton Jacobian on the
-    approximate chain of ``jordan_chain_of`` at the iterate p, A = A(p), from
-    one SVD of A - mean I; v0 is its trailing left singular vector."""
-    shifted = numkit.SVD(a - mean * np.eye(len(a)))
-    u0 = shifted.null_vector()
-    v0 = shifted.u[:, -1]
-    scale = hermitian_inner(shifted.solve(u0), v0)
-    if abs(scale) < 1e-300:
-        raise TrackingError("approximate chain normalization broke down")
-    v0 = v0 * np.conj(1.0 / scale)
+    """Columns f_s + i g_s = (dA/dp_s u0, v0) of the Newton Jacobian at the
+    iterate p, A = A(p), on the approximate (u0, v0) that ``_chain_head``
+    builds from one SVD of A - mean I."""
+    try:
+        u0, _, v0 = _chain_head(numkit.SVD(a - mean * np.eye(len(a))))
+    except FrameError as exc:
+        raise TrackingError("approximate chain normalization broke down") from exc
     return coupling(fam, p, (u0,), (v0,))[0, 0]
 
 

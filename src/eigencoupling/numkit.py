@@ -13,6 +13,7 @@ This makes repeated calls on the same input bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,6 +154,12 @@ class SVD:
         inv = np.zeros_like(self.s)
         inv[:-1] = 1.0 / self.s[:-1]
         return self.vh.conj().T @ (inv * (self.u.conj().T @ rhs))
+
+    def adjoint(self) -> "SVD":
+        """The SVD of M* = V S U*, read from these factors without a second call."""
+        adj = copy.copy(self)
+        adj.matrix, adj.u, adj.vh = self.matrix.conj().T, self.vh.conj().T, self.u.conj().T
+        return adj
 
 
 def pair_assignment(values, targets):

@@ -80,6 +80,17 @@ FLAT_IM_FAMILY = json.dumps({
     ],
 })
 
+#: A(p) = diag(p1, p2, 5): away from p1 = p2 the Newton Jacobian's chain
+#: normalization (u1, v0) vanishes, since A - mean I is normal
+DIAGONAL_FAMILY = json.dumps({
+    "m": 3, "n": 2,
+    "terms": [
+        {"exp": [0, 0], "re": [[0, 0, 0], [0, 0, 0], [0, 0, 5]], "im": [[0] * 3] * 3},
+        {"exp": [1, 0], "re": [[1, 0, 0], [0, 0, 0], [0, 0, 0]], "im": [[0] * 3] * 3},
+        {"exp": [0, 1], "re": [[0, 0, 0], [0, 1, 0], [0, 0, 0]], "im": [[0] * 3] * 3},
+    ],
+})
+
 
 def validate(report, schema_name):
     jsonschema = pytest.importorskip("jsonschema")
@@ -670,6 +681,8 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
      "the pair model overflows at these offsets"),
     (1, ["scenario", "--family", "{dovf}", "--at", "0.9,0"],
      "dA/dp_0 has non-finite entries at point [0.9, 0.0]"),
+    (4, ["find-ep", "--family", "{diag}", "--at", "0.1,0.2"],
+     "approximate chain normalization broke down"),
 ]
 
 
@@ -681,18 +694,20 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     tolerances that are not positive and finite, for a flag the command does
     not read, for a family that overflows on the surface grid or whose
     derivative overflows at the anchor, and for a DP offset whose c overflows
-    (JSON report and section CSV); exit 0 for a DP scenario whose Im c is
+    (JSON report and section CSV); exit 4 also when find-ep's chain
+    normalization breaks down; exit 0 for a DP scenario whose Im c is
     constant along the sweep. A failure prints one error line, with the
     text that names its cause, and no case warns."""
     for name, doc in (("sep", SEPARATED_FAMILY), ("ovf", OVERFLOWING_FAMILY),
                       ("flat", FLAT_IM_FAMILY), ("one", SCALAR_FAMILY),
-                      ("dovf", OVERFLOWING_DERIVATIVE_FAMILY)):
+                      ("dovf", OVERFLOWING_DERIVATIVE_FAMILY), ("diag", DIAGONAL_FAMILY)):
         (tmp_path / f"{name}.json").write_text(doc)
     argv = [a.replace("{sep}", str(tmp_path / "sep.json"))
             .replace("{ovf}", str(tmp_path / "ovf.json"))
             .replace("{flat}", str(tmp_path / "flat.json"))
             .replace("{one}", str(tmp_path / "one.json"))
             .replace("{dovf}", str(tmp_path / "dovf.json"))
+            .replace("{diag}", str(tmp_path / "diag.json"))
             .replace("{tmp}", str(tmp_path)) for a in argv]
     assert cli.main(argv) == code
     err = capsys.readouterr().err
@@ -722,7 +737,7 @@ def test_allocation_failure_exit_one(command, allocator, flags, capsys, tmp_path
 
 def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch, tmp_path):
     """classify factorises A - lam0 I and takes sigma_max(A); the chain or
-    frame adds one SVD of the adjoint and nothing else."""
+    frame reads both its sides from that factorisation and adds no SVD."""
     svd = np.linalg.svd
     calls = []
 
@@ -731,7 +746,7 @@ def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch, tmp_path):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    limits = {"classify": 2, "scenario": 3, "surface": 3, "loop": 3}
+    limits = {"classify": 2, "scenario": 2, "surface": 2, "loop": 2}
     flags = {"surface": ["--res", "3", "--out", str(tmp_path / "s.csv")],
              "loop": ["--loop", "0,0,0.01", "--out", str(tmp_path / "l.csv")]}
     cases = [(command, crystal) for command in ("classify", "scenario", "surface")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,12 @@ class TestFindDoubleEigenvalues:
     def test_separated_spectrum(self):
         assert degeneracy.find_double_eigenvalues(np.diag([1.0, 2.0, 3.0]), 1e-8) == []
 
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        # a NaN threshold used to find no cluster at all
+        with pytest.raises(ValueError, match="tol_cluster must be positive and finite"):
+            degeneracy.find_double_eigenvalues(np.diag([1.0, 1.0, 5.0]), tol_cluster=tol)
+
     def test_triple_coincidence_rejected(self):
         with pytest.raises(MultiplicityError):
             degeneracy.find_double_eigenvalues(
@@ -87,9 +95,11 @@ class TestClassify:
         with pytest.raises(ClassificationError):       # kernel dimension 3
             degeneracy.classify(np.zeros((3, 3)), 0.0)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            degeneracy.classify(np.eye(2), 1.0, tol_rank=0.0)
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        # a NaN or infinite threshold used to call a simple eigenvalue a DP
+        with pytest.raises(ValueError, match="tol_rank must be positive and finite"):
+            degeneracy.classify(np.diag([0.0, 1.0]), 0.0, tol_rank=tol)
 
     def test_kernel_decided_against_sigma_max_of_a(self):
         """A - lam0 I is tiny next to A: its smallest singular value 1e-7

@@ -112,6 +112,23 @@ class TestSVD:
         assert np.linalg.norm(shifted @ svd.solve(U0) - U0) < 1e-10
         assert np.linalg.norm(svd.u @ np.diag(svd.s) @ svd.vh - shifted) < 1e-12
 
+    def test_adjoint_reads_the_same_factors(self, monkeypatch):
+        """M* = V S U*: the adjoint's kernel is u[:, -1] and its minimum-norm
+        solve matches a fresh factorisation of M*, with no LAPACK call."""
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        svd = numkit.SVD(m)
+        monkeypatch.setattr(np.linalg, "svd", None)
+        adj = svd.adjoint()
+        assert adj.matrix.tolist() == m.conj().T.tolist()
+        assert np.linalg.norm(adj.u @ np.diag(adj.s) @ adj.vh - m.conj().T) < 1e-12
+        assert np.array_equal(adj.null_vector(), numkit.gauge_fix(svd.u[:, -1]))
+        b = rng.normal(size=4) + 1j * rng.normal(size=4)
+        x = adj.solve(b)
+        monkeypatch.undo()
+        assert np.linalg.norm(x - numkit.SVD(m.conj().T).solve(b)) < 1e-12
+        assert svd.matrix.tolist() == m.tolist()
+
 
 class TestNullVector:
     def test_nilpotent(self):
