@@ -93,14 +93,14 @@ def _load_family(source: str) -> family_mod.MatrixFamily:
 
 
 def _anchor_cluster(fam, at, tol_cluster, tol_rank):
-    """The tightest eigenvalue cluster of A(at) and its classification."""
+    """The tightest eigenvalue cluster of A(at), the first of
+    ``find_double_eigenvalues``'s nearest-first list, and its classification."""
     a = family_mod.evaluate(fam, at)
     clusters = degeneracy.find_double_eigenvalues(a, tol_cluster)
     if not clusters:
         raise ClassificationError(
             f"no eigenvalue cluster at ({', '.join(str(float(x)) for x in at)})")
-    cluster = min(clusters, key=lambda c: c.internal_gap)
-    return cluster, degeneracy.classify(a, cluster.center, tol_rank)
+    return clusters[0], degeneracy.classify(a, clusters[0].center, tol_rank)
 
 
 def _write_text(path: str, text: str):

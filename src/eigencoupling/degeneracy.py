@@ -100,41 +100,45 @@ class EPSearchResult:
     gap: float                  # final pair separation
 
 
+def _nearest_pairs(values):
+    """(gap, i, j) of every pair i < j of the values, nearest first; ties go
+    to the lowest (i, j)."""
+    m = len(values)
+    return sorted((abs(values[i] - values[j]), i, j) for i in range(m) for j in range(i + 1, m))
+
+
+def _isolation(values, i, j):
+    """Centre of the pair (i, j), and the nearest value of another index with
+    its distance to the centre (inf and None when there is none)."""
+    center = (values[i] + values[j]) / 2.0
+    external, k = min(((abs(values[k] - center), k) for k in range(len(values))
+                       if k not in (i, j)), default=(math.inf, None))
+    return center, external, None if k is None else values[k]
+
+
 def find_double_eigenvalues(a, tol_cluster: float = DEFAULT_CLUSTER_TOL):
     """All near-double eigenvalue pairs of a matrix, nearest pairs first.
 
     Pairs with |lam_i - lam_j| <= tol * (1 + max|lam|) are greedily matched
-    by increasing gap; each eigenvalue joins at most one cluster. A third
-    eigenvalue within 10x tol of a cluster center raises MultiplicityError
-    (triple or higher coincidences are out of scope).
+    by increasing gap, ties to the lowest (i, j); each eigenvalue joins at
+    most one cluster. A third eigenvalue within 10x tol of a cluster center
+    raises MultiplicityError (triple or higher coincidences are out of scope).
     """
     if not 0 < tol_cluster < math.inf:
         raise ValueError("tol_cluster must be positive and finite")
     w = numkit.eigvals(a)
-    m = len(w)
-    candidates = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            gap = abs(w[i] - w[j])
-            scale = 1.0 + max(abs(w[i]), abs(w[j]))
-            if gap <= tol_cluster * scale:
-                candidates.append((gap, i, j))
-    candidates.sort(key=lambda t: t[0])
     used = set()
     clusters = []
-    for gap, i, j in candidates:
-        if i in used or j in used:
+    for gap, i, j in _nearest_pairs(w):
+        if i in used or j in used or not gap <= tol_cluster * (1.0 + max(abs(w[i]), abs(w[j]))):
             continue
         used.update((i, j))
-        center = (w[i] + w[j]) / 2.0
-        rest = [w[k] for k in range(m) if k not in (i, j)]
-        external = min((abs(z - center) for z in rest), default=math.inf)
-        for z in rest:
-            if abs(z - center) <= 10.0 * tol_cluster * (1.0 + abs(center)):
-                raise MultiplicityError(
-                    f"third eigenvalue {z:.6g} within 10x tolerance of the "
-                    f"cluster at {center:.6g}; multiplicity > 2 unsupported"
-                )
+        center, external, z = _isolation(w, i, j)
+        if external <= 10.0 * tol_cluster * (1.0 + abs(center)):
+            raise MultiplicityError(
+                f"third eigenvalue {z:.6g} within 10x tolerance of the "
+                f"cluster at {center:.6g}; multiplicity > 2 unsupported"
+            )
         if external <= gap:
             raise MultiplicityError(
                 f"cluster at {center:.6g} not isolated: external gap "
@@ -321,21 +325,6 @@ def codimension(matrix_type: str, kind: str) -> Optional[int]:
     return _CODIMENSION_TABLE[key]
 
 
-def _select_pair(values, prev=None):
-    """Pick the tracked eigenvalue pair out of the full spectrum."""
-    m = len(values)
-    if m < 2:
-        raise TrackingError("family dimension < 2 has no eigenvalue pairs")
-    if prev is not None:
-        # assignment of the two previous values to the closest new ones
-        i, j, _ = numkit.pair_assignment(values[None], np.array([prev]))
-        return values[i[0]], values[j[0]]
-    # the closest pair; ties go to the lowest (i, j)
-    _, i, j = min((abs(values[i] - values[j]), i, j)
-                  for i in range(m) for j in range(i + 1, m))
-    return values[i], values[j]
-
-
 def _approximate_split_gradient(fam, p, a, mean):
     """Columns f_s + i g_s = (dA/dp_s u0, v0) of the Newton Jacobian at the
     iterate p, A = A(p), on the approximate (u0, v0) that ``_chain_head``
@@ -367,25 +356,33 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     eps_floor = 2.0 * math.sqrt(np.finfo(float).eps)
 
     def probe(point, prev=None):
+        """The iterate's matrix, pair, mean, squared half-gap, gap and
+        convergence; the first probe takes the nearest pair and checks that
+        it stands apart, later ones the assignment to the previous pair."""
         a = family_mod.evaluate(fam, point)
         values = numkit.eigvals(a)
-        lam_p, lam_m = _select_pair(values, prev)
+        if prev is None:
+            pairs = _nearest_pairs(values)
+            if not pairs:
+                raise TrackingError("family dimension < 2 has no eigenvalue pairs")
+            gap, i, j = pairs[0]
+            _, external, _ = _isolation(values, i, j)
+            if external <= 1.2 * gap:
+                raise TrackingError(
+                    f"eigenvalue pair not separated from the rest of the spectrum "
+                    f"(external gap {external:.3e} vs internal {gap:.3e})"
+                )
+        else:
+            (i,), (j,), _ = numkit.pair_assignment(values[None], np.array([prev]))
+        lam_p, lam_m = values[i], values[j]
         mean = (lam_p + lam_m) / 2.0
         z = ((lam_p - lam_m) / 2.0) ** 2
         gap = abs(lam_p - lam_m)
         floor = eps_floor * numkit.singular_values(a)[0]
         converged = gap <= max(EP_GAP_TOL * (1.0 + abs(mean)), floor)
-        return a, values, (lam_p, lam_m), mean, z, gap, converged
+        return a, (lam_p, lam_m), mean, z, gap, converged
 
-    a, values, pair, mean, z, gap, converged = probe(p)
-    external = min((abs(lam - mean) for lam in values
-                    if min(abs(lam - pair[0]), abs(lam - pair[1])) > 1e-14),
-                   default=math.inf)
-    if external <= 1.2 * gap:
-        raise TrackingError(
-            f"eigenvalue pair not separated from the rest of the spectrum "
-            f"(external gap {external:.3e} vs internal {gap:.3e})"
-        )
+    a, pair, mean, z, gap, converged = probe(p)
     history = [gap]
     for iteration in range(DEFAULT_MAX_ITER):
         if converged:
@@ -404,7 +401,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
             trial = p + step / (2 ** halving)
             if not fam.contains(trial):
                 continue
-            a_t, _, pair_t, mean_t, z_t, gap_t, conv_t = probe(trial, prev=pair)
+            a_t, pair_t, mean_t, z_t, gap_t, conv_t = probe(trial, prev=pair)
             if abs(z_t) < abs(z) or conv_t:
                 p, a, pair, mean, z, gap, converged = trial, a_t, pair_t, mean_t, z_t, gap_t, conv_t
                 history.append(gap)

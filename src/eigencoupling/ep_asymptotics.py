@@ -45,8 +45,8 @@ from .errors import (
     ResolutionError,
 )
 from .numkit import as_cmatrix
-from .pairmodel import (PairPoint, complex_array, coupling, offsets, pair_at, projection,
-                        rest_offsets, sheets, sweep)
+from .pairmodel import (PairPoint, coupling, offsets, pair_at, projection, rest_offsets,
+                        sheets, sweep)
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,8 @@ class EPLocalModel:
 
     def pair_terms(self, dps):
         """Pair mean lam0 + <drift, dp>/2 and radicand F + iG at (N, n) offsets."""
-        mid = complex_array(self.lam0.real + 0.5 * (dps @ self.drift_re),
-                            self.lam0.imag + 0.5 * (dps @ self.drift_im))
-        return mid, complex_array(dps @ self.split_re, dps @ self.split_im)
+        return (self.lam0 + dps @ (0.5 * (self.drift_re + 1j * self.drift_im)),
+                dps @ (self.split_re + 1j * self.split_im))
 
 
 @dataclass(frozen=True)
@@ -421,10 +420,11 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
     s_{k-1} when near < far, flips it when near > far, and restarts at +1 on
     an exact tie (near == far, as at an exact zero root). A jump of branch
     a above 0.3 (|a[k]| + |a[k-1]|), away from lam0, raises ResolutionError;
-    a loop whose squares, radicand, sigma or axis crossings overflow raises
-    DimensionError. The full trajectories add the drift term. Regime: the
-    loop encloses the EP (single closed curve winding once about lam0),
-    touches it, or misses it (two "kidneys"). The sign of
+    a loop whose squares, pair mean, radicand, sigma or axis crossings
+    overflow raises DimensionError. The full trajectories add the pair mean;
+    mean and radicand come from ``pair_terms``. Regime: the loop encloses the
+    EP (single closed curve winding once about lam0), touches it, or misses
+    it (two "kidneys"). The sign of
     sigma = (f2 g1 - f1 g2)(g1 b - g2 a) selects which axis line the
     trajectories cross in the on/outside regimes.
     """
@@ -434,12 +434,11 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
     phis = np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
     dps = np.column_stack((spec.a + spec.r * np.cos(phis),
                            spec.b + spec.r * np.sin(phis)))
-    w = dps @ (model.split_re + 1j * model.split_im).astype(complex)
-    if not np.isfinite(w).all():
-        raise DimensionError("the radicand F + iG overflows on this loop; "
+    mid, radicand = model.pair_terms(dps)
+    if not (np.isfinite(mid).all() and np.isfinite(radicand).all()):
+        raise DimensionError("the pair mean or the radicand F + iG overflows on this loop; "
                              "shrink the loop")
-    roots = np.sqrt(w.astype(complex))
-    drift = dps @ (0.5 * (model.drift_re + 1j * model.drift_im))
+    roots = np.sqrt(radicand)
     core_a = _track_branch(roots)
     core_b = -core_a
     scale = float(np.abs(roots).max(initial=0.0))
@@ -481,8 +480,7 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
             winding = int(round(angles.sum() / (2.0 * math.pi)))
     return LoopReport(
         regime=regime, sigma=float(sigma), sigma_sign=sigma_sign,
-        phis=phis, lam_plus=model.lam0 + drift + core_a,
-        lam_minus=model.lam0 + drift + core_b,
+        phis=phis, lam_plus=mid + core_a, lam_minus=mid + core_b,
         core_plus=core_a, core_minus=core_b,
         n_curves=n_curves, winding=winding,
         crossings=crossings,

@@ -99,14 +99,6 @@ def sweep(rest) -> np.ndarray:
     return np.column_stack((grid, np.broadcast_to(rest, (SWEEP_SAMPLES, len(rest)))))
 
 
-def complex_array(re, im) -> np.ndarray:
-    """re + i im, exact (signed zeros included)."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
-
 # overflow is refused as DimensionError, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def sheets(model, dps) -> PairSheets:

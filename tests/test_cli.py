@@ -91,6 +91,27 @@ DIAGONAL_FAMILY = json.dumps({
     ],
 })
 
+#: an EP at 0 whose drift 1.6e308 dp1 overflows the pair mean on a loop of
+#: radius 10, while the radicand dp1 + i dp2 stays finite
+HUGE_DRIFT_FAMILY = json.dumps({
+    "m": 2, "n": 2,
+    "terms": [
+        {"exp": [0, 0], "re": [[0, 1], [0, 0]], "im": [[0, 0], [0, 0]]},
+        {"exp": [1, 0], "re": [[8e307, 0], [1, 8e307]], "im": [[0, 0], [0, 0]]},
+        {"exp": [0, 1], "re": [[0, 0], [0, 0]], "im": [[0, 0], [1, 0]]},
+    ],
+})
+
+#: A(p) = (p1 + i p2) I3: a triple eigenvalue everywhere, no pair apart from a third
+SCALAR_TRIPLE_FAMILY = json.dumps({
+    "m": 3, "n": 2,
+    "terms": [
+        {"exp": [0, 0], "re": [[0] * 3] * 3, "im": [[0] * 3] * 3},
+        {"exp": [1, 0], "re": np.eye(3).tolist(), "im": [[0] * 3] * 3},
+        {"exp": [0, 1], "re": [[0] * 3] * 3, "im": np.eye(3).tolist()},
+    ],
+})
+
 
 def validate(report, schema_name):
     jsonschema = pytest.importorskip("jsonschema")
@@ -683,6 +704,12 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
      "dA/dp_0 has non-finite entries at point [0.9, 0.0]"),
     (4, ["find-ep", "--family", "{diag}", "--at", "0.1,0.2"],
      "approximate chain normalization broke down"),
+    (1, ["loop", "--family", "{drift}", "--at", "0,0", "--loop=0,0,10", "--samples", "16",
+         "--out", "{tmp}/loop.csv"],
+     "the pair mean or the radicand F + iG overflows on this loop; shrink the loop"),
+    (4, ["find-ep", "--family", "{triple}", "--at", "0.3,0.2"],
+     "eigenvalue pair not separated from the rest of the spectrum "
+     "(external gap 0.000e+00 vs internal 0.000e+00)"),
 ]
 
 
@@ -693,27 +720,31 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     one-parameter family or a 1x1 one, for non-finite flag values, for
     tolerances that are not positive and finite, for a flag the command does
     not read, for a family that overflows on the surface grid or whose
-    derivative overflows at the anchor, and for a DP offset whose c overflows
-    (JSON report and section CSV); exit 4 also when find-ep's chain
-    normalization breaks down; exit 0 for a DP scenario whose Im c is
-    constant along the sweep. A failure prints one error line, with the
-    text that names its cause, and no case warns."""
-    for name, doc in (("sep", SEPARATED_FAMILY), ("ovf", OVERFLOWING_FAMILY),
-                      ("flat", FLAT_IM_FAMILY), ("one", SCALAR_FAMILY),
-                      ("dovf", OVERFLOWING_DERIVATIVE_FAMILY), ("diag", DIAGONAL_FAMILY)):
+    derivative overflows at the anchor, for a DP offset whose c overflows
+    (JSON report and section CSV), and for a loop whose pair mean overflows;
+    exit 4 also when find-ep's chain normalization breaks down or its pair is
+    not separated from a third eigenvalue; exit 0 for a DP scenario whose
+    Im c is constant along the sweep. A failure prints one error line, with
+    the text that names its cause, writes no CSV, and no case warns."""
+    families = {"sep": SEPARATED_FAMILY, "ovf": OVERFLOWING_FAMILY, "flat": FLAT_IM_FAMILY,
+                "one": SCALAR_FAMILY, "dovf": OVERFLOWING_DERIVATIVE_FAMILY,
+                "diag": DIAGONAL_FAMILY, "drift": HUGE_DRIFT_FAMILY,
+                "triple": SCALAR_TRIPLE_FAMILY}
+    for name, doc in families.items():
         (tmp_path / f"{name}.json").write_text(doc)
-    argv = [a.replace("{sep}", str(tmp_path / "sep.json"))
-            .replace("{ovf}", str(tmp_path / "ovf.json"))
-            .replace("{flat}", str(tmp_path / "flat.json"))
-            .replace("{one}", str(tmp_path / "one.json"))
-            .replace("{dovf}", str(tmp_path / "dovf.json"))
-            .replace("{diag}", str(tmp_path / "diag.json"))
-            .replace("{tmp}", str(tmp_path)) for a in argv]
+
+    def fill(arg):
+        for name in families:
+            arg = arg.replace(f"{{{name}}}", str(tmp_path / f"{name}.json"))
+        return arg.replace("{tmp}", str(tmp_path))
+
+    argv = [fill(a) for a in argv]
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error: ")] == (
         [] if error is None else [f"error: {error}"])
     assert "Traceback" not in err
+    assert code == 0 or not list(tmp_path.glob("*.csv"))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

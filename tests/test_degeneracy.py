@@ -60,6 +60,19 @@ class TestFindDoubleEigenvalues:
     def test_separated_spectrum(self):
         assert degeneracy.find_double_eigenvalues(np.diag([1.0, 2.0, 3.0]), 1e-8) == []
 
+    def test_tightest_pair_first(self):
+        # eigvals sorts by (Re, Im): the tighter pair at 5 has the higher indices
+        clusters = degeneracy.find_double_eigenvalues(
+            np.diag([5.0 + 1e-12, 1.0, 5.0, 1.0 + 1e-9]), 1e-8)
+        assert [c.center for c in clusters] == pytest.approx([5.0, 1.0])
+        assert clusters[0].internal_gap < clusters[1].internal_gap
+
+    def test_equal_gaps_go_to_the_lower_indices(self):
+        h = 2.0 ** -30      # exact, so both gaps are the same double
+        clusters = degeneracy.find_double_eigenvalues(np.diag([3.0, 3.0 + h, 1.0, 1.0 + h]), 1e-8)
+        assert clusters[0].internal_gap == clusters[1].internal_gap == h
+        assert [c.center for c in clusters] == pytest.approx([1.0, 3.0])
+
     @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, tol):
         # a NaN threshold used to find no cluster at all
@@ -332,6 +345,16 @@ class TestFindEP:
             deriv=lambda p, i: np.zeros((3, 3)))
         with pytest.raises(TrackingError):
             degeneracy.find_ep(fam, [0.0, 0.0])
+
+    def test_triple_eigenvalue_rejected(self):
+        # A(p) = (p1 + i p2) I3: the nearest pair has a third eigenvalue at the
+        # same value, which a match by value would not count as another one
+        fam = family_mod.MatrixFamily(
+            3, 2, evaluator=lambda p: (p[0] + 1j * p[1]) * np.eye(3),
+            deriv=lambda p, i: (1.0 if i == 0 else 1j) * np.eye(3))
+        with pytest.raises(TrackingError, match=r"not separated .* \(external gap 0.000e\+00 "
+                                                r"vs internal 0.000e\+00\)"):
+            degeneracy.find_ep(fam, [0.3, 0.2])
 
     def test_far_guess_does_not_converge(self, crystal1):
         # greedy pair selection at (0.2, 0.1) latches onto the wrong pair

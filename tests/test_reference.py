@@ -28,7 +28,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from eigencoupling import crystal_optics, degeneracy
+from eigencoupling import crystal_optics, degeneracy, pairmodel
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGITS = 50
@@ -292,3 +292,24 @@ def test_golden_loop_csv_against_reference():
     assert len(found) == 720
     worst = max(found, key=lambda x: max(x[1:]))
     assert max(worst[1:]) <= RTOL, worst
+
+
+@pytest.mark.parametrize("direction", [(0.0, 1.0), (0.6, 0.8)])
+def test_ep_model_order_of_accuracy(ep_model, direction):
+    """The EP model's pair at dp = t d against the 50-digit spectrum of
+    A(t d), t from 1e-2 to 1e-6: the model keeps the sqrt(t) and t terms of
+    the Puiseux series, so its error falls like t^(3/2). (Along d = (1, 0) the
+    t^(3/2) term of crystal-example-1 vanishes and the error falls like t^2.)"""
+    spec = crystal_optics.builtin_specs()["crystal-example-1"]
+    ts = np.logspace(-2, -6, 9)
+    pairs = pairmodel.sheets(ep_model, np.outer(ts, direction)).pair
+    errors = []
+    with mpmath.workdps(DIGITS):
+        for t, pair in zip(ts, pairs):
+            values = mpmath.eig(reference_matrix(spec, t * np.array(direction)),
+                                left=False, right=False)
+            plus, minus = (mpmath.mpc(complex(z)) for z in pair)
+            errors.append(float(min(max(abs(plus - values[i]), abs(minus - values[j]))
+                                    for i in range(3) for j in range(3) if i != j)))
+    slope = np.polyfit(np.log(ts), np.log(errors), 1)[0]
+    assert abs(slope - 1.5) <= 0.05, errors
