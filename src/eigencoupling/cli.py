@@ -9,6 +9,7 @@ error, 2 no degeneracy found at the anchor, 3 domain error, 4 non-convergence.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -29,6 +30,7 @@ from .errors import (
     FrameError,
     IndeterminateRankError,
     MultiplicityError,
+    NumericError,
     TrackingError,
 )
 from .pairmodel import sheets, sweep
@@ -40,8 +42,9 @@ EXIT_DOMAIN = 3
 EXIT_NO_CONVERGENCE = 4
 
 #: grid points per block of ``surface``: a block shares one family
-#: evaluation, one stacked eigvals and one pair assignment; fixed blocks keep
-#: the peak memory flat
+#: evaluation, one stacked eigvals, one pair assignment and one line
+#: template; with at most workers + 1 blocks in flight their arrays take
+#: the same memory on any grid, and only the formatted text grows with it
 BLOCK = 256
 
 
@@ -103,9 +106,13 @@ def _anchor_cluster(fam, at, tol_cluster, tol_rank):
     return clusters[0], degeneracy.classify(a, clusters[0].center, tol_rank)
 
 
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+def _write_text(path: str, *parts: str):
+    """Write the concatenation of ``parts`` to ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(parts)
+    except OSError as exc:
+        raise _UsageError(f"cannot write '{path}': {exc.strerror or exc}") from exc
 
 
 def _emit_json(obj, out: str | None):
@@ -116,15 +123,22 @@ def _emit_json(obj, out: str | None):
         sys.stdout.write(text)
 
 
-def _csv(header, table) -> str:
-    """CSV text of a 2-d float array; 17 significant digits round-trip doubles.
-
-    One template formats the whole table: formatting block by block leaves
-    the heap fragmented between commands.
-    """
+def _rows(table) -> str:
+    """CSV lines of a 2-d float array, formatted by one template;
+    17 significant digits round-trip doubles."""
     table = np.asarray(table, dtype=float)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (line * len(table)) % tuple(table.ravel().tolist())
+
+
+def _csv(header, table) -> str:
+    """CSV text of a 2-d float array under its header.
+
+    Loop and section files are formatted whole, by one template. ``surface``
+    formats a block at a time instead, so that its formatting overlaps the
+    workers' eigvals; that leaves the heap somewhat more fragmented.
+    """
+    return ",".join(header) + "\n" + _rows(table)
 
 
 def cmd_classify(opts) -> int:
@@ -177,6 +191,28 @@ def _pool():
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="eigvals")
 
 
+def _surface_chunk(model, p0, block, spectra) -> str:
+    """CSV lines of one block of grid offsets: the model's sheets beside the
+    exact pair that ``pair_assignment`` matches to the model's pair."""
+    try:
+        values = spectra.result()
+    except np.linalg.LinAlgError as exc:  # iteration cap inside LAPACK, as in numkit
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+    model_pair = sheets(model, block)
+    i, j, margin = numkit.pair_assignment(values, model_pair.pair)
+    at = np.arange(len(block))
+    exact_a, exact_b = values[at, i], values[at, j]
+    rows = np.empty((len(block), 11))
+    rows[:, :2] = p0 + block
+    rows[:, 2:6] = model_pair.sheets
+    rows[:, 6] = np.maximum(exact_a.real, exact_b.real)
+    rows[:, 7] = np.minimum(exact_a.real, exact_b.real)
+    rows[:, 8] = np.maximum(exact_a.imag, exact_b.imag)
+    rows[:, 9] = np.minimum(exact_a.imag, exact_b.imag)
+    rows[:, 10] = margin < 1e-3
+    return _rows(rows)
+
+
 def cmd_surface(opts) -> int:
     if not opts.get("out"):
         raise _UsageError("surface requires --out for the CSV file")
@@ -188,35 +224,29 @@ def cmd_surface(opts) -> int:
     model = _local_model(fam, p0, kind)
     axis1, axis2 = _window_axes(opts["window"], opts["res"])
     dps = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
-    table = np.empty((len(dps), 11))
     pool = _pool()
-    workers = pool._max_workers
-    starts = range(0, len(dps), BLOCK)
-    # one block per worker: this thread evaluates the group's matrices, the
-    # workers factorise them (LAPACK releases the GIL), this thread pairs them
-    for first in range(0, len(starts), workers):
-        group = starts[first:first + workers]
-        # no name holds the stacks, so each is freed once its worker is done
-        spectra = pool.map(np.linalg.eigvals, [
-            family_mod.evaluate_many(fam, p0 + dps[start:start + BLOCK]) for start in group])
-        for start, values in zip(group, spectra):
-            rows = table[start:start + BLOCK]
+    pending = collections.deque()    # (block, its eigvals future), oldest first
+    chunks = []
+    # this thread evaluates each block and hands its stack to the workers
+    # (LAPACK releases the GIL); with one block more in flight than there are
+    # workers, it pairs and formats the oldest while they factorise the rest
+    try:
+        for start in range(0, len(dps), BLOCK):
             block = dps[start:start + BLOCK]
-            model_pair = sheets(model, block)
-            i, j, margin = numkit.pair_assignment(values, model_pair.pair)
-            at = np.arange(len(block))
-            exact_a, exact_b = values[at, i], values[at, j]
-            rows[:, :2] = p0 + block
-            rows[:, 2:6] = model_pair.sheets
-            rows[:, 6] = np.maximum(exact_a.real, exact_b.real)
-            rows[:, 7] = np.minimum(exact_a.real, exact_b.real)
-            rows[:, 8] = np.maximum(exact_a.imag, exact_b.imag)
-            rows[:, 9] = np.minimum(exact_a.imag, exact_b.imag)
-            rows[:, 10] = margin < 1e-3
+            # no name holds the stack, so it is freed once its worker is done
+            pending.append((block, pool.submit(
+                np.linalg.eigvals, family_mod.evaluate_many(fam, p0 + block))))
+            if len(pending) > pool._max_workers:
+                chunks.append(_surface_chunk(model, p0, *pending.popleft()))
+        while pending:
+            chunks.append(_surface_chunk(model, p0, *pending.popleft()))
+    finally:
+        for _, spectra in pending:   # after an error: drop the blocks not yet started
+            spectra.cancel()
     header = ["p1", "p2", "re_plus", "re_minus", "im_plus", "im_minus",
               "re_plus_exact", "re_minus_exact", "im_plus_exact",
               "im_minus_exact", "pair_margin_flag"]
-    _write_text(opts["out"], _csv(header, table))
+    _write_text(opts["out"], ",".join(header) + "\n", *chunks)
     return EXIT_OK
 
 

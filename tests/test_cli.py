@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigencoupling import cli, degeneracy, ep_asymptotics, pairmodel
+from eigencoupling import cli, degeneracy, ep_asymptotics, numkit, pairmodel
 from eigencoupling import family as family_mod
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -255,19 +255,122 @@ def planted_ep_family(tmp_path, m=6):
 
 
 class TestThreadedSurface:
-    """``surface`` factorises groups of blocks on a pool of threads; its
-    output must not depend on how many threads there are."""
+    """``surface`` factorises its blocks on a pool of threads while this
+    thread pairs and formats the finished ones; its output must not depend on
+    how many threads there are or in which order the blocks finish."""
 
     def run_with_pool(self, monkeypatch, capsys, workers, argv):
         """Exit code, stderr and written CSV of ``argv``; ``workers`` None
-        keeps the process's own pool."""
+        keeps the process's own pool, and an executor is used as given."""
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers or 1) as pool, monkeypatch.context() as mp:
+        pool = workers if isinstance(workers, ThreadPoolExecutor) else (
+            ThreadPoolExecutor(max_workers=workers or 1))
+        with pool, monkeypatch.context() as mp:
             if workers:
                 mp.setattr(cli, "_pool", lambda: pool)
             code = cli.main(argv)
         out = Path(argv[argv.index("--out") + 1])
         return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize("family", ["crystal-example-1", "planted-m6"])
+    def test_csv_matches_serial_oracle(self, monkeypatch, capsys, tmp_path, family):
+        """res 61 (15 blocks) against the grid done in one piece: one
+        evaluate_many, one eigvals, one pairing and one line template."""
+        if family == "planted-m6":
+            family = planted_ep_family(tmp_path)
+        argv = ["surface", "--family", family, "--at", "0,0", "--window=-0.05,0.05",
+                "--res", "61", "--out", str(tmp_path / "s.csv")]
+        code, err, csv = self.run_with_pool(monkeypatch, capsys, None, argv)
+        assert (code, err) == (0, "")
+
+        fam = cli._load_family(family)
+        p0 = np.zeros(2)
+        _, kind = cli._anchor_cluster(fam, p0, degeneracy.DEFAULT_CLUSTER_TOL,
+                                      numkit.DEFAULT_RANK_TOL)
+        model = cli._local_model(fam, p0, kind)
+        axis = np.linspace(-0.05, 0.05, 61)
+        dps = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        values = np.linalg.eigvals(family_mod.evaluate_many(fam, p0 + dps))
+        model_pair = pairmodel.sheets(model, dps)
+        i, j, margin = numkit.pair_assignment(values, model_pair.pair)
+        a, b = values[np.arange(len(dps)), i], values[np.arange(len(dps)), j]
+        table = np.column_stack((
+            p0 + dps, model_pair.sheets, np.maximum(a.real, b.real), np.minimum(a.real, b.real),
+            np.maximum(a.imag, b.imag), np.minimum(a.imag, b.imag), margin < 1e-3))
+        line = ",".join(["%.17g"] * 11) + "\n"
+        expected = ("p1,p2,re_plus,re_minus,im_plus,im_minus,re_plus_exact,re_minus_exact,"
+                    "im_plus_exact,im_minus_exact,pair_margin_flag\n"
+                    + (line * len(table)) % tuple(table.ravel().tolist()))
+        assert len(table) == 61 * 61 > 14 * cli.BLOCK
+        assert csv == expected.encode()
+
+    def test_blocks_finishing_out_of_order(self, monkeypatch, capsys, tmp_path):
+        """Three workers, and the earlier a block is submitted the longer it
+        sleeps, so later blocks finish first; the CSV keeps its order."""
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        class LateFirst(ThreadPoolExecutor):
+            def __init__(self, blocks):
+                super().__init__(max_workers=3)
+                self.blocks, self.submitted, self.finished = blocks, 0, []
+
+            def submit(self, fn, *args):
+                k = self.submitted
+                self.submitted += 1
+
+                def late():
+                    time.sleep(0.02 * (self.blocks - k))
+                    values = fn(*args)
+                    self.finished.append(k)
+                    return values
+                return super().submit(late)
+
+        argv = ["surface", "--family", "crystal-example-1", "--at", "0,0",
+                "--window=-0.05,0.05", "--res", "37", "--out", str(tmp_path / "s.csv")]
+        late = LateFirst(blocks=6)      # 37 * 37 points: 6 blocks
+        shuffled = self.run_with_pool(monkeypatch, capsys, late, argv)
+        assert late.submitted == 6 and late.finished != sorted(late.finished)
+        assert shuffled == self.run_with_pool(monkeypatch, capsys, 1, argv)
+
+    @pytest.mark.parametrize("workers", [None, 3], ids=["usable-cpus", "3-workers"])
+    def test_error_with_blocks_in_flight(self, monkeypatch, capsys, tmp_path, workers):
+        """A DomainError in the last block, with earlier blocks still on the
+        workers, writes no CSV and leaves the next surface in the process
+        untouched."""
+        out = str(tmp_path / "s.csv")
+        clean = ["surface", "--family", "crystal-example-1", "--at", "0,0",
+                 "--window=-0.5,0.95,-0.2,0.2", "--res", "37", "--out", out]
+        # as clean, but the last row of p1 = 1.0 leaves the chart: grid
+        # points 1332..1368, all in the sixth block
+        failing = clean[:5] + ["--window=-0.5,1.0,-0.2,0.2"] + clean[6:]
+        first = self.run_with_pool(monkeypatch, capsys, workers, clean)
+        assert first[0] == 0
+        Path(out).unlink()
+        code, err, csv = self.run_with_pool(monkeypatch, capsys, workers, failing)
+        assert (code, csv) == (3, None)
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            "error: point [1.0, -0.2] outside the family domain"]
+        assert self.run_with_pool(monkeypatch, capsys, workers, clean) == first
+
+    def test_eigensolver_failure_exit_one(self, monkeypatch, capsys, tmp_path):
+        """LAPACK's iteration cap on a block's stack ends like numkit's:
+        exit 1, one error line and no CSV."""
+        eigvals = np.linalg.eigvals
+
+        def capped(a):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", capped)
+        out = tmp_path / "s.csv"
+        code = cli.main(["surface", "--family", "crystal-example-1", "--at", "0,0",
+                         "--res", "37", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: eigensolver did not converge: Eigenvalues did not converge\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("family", ["crystal-example-1", "planted-m6"])
     @pytest.mark.parametrize("workers", [None, 3], ids=["usable-cpus", "3-workers"])
@@ -710,6 +813,14 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
     (4, ["find-ep", "--family", "{triple}", "--at", "0.3,0.2"],
      "eigenvalue pair not separated from the rest of the spectrum "
      "(external gap 0.000e+00 vs internal 0.000e+00)"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0",
+         "--out", "{tmp}/missing-dir/x.json"],
+     "cannot write '{tmp}/missing-dir/x.json': No such file or directory"),
+    (1, ["surface", "--family", "crystal-example-1", "--at", "0,0", "--res", "5",
+         "--out", "{tmp}"], "cannot write '{tmp}': Is a directory"),
+    (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop", "0,0,0.01",
+         "--out", "{tmp}/missing-dir/l.csv"],
+     "cannot write '{tmp}/missing-dir/l.csv': No such file or directory"),
 ]
 
 
@@ -724,8 +835,9 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     (JSON report and section CSV), and for a loop whose pair mean overflows;
     exit 4 also when find-ep's chain normalization breaks down or its pair is
     not separated from a third eigenvalue; exit 0 for a DP scenario whose
-    Im c is constant along the sweep. A failure prints one error line, with
-    the text that names its cause, writes no CSV, and no case warns."""
+    Im c is constant along the sweep; exit 1 for an --out path that cannot be
+    written. A failure prints one error line, with the text that names its
+    cause, writes no file, and no case warns."""
     families = {"sep": SEPARATED_FAMILY, "ovf": OVERFLOWING_FAMILY, "flat": FLAT_IM_FAMILY,
                 "one": SCALAR_FAMILY, "dovf": OVERFLOWING_DERIVATIVE_FAMILY,
                 "diag": DIAGONAL_FAMILY, "drift": HUGE_DRIFT_FAMILY,
@@ -742,9 +854,10 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("error: ")] == (
-        [] if error is None else [f"error: {error}"])
+        [] if error is None else [f"error: {fill(error)}"])
     assert "Traceback" not in err
-    assert code == 0 or not list(tmp_path.glob("*.csv"))
+    assert code == 0 or sorted(path.name for path in tmp_path.rglob("*")) == sorted(
+        f"{name}.json" for name in families)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
