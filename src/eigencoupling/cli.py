@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import functools
 import json
 import math
@@ -82,17 +83,29 @@ def _floats(text: str, what: str):
     return values
 
 
+def _read_text(path: str, missing: str) -> str:
+    """The UTF-8 text of the file at ``path``. A path that names no file
+    fails with the message ``missing``; any other failure to read names the
+    path and its cause."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read '{path}': {exc}") from exc
+    # ValueError: a NUL byte in the path
+    except (FileNotFoundError, NotADirectoryError, ValueError) as exc:
+        raise _UsageError(missing) from exc
+    except OSError as exc:
+        raise _UsageError(f"cannot read '{path}': {exc.strerror or exc}") from exc
+
+
 def _load_family(source: str) -> family_mod.MatrixFamily:
     builtins = crystal_optics.builtin_specs()
     if source in builtins:
         return crystal_optics.family_adapter(builtins[source])
-    path = Path(source)
-    if not path.exists():
-        raise _UsageError(
-            f"family '{source}' is neither a builtin "
-            f"({', '.join(sorted(builtins))}) nor an existing file"
-        )
-    return family_mod.parse_family(path.read_text(encoding="utf-8"))
+    return family_mod.parse_family(_read_text(
+        source, f"family '{source}' is neither a builtin "
+                f"({', '.join(sorted(builtins))}) nor an existing file"))
 
 
 def _anchor_cluster(fam, at, tol_cluster, tol_rank):
@@ -106,19 +119,33 @@ def _anchor_cluster(fam, at, tol_cluster, tol_rank):
     return clusters[0], degeneracy.classify(a, clusters[0].center, tol_rank)
 
 
-def _write_text(path: str, *parts: str):
-    """Write the concatenation of ``parts`` to ``path``."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(parts)
-    except OSError as exc:
-        raise _UsageError(f"cannot write '{path}': {exc.strerror or exc}") from exc
+def _write_files(*files):
+    """Write each ``(path, parts)`` of ``files``, the concatenation of the
+    text ``parts`` to ``path``, or leave none: when one cannot be written,
+    it and the files written before it are removed again (regular files
+    only, not a device such as /dev/null)."""
+    written = []
+    for path, parts in files:
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                written.append(path)
+                handle.writelines(parts)
+        except OSError as exc:
+            for done in written:
+                if os.path.isfile(done):
+                    with contextlib.suppress(OSError):
+                        os.remove(done)
+            raise _UsageError(f"cannot write '{path}': {exc.strerror or exc}") from exc
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit_json(obj, out: str | None):
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _json_text(obj)
     if out:
-        _write_text(out, text)
+        _write_files((out, [text]))
     else:
         sys.stdout.write(text)
 
@@ -246,7 +273,7 @@ def cmd_surface(opts) -> int:
     header = ["p1", "p2", "re_plus", "re_minus", "im_plus", "im_minus",
               "re_plus_exact", "re_minus_exact", "im_plus_exact",
               "im_minus_exact", "pair_margin_flag"]
-    _write_text(opts["out"], ",".join(header) + "\n", *chunks)
+    _write_files((opts["out"], [",".join(header) + "\n", *chunks]))
     return EXIT_OK
 
 
@@ -269,8 +296,6 @@ def cmd_loop(opts) -> int:
     report = ep_asymptotics.loop_trajectory(model, spec)
     table = np.column_stack((report.phis, report.lam_plus.real, report.lam_plus.imag,
                              report.lam_minus.real, report.lam_minus.imag))
-    _write_text(opts["out"], _csv(
-        ["phi", "re_plus", "im_plus", "re_minus", "im_minus"], table))
     side = {
         "regime": report.regime,
         "sigma": report.sigma,
@@ -282,8 +307,9 @@ def cmd_loop(opts) -> int:
         ],
     }
     out = Path(opts["out"])
-    _emit_json(side, str(out.with_suffix(".json") if out.suffix == ".csv"
-                         else Path(str(out) + ".json")))
+    side_path = out.with_suffix(".json") if out.suffix == ".csv" else Path(str(out) + ".json")
+    csv = _csv(["phi", "re_plus", "im_plus", "re_minus", "im_minus"], table)
+    _write_files((opts["out"], [csv]), (str(side_path), [_json_text(side)]))
     return EXIT_OK
 
 
@@ -325,7 +351,8 @@ def cmd_scenario(opts) -> int:
             raise _UsageError("--format csv requires --out")
         dps = sweep(offset)
         table = np.column_stack((p0[0] + dps[:, 0], sheets(model, dps).sheets))
-        _write_text(opts["out"], _csv(["p1", "re_plus", "re_minus", "im_plus", "im_minus"], table))
+        _write_files((opts["out"], [_csv(["p1", "re_plus", "re_minus", "im_plus", "im_minus"],
+                                         table)]))
         return EXIT_OK
     if kind.kind == "EP":
         section = ep_asymptotics.cross_section(model, offset)
@@ -472,11 +499,9 @@ def _merge_options(args: argparse.Namespace) -> dict:
         raise _UsageError(f"{args.command} does not read {', '.join(unread)}")
     opts = dict(_DEFAULTS)
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise _UsageError(f"config file '{args.config}' not found")
+        text = _read_text(args.config, f"config file '{args.config}' not found")
         try:
-            cfg = json.loads(path.read_text(encoding="utf-8"))
+            cfg = json.loads(text)
         except json.JSONDecodeError as exc:
             raise _UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):

@@ -42,6 +42,8 @@ DEFAULT_CLUSTER_TOL = 1e-6
 DEFAULT_MAX_ITER = 30
 #: Relative pair-gap target of the exceptional-point search.
 EP_GAP_TOL = 1e-8
+#: Its eigensolver noise floor of the pair gap, relative to sigma_max(A).
+_EPS_FLOOR = 2.0 * math.sqrt(np.finfo(float).eps)
 #: Residual bound of chain and frame vectors, relative to max(sigma_max(A), 1).
 _FRAME_TOL = 1e-8
 
@@ -336,6 +338,16 @@ def _approximate_split_gradient(fam, p, a, mean):
     return coupling(fam, p, (u0,), (v0,))[0, 0]
 
 
+def _converged(a, mean, gap) -> bool:
+    """find_ep's stopping rule: gap <= max(EP_GAP_TOL (1 + |mean|),
+    _EPS_FLOOR sigma_max(A)). As sigma_max(A) <= ||A||_F, the SVD is taken
+    only for a gap within _EPS_FLOOR ||A||_F, the only gaps the floor can
+    decide; 1% to spare covers the rounding of both norms."""
+    return gap <= EP_GAP_TOL * (1.0 + abs(mean)) or (
+        gap <= 1.01 * _EPS_FLOOR * np.linalg.norm(a)
+        and gap <= _EPS_FLOOR * numkit.singular_values(a)[0])
+
+
 def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     """Newton search for an exceptional point of a two-parameter family.
 
@@ -353,7 +365,6 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     if fam.n_params != 2:
         raise TrackingError("find_ep requires a two-parameter family")
     p = fam._point(p_guess)
-    eps_floor = 2.0 * math.sqrt(np.finfo(float).eps)
 
     def probe(point, prev=None):
         """The iterate's matrix, pair, mean, squared half-gap, gap and
@@ -378,9 +389,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
         mean = (lam_p + lam_m) / 2.0
         z = ((lam_p - lam_m) / 2.0) ** 2
         gap = abs(lam_p - lam_m)
-        floor = eps_floor * numkit.singular_values(a)[0]
-        converged = gap <= max(EP_GAP_TOL * (1.0 + abs(mean)), floor)
-        return a, (lam_p, lam_m), mean, z, gap, converged
+        return a, (lam_p, lam_m), mean, z, gap, _converged(a, mean, gap)
 
     a, pair, mean, z, gap, converged = probe(p)
     history = [gap]

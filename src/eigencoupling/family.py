@@ -156,7 +156,11 @@ def _require(cond, path, message):
         raise FamilyParseError(path, message)
 
 
-def _only_keys(obj: dict, path: str, keys):
+def _check_keys(obj, path: str, keys):
+    """Refuse ``obj`` at ``path`` unless it is an object with exactly ``keys``."""
+    _require(isinstance(obj, dict), path, "must be an object")
+    for key in keys:
+        _require(key in obj, f"{path}.{key}", f"missing required key '{key}'")
     extra = sorted(set(obj) - set(keys))
     if extra:
         raise FamilyParseError(f"{path}.{extra[0]}", "unknown key")
@@ -170,6 +174,23 @@ def _integer(x):
     return x if type(x) is int else None
 
 
+def _numbers(cells):
+    return set(map(type, cells)) <= {int, float}    # not bool, str, None, list
+
+
+def _doubles(cells):
+    # exact for integers: one just above the largest double rounds down to it
+    return all(abs(x) <= sys.float_info.max for x in cells)
+
+
+def _refuse_first(mats, ok, message):
+    """Raise at the first of ``mats`` (re and im of each term, in term
+    order) whose entries fail ``ok``."""
+    for k, rows in enumerate(mats):
+        if not ok(list(itertools.chain.from_iterable(rows))):
+            raise FamilyParseError(f"$.terms[{k // 2}].{('re', 'im')[k % 2]}", message)
+
+
 def parse_polynomial(text: str) -> PolynomialFamily:
     """Parse the family JSON document into a PolynomialFamily.
 
@@ -178,63 +199,50 @@ def parse_polynomial(text: str) -> PolynomialFamily:
     other keys; true and false are not numbers, integral floats such as 2.0
     are integers. Beyond the schema, every number must be a finite double
     (no 1e400, 10**400 or NaN). Violations raise FamilyParseError carrying
-    the JSON path.
+    the JSON path. The structure of every term is checked first, in term
+    order; then the entries of all coefficient matrices at once, and only a
+    failing check looks for the first matrix to blame.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FamilyParseError("$", f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "$", "top level must be an object")
-    for key in ("m", "n", "terms"):
-        _require(key in doc, f"$.{key}", f"missing required key '{key}'")
-    _only_keys(doc, "$", ("m", "n", "terms"))
+    _check_keys(doc, "$", ("m", "n", "terms"))
     m, n = _integer(doc["m"]), _integer(doc["n"])
     _require(m is not None and m >= 1, "$.m", "must be a positive integer")
     _require(n is not None and n >= 1, "$.n", "must be a positive integer")
     _require(isinstance(doc["terms"], list), "$.terms", "must be an array")
-    terms = []
+    exps, mats = [], []     # mats: re and im of each term, in term order
     for t, raw in enumerate(doc["terms"]):
-        path = f"$.terms[{t}]"
-        _require(isinstance(raw, dict), path, "must be an object")
-        for key in ("exp", "re", "im"):
-            _require(key in raw, f"{path}.{key}", f"missing required key '{key}'")
-        _only_keys(raw, path, ("exp", "re", "im"))
-        _require(
-            isinstance(raw["exp"], list) and len(raw["exp"]) == n,
-            f"{path}.exp", f"must be an array of length n={n}",
-        )
-        exps = [_integer(e) for e in raw["exp"]]
-        _require(
-            all(e is not None and 0 <= e <= sys.float_info.max for e in exps),
-            f"{path}.exp", "exponents must be non-negative integers within the double range",
-        )
-        parts = []
+        if not (isinstance(raw, dict) and raw.keys() == {"exp", "re", "im"}):
+            _check_keys(raw, f"$.terms[{t}]", ("exp", "re", "im"))
+        exp = raw["exp"]
+        if not (isinstance(exp, list) and len(exp) == n):
+            raise FamilyParseError(f"$.terms[{t}].exp", f"must be an array of length n={n}")
+        exp = tuple(map(_integer, exp))
+        if not all(e is not None and 0 <= e <= sys.float_info.max for e in exp):
+            raise FamilyParseError(f"$.terms[{t}].exp", "exponents must be non-negative "
+                                   "integers within the double range")
+        exps.append(exp)
         for key in ("re", "im"):
             rows = raw[key]
-            good = (
-                isinstance(rows, list) and len(rows) == m
-                and all(isinstance(r, list) and len(r) == m for r in rows)
-            )
-            if not good:
-                raise DimensionError(
-                    f"{path}.{key}: coefficient matrix must be {m}x{m}"
-                )
-            _require(set(map(type, itertools.chain.from_iterable(rows))) <= {int, float},
-                     f"{path}.{key}", "entries must be numbers")
-            try:
-                part = np.array(rows, dtype=float)
-                below = np.abs(part).max() < sys.float_info.max  # False for NaN
-            except OverflowError:  # an integer that rounds beyond the largest double
-                below = False
-            # the rest is tested number by number: an integer just above the
-            # largest double rounds to it, and abs(x) <= max compares it exactly
-            _require(below or all(abs(x) <= sys.float_info.max
-                                  for x in itertools.chain.from_iterable(rows)),
-                     f"{path}.{key}", "entries must be finite doubles")
-            parts.append(part)
-        coeff = parts[0] + 1j * parts[1]
-        terms.append((coeff, tuple(exps)))
-    return PolynomialFamily(dim=m, n_params=n, terms=tuple(terms))
+            if not (isinstance(rows, list) and len(rows) == m
+                    and all(isinstance(r, list) and len(r) == m for r in rows)):
+                raise DimensionError(f"$.terms[{t}].{key}: coefficient matrix must be {m}x{m}")
+            mats.append(rows)
+    cells = list(itertools.chain.from_iterable(itertools.chain.from_iterable(mats)))
+    if not _numbers(cells):
+        _refuse_first(mats, _numbers, "entries must be numbers")
+    try:
+        parts = np.array(cells, dtype=float).reshape(-1, 2, m, m)
+        below = np.abs(parts).max(initial=0.0) < sys.float_info.max   # False for NaN
+    except OverflowError:   # an integer beyond the largest double, which the walk names
+        below = False
+    if not below:           # also when an entry is the largest double, which passes
+        _refuse_first(mats, _doubles, "entries must be finite doubles")
+    coeffs = parts[:, 0] + 1j * parts[:, 1]
+    return PolynomialFamily(dim=m, n_params=n, terms=tuple(zip(coeffs, exps)))
 
 
 def parse_family(text: str) -> MatrixFamily:

@@ -112,6 +112,9 @@ SCALAR_TRIPLE_FAMILY = json.dumps({
     ],
 })
 
+#: a family file in Latin-1, which is not UTF-8
+LATIN1_FAMILY = '{"m": 1, "n": 1, "terms": [], "caf\u00e9": 0}'.encode("latin-1")
+
 
 def validate(report, schema_name):
     jsonschema = pytest.importorskip("jsonschema")
@@ -821,6 +824,13 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
     (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop", "0,0,0.01",
          "--out", "{tmp}/missing-dir/l.csv"],
      "cannot write '{tmp}/missing-dir/l.csv': No such file or directory"),
+    (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop", "0,0,0.01",
+         "--out", "{tmp}/dir.csv"], "cannot write '{dir}': Is a directory"),
+    (1, ["classify", "--family", "{dir}", "--at", "0,0"], "cannot read '{dir}': Is a directory"),
+    (1, ["classify", "--config", "{dir}"], "cannot read '{dir}': Is a directory"),
+    (1, ["classify", "--family", "{latin1}", "--at", "0,0"],
+     "cannot read '{latin1}': 'utf-8' codec can't decode byte 0xe9 in position 34: "
+     "invalid continuation byte"),
 ]
 
 
@@ -836,14 +846,22 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     exit 4 also when find-ep's chain normalization breaks down or its pair is
     not separated from a third eigenvalue; exit 0 for a DP scenario whose
     Im c is constant along the sweep; exit 1 for an --out path that cannot be
-    written. A failure prints one error line, with the text that names its
-    cause, writes no file, and no case warns."""
+    written, also when it is the side JSON of a loop, and for a family or
+    config file that cannot be read. A failure prints one error line, with
+    the text that names its cause, writes no file, and no case warns."""
     families = {"sep": SEPARATED_FAMILY, "ovf": OVERFLOWING_FAMILY, "flat": FLAT_IM_FAMILY,
                 "one": SCALAR_FAMILY, "dovf": OVERFLOWING_DERIVATIVE_FAMILY,
                 "diag": DIAGONAL_FAMILY, "drift": HUGE_DRIFT_FAMILY,
-                "triple": SCALAR_TRIPLE_FAMILY}
+                "triple": SCALAR_TRIPLE_FAMILY, "latin1": LATIN1_FAMILY,
+                "dir": None}    # None: a directory
     for name, doc in families.items():
-        (tmp_path / f"{name}.json").write_text(doc)
+        path = tmp_path / f"{name}.json"
+        if doc is None:
+            path.mkdir()
+        elif isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc)
 
     def fill(arg):
         for name in families:

@@ -367,6 +367,56 @@ class TestFindEP:
             degeneracy.find_ep(crystal1, [0.05, -0.03])
         assert len(err.value.residual_history) >= 1
 
+    def test_floor_svd_only_where_it_can_decide(self, crystal1, monkeypatch):
+        """A probe whose gap exceeds the Frobenius bound _EPS_FLOOR ||A||_F of
+        the noise floor takes no SVD for it. The crystal's search converges
+        through the floor, so only its last probe takes one, and every
+        accepted step takes one more for its Jacobian."""
+        probes, svds = [], []       # probes: [A, took the floor SVD], in order
+        eigvals, singular_values, svd = numkit.eigvals, numkit.singular_values, np.linalg.svd
+
+        def recording_eigvals(a):
+            probes.append([a, False])
+            return eigvals(a)
+
+        def recording_singular_values(a):
+            probes[-1][1] = True
+            return singular_values(a)
+
+        def counting_svd(*args, **kwargs):
+            svds.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(numkit, "eigvals", recording_eigvals)
+        monkeypatch.setattr(numkit, "singular_values", recording_singular_values)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        result = degeneracy.find_ep(crystal1, [0.05, -0.03])
+        gaps = result.residual_history
+        assert len(probes) == len(gaps)             # every first trial accepted
+        assert [took for _, took in probes] == [False] * (len(gaps) - 1) + [True]
+        assert all(gap > degeneracy._EPS_FLOOR * np.linalg.norm(a)
+                   for (a, _), gap in zip(probes[:-1], gaps))
+        assert gaps[-1] > degeneracy.EP_GAP_TOL * (1 + abs(result.lam0))   # the floor decided
+        assert len(svds) == result.iterations + 1
+
+    def test_floor_margin_on_rank_one_matrices(self):
+        """For a rank-one A, sigma_max(A) = ||A||_F, and the computed norms
+        differ by rounding in either direction: a gap at the floor or one ulp
+        either side of it is decided as the floor decides it."""
+        rng = np.random.default_rng(7)
+        norm_below = 0
+        for _ in range(200):
+            m = int(rng.integers(2, 6))
+            u, v = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+            a = np.outer(u, v.conj()) * (3 / np.linalg.norm(u) / np.linalg.norm(v))
+            sigma_max = numkit.singular_values(a)[0]
+            norm_below += np.linalg.norm(a) < sigma_max
+            floor = degeneracy._EPS_FLOOR * sigma_max
+            assert floor > degeneracy.EP_GAP_TOL        # the floor decides at mean 0
+            for gap in (np.nextafter(floor, 0.0), floor, np.nextafter(floor, np.inf)):
+                assert degeneracy._converged(a, 0.0, gap) == (gap <= floor)
+        assert norm_below > 0
+
     def test_jacobian_is_the_ep_model_gradient(self, crystal1, ep_chain, ep_model):
         # at the EP the approximate chain is the Jordan chain, so the Newton
         # Jacobian columns are the squared-gap gradient F + iG of the model

@@ -1,9 +1,11 @@
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigencoupling import family as family_mod
 from eigencoupling.errors import DimensionError, DomainError, FamilyParseError
@@ -15,6 +17,7 @@ from eigencoupling.family import (
     parse_polynomial,
 )
 from fd_oracle import fd_derivative
+from parse_oracle import parse_polynomial_per_term
 
 C = np.array([[1.0, 2j], [0.5, -1.0]])
 
@@ -214,6 +217,67 @@ class TestParseFamily:
         with pytest.raises(FamilyParseError) as err:
             parse_family(json.dumps(doc))
         assert str(err.value) == f"$.terms[1].{key}: entries must be numbers"
+
+
+TOP = sys.float_info.max
+#: entries no coefficient matrix admits, and exponents (2.0 among them, which
+#: is admitted) for the one defect of a generated document
+BAD_ENTRIES = (True, None, "1", [1], 10**400, int(TOP) + 1, -int(TOP) - 1,
+               math.nan, math.inf, -math.inf)
+ODD_EXPONENTS = (2.0, True, None, "1", -1, 2.5, 10**400, math.nan, math.inf)
+NUMBER = st.one_of(st.integers(-10**20, 10**20),
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from((TOP, -TOP, int(TOP), -0.0)))
+
+
+@st.composite
+def family_documents(draw):
+    """A valid family document, or one with one defect at a drawn place."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    matrix = st.lists(st.lists(NUMBER, min_size=m, max_size=m), min_size=m, max_size=m)
+    term = st.fixed_dictionaries({"exp": st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                                  "re": matrix, "im": matrix})
+    doc = {"m": m, "n": n, "terms": draw(st.lists(term, max_size=4))}
+    defect = draw(st.sampled_from(("none", "entry", "exp", "ragged", "missing", "unknown")))
+    if defect == "none":
+        return doc
+    if not doc["terms"]:
+        del doc[draw(st.sampled_from(("m", "n", "terms")))]
+        return doc
+    raw = draw(st.sampled_from(doc["terms"]))
+    key = draw(st.sampled_from(("re", "im")))
+    row = draw(st.sampled_from(raw[key]))
+    if defect == "entry":
+        row[draw(st.integers(0, m - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+    elif defect == "exp":
+        raw["exp"][draw(st.integers(0, n - 1))] = draw(st.sampled_from(ODD_EXPONENTS))
+    elif defect == "ragged":
+        row.append(0) if draw(st.booleans()) else row.pop()
+    elif defect == "missing":
+        del raw[draw(st.sampled_from(("exp", "re", "im")))]
+    else:
+        raw["note"] = 1
+    return doc
+
+
+def parse_outcome(parse, text):
+    """The parsed terms as bytes and exponents, or the error's type and text."""
+    try:
+        poly = parse(text)
+    except (FamilyParseError, DimensionError) as exc:
+        return type(exc), str(exc)
+    return poly.dim, poly.n_params, [
+        (coeff.dtype, coeff.shape, coeff.tobytes(), exps, tuple(map(type, exps)))
+        for coeff, exps in poly.terms]
+
+
+@settings(max_examples=400)
+@given(family_documents())
+def test_parse_agrees_with_per_term_oracle(doc):
+    """The document-wide checks and conversion of ``parse_polynomial`` give
+    the per-term parser's coefficients bit for bit, or its error."""
+    text = json.dumps(doc)
+    assert parse_outcome(parse_polynomial, text) == parse_outcome(parse_polynomial_per_term, text)
 
 
 def per_point_polynomial(poly, p):
