@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -67,10 +68,6 @@ _EXIT_CODES = (
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _cnum(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
 
 
 def _floats(text: str, what: str):
@@ -138,8 +135,25 @@ def _write_files(*files):
             raise _UsageError(f"cannot write '{path}': {exc.strerror or exc}") from exc
 
 
+def _plain(obj):
+    """The JSON value of a report: a dataclass is its fields by name, less
+    those declared ``field(repr=False)``; complex is {re, im}; sequences and
+    arrays are lists; a non-finite float is null."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.repr}
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, complex):
+        return {"re": _plain(obj.real), "im": _plain(obj.imag)}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(x) for x in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit_json(obj, out: str | None):
@@ -173,13 +187,11 @@ def cmd_classify(opts) -> int:
     at = np.asarray(_floats(opts["at"], "--at"))
     cluster, kind = _anchor_cluster(fam, at, opts["tol_cluster"], opts["tol_rank"])
     report = {
-        "lambda0": _cnum(cluster.center),
+        "lambda0": cluster.center,
         "kind": kind.kind,
         "geometric_multiplicity": kind.geometric_multiplicity,
         "cluster_gap": cluster.internal_gap,
-        # null when no eigenvalue lies outside the pair
-        "external_gap": (cluster.external_gap
-                         if math.isfinite(cluster.external_gap) else None),
+        "external_gap": cluster.external_gap,   # inf (null) when no eigenvalue lies outside
         "codimension": degeneracy.codimension("complex-nonsymmetric", kind.kind),
     }
     _emit_json(report, opts.get("out"))
@@ -296,20 +308,10 @@ def cmd_loop(opts) -> int:
     report = ep_asymptotics.loop_trajectory(model, spec)
     table = np.column_stack((report.phis, report.lam_plus.real, report.lam_plus.imag,
                              report.lam_minus.real, report.lam_minus.imag))
-    side = {
-        "regime": report.regime,
-        "sigma": report.sigma,
-        "sigma_sign": report.sigma_sign,
-        "winding_number": report.winding,
-        "n_curves": report.n_curves,
-        "axis_crossings": [
-            {"axis": c.axis, "ordinate": c.ordinate} for c in report.crossings
-        ],
-    }
     out = Path(opts["out"])
     side_path = out.with_suffix(".json") if out.suffix == ".csv" else Path(str(out) + ".json")
     csv = _csv(["phi", "re_plus", "im_plus", "re_minus", "im_minus"], table)
-    _write_files((opts["out"], [csv]), (str(side_path), [_json_text(side)]))
+    _write_files((opts["out"], [csv]), (str(side_path), [_json_text(report)]))
     return EXIT_OK
 
 
@@ -318,15 +320,7 @@ def cmd_find_ep(opts) -> int:
     if fam.n_params != 2 or fam.dim < 2:
         raise _UsageError("find-ep needs a two-parameter family of dimension >= 2")
     guess = np.asarray(_floats(opts["at"], "--at"))
-    result = degeneracy.find_ep(fam, guess)
-    report = {
-        "p_star": [float(x) for x in result.p_star],
-        "lambda0": _cnum(result.lam0),
-        "iterations": result.iterations,
-        "residual_history": [float(x) for x in result.residual_history],
-        "gap": result.gap,
-    }
-    _emit_json(report, opts.get("out"))
+    _emit_json(degeneracy.find_ep(fam, guess), opts.get("out"))
     return EXIT_OK
 
 
@@ -355,45 +349,12 @@ def cmd_scenario(opts) -> int:
                                          table)]))
         return EXIT_OK
     if kind.kind == "EP":
-        section = ep_asymptotics.cross_section(model, offset)
-        report = {
-            "kind": "EP",
-            "gamma": section.gamma,
-            "crossing": section.crossing,
-            "p1_cross": section.p1_cross,
-            "re_level": section.re_level,
-            "im_level": section.im_level,
-            "re_slopes": list(section.re_slopes) if section.re_slopes else None,
-            "im_slopes": list(section.im_slopes) if section.im_slopes else None,
-            "vertical_tangents": section.vertical_tangents,
-        }
+        label, report = "EP", ep_asymptotics.cross_section(model, offset)
     elif not chart_2p:
-        rep = dp_asymptotics.avoided_crossing_1p(model, offset)
-        roots = [x for x in (rep.dp1_a, rep.dp1_b) if x is not None] or None
-        cvals = [x for x in (rep.c_a, rep.c_b) if x is not None] or None
-        report = {
-            "kind": "DP-1p",
-            "scenario": rep.scenario,
-            "discriminant": rep.disc,
-            "c0": _cnum(rep.c0), "c1": _cnum(rep.c1), "c2": _cnum(rep.c2),
-            "dp1_roots": roots,
-            "c_values": cvals,
-        }
+        label, report = "DP-1p", dp_asymptotics.avoided_crossing_1p(model, offset)
     else:
-        rep = dp_asymptotics.surface_classification_2p(model)
-        lines = (None if rep.line_a is None
-                 else [[float(x) for x in rep.line_a], [float(x) for x in rep.line_b]])
-        signs = None if rep.sign_a is None else [rep.sign_a, rep.sign_b]
-        report = {
-            "kind": "DP",
-            "type": rep.kind,
-            "discriminant": rep.disc,
-            "c11": _cnum(rep.c11), "c12": _cnum(rep.c12), "c22": _cnum(rep.c22),
-            "lines": lines,
-            "line_signs": signs,
-            "chart_degenerate": rep.chart_degenerate,
-        }
-    _emit_json(report, opts.get("out"))
+        label, report = "DP", dp_asymptotics.surface_classification_2p(model)
+    _emit_json({"kind": label, **_plain(report)}, opts.get("out"))
     return EXIT_OK
 
 

@@ -130,6 +130,7 @@ def family_adapter(spec: DielectricSpec) -> MatrixFamily:
     of ``CHART_MARGIN`` from the chart boundary.
     """
 
+    @np.errstate(over="ignore")     # an overflowing square is inf: outside
     def guard(p):
         return p[..., 0] * p[..., 0] + p[..., 1] * p[..., 1] < 1.0 - CHART_MARGIN
 

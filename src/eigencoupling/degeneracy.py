@@ -96,7 +96,7 @@ class EPSearchResult:
     """Converged exceptional-point search."""
 
     p_star: np.ndarray
-    lam0: complex
+    lambda0: complex
     iterations: int
     residual_history: list      # |lam_plus - lam_minus| per iterate
     gap: float                  # final pair separation
@@ -421,7 +421,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
             break
     if converged:
         return EPSearchResult(
-            p_star=p, lam0=complex(mean), iterations=len(history) - 1,
+            p_star=p, lambda0=complex(mean), iterations=len(history) - 1,
             residual_history=history, gap=float(gap),
         )
     raise ConvergenceError(

@@ -93,11 +93,9 @@ class AvoidedCrossingReport:
     c0: complex
     c1: complex
     c2: complex
-    disc: float               # (Im c1)^2 - 4 Im c0 Im c2
-    dp1_a: Optional[float]
-    dp1_b: Optional[float]
-    c_a: Optional[float]      # real value of c at dp1_a
-    c_b: Optional[float]
+    discriminant: float       # (Im c1)^2 - 4 Im c0 Im c2
+    dp1_roots: Optional[tuple]    # the real roots of Im c found; None when none
+    c_values: Optional[tuple]     # the real value of c at each of them
     scenario: str             # no-crossing | one-re-one-im | two-re | two-im | degenerate
 
 
@@ -108,12 +106,10 @@ class SurfaceTypeReport:
     c11: complex
     c12: complex
     c22: complex
-    disc: float               # (Im c12)^2 - 4 Im c11 Im c22
-    line_a: Optional[np.ndarray]   # unit directions of the Im c = 0 lines
-    line_b: Optional[np.ndarray]
-    sign_a: Optional[int]     # sign of (real) c on each line
-    sign_b: Optional[int]
-    kind: str                 # cone-no-intersection | one-re-one-im-line |
+    discriminant: float       # (Im c12)^2 - 4 Im c11 Im c22
+    lines: Optional[tuple]    # the two unit directions of the Im c = 0 lines
+    line_signs: Optional[tuple]   # sign of (real) c on each line
+    type: str                 # cone-no-intersection | one-re-one-im-line |
     #                           re-cluster-of-shells | im-double-intersection | degenerate
     chart_degenerate: bool = False
 
@@ -199,7 +195,7 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     """Classify the avoided crossing along p_1 at fixed offsets of p_2..p_n.
 
     Writes c = c0 + c1 dp1 + c2 dp1^2; the real roots of Im c (when the
-    discriminant is positive) carry real values c_a, c_b whose signs decide
+    discriminant is positive) carry real values of c whose signs decide
     which sheets intersect there.
 
     All of it is computed at dp_rest 2^-k, 2^k the power of two above
@@ -210,11 +206,12 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     k = math.frexp(float(np.abs(rest).max(initial=0.0)))[1]
     c2, c1, c0 = _quadratic_form(model, lambda v: v[0], lambda v: v[1:] @ np.ldexp(rest, -k))
 
-    def report(disc, a=None, b=None, ca=None, cb=None, scenario="degenerate"):
+    def report(disc, roots=(), cs=(), scenario="degenerate"):
         return AvoidedCrossingReport(
             c0=_scaled(c0, 2 * k), c1=_scaled(c1, k), c2=complex(c2),
-            disc=_scaled(disc, 2 * k), dp1_a=_scaled(a, k), dp1_b=_scaled(b, k),
-            c_a=_scaled(ca, 2 * k), c_b=_scaled(cb, 2 * k), scenario=scenario,
+            discriminant=_scaled(disc, 2 * k),
+            dp1_roots=tuple(_scaled(x, k) for x in roots) or None,
+            c_values=tuple(_scaled(x, 2 * k) for x in cs) or None, scenario=scenario,
         )
 
     if not np.any(rest != 0.0):
@@ -231,7 +228,7 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
         # quadratic degenerates: Im c is linear with a single root
         root = -im0 / im1
         c_root = c0 + c1 * root + c2 * root * root
-        return report(disc, a=float(root), ca=float(c_root.real))
+        return report(disc, (float(root),), (float(c_root.real),))
     if abs(disc) <= DEGENERACY_TOL * max(im1 ** 2, abs(4.0 * im0 * im2)):
         return report(disc)
     if disc < 0.0:
@@ -246,18 +243,18 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     ca, cb = c_at(dp1_a), c_at(dp1_b)
     value_scale = max(abs(ca), abs(cb), 1e-300)
     if min(abs(ca.real), abs(cb.real)) <= DEGENERACY_TOL * value_scale:
-        return report(disc, dp1_a, dp1_b, float(ca.real), float(cb.real))
+        return report(disc, (dp1_a, dp1_b), (float(ca.real), float(cb.real)))
     _, scenario = _sign_ladder((ca, cb), "one-re-one-im", "two-re", "two-im")
-    return report(disc, float(dp1_a), float(dp1_b),
-                  float(ca.real), float(cb.real), scenario)
+    return report(disc, (float(dp1_a), float(dp1_b)),
+                  (float(ca.real), float(cb.real)), scenario)
 
 
 def _scaled(x, k):
-    """x 2^k, exact (None stays None); DimensionError where no double holds it."""
+    """x 2^k, exact; DimensionError where no double holds it."""
     try:
         if isinstance(x, complex):
             return complex(math.ldexp(x.real, k), math.ldexp(x.imag, k))
-        return None if x is None else math.ldexp(x, k)
+        return math.ldexp(x, k)
     except OverflowError:
         raise DimensionError("the DP-1p scenario overflows at this offset") from None
 
@@ -266,7 +263,7 @@ def _sign_ladder(values, mixed, negative, positive):
     """The signs of Re c (nonzero) at the two roots or lines of Im c, and
     the label they decide; by the signs, as a product of two tiny values
     underflows."""
-    signs = [1 if v.real > 0 else -1 for v in values]
+    signs = tuple(1 if v.real > 0 else -1 for v in values)
     if signs[0] != signs[1]:
         return signs, mixed
     return signs, negative if signs[0] < 0 else positive
@@ -295,12 +292,11 @@ def surface_classification_2p(model: DPLocalModel) -> SurfaceTypeReport:
             vec = -vec
         return vec
 
-    def report(disc, la=None, lb=None, sa=None, sb=None,
-               kind="degenerate", chart_degenerate=False):
+    def report(disc, lines=None, signs=None, surface="degenerate", chart_degenerate=False):
         return SurfaceTypeReport(
             c11=complex(c11), c12=complex(c12), c22=complex(c22),
-            disc=float(disc), line_a=la, line_b=lb, sign_a=sa, sign_b=sb,
-            kind=kind, chart_degenerate=bool(chart_degenerate),
+            discriminant=float(disc), lines=lines, line_signs=signs,
+            type=surface, chart_degenerate=bool(chart_degenerate),
         )
 
     im_scale = max(abs(c11.imag), abs(c12.imag), abs(c22.imag))
@@ -311,20 +307,19 @@ def surface_classification_2p(model: DPLocalModel) -> SurfaceTypeReport:
     if abs(disc) <= DEGENERACY_TOL * im_scale ** 2:
         return report(disc)     # lines coincide (or nearly so)
     if disc < 0.0:
-        return report(disc, kind="cone-no-intersection")
+        return report(disc, surface="cone-no-intersection")
     root = math.sqrt(disc)
     chart_degenerate = abs(c11.imag) <= DEGENERACY_TOL * im_scale
     if chart_degenerate:
         # Im c = dp2 (Im c12 dp1 + Im c22 dp2): solve the lines in dp2
-        lines = [np.array([1.0, 0.0]), unit([-c22.imag, c12.imag])]
+        lines = (np.array([1.0, 0.0]), unit([-c22.imag, c12.imag]))
     else:
-        lines = [unit([-(c12.imag + root), 2.0 * c11.imag]),
-                 unit([-(c12.imag - root), 2.0 * c11.imag])]
+        lines = (unit([-(c12.imag + root), 2.0 * c11.imag]),
+                 unit([-(c12.imag - root), 2.0 * c11.imag]))
     values = [c_on(line) for line in lines]
     value_scale = max(max(abs(v) for v in values), 1e-300)
     if min(abs(v.real) for v in values) <= DEGENERACY_TOL * value_scale:
-        return report(disc, lines[0], lines[1], chart_degenerate=chart_degenerate)
-    signs, kind = _sign_ladder(values, "one-re-one-im-line", "re-cluster-of-shells",
-                               "im-double-intersection")
-    return report(disc, lines[0], lines[1], signs[0], signs[1],
-                  kind=kind, chart_degenerate=chart_degenerate)
+        return report(disc, lines, chart_degenerate=chart_degenerate)
+    signs, surface = _sign_ladder(values, "one-re-one-im-line", "re-cluster-of-shells",
+                                  "im-double-intersection")
+    return report(disc, lines, signs, surface, chart_degenerate)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -235,12 +235,17 @@ class ConicReport:
     samples: np.ndarray        # trajectory points (complex) for plotting
 
 
+@np.errstate(over="ignore")    # an overflowing gamma is reported, not warned about
 def _fixed_rest(model: EPLocalModel, fixed_rest):
     """The frozen offsets of parameters 2..n (zeros when None) and
-    gamma = <f_rest g1 - f1 g_rest, rest>, which shapes the conic and the section."""
+    gamma = <f_rest g1 - f1 g_rest, rest>, which shapes the conic and the
+    section; DimensionError where gamma overflows."""
     rest = rest_offsets(model, fixed_rest)
     f1, g1 = model.split_re[0], model.split_im[0]
-    return rest, float(np.sum((model.split_re[1:] * g1 - f1 * model.split_im[1:]) * rest))
+    gamma = float(np.sum((model.split_re[1:] * g1 - f1 * model.split_im[1:]) * rest))
+    if not math.isfinite(gamma):
+        raise DimensionError("gamma overflows at these offsets")
+    return rest, gamma
 
 
 def complex_plane_conic(model: EPLocalModel, fixed_rest=None) -> ConicReport:
@@ -287,8 +292,8 @@ class SectionReport:
     re_slopes: Optional[tuple]
     im_slopes: Optional[tuple]
     vertical_tangents: bool
-    cusp_re_coeffs: Optional[tuple]   # ((f1+rho1)/2, (f1-rho1)/2, h1/2)
-    cusp_im_coeffs: Optional[tuple]   # ((rho1-f1)/2, -(f1+rho1)/2, r1/2)
+    cusp_re_coeffs: Optional[tuple] = field(repr=False)   # ((f1+rho1)/2, (f1-rho1)/2, h1/2)
+    cusp_im_coeffs: Optional[tuple] = field(repr=False)   # ((rho1-f1)/2, -(f1+rho1)/2, r1/2)
 
 
 def cross_section(model: EPLocalModel, fixed_rest=None) -> SectionReport:
@@ -298,14 +303,16 @@ def cross_section(model: EPLocalModel, fixed_rest=None) -> SectionReport:
     sqrt(-g1/gamma), Im curves drift_im[0]/2 +- (g1/2) sqrt(g1/gamma).
     At the crossing abscissa <split_re, dp> equals gamma/g1, so the Re pair
     crosses (real slopes) exactly when gamma/g1 < 0 and the Im pair when
-    gamma/g1 > 0; the radicand signs encode that dichotomy.
+    gamma/g1 > 0; the radicand signs encode that dichotomy. An offset so
+    small that the slopes overflow raises DimensionError.
     """
     rest, gamma = _fixed_rest(model, fixed_rest)
-    f1, g1 = model.split_re[0], model.split_im[0]
+    f1, g1 = float(model.split_re[0]), float(model.split_im[0])
     h1, r1 = model.drift_re[0], model.drift_im[0]
     if abs(g1) < 1e-14:
         raise ChartError("g1 = 0: cross-section formulas need reindexing")
-    dp1_cross = -float(np.sum(model.split_im[1:] * rest)) / g1
+    im_rest = float(np.sum(model.split_im[1:] * rest))
+    dp1_cross = -im_rest / g1
     re_level = model.lam0.real - (
         float(np.sum((h1 * model.split_im[1:] - g1 * model.drift_re[1:]) * rest))
         / (2.0 * g1))
@@ -313,18 +320,21 @@ def cross_section(model: EPLocalModel, fixed_rest=None) -> SectionReport:
         float(np.sum((r1 * model.split_im[1:] - g1 * model.drift_im[1:]) * rest))
         / (2.0 * g1))
     rho1 = math.hypot(f1, g1)
-    gamma_scale = abs(g1) * (np.abs(rest).max(initial=0.0) + 1e-300)
+    # gamma is the difference of these two terms; it counts as zero once
+    # it is lost in their rounding, on any scale of the offsets
+    gamma_scale = abs(g1 * float(np.sum(model.split_re[1:] * rest))) + abs(f1 * im_rest)
     re_slopes = im_slopes = None
-    if abs(gamma) <= 1e-12 * max(gamma_scale, 1e-12):
+    if abs(gamma) <= 1e-12 * gamma_scale:
         crossing = "cusp"
-    elif gamma / g1 < 0:
-        crossing = "re"
-        half = 0.5 * g1 * math.sqrt(-g1 / gamma)
-        re_slopes = (0.5 * h1 + half, 0.5 * h1 - half)
     else:
-        crossing = "im"
-        half = 0.5 * g1 * math.sqrt(g1 / gamma)
-        im_slopes = (0.5 * r1 + half, 0.5 * r1 - half)
+        crossing = "re" if gamma / g1 < 0 else "im"
+        half = 0.5 * g1 * math.sqrt(abs(g1 / gamma))
+        if not math.isfinite(half):
+            raise DimensionError("the cross-section's tangent slopes overflow at this offset")
+        if crossing == "re":
+            re_slopes = (0.5 * h1 + half, 0.5 * h1 - half)
+        else:
+            im_slopes = (0.5 * r1 + half, 0.5 * r1 - half)
     offsets_zero = bool(np.all(rest == 0.0))
     cusp_re = ((f1 + rho1) / 2.0, (f1 - rho1) / 2.0, h1 / 2.0) if offsets_zero else None
     cusp_im = ((rho1 - f1) / 2.0, -(f1 + rho1) / 2.0, r1 / 2.0) if offsets_zero else None
@@ -349,14 +359,14 @@ class LoopReport:
     regime: str                # "inside" | "on" | "outside"
     sigma: float
     sigma_sign: int
-    phis: np.ndarray
-    lam_plus: np.ndarray       # full model trajectories (with drift)
-    lam_minus: np.ndarray
-    core_plus: np.ndarray      # +-sqrt(F + iG) parts, branch-tracked in phi
-    core_minus: np.ndarray
     n_curves: int              # 1: branches join into a single closed curve
-    winding: Optional[int]     # winding number of the closed curve about lam0
-    crossings: tuple           # AxisCrossing entries from the closed-form loci
+    winding_number: Optional[int]   # of the closed curve about lam0
+    axis_crossings: tuple      # AxisCrossing entries from the closed-form loci
+    phis: np.ndarray = field(repr=False)        # the samples: the CLI's CSV, not its JSON
+    lam_plus: np.ndarray = field(repr=False)    # full model trajectories (with drift)
+    lam_minus: np.ndarray = field(repr=False)
+    core_plus: np.ndarray = field(repr=False)   # +-sqrt(F + iG) parts, branch-tracked in phi
+    core_minus: np.ndarray = field(repr=False)
 
 
 def _axis_crossings(model, a, b, r):
@@ -482,6 +492,5 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
         regime=regime, sigma=float(sigma), sigma_sign=sigma_sign,
         phis=phis, lam_plus=mid + core_a, lam_minus=mid + core_b,
         core_plus=core_a, core_minus=core_b,
-        n_curves=n_curves, winding=winding,
-        crossings=crossings,
+        n_curves=n_curves, winding_number=winding, axis_crossings=crossings,
     )

@@ -270,8 +270,8 @@ def test_criterion_08_loop_suite(ex1):
     inside = ep_asymptotics.loop_trajectory(
         model, ep_asymptotics.LoopSpec(a=0.0, b=0.0, r=r))
     assert inside.regime == "inside"
-    assert inside.winding == 1
-    re_crossings = sorted(c.ordinate for c in inside.crossings if c.axis == "re")
+    assert inside.winding_number == 1
+    re_crossings = sorted(c.ordinate for c in inside.axis_crossings if c.axis == "re")
     want = 2 * np.sqrt(r)
     assert re_crossings[1] == pytest.approx(want, rel=1e-6)
     assert re_crossings[0] == pytest.approx(-want, rel=1e-6)
@@ -280,11 +280,11 @@ def test_criterion_08_loop_suite(ex1):
         model, ep_asymptotics.LoopSpec(a=0.0, b=0.02, r=r))
     assert outside.regime == "outside"
     assert outside.n_curves == 2
-    assert outside.winding == 0
+    assert outside.winding_number == 0
     # sigma > 0 selects the Im lam = Im lam0 axis; verify against the
     # sampled trajectories crossing that line (imaginary part sign flips)
     assert outside.sigma_sign == 1
-    assert {c.axis for c in outside.crossings} == {"im"}
+    assert {c.axis for c in outside.axis_crossings} == {"im"}
     for curve in (outside.core_plus, outside.core_minus):
         signs = np.sign(curve.imag)
         assert np.count_nonzero(signs != np.roll(signs, 1)) == 2
@@ -292,7 +292,7 @@ def test_criterion_08_loop_suite(ex1):
     negative = ep_asymptotics.loop_trajectory(
         model, ep_asymptotics.LoopSpec(a=0.0, b=-0.02, r=r))
     assert negative.sigma_sign == -1
-    assert {c.axis for c in negative.crossings} == {"re"}
+    assert {c.axis for c in negative.axis_crossings} == {"re"}
     report_pass(8, "loop suite: winding 1 inside, crossings +-2 sqrt(r), "
                    "kidneys outside, axis choice matches sign(sigma)")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigencoupling import cli, degeneracy, ep_asymptotics, numkit, pairmodel
+from eigencoupling import cli, degeneracy, dp_asymptotics, ep_asymptotics, numkit, pairmodel
 from eigencoupling import family as family_mod
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -527,6 +528,16 @@ class TestScenario:
         assert report["gamma"] == pytest.approx(-0.16, abs=1e-8)
         assert report["crossing"] in ("re", "im")
 
+    @pytest.mark.parametrize("sign,label", [(1, "im"), (-1, "re")])
+    def test_ep_label_independent_of_offset_scale(self, capsys, sign, label):
+        """gamma is linear in the offset, so its sign decides the crossing at
+        any scale; no absolute floor turns a small offset into a cusp."""
+        for j in range(31):
+            code, out = run(capsys, "scenario", "--family", "crystal-example-1",
+                            "--at", "0,0", f"--offset={sign * 0.01 * 10.0 ** -j!r}")
+            assert code == 0
+            assert json.loads(out)["crossing"] == label, j
+
     def test_dp_one_parameter_report(self, capsys):
         code, out = run(capsys, "scenario", "--family", "crystal-example-2",
                         "--at", "0,0", "--offset", "0.01")
@@ -770,6 +781,40 @@ class TestScalarMatrixDP:
         validate(report, "classify_report.schema.json")
 
 
+REPORT_SCHEMAS = [  # schema file, path to the object schema, report class, keys added
+    ("find_ep_report.schema.json", (), degeneracy.EPSearchResult, set()),
+    ("loop_report.schema.json", (), ep_asymptotics.LoopReport, set()),
+    ("loop_report.schema.json", ("properties", "axis_crossings", "items"),
+     ep_asymptotics.AxisCrossing, set()),
+    ("scenario_report.schema.json", ("definitions", "ep_section"),
+     ep_asymptotics.SectionReport, {"kind"}),
+    ("scenario_report.schema.json", ("definitions", "dp_two_param"),
+     dp_asymptotics.SurfaceTypeReport, {"kind"}),
+    ("scenario_report.schema.json", ("definitions", "dp_one_param"),
+     dp_asymptotics.AvoidedCrossingReport, {"kind"}),
+]
+
+
+@pytest.mark.parametrize("schema_name,path,report,extra", REPORT_SCHEMAS,
+                         ids=[report.__name__ for _, _, report, _ in REPORT_SCHEMAS])
+def test_schema_properties_are_the_report_fields(schema_name, path, report, extra):
+    """A report's JSON keys are its fields (less those declared
+    ``field(repr=False)``), so a field the schema does not list fails here."""
+    schema = json.loads((SCHEMA_DIR / schema_name).read_text())
+    for key in path:
+        schema = schema[key]
+    fields = {f.name for f in dataclasses.fields(report) if f.repr}
+    assert set(schema["properties"]) == fields | extra
+
+
+def test_classify_schema_properties_are_the_emitted_keys(capsys):
+    for source in ("crystal-example-1", "crystal-example-2"):
+        code, out = run(capsys, "classify", "--family", source, "--at", "0,0")
+        assert code == 0
+        schema = json.loads((SCHEMA_DIR / "classify_report.schema.json").read_text())
+        assert set(json.loads(out)) == set(schema["properties"])
+
+
 EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
     (0, ["classify", "--family", "crystal-example-1", "--at", "0,0"], None),
     (1, ["find-ep", "--family", "{sep}", "--at", "0.3"],
@@ -831,6 +876,12 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
     (1, ["classify", "--family", "{latin1}", "--at", "0,0"],
      "cannot read '{latin1}': 'utf-8' codec can't decode byte 0xe9 in position 34: "
      "invalid continuation byte"),
+    (3, ["classify", "--family", "crystal-example-1", "--at", "1e200,1e200"],
+     "point [1e+200, 1e+200] outside the family domain"),
+    (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--offset=1e-309"],
+     "the cross-section's tangent slopes overflow at this offset"),
+    (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--offset=1.7e308"],
+     "gamma overflows at these offsets"),
 ]
 
 
@@ -847,7 +898,9 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     not separated from a third eigenvalue; exit 0 for a DP scenario whose
     Im c is constant along the sweep; exit 1 for an --out path that cannot be
     written, also when it is the side JSON of a loop, and for a family or
-    config file that cannot be read. A failure prints one error line, with
+    config file that cannot be read; exit 3 also for a point whose square
+    overflows the crystal's chart guard, and exit 1 for an EP offset so small
+    that the section's slopes overflow or so large that its gamma does. A failure prints one error line, with
     the text that names its cause, writes no file, and no case warns."""
     families = {"sep": SEPARATED_FAMILY, "ovf": OVERFLOWING_FAMILY, "flat": FLAT_IM_FAMILY,
                 "one": SCALAR_FAMILY, "dovf": OVERFLOWING_DERIVATIVE_FAMILY,

@@ -325,7 +325,7 @@ class TestFindEP:
         result = degeneracy.find_ep(crystal1, [0.05, -0.03])
         assert np.linalg.norm(result.p_star) <= 1e-10
         assert result.iterations <= 20
-        assert result.lam0 == pytest.approx(2.0, abs=1e-6)
+        assert result.lambda0 == pytest.approx(2.0, abs=1e-6)
         # residuals should drop fast (quadratic-like tail)
         assert result.residual_history[-1] < 1e-6 * result.residual_history[0]
 
@@ -396,7 +396,7 @@ class TestFindEP:
         assert [took for _, took in probes] == [False] * (len(gaps) - 1) + [True]
         assert all(gap > degeneracy._EPS_FLOOR * np.linalg.norm(a)
                    for (a, _), gap in zip(probes[:-1], gaps))
-        assert gaps[-1] > degeneracy.EP_GAP_TOL * (1 + abs(result.lam0))   # the floor decided
+        assert gaps[-1] > degeneracy.EP_GAP_TOL * (1 + abs(result.lambda0))   # the floor decided
         assert len(svds) == result.iterations + 1
 
     def test_floor_margin_on_rank_one_matrices(self):

@@ -245,11 +245,11 @@ class TestAvoidedCrossing1P:
         assert report.scenario == "one-re-one-im"
         scan = brute_force_scan(model, rest)
         assert len(scan) == 2
-        got_roots = sorted((report.dp1_a, report.dp1_b))
+        got_roots = sorted(report.dp1_roots)
         assert got_roots == pytest.approx(sorted(r for r, _ in scan), abs=1e-9)
         # signs of c at the roots agree with the scan
         scan_signs = sorted(np.sign(c) for _, c in scan)
-        assert sorted(np.sign([report.c_a, report.c_b])) == scan_signs
+        assert sorted(np.sign(report.c_values)) == scan_signs
 
     def test_all_real_coupling_degenerates(self):
         model = model_from_vectors(
@@ -271,7 +271,7 @@ class TestAvoidedCrossing1P:
             d11=np.zeros(2), d12=l1, d21=l2, d22=np.zeros(2))
         report = dp.avoided_crossing_1p(model, [delta])
         assert report.scenario in ("two-re", "two-im", "one-re-one-im")
-        assert sorted((report.dp1_a, report.dp1_b)) == pytest.approx(
+        assert sorted(report.dp1_roots) == pytest.approx(
             sorted((r1, r2)), abs=1e-12)
 
     def test_exact_coupling_degenerate(self):
@@ -287,11 +287,11 @@ class TestAvoidedCrossing1P:
         delta = 0.01
         report = dp.avoided_crossing_1p(model, [delta])
         assert report.scenario == "degenerate"
-        assert report.dp1_a is not None
-        x = report.dp1_a
+        assert report.dp1_roots is not None
+        x = report.dp1_roots[0]
         value = dp.split_multiparam(model, [x, delta]).radicand
         assert value.imag == pytest.approx(0.0, abs=1e-14)
-        assert report.c_a == pytest.approx(value.real)
+        assert report.c_values[0] == pytest.approx(value.real)
 
     def test_scenarios_of_all_four_types(self):
         rng = np.random.default_rng(67)
@@ -345,7 +345,7 @@ class TestAvoidedCrossing1P:
         for delta in (0.01, 1e-60):
             report = dp.avoided_crossing_1p(model, [delta])
             assert report.scenario == "no-crossing"
-            assert report.dp1_a is None and report.c_a is None
+            assert report.dp1_roots is None and report.c_values is None
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -383,9 +383,9 @@ class TestSurfaceClassification2P:
         assert report.c11 == pytest.approx(45 + 8j, abs=1e-8)
         assert report.c12 == pytest.approx(128j, abs=1e-8)
         assert report.c22 == pytest.approx(-83 + 8j, abs=1e-8)
-        assert report.disc == pytest.approx(16128.0, abs=1e-4)
-        assert report.kind == "one-re-one-im-line"
-        assert sorted((report.sign_a, report.sign_b)) == [-1, 1]
+        assert report.discriminant == pytest.approx(16128.0, abs=1e-4)
+        assert report.type == "one-re-one-im-line"
+        assert sorted(report.line_signs) == [-1, 1]
 
     def test_all_real_degenerate(self):
         model = model_from_vectors(
@@ -393,7 +393,7 @@ class TestSurfaceClassification2P:
             d21=np.array([-0.4, 0.8]), d22=np.array([0.6, -1.0]),
         )
         report = dp.surface_classification_2p(model)
-        assert report.kind == "degenerate"
+        assert report.type == "degenerate"
 
     def test_constructed_shell_cluster(self):
         # c = (-1+i) x^2 - 3i xy + (-1+2i) y^2: disc 1 > 0, c < 0 on both lines
@@ -405,7 +405,7 @@ class TestSurfaceClassification2P:
         model = model_from_vectors(
             d11=np.zeros(2), d12=l1, d21=l2, d22=np.zeros(2))
         report = dp.surface_classification_2p(model)
-        assert report.kind == "re-cluster-of-shells"
+        assert report.type == "re-cluster-of-shells"
         # dense direction scan: Re lam sheets meet exactly where Im c = 0 and Re c < 0
         for theta in np.linspace(0.0, np.pi, 181, endpoint=False):
             direction = np.array([np.cos(theta), np.sin(theta)])
@@ -421,8 +421,8 @@ class TestSurfaceClassification2P:
             d11=np.zeros(2), d12=np.array([1j, 1j]), d21=np.array([1.0, 1.0]),
             d22=np.zeros(2))
         report = dp.surface_classification_2p(model)
-        assert report.disc == pytest.approx(0.0, abs=1e-12)
-        assert report.kind == "degenerate"
+        assert report.discriminant == pytest.approx(0.0, abs=1e-12)
+        assert report.type == "degenerate"
 
     def test_needs_two_parameters(self):
         model = model_from_vectors(
@@ -474,7 +474,7 @@ class TestCrossingConsistency:
         model = reference_model()
         rest = np.array([0.01])
         report = dp.avoided_crossing_1p(model, rest)
-        for root, c_val in ((report.dp1_a, report.c_a), (report.dp1_b, report.c_b)):
+        for root, c_val in zip(report.dp1_roots, report.c_values):
             split = dp.split_multiparam(model, np.concatenate(([root], rest)))
             if c_val < 0:
                 assert split.re_plus == pytest.approx(split.re_minus, abs=1e-12)

@@ -334,8 +334,8 @@ class TestLoopTrajectory:
         report = ep.loop_trajectory(ep_model, ep.LoopSpec(a=0.0, b=0.0, r=r))
         assert report.regime == "inside"
         assert report.n_curves == 1
-        assert report.winding == 1
-        re_line = sorted(c.ordinate for c in report.crossings if c.axis == "re")
+        assert report.winding_number == 1
+        re_line = sorted(c.ordinate for c in report.axis_crossings if c.axis == "re")
         assert re_line == pytest.approx([-2 * np.sqrt(r), 2 * np.sqrt(r)], rel=1e-6)
 
     def test_on_regime_exact_boundary(self, ep_model):
@@ -346,15 +346,15 @@ class TestLoopTrajectory:
         report = ep.loop_trajectory(ep_model, ep.LoopSpec(a=0.0, b=0.02, r=0.01))
         assert report.regime == "outside"
         assert report.n_curves == 2
-        assert report.winding == 0
+        assert report.winding_number == 0
         assert report.sigma_sign == 1
         # sigma > 0: only the Im lam = Im lam0 line is crossed
-        assert {c.axis for c in report.crossings} == {"im"}
+        assert {c.axis for c in report.axis_crossings} == {"im"}
 
     def test_sigma_negative_crosses_re_line(self, ep_model):
         report = ep.loop_trajectory(ep_model, ep.LoopSpec(a=0.0, b=-0.02, r=0.01))
         assert report.sigma_sign == -1
-        assert {c.axis for c in report.crossings} == {"re"}
+        assert {c.axis for c in report.axis_crossings} == {"re"}
         # each kidney crosses the Re line twice: count sign changes of Re
         for curve in (report.core_plus, report.core_minus):
             signs = np.sign(curve.real)
@@ -379,7 +379,7 @@ class TestLoopTrajectory:
         with pytest.raises(ResolutionError):
             ep.loop_trajectory(model, ep.LoopSpec(a=0.0, b=0.0, r=0.01, samples=16))
         report = ep.loop_trajectory(model, ep.LoopSpec(a=0.0, b=0.0, r=0.01))
-        assert report.winding == 1
+        assert report.winding_number == 1
 
     def test_loop_spec_validation(self):
         with pytest.raises(DimensionError):
