@@ -27,6 +27,7 @@ from . import family as family_mod
 from .errors import (
     ClassificationError,
     ConvergenceError,
+    DimensionError,
     DomainError,
     EigenCouplingError,
     FrameError,
@@ -263,6 +264,9 @@ def cmd_surface(opts) -> int:
     model = _local_model(fam, p0, kind)
     axis1, axis2 = _window_axes(opts["window"], opts["res"])
     dps = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
+    with np.errstate(over="ignore"):    # the corners bound every point
+        if not np.isfinite(p0 + dps[[0, -1]]).all():
+            raise DimensionError("the grid points p0 + offset overflow")
     pool = _pool()
     pending = collections.deque()    # (block, its eigvals future), oldest first
     chunks = []

@@ -28,6 +28,7 @@ from . import numkit
 from .errors import (
     ClassificationError,
     ConvergenceError,
+    DimensionError,
     FrameError,
     IndeterminateRankError,
     MultiplicityError,
@@ -104,15 +105,20 @@ class EPSearchResult:
 
 def _nearest_pairs(values):
     """(gap, i, j) of every pair i < j of the values, nearest first; ties go
-    to the lowest (i, j)."""
+    to the lowest (i, j). DimensionError where a gap overflows."""
     m = len(values)
-    return sorted((abs(values[i] - values[j]), i, j) for i in range(m) for j in range(i + 1, m))
+    with np.errstate(over="ignore"):
+        pairs = sorted((abs(values[i] - values[j]), i, j)
+                       for i in range(m) for j in range(i + 1, m))
+    if pairs and pairs[-1][0] == math.inf:
+        raise DimensionError("the eigenvalues are too far apart for their gaps to be finite")
+    return pairs
 
 
 def _isolation(values, i, j):
     """Centre of the pair (i, j), and the nearest value of another index with
     its distance to the centre (inf and None when there is none)."""
-    center = (values[i] + values[j]) / 2.0
+    center = values[i] / 2.0 + values[j] / 2.0      # halves first: no overflow
     external, k = min(((abs(values[k] - center), k) for k in range(len(values))
                        if k not in (i, j)), default=(math.inf, None))
     return center, external, None if k is None else values[k]
@@ -132,11 +138,13 @@ def find_double_eigenvalues(a, tol_cluster: float = DEFAULT_CLUSTER_TOL):
     used = set()
     clusters = []
     for gap, i, j in _nearest_pairs(w):
-        if i in used or j in used or not gap <= tol_cluster * (1.0 + max(abs(w[i]), abs(w[j]))):
+        # bounds in Python floats, which overflow to inf without a warning
+        size = float(max(abs(w[i]), abs(w[j])))
+        if i in used or j in used or not gap <= tol_cluster * (1.0 + size):
             continue
         used.update((i, j))
         center, external, z = _isolation(w, i, j)
-        if external <= 10.0 * tol_cluster * (1.0 + abs(center)):
+        if z is not None and external <= 10.0 * tol_cluster * (1.0 + float(abs(center))):
             raise MultiplicityError(
                 f"third eigenvalue {z:.6g} within 10x tolerance of the "
                 f"cluster at {center:.6g}; multiplicity > 2 unsupported"
@@ -171,12 +179,12 @@ def classify(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) -> Deg
     shifted = numkit.SVD(arr - lam0 * np.eye(arr.shape[0]))
     s = shifted.s
     sigma_max = numkit.singular_values(arr)[0]
-    threshold = tol_rank * max(sigma_max, 1e-300)
+    threshold = tol_rank * float(max(sigma_max, 1e-300))     # threshold * 10 may be inf
     ambiguous = [x for x in s if threshold / 10.0 < x < threshold * 10.0]
     if ambiguous:
         raise IndeterminateRankError(
-            f"singular values {ambiguous} within a factor 10 of the rank "
-            f"threshold {threshold:.3e}", singular_values=s,
+            f"singular values [{', '.join(f'{x:.3e}' for x in ambiguous)}] within a factor 10 "
+            f"of the rank threshold {threshold:.3e}", singular_values=s,
         )
     gm = len(s) - int(np.count_nonzero(s > threshold))
     if gm not in (1, 2):
@@ -220,7 +228,9 @@ def _chain_head(shifted: numkit.SVD):
     u1 = shifted.solve(u0)
     v0 = shifted.u[:, -1]
     scale = hermitian_inner(u1, v0)
-    if not abs(scale) > 1e-12 * np.linalg.norm(u1):
+    with np.errstate(over="ignore"):    # an infinite norm fails the test
+        norm = np.linalg.norm(u1)
+    if not abs(scale) > 1e-12 * norm:
         raise FrameError("(u1, v0) vanishes; chain normalization impossible")
     return u0, u1, v0 * np.conj(1.0 / scale)
 
@@ -246,9 +256,9 @@ def jordan_chain_of(kind: DegeneracyClass) -> JordanChain:
     v1 = kind.shifted.adjoint().solve(v0)
     v1 = v1 - np.conj(hermitian_inner(u1, v1)) * v0
     chain = JordanChain(lam0=kind.lam0, u0=u0, u1=u1, v0=v0, v1=v1)
-    residuals = _check_chain(kind.shifted.matrix, chain)
-    worst = max(residuals.values())
-    if not worst <= _FRAME_TOL * max(kind.sigma_max, 1.0):
+    with np.errstate(over="ignore", invalid="ignore"):     # inf or NaN fails the bound
+        residuals = _check_chain(kind.shifted.matrix, chain)
+    if not all(r <= _FRAME_TOL * max(kind.sigma_max, 1.0) for r in residuals.values()):
         raise FrameError(
             f"chain residuals too large ({residuals}); lam0 may not be a "
             "double eigenvalue at this point"
@@ -343,9 +353,10 @@ def _converged(a, mean, gap) -> bool:
     _EPS_FLOOR sigma_max(A)). As sigma_max(A) <= ||A||_F, the SVD is taken
     only for a gap within _EPS_FLOOR ||A||_F, the only gaps the floor can
     decide; 1% to spare covers the rounding of both norms."""
+    with np.errstate(over="ignore"):    # an infinite norm defers to the SVD
+        norm = np.linalg.norm(a)
     return gap <= EP_GAP_TOL * (1.0 + abs(mean)) or (
-        gap <= 1.01 * _EPS_FLOOR * np.linalg.norm(a)
-        and gap <= _EPS_FLOOR * numkit.singular_values(a)[0])
+        gap <= 1.01 * _EPS_FLOOR * norm and gap <= _EPS_FLOOR * numkit.singular_values(a)[0])
 
 
 def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
@@ -378,7 +389,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
                 raise TrackingError("family dimension < 2 has no eigenvalue pairs")
             gap, i, j = pairs[0]
             _, external, _ = _isolation(values, i, j)
-            if external <= 1.2 * gap:
+            if external <= 1.2 * float(gap):     # a bound past the doubles is inf
                 raise TrackingError(
                     f"eigenvalue pair not separated from the rest of the spectrum "
                     f"(external gap {external:.3e} vs internal {gap:.3e})"
@@ -386,8 +397,12 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
         else:
             (i,), (j,), _ = numkit.pair_assignment(values[None], np.array([prev]))
         lam_p, lam_m = values[i], values[j]
-        mean = (lam_p + lam_m) / 2.0
-        z = ((lam_p - lam_m) / 2.0) ** 2
+        mean = lam_p / 2.0 + lam_m / 2.0     # halves first: no overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = ((lam_p - lam_m) / 2.0) ** 2
+        if not np.isfinite(z):
+            raise DimensionError(f"the squared half-gap of the pair overflows at point "
+                                 f"{point.tolist()}")
         gap = abs(lam_p - lam_m)
         return a, (lam_p, lam_m), mean, z, gap, _converged(a, mean, gap)
 

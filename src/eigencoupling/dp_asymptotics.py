@@ -36,9 +36,14 @@ from .errors import ChartError, DimensionError
 from .numkit import as_cmatrix
 from .pairmodel import PairPoint, coupling, offsets, pair_at, projection, rest_offsets
 
-#: Relative tolerance deciding when a discriminant / critical value is
-#: treated as exactly zero (degenerate scenario).
+#: Relative tolerance of the DP scenarios: a quantity within it of the sum
+#: of the terms it is made of counts as zero (see ``_zero_lines``).
 DEGENERACY_TOL = 1e-10
+
+#: the labels of no zero lines, mixed signs, both negative and both positive
+_SWEEP_LABELS = ("no-crossing", "one-re-one-im", "two-re", "two-im")
+_CHART_LABELS = ("cone-no-intersection", "one-re-one-im-line", "re-cluster-of-shells",
+                 "im-double-intersection")
 
 
 @dataclass(frozen=True)
@@ -194,9 +199,11 @@ def _quadratic_form(model: DPLocalModel, x, y):
 def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     """Classify the avoided crossing along p_1 at fixed offsets of p_2..p_n.
 
-    Writes c = c0 + c1 dp1 + c2 dp1^2; the real roots of Im c (when the
-    discriminant is positive) carry real values of c whose signs decide
-    which sheets intersect there.
+    c = c0 + c1 dp1 + c2 dp1^2 is c on the plane of dp1 and the rest
+    offsets, decided by ``_zero_lines``: the signs of Re c at the real roots
+    of Im c decide which sheets intersect there. A zero line along dp1 does
+    not cross the sweep: one leaves a single root and "degenerate", two
+    "no-crossing". An all-zero rest is degenerate (Im c = Im c2 dp1^2).
 
     All of it is computed at dp_rest 2^-k, 2^k the power of two above
     max |dp_rest|, so no scale of dp_rest under- or overflows c (homogeneous
@@ -205,48 +212,18 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     rest = rest_offsets(model, dp_rest)
     k = math.frexp(float(np.abs(rest).max(initial=0.0)))[1]
     c2, c1, c0 = _quadratic_form(model, lambda v: v[0], lambda v: v[1:] @ np.ldexp(rest, -k))
-
-    def report(disc, roots=(), cs=(), scenario="degenerate"):
-        return AvoidedCrossingReport(
-            c0=_scaled(c0, 2 * k), c1=_scaled(c1, k), c2=complex(c2),
-            discriminant=_scaled(disc, 2 * k),
-            dp1_roots=tuple(_scaled(x, k) for x in roots) or None,
-            c_values=tuple(_scaled(x, 2 * k) for x in cs) or None, scenario=scenario,
-        )
-
-    if not np.any(rest != 0.0):
-        # exact coupling: c vanishes at dp1 = 0 with no transversal offset
-        return report(0.0)
-    im0, im1, im2 = c0.imag, c1.imag, c2.imag
-    coeff_scale = max(abs(im0), abs(im1), abs(im2))
-    if coeff_scale <= DEGENERACY_TOL * max(abs(c0), abs(c1), abs(c2), 1e-300):
-        return report(0.0)      # Im c identically ~0: crossing structure degenerate
-    disc = im1 ** 2 - 4.0 * im0 * im2
-    if abs(im2) <= DEGENERACY_TOL * coeff_scale:
-        if abs(im1) <= DEGENERACY_TOL * coeff_scale:
-            return report(disc, scenario="no-crossing")     # Im c ~ Im c0 != 0
-        # quadratic degenerates: Im c is linear with a single root
-        root = -im0 / im1
-        c_root = c0 + c1 * root + c2 * root * root
-        return report(disc, (float(root),), (float(c_root.real),))
-    if abs(disc) <= DEGENERACY_TOL * max(im1 ** 2, abs(4.0 * im0 * im2)):
-        return report(disc)
-    if disc < 0.0:
-        return report(disc, scenario="no-crossing")
-    root = math.sqrt(disc)
-    dp1_a = (-im1 - root) / (2.0 * im2)
-    dp1_b = (-im1 + root) / (2.0 * im2)
-
-    def c_at(x):
-        return c0 + c1 * x + c2 * x * x
-
-    ca, cb = c_at(dp1_a), c_at(dp1_b)
-    value_scale = max(abs(ca), abs(cb), 1e-300)
-    if min(abs(ca.real), abs(cb.real)) <= DEGENERACY_TOL * value_scale:
-        return report(disc, (dp1_a, dp1_b), (float(ca.real), float(cb.real)))
-    _, scenario = _sign_ladder((ca, cb), "one-re-one-im", "two-re", "two-im")
-    return report(disc, (float(dp1_a), float(dp1_b)),
-                  (float(ca.real), float(cb.real)), scenario)
+    disc, lines, along, _, scenario = _zero_lines((c2, c1, c0), _SWEEP_LABELS)
+    roots = [x / y for x, y in lines[along:]] if lines else []
+    if along:
+        scenario = ("degenerate", "no-crossing")[along - 1]
+    return AvoidedCrossingReport(
+        c0=_scaled(c0, 2 * k), c1=_scaled(c1, k), c2=complex(c2),
+        discriminant=_scaled(disc, 2 * k),
+        dp1_roots=tuple(_scaled(x, k) for x in roots) or None,
+        c_values=tuple(_scaled(float((c0 + c1 * x + c2 * x * x).real), 2 * k)
+                       for x in roots) or None,
+        scenario=scenario,
+    )
 
 
 def _scaled(x, k):
@@ -259,67 +236,70 @@ def _scaled(x, k):
         raise DimensionError("the DP-1p scenario overflows at this offset") from None
 
 
-def _sign_ladder(values, mixed, negative, positive):
-    """The signs of Re c (nonzero) at the two roots or lines of Im c, and
-    the label they decide; by the signs, as a product of two tiny values
-    underflows."""
-    signs = tuple(1 if v.real > 0 else -1 for v in values)
-    if signs[0] != signs[1]:
-        return signs, mixed
-    return signs, negative if signs[0] < 0 else positive
+def _zero_lines(q, labels):
+    """The zero lines of Im c on a plane and the scenario they carry.
+
+    q = (qxx, qxy, qyy) makes c = qxx x^2 + qxy x y + qyy y^2, and a, b, cc
+    are their imaginary parts. Returns the discriminant b^2 - 4 a cc, the
+    two lines (x, y) where Im c = 0 (or None), how many of them lie along
+    the first axis (listed first), the signs of Re c on the lines, and the
+    label they pick from ``labels`` (no lines, mixed, negative, positive)
+    or "degenerate". Each threshold compares a quantity with the terms it
+    is made of, so rescaling an axis changes no decision. Im c vanishes when
+    every |Im q_i| <= TOL |q_i|; the lines coincide when |disc| <=
+    TOL max(b^2, |4 a cc|); a line lies along the first axis when
+    |4 a cc| <= TOL b^2 (it meets y = 1 over 4/TOL times further out than
+    the other, or never); Re c is zero on a line when |Re c(x, y)| <=
+    TOL (|qxx| x^2 + |qxy x y| + |qyy| y^2). TOL is DEGENERACY_TOL.
+    """
+    a, b, cc = (z.imag for z in q)
+    disc = b ** 2 - 4.0 * a * cc
+    if all(abs(z.imag) <= DEGENERACY_TOL * abs(z) for z in q):
+        return disc, None, 0, None, "degenerate"
+    if abs(disc) <= DEGENERACY_TOL * max(b ** 2, abs(4.0 * a * cc)):
+        # a double line; the first axis when a = 0, and then b = 0 too
+        return disc, None if a else ((1.0, 0.0),) * 2, 0 if a else 2, None, "degenerate"
+    if disc < 0.0:
+        return disc, None, 0, None, labels[0]
+    along = int(abs(4.0 * a * cc) <= DEGENERACY_TOL * b ** 2)
+    if along:   # Im c(t, 1) has the roots -b/a and -cc/b to within TOL/4
+        lines = ((-b, a) if a else (1.0, 0.0), (-cc, b))
+    else:
+        root = math.sqrt(disc)
+        lines = ((-(b + root), 2.0 * a), (-(b - root), 2.0 * a))
+    signs = []
+    for x, y in lines:
+        size = max(abs(x), abs(y))     # c at a unit-sized point: no overflow
+        x, y = x / size, y / size
+        re = q[0].real * x * x + q[1].real * x * y + q[2].real * y * y
+        terms = abs(q[0]) * x * x + abs(q[1] * x * y) + abs(q[2]) * y * y
+        if abs(re) <= DEGENERACY_TOL * terms:
+            return disc, lines, along, None, "degenerate"
+        signs.append(1 if re > 0 else -1)
+    label = labels[1] if signs[0] != signs[1] else labels[2] if signs[0] < 0 else labels[3]
+    return disc, lines, along, tuple(signs), label
 
 
 def surface_classification_2p(model: DPLocalModel) -> SurfaceTypeReport:
     """Local type of the Re/Im eigenvalue surfaces over a two-parameter chart.
 
-    c is the homogeneous quadratic c11 dp1^2 + c12 dp1 dp2 + c22 dp2^2; the
-    lines where Im c = 0 (when the discriminant of Im c is positive) carry
-    real c of one sign each, deciding whether the Re or the Im sheets
-    intersect along them.
+    c is the homogeneous quadratic c11 dp1^2 + c12 dp1 dp2 + c22 dp2^2, which
+    ``_zero_lines`` decides: the lines where Im c = 0 carry real c of one
+    sign each, deciding whether the Re or the Im sheets intersect along
+    them. The chart is degenerate when one of the lines lies along dp1.
     """
     if model.n_params != 2:
         raise ChartError("surface classification needs a two-parameter model")
     c11, c12, c22 = _quadratic_form(model, lambda v: v[0], lambda v: v[1])
-
-    def c_on(direction):
-        x, y = direction
-        return c11 * x * x + c12 * x * y + c22 * y * y
+    disc, lines, along, signs, surface = _zero_lines((c11, c12, c22), _CHART_LABELS)
 
     def unit(direction):
         vec = np.asarray(direction, dtype=float)
         vec = vec / np.linalg.norm(vec)
-        if vec[0] < 0 or (vec[0] == 0 and vec[1] < 0):
-            vec = -vec
-        return vec
+        return -vec if vec[0] < 0 or (vec[0] == 0 and vec[1] < 0) else vec
 
-    def report(disc, lines=None, signs=None, surface="degenerate", chart_degenerate=False):
-        return SurfaceTypeReport(
-            c11=complex(c11), c12=complex(c12), c22=complex(c22),
-            discriminant=float(disc), lines=lines, line_signs=signs,
-            type=surface, chart_degenerate=bool(chart_degenerate),
-        )
-
-    im_scale = max(abs(c11.imag), abs(c12.imag), abs(c22.imag))
-    full_scale = max(abs(c11), abs(c12), abs(c22), 1e-300)
-    disc = c12.imag ** 2 - 4.0 * c11.imag * c22.imag
-    if im_scale <= DEGENERACY_TOL * full_scale:
-        return report(disc)     # Im c identically ~0
-    if abs(disc) <= DEGENERACY_TOL * im_scale ** 2:
-        return report(disc)     # lines coincide (or nearly so)
-    if disc < 0.0:
-        return report(disc, surface="cone-no-intersection")
-    root = math.sqrt(disc)
-    chart_degenerate = abs(c11.imag) <= DEGENERACY_TOL * im_scale
-    if chart_degenerate:
-        # Im c = dp2 (Im c12 dp1 + Im c22 dp2): solve the lines in dp2
-        lines = (np.array([1.0, 0.0]), unit([-c22.imag, c12.imag]))
-    else:
-        lines = (unit([-(c12.imag + root), 2.0 * c11.imag]),
-                 unit([-(c12.imag - root), 2.0 * c11.imag]))
-    values = [c_on(line) for line in lines]
-    value_scale = max(max(abs(v) for v in values), 1e-300)
-    if min(abs(v.real) for v in values) <= DEGENERACY_TOL * value_scale:
-        return report(disc, lines, chart_degenerate=chart_degenerate)
-    signs, surface = _sign_ladder(values, "one-re-one-im-line", "re-cluster-of-shells",
-                                  "im-double-intersection")
-    return report(disc, lines, signs, surface, chart_degenerate)
+    return SurfaceTypeReport(
+        c11=complex(c11), c12=complex(c12), c22=complex(c22), discriminant=float(disc),
+        lines=lines and tuple(unit(line) for line in lines), line_signs=signs,
+        type=surface, chart_degenerate=along > 0,
+    )

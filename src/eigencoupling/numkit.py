@@ -18,21 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, FrameError, NumericError
 
 #: Default relative threshold (w.r.t. the largest singular value) separating
 #: "numerically zero" from "numerically nonzero" singular values.
 DEFAULT_RANK_TOL = 1e-8
-
-
-def as_cvector(u) -> np.ndarray:
-    """Coerce to a finite 1-d complex128 array."""
-    arr = np.asarray(u, dtype=complex)
-    if arr.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DimensionError("vector has non-finite entries")
-    return arr
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -49,12 +39,11 @@ def hermitian_inner(u, v) -> complex:
     """Hermitian inner product (u, v) = sum_i u_i * conj(v_i).
 
     Conjugate-symmetric: ``hermitian_inner(u, v) == conj(hermitian_inner(v, u))``.
+    The vectors are the library's own, built from checked matrices.
     """
-    ua = as_cvector(u)
-    va = as_cvector(v)
-    if ua.shape != va.shape:
-        raise DimensionError(f"length mismatch: {ua.shape[0]} vs {va.shape[0]}")
-    return complex(np.vdot(va, ua))
+    if len(u) != len(v):
+        raise DimensionError(f"length mismatch: {len(u)} vs {len(v)}")
+    return complex(np.vdot(v, u))
 
 
 def gauge_fix(x: np.ndarray) -> np.ndarray:
@@ -63,7 +52,6 @@ def gauge_fix(x: np.ndarray) -> np.ndarray:
     Ties in magnitude are broken by the lowest index. The zero vector is
     returned unchanged.
     """
-    x = as_cvector(x)
     mags = np.abs(x)
     top = float(mags.max(initial=0.0))
     if top == 0.0:
@@ -143,17 +131,18 @@ class SVD:
         """Minimum-norm solution of M x = b on the complement of the trailing
         right singular vector (the kernel of a rank-(m-1) M).
 
-        The returned x is orthogonal to that vector. The residual M x - b is
-        not checked: away from a double eigenvalue b need not lie in the
+        The returned x is orthogonal to that vector; FrameError where a
+        singular value has no finite reciprocal. The residual M x - b is not
+        checked: away from a double eigenvalue b need not lie in the
         range of M, and ``degeneracy.jordan_chain_of`` checks the chain
         equations it needs to hold.
         """
-        rhs = as_cvector(b)
-        if rhs.shape[0] != self.matrix.shape[0]:
-            raise DimensionError("right-hand side length does not match the matrix")
         inv = np.zeros_like(self.s)
-        inv[:-1] = 1.0 / self.s[:-1]
-        return self.vh.conj().T @ (inv * (self.u.conj().T @ rhs))
+        with np.errstate(over="ignore", divide="ignore"):
+            inv[:-1] = 1.0 / self.s[:-1]
+        if inv.max() == np.inf:
+            raise FrameError(f"singular value {self.s[-2]:.3e} has no finite reciprocal")
+        return self.vh.conj().T @ (inv * (self.u.conj().T @ b))
 
     def adjoint(self) -> "SVD":
         """The SVD of M* = V S U*, read from these factors without a second call."""
@@ -168,18 +157,20 @@ def pair_assignment(values, targets):
     ``values`` is (N, m), ``targets`` is (N, 2). For each row the ordered pair
     (i, j), i != j, minimises |values[i] - targets[0]| + |values[j] - targets[1]|;
     ties go to the lowest i, then the lowest j. Returns the index arrays i, j
-    and the margin: second-lowest cost minus lowest. Needs m >= 2.
+    and the margin: second-lowest cost minus lowest. A cost that overflows
+    counts as the largest double, so two such tie at margin 0. Needs m >= 2.
     """
     values = np.asarray(values, dtype=complex)
     targets = np.asarray(targets, dtype=complex)
     n, m = values.shape
     # hypot rounds like abs() of a Python complex, unlike numpy's complex abs
-    d0 = values - targets[:, :1]
-    d1 = values - targets[:, 1:]
-    cost = (np.hypot(d0.real, d0.imag)[:, :, None]
-            + np.hypot(d1.real, d1.imag)[:, None, :])
-    flat = cost.reshape(n, m * m)
-    flat[:, ::m + 1] = np.inf          # the diagonal: i == j
+    with np.errstate(over="ignore"):
+        d0 = values - targets[:, :1]
+        d1 = values - targets[:, 1:]
+        cost = (np.hypot(d0.real, d0.imag)[:, :, None]
+                + np.hypot(d1.real, d1.imag)[:, None, :])
+    flat = np.minimum(cost, np.finfo(float).max).reshape(n, m * m)
+    flat[:, ::m + 1] = np.inf          # the diagonal: i == j, above every cost
     best = np.argmin(flat, axis=1)     # first minimum: lowest i, then lowest j
     rows = np.arange(n)
     lowest = flat[rows, best]

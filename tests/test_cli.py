@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigencoupling import cli, degeneracy, dp_asymptotics, ep_asymptotics, numkit, pairmodel
 from eigencoupling import family as family_mod
@@ -110,6 +113,15 @@ SCALAR_TRIPLE_FAMILY = json.dumps({
         {"exp": [0, 0], "re": [[0] * 3] * 3, "im": [[0] * 3] * 3},
         {"exp": [1, 0], "re": np.eye(3).tolist(), "im": [[0] * 3] * 3},
         {"exp": [0, 1], "re": [[0] * 3] * 3, "im": np.eye(3).tolist()},
+    ],
+})
+
+#: A(p) = [[0, p1], [p2, 0]]: the pair +-sqrt(p1 p2) and no third eigenvalue
+OFF_DIAGONAL_FAMILY = json.dumps({
+    "m": 2, "n": 2,
+    "terms": [
+        {"exp": [1, 0], "re": [[0, 1], [0, 0]], "im": [[0, 0], [0, 0]]},
+        {"exp": [0, 1], "re": [[0, 0], [1, 0]], "im": [[0, 0], [0, 0]]},
     ],
 })
 
@@ -882,6 +894,24 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
      "the cross-section's tangent slopes overflow at this offset"),
     (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--offset=1.7e308"],
      "gamma overflows at these offsets"),
+    (2, ["classify", "--family", "{offdiag}", "--at", "0.5,0.5", "--tol-cluster", "1e308"],
+     "geometric multiplicity 0 outside {1, 2} for lam0 = 0+0j"),
+    (2, ["classify", "--family", "{offdiag}", "--at", "1e200,1e200", "--tol-cluster", "1e200"],
+     "geometric multiplicity 0 outside {1, 2} for lam0 = 0+0j"),
+    (2, ["classify", "--family", "{offdiag}", "--at", "1e308,2", "--tol-rank", "0.5",
+         "--tol-cluster", "1e150"],
+     "singular values [1.000e+308] within a factor 10 of the rank threshold 5.000e+307"),
+    (2, ["classify", "--family", "crystal-example-2", "--at=3.5e-9,-2.1e-9"],
+     "singular values [3.992e-08, 1.427e-08] within a factor 10 of the rank threshold "
+     "7.416e-08"),
+    (1, ["find-ep", "--family", "{offdiag}", "--at", "1e300,1e300"],
+     "the squared half-gap of the pair overflows at point [1e+300, 1e+300]"),
+    (1, ["classify", "--family", "{offdiag}", "--at", "1e308,1e308"],
+     "the eigenvalues are too far apart for their gaps to be finite"),
+    (1, ["surface", "--family", "{diag}", "--at", "1e308,1e308", "--window=0,1e308",
+         "--res", "2", "--out", "{tmp}/s.csv"], "the grid points p0 + offset overflow"),
+    (2, ["scenario", "--family", "{offdiag}", "--at", "5e-324,0", "--tol-cluster", "1e150",
+         "--tol-rank", "5e-324"], "singular value 4.941e-324 has no finite reciprocal"),
 ]
 
 
@@ -900,13 +930,20 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     written, also when it is the side JSON of a loop, and for a family or
     config file that cannot be read; exit 3 also for a point whose square
     overflows the crystal's chart guard, and exit 1 for an EP offset so small
-    that the section's slopes overflow or so large that its gamma does. A failure prints one error line, with
-    the text that names its cause, writes no file, and no case warns."""
+    that the section's slopes overflow or so large that its gamma does. A
+    cluster tolerance whose bounds overflow decides as an infinite bound
+    does, and only a third eigenvalue can refuse a cluster (exit 2 from
+    classify); find-ep from an iterate whose squared half-gap overflows
+    exits 1, and so do a spectrum whose gaps overflow and a surface grid
+    whose points do; a Jordan chain whose solve meets a singular value with
+    no finite reciprocal exits 2. A failure prints one error line, with the
+    text that names its cause (singular values formatted alike on every
+    numpy), writes no file, and no case warns."""
     families = {"sep": SEPARATED_FAMILY, "ovf": OVERFLOWING_FAMILY, "flat": FLAT_IM_FAMILY,
                 "one": SCALAR_FAMILY, "dovf": OVERFLOWING_DERIVATIVE_FAMILY,
                 "diag": DIAGONAL_FAMILY, "drift": HUGE_DRIFT_FAMILY,
                 "triple": SCALAR_TRIPLE_FAMILY, "latin1": LATIN1_FAMILY,
-                "dir": None}    # None: a directory
+                "offdiag": OFF_DIAGONAL_FAMILY, "dir": None}    # None: a directory
     for name, doc in families.items():
         path = tmp_path / f"{name}.json"
         if doc is None:
@@ -974,6 +1011,79 @@ def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch, tmp_path):
         assert run(capsys, *argv)[0] == 0
         counts[command, crystal] = len(calls)
     assert all(n <= limits[command] for (command, _), n in counts.items()), counts
+
+
+#: flag values of the argv fuzz: zero, ordinary, tiny, subnormal and huge
+FUZZ_VALUE = st.sampled_from((
+    "0", "0.1", "-0.1", "0.5", "-0.5", "0.999", "1", "2", "3", "1e-9", "1e-16", "5e-324",
+    "1e-300", "1e150", "-1e150", "1e300", "1e308"))
+
+
+def fuzz_list(*sizes):
+    return st.sampled_from(sizes).flatmap(
+        lambda size: st.lists(FUZZ_VALUE, min_size=size, max_size=size).map(",".join))
+
+
+#: the flags each command reads besides --family and --at, and their values
+FUZZ_FLAGS = {
+    "classify": {"--tol-cluster": FUZZ_VALUE, "--tol-rank": FUZZ_VALUE},
+    "scenario": {"--tol-cluster": FUZZ_VALUE, "--tol-rank": FUZZ_VALUE,
+                 "--offset": FUZZ_VALUE, "--format": st.just("csv")},
+    "surface": {"--tol-cluster": FUZZ_VALUE, "--tol-rank": FUZZ_VALUE,
+                "--window": fuzz_list(2, 4), "--res": FUZZ_VALUE},
+    "loop": {"--tol-cluster": FUZZ_VALUE, "--tol-rank": FUZZ_VALUE, "--loop": fuzz_list(3),
+             "--samples": FUZZ_VALUE},
+    "find-ep": {},
+}
+
+FUZZ_FAMILIES = {"offdiag": OFF_DIAGONAL_FAMILY, "toy": TOY_FAMILY, "flat": FLAT_IM_FAMILY,
+                 "diag": DIAGONAL_FAMILY}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command line of one command: a family, --at, and a subset of the
+    other flags the command reads, each with values from FUZZ_VALUE."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    family = draw(st.sampled_from(["crystal-example-1", "crystal-example-2",
+                                   *(f"{{{name}}}" for name in FUZZ_FAMILIES)]))
+    argv = [command, "--family", family, f"--at={draw(fuzz_list(2))}"]
+    for flag, values in FUZZ_FLAGS[command].items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    if command in ("surface", "loop") or "--format=csv" in argv:
+        argv.append("--out={tmp}/out.csv")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name, doc in FUZZ_FAMILIES.items():
+        (path / f"{name}.json").write_text(doc)
+    return path
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+@settings(max_examples=300)
+@given(fuzz_argv())
+def test_argv_fuzz(fuzz_dir, argv):
+    """Any command line built from these flag values ends in a documented
+    exit code, prints no traceback, and writes standard JSON (no NaN or
+    Infinity) to stdout, if anything; a warning fails the run too."""
+    argv = [arg.replace("{tmp}", str(fuzz_dir)) for arg in argv]
+    for name in FUZZ_FAMILIES:
+        argv = [arg.replace(f"{{{name}}}", str(fuzz_dir / f"{name}.json")) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=refuse_constant)
 
 
 def test_module_entry_point():

@@ -8,6 +8,7 @@ from eigencoupling import family as family_mod
 from eigencoupling.errors import (
     ClassificationError,
     ConvergenceError,
+    DimensionError,
     FrameError,
     IndeterminateRankError,
     MultiplicityError,
@@ -78,6 +79,23 @@ class TestFindDoubleEigenvalues:
         # a NaN threshold used to find no cluster at all
         with pytest.raises(ValueError, match="tol_cluster must be positive and finite"):
             degeneracy.find_double_eigenvalues(np.diag([1.0, 1.0, 5.0]), tol_cluster=tol)
+
+    def test_overflowing_bounds_without_a_third_eigenvalue(self):
+        # tol (1 + |lam|) and 10 tol (1 + |center|) overflow to inf; no
+        # third eigenvalue lies within them, so the pair is one cluster
+        for scale, tol in ((0.5, 1e308), (1e200, 1e200)):
+            clusters = degeneracy.find_double_eigenvalues(
+                np.array([[0.0, scale], [scale, 0.0]]), tol)
+            assert [c.center for c in clusters] == [0.0]
+            assert clusters[0].external_gap == np.inf
+
+    def test_pair_arithmetic_past_the_largest_double(self):
+        # the centre of a pair at 1e308 is taken from halves; a gap of 2e308
+        # fits no double and is refused
+        clusters = degeneracy.find_double_eigenvalues(np.diag([1e308, 1e308, 5.0]))
+        assert [c.center for c in clusters] == [1e308]
+        with pytest.raises(DimensionError, match="gaps"):
+            degeneracy.find_double_eigenvalues(np.diag([1e308, -1e308]))
 
     def test_triple_coincidence_rejected(self):
         with pytest.raises(MultiplicityError):
@@ -416,6 +434,14 @@ class TestFindEP:
             for gap in (np.nextafter(floor, 0.0), floor, np.nextafter(floor, np.inf)):
                 assert degeneracy._converged(a, 0.0, gap) == (gap <= floor)
         assert norm_below > 0
+
+    def test_overflowing_frobenius_norm_defers_to_the_svd(self):
+        """||A||_F overflows once an entry passes about 1e154; its infinite
+        bound leaves the decision to sigma_max(A), without a warning."""
+        a = np.array([[0.0, 1e160], [1e-160, 0.0]], dtype=complex)
+        floor = degeneracy._EPS_FLOOR * numkit.singular_values(a)[0]
+        assert degeneracy._converged(a, 0.0, floor)
+        assert not degeneracy._converged(a, 0.0, 2.0 * floor)
 
     def test_jacobian_is_the_ep_model_gradient(self, crystal1, ep_chain, ep_model):
         # at the EP the approximate chain is the Jordan chain, so the Newton

@@ -25,6 +25,16 @@ def model_from_vectors(d11, d12, d21, d22, lam0=0.0):
                            coupling=coupling)
 
 
+def model_of_form(c11, c12, c22):
+    """A two-parameter model whose c is c11 x^2 + c12 x y + c22 y^2, from
+    the product of its two complex linear factors."""
+    roots = np.roots([c11, c12, c22])
+    scale = cmath.sqrt(c11)
+    l1 = np.array([scale, -scale * roots[0]])
+    l2 = np.array([scale, -scale * roots[1]])
+    return model_from_vectors(d11=np.zeros(2), d12=l1, d21=l2, d22=np.zeros(2))
+
+
 def reference_model():
     return model_from_vectors(D11, D12, D21, D22, lam0=1 + 5j)
 
@@ -270,7 +280,8 @@ class TestAvoidedCrossing1P:
         model = model_from_vectors(
             d11=np.zeros(2), d12=l1, d21=l2, d22=np.zeros(2))
         report = dp.avoided_crossing_1p(model, [delta])
-        assert report.scenario in ("two-re", "two-im", "one-re-one-im")
+        # c vanishes at both roots, so Re c there is rounding: no sign
+        assert report.scenario == "degenerate"
         assert sorted(report.dp1_roots) == pytest.approx(
             sorted((r1, r2)), abs=1e-12)
 
@@ -336,6 +347,16 @@ class TestAvoidedCrossing1P:
         labels = {dp.avoided_crossing_1p(model, [10.0 ** -k]).scenario for k in range(2, 308)}
         assert labels == {"one-re-one-im"}
 
+    def test_near_crossing_beside_a_far_one(self):
+        # c = (-1+i) x^2 - 1e6 i x y + (1+100i) y^2: at y = 1, Im c = 0 at
+        # x ~ 1e-4, where c ~ 1, and at x ~ 1e6, where c ~ -1e12; each sign
+        # is compared with the terms of c at its own root
+        model = model_of_form(-1 + 1j, -1e6j, 1 + 100j)
+        assert dp.surface_classification_2p(model).type == "one-re-one-im-line"
+        report = dp.avoided_crossing_1p(model, [1.0])
+        assert report.scenario == "one-re-one-im"
+        assert sorted(np.sign(report.c_values)) == [-1, 1]
+
     def test_constant_imaginary_part_never_crosses(self, recwarn):
         # Im c = Im c0 = dp2^2 on the whole line, c1 = 0: no root of Im c
         model = model_from_vectors(
@@ -377,6 +398,27 @@ def test_dp_1p_label_scale_free_on_random_couplings(parts, offset):
     assert len(scale_free_labels(model, offset)) == 1
 
 
+#: the one-parameter scenario of each two-parameter type
+SWEEP_OF_CHART = {"cone-no-intersection": "no-crossing", "one-re-one-im-line": "one-re-one-im",
+                  "re-cluster-of-shells": "two-re", "im-double-intersection": "two-im",
+                  "degenerate": "degenerate"}
+
+
+@given(st.lists(st.builds(complex, PART, PART), min_size=8, max_size=8),
+       st.sampled_from((-1.0, 1.0)), st.integers(-40, 40))
+def test_dp_1p_scenario_is_the_2p_type(parts, sign, j):
+    """For n = 2, c along the sweep at dp2 = +-2^j is c on the chart with
+    its second axis scaled by a power of two, so the sweep's scenario is
+    the chart's type, unless a zero line lies along dp1 and never crosses
+    the sweep."""
+    model = dp.DPLocalModel(p0=np.zeros(2), lam0=0j,
+                            coupling=np.array(parts).reshape(2, 2, 2))
+    chart = dp.surface_classification_2p(model)
+    sweep = dp.avoided_crossing_1p(model, [sign * 2.0 ** j])
+    if chart.c11.imag != 0 and not chart.chart_degenerate:
+        assert sweep.scenario == SWEEP_OF_CHART[chart.type]
+
+
 class TestSurfaceClassification2P:
     def test_crystal_two(self, dp_model_pinned):
         report = dp.surface_classification_2p(dp_model_pinned)
@@ -397,13 +439,7 @@ class TestSurfaceClassification2P:
 
     def test_constructed_shell_cluster(self):
         # c = (-1+i) x^2 - 3i xy + (-1+2i) y^2: disc 1 > 0, c < 0 on both lines
-        c11, c12, c22 = -1 + 1j, -3j, -1 + 2j
-        roots = np.roots([c11, c12, c22])
-        scale = cmath.sqrt(c11)
-        l1 = np.array([scale, -scale * roots[0]])
-        l2 = np.array([scale, -scale * roots[1]])
-        model = model_from_vectors(
-            d11=np.zeros(2), d12=l1, d21=l2, d22=np.zeros(2))
+        model = model_of_form(-1 + 1j, -3j, -1 + 2j)
         report = dp.surface_classification_2p(model)
         assert report.type == "re-cluster-of-shells"
         # dense direction scan: Re lam sheets meet exactly where Im c = 0 and Re c < 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eigencoupling import numkit
-from eigencoupling.errors import DimensionError
+from eigencoupling.errors import DimensionError, FrameError
 
 # hand-derived chain vectors of the first builtin crystal
 U0 = np.array([1j, -1.0, 0.0])
@@ -174,6 +174,10 @@ class TestSolveOnComplement:
         x = numkit.SVD([[0.0, 1.0], [0.0, 0.0]]).solve([1.0, 0.0])
         assert np.allclose(x, [0.0, 1.0])
 
+    def test_no_finite_reciprocal(self):
+        with pytest.raises(FrameError, match="singular value 4.941e-324"):
+            numkit.SVD([[0.0, 5e-324], [0.0, 0.0]]).solve([1.0, 0.0])
+
     def test_crystal_chain_equation(self):
         shifted = CRYSTAL_A0 - 2.0 * np.eye(3)
         x = numkit.SVD(shifted).solve(U0)
@@ -216,3 +220,12 @@ class TestPairAssignment:
         i, j, margin = numkit.pair_assignment(values, [[0.0, 0.0]])
         assert (i[0], j[0]) == (0, 2)
         assert margin[0] == pytest.approx(0.0)
+
+    def test_overflowing_costs(self):
+        # a cost past the largest double counts as the largest double: two
+        # such tie (margin 0, lowest indices), and the pair stays two values
+        big = np.finfo(float).max
+        values = np.array([[1e308, -1e308], [1e308, 1e308]], dtype=complex)
+        i, j, margin = numkit.pair_assignment(values, [[-1e308, 1e308], [-1e308, -1e308]])
+        assert (i.tolist(), j.tolist()) == ([1, 0], [0, 1])
+        assert margin.tolist() == [big, 0.0]
