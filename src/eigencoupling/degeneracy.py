@@ -105,22 +105,20 @@ class EPSearchResult:
 
 def _nearest_pairs(values):
     """(gap, i, j) of every pair i < j of the values, nearest first; ties go
-    to the lowest (i, j). DimensionError where a gap overflows."""
+    to the lowest (i, j). A gap past the largest double is inf."""
     m = len(values)
     with np.errstate(over="ignore"):
-        pairs = sorted((abs(values[i] - values[j]), i, j)
-                       for i in range(m) for j in range(i + 1, m))
-    if pairs and pairs[-1][0] == math.inf:
-        raise DimensionError("the eigenvalues are too far apart for their gaps to be finite")
-    return pairs
+        return sorted((abs(values[i] - values[j]), i, j)
+                      for i in range(m) for j in range(i + 1, m))
 
 
 def _isolation(values, i, j):
     """Centre of the pair (i, j), and the nearest value of another index with
     its distance to the centre (inf and None when there is none)."""
     center = values[i] / 2.0 + values[j] / 2.0      # halves first: no overflow
-    external, k = min(((abs(values[k] - center), k) for k in range(len(values))
-                       if k not in (i, j)), default=(math.inf, None))
+    with np.errstate(over="ignore"):    # a distance past the doubles is inf
+        external, k = min(((abs(values[k] - center), k) for k in range(len(values))
+                           if k not in (i, j)), default=(math.inf, None))
     return center, external, None if k is None else values[k]
 
 
@@ -388,8 +386,9 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
             if not pairs:
                 raise TrackingError("family dimension < 2 has no eigenvalue pairs")
             gap, i, j = pairs[0]
-            _, external, _ = _isolation(values, i, j)
-            if external <= 1.2 * float(gap):     # a bound past the doubles is inf
+            _, external, third = _isolation(values, i, j)
+            # only a real third eigenvalue refuses; a bound past the doubles is inf
+            if third is not None and external <= 1.2 * float(gap):
                 raise TrackingError(
                     f"eigenvalue pair not separated from the rest of the spectrum "
                     f"(external gap {external:.3e} vs internal {gap:.3e})"

@@ -212,16 +212,17 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     rest = rest_offsets(model, dp_rest)
     k = math.frexp(float(np.abs(rest).max(initial=0.0)))[1]
     c2, c1, c0 = _quadratic_form(model, lambda v: v[0], lambda v: v[1:] @ np.ldexp(rest, -k))
-    disc, lines, along, _, scenario = _zero_lines((c2, c1, c0), _SWEEP_LABELS)
-    roots = [x / y for x, y in lines[along:]] if lines else []
-    if along:
-        scenario = ("degenerate", "no-crossing")[along - 1]
+    disc, lines, _, scenario = _zero_lines((c2, c1, c0), _SWEEP_LABELS)
+    with np.errstate(over="ignore", invalid="ignore"):     # a far root: _scaled refuses
+        roots = [x / y for x, y in lines or () if y]
+        values = [float((c0 + c1 * x + c2 * x * x).real) for x in roots]
+    if lines and len(roots) < 2:    # a line along dp1 (y = 0) has no root
+        scenario = ("no-crossing", "degenerate")[len(roots)]
     return AvoidedCrossingReport(
         c0=_scaled(c0, 2 * k), c1=_scaled(c1, k), c2=complex(c2),
         discriminant=_scaled(disc, 2 * k),
         dp1_roots=tuple(_scaled(x, k) for x in roots) or None,
-        c_values=tuple(_scaled(float((c0 + c1 * x + c2 * x * x).real), 2 * k)
-                       for x in roots) or None,
+        c_values=tuple(_scaled(x, 2 * k) for x in values) or None,
         scenario=scenario,
     )
 
@@ -229,6 +230,8 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
 def _scaled(x, k):
     """x 2^k, exact; DimensionError where no double holds it."""
     try:
+        if not cmath.isfinite(x):   # a root or its c past the doubles
+            raise OverflowError
         if isinstance(x, complex):
             return complex(math.ldexp(x.real, k), math.ldexp(x.imag, k))
         return math.ldexp(x, k)
@@ -241,32 +244,34 @@ def _zero_lines(q, labels):
 
     q = (qxx, qxy, qyy) makes c = qxx x^2 + qxy x y + qyy y^2, and a, b, cc
     are their imaginary parts. Returns the discriminant b^2 - 4 a cc, the
-    two lines (x, y) where Im c = 0 (or None), how many of them lie along
-    the first axis (listed first), the signs of Re c on the lines, and the
-    label they pick from ``labels`` (no lines, mixed, negative, positive)
-    or "degenerate". Each threshold compares a quantity with the terms it
-    is made of, so rescaling an axis changes no decision. Im c vanishes when
-    every |Im q_i| <= TOL |q_i|; the lines coincide when |disc| <=
-    TOL max(b^2, |4 a cc|); a line lies along the first axis when
-    |4 a cc| <= TOL b^2 (it meets y = 1 over 4/TOL times further out than
-    the other, or never); Re c is zero on a line when |Re c(x, y)| <=
-    TOL (|qxx| x^2 + |qxy x y| + |qyy| y^2). TOL is DEGENERACY_TOL.
+    two lines (x, y) where Im c = 0 (or None), the signs of Re c on them and
+    the label they pick from ``labels`` (no lines, mixed, negative,
+    positive) or "degenerate". Each threshold compares a quantity with the
+    terms it is made of, so rescaling an axis changes no decision. Im c
+    vanishes when every |Im q_i| <= TOL |q_i|; the lines coincide when
+    |disc| <= TOL max(b^2, |4 a cc|); Re c is zero on a line when
+    |Re c(x, y)| <= TOL (|qxx| x^2 + |qxy x y| + |qyy| y^2). TOL is
+    DEGENERACY_TOL. A line lies along the first axis, (1, 0), only when a = 0.
     """
     a, b, cc = (z.imag for z in q)
     disc = b ** 2 - 4.0 * a * cc
     if all(abs(z.imag) <= DEGENERACY_TOL * abs(z) for z in q):
-        return disc, None, 0, None, "degenerate"
+        return disc, None, None, "degenerate"
     if abs(disc) <= DEGENERACY_TOL * max(b ** 2, abs(4.0 * a * cc)):
         # a double line; the first axis when a = 0, and then b = 0 too
-        return disc, None if a else ((1.0, 0.0),) * 2, 0 if a else 2, None, "degenerate"
+        return disc, None if a else ((1.0, 0.0),) * 2, None, "degenerate"
     if disc < 0.0:
-        return disc, None, 0, None, labels[0]
-    along = int(abs(4.0 * a * cc) <= DEGENERACY_TOL * b ** 2)
-    if along:   # Im c(t, 1) has the roots -b/a and -cc/b to within TOL/4
-        lines = ((-b, a) if a else (1.0, 0.0), (-cc, b))
+        return disc, None, None, labels[0]
+    if a == 0:  # Im c = y (b x + cc y)
+        lines = ((1.0, 0.0), (-cc, b))
     else:
         root = math.sqrt(disc)
-        lines = ((-(b + root), 2.0 * a), (-(b - root), 2.0 * a))
+        lines = [(-b - root, 2.0 * a), (-b + root, 2.0 * a)]
+        if cc and abs(4.0 * a * cc) <= DEGENERACY_TOL * b ** 2:
+            # -b +- root cancels on the side of sign(b), leaving under 6
+            # digits; Vieta gives that line from the other as (2 cc, -b -+ root)
+            k = int(b > 0)
+            lines[k] = (2.0 * cc, lines[1 - k][0])
     signs = []
     for x, y in lines:
         size = max(abs(x), abs(y))     # c at a unit-sized point: no overflow
@@ -274,10 +279,10 @@ def _zero_lines(q, labels):
         re = q[0].real * x * x + q[1].real * x * y + q[2].real * y * y
         terms = abs(q[0]) * x * x + abs(q[1] * x * y) + abs(q[2]) * y * y
         if abs(re) <= DEGENERACY_TOL * terms:
-            return disc, lines, along, None, "degenerate"
+            return disc, lines, None, "degenerate"
         signs.append(1 if re > 0 else -1)
     label = labels[1] if signs[0] != signs[1] else labels[2] if signs[0] < 0 else labels[3]
-    return disc, lines, along, tuple(signs), label
+    return disc, lines, tuple(signs), label
 
 
 def surface_classification_2p(model: DPLocalModel) -> SurfaceTypeReport:
@@ -286,12 +291,12 @@ def surface_classification_2p(model: DPLocalModel) -> SurfaceTypeReport:
     c is the homogeneous quadratic c11 dp1^2 + c12 dp1 dp2 + c22 dp2^2, which
     ``_zero_lines`` decides: the lines where Im c = 0 carry real c of one
     sign each, deciding whether the Re or the Im sheets intersect along
-    them. The chart is degenerate when one of the lines lies along dp1.
+    them. The chart is degenerate when Im c11 = 0 puts a line along dp1.
     """
     if model.n_params != 2:
         raise ChartError("surface classification needs a two-parameter model")
     c11, c12, c22 = _quadratic_form(model, lambda v: v[0], lambda v: v[1])
-    disc, lines, along, signs, surface = _zero_lines((c11, c12, c22), _CHART_LABELS)
+    disc, lines, signs, surface = _zero_lines((c11, c12, c22), _CHART_LABELS)
 
     def unit(direction):
         vec = np.asarray(direction, dtype=float)
@@ -301,5 +306,5 @@ def surface_classification_2p(model: DPLocalModel) -> SurfaceTypeReport:
     return SurfaceTypeReport(
         c11=complex(c11), c12=complex(c12), c22=complex(c22), discriminant=float(disc),
         lines=lines and tuple(unit(line) for line in lines), line_signs=signs,
-        type=surface, chart_degenerate=along > 0,
+        type=surface, chart_degenerate=bool(lines and c11.imag == 0),
     )

@@ -906,12 +906,14 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
      "7.416e-08"),
     (1, ["find-ep", "--family", "{offdiag}", "--at", "1e300,1e300"],
      "the squared half-gap of the pair overflows at point [1e+300, 1e+300]"),
-    (1, ["classify", "--family", "{offdiag}", "--at", "1e308,1e308"],
-     "the eigenvalues are too far apart for their gaps to be finite"),
+    (2, ["classify", "--family", "{offdiag}", "--at", "1e308,1e308"],
+     "no eigenvalue cluster at (1e+308, 1e+308)"),
     (1, ["surface", "--family", "{diag}", "--at", "1e308,1e308", "--window=0,1e308",
          "--res", "2", "--out", "{tmp}/s.csv"], "the grid points p0 + offset overflow"),
     (2, ["scenario", "--family", "{offdiag}", "--at", "5e-324,0", "--tol-cluster", "1e150",
          "--tol-rank", "5e-324"], "singular value 4.941e-324 has no finite reciprocal"),
+    (1, ["find-ep", "--family", "{offdiag}", "--at", "1e308,1e308"],
+     "the squared half-gap of the pair overflows at point [1e+308, 1e+308]"),
 ]
 
 
@@ -934,8 +936,8 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     cluster tolerance whose bounds overflow decides as an infinite bound
     does, and only a third eigenvalue can refuse a cluster (exit 2 from
     classify); find-ep from an iterate whose squared half-gap overflows
-    exits 1, and so do a spectrum whose gaps overflow and a surface grid
-    whose points do; a Jordan chain whose solve meets a singular value with
+    exits 1, and so does a surface grid whose points do; a spectrum whose
+    gaps overflow has no cluster there (exit 2 from classify); a Jordan chain whose solve meets a singular value with
     no finite reciprocal exits 2. A failure prints one error line, with the
     text that names its cause (singular values formatted alike on every
     numpy), writes no file, and no case warns."""

@@ -8,7 +8,6 @@ from eigencoupling import family as family_mod
 from eigencoupling.errors import (
     ClassificationError,
     ConvergenceError,
-    DimensionError,
     FrameError,
     IndeterminateRankError,
     MultiplicityError,
@@ -90,12 +89,16 @@ class TestFindDoubleEigenvalues:
             assert clusters[0].external_gap == np.inf
 
     def test_pair_arithmetic_past_the_largest_double(self):
-        # the centre of a pair at 1e308 is taken from halves; a gap of 2e308
-        # fits no double and is refused
+        # the centre of a pair at 1e308 is taken from halves; a gap or a
+        # distance of 2e308 fits no double and is inf
         clusters = degeneracy.find_double_eigenvalues(np.diag([1e308, 1e308, 5.0]))
         assert [c.center for c in clusters] == [1e308]
-        with pytest.raises(DimensionError, match="gaps"):
-            degeneracy.find_double_eigenvalues(np.diag([1e308, -1e308]))
+        assert degeneracy.find_double_eigenvalues(np.diag([1e308, -1e308])) == []
+        clusters = degeneracy.find_double_eigenvalues(np.diag([1.0, 1.0, 1e308, -1e308]))
+        assert [c.center for c in clusters] == [1.0]
+        clusters = degeneracy.find_double_eigenvalues(np.diag([-1e308, -1e308, 1e308]))
+        assert [c.center for c in clusters] == [-1e308]
+        assert clusters[0].external_gap == np.inf
 
     def test_triple_coincidence_rejected(self):
         with pytest.raises(MultiplicityError):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from eigencoupling import degeneracy, dp_asymptotics as dp
 from eigencoupling import family as family_mod
-from eigencoupling.errors import ChartError
+from eigencoupling.errors import ChartError, DimensionError
 
 # hand-derived coupling vectors of the second builtin crystal (pinned frame)
 D11 = np.array([-2 - 8j, 0.0])
@@ -357,6 +357,28 @@ class TestAvoidedCrossing1P:
         assert report.scenario == "one-re-one-im"
         assert sorted(np.sign(report.c_values)) == [-1, 1]
 
+    def test_exactly_real_far_coefficient_keeps_both_roots(self):
+        # c = (1+i) x^2 + (1+i) x y + y^2, exactly: Im c = x (x + y) vanishes
+        # on x = 0 and x = -y, neither along dp1, with Re c = 1 on both
+        model = model_from_vectors(d11=np.array([2.0, 0.0]), d12=np.array([1.0, 1.0]),
+                                   d21=np.array([1j, 1.0]), d22=np.zeros(2))
+        chart = dp.surface_classification_2p(model)
+        assert (chart.c11, chart.c12, chart.c22) == (1 + 1j, 1 + 1j, 1)
+        assert chart.type == "im-double-intersection" and not chart.chart_degenerate
+        report = dp.avoided_crossing_1p(model, [1.0])
+        assert report.scenario == "two-im"
+        assert sorted(report.dp1_roots) == [-1.0, 0.0]
+        assert report.c_values == (1.0, 1.0)
+
+    def test_far_root_past_the_doubles(self):
+        # Im c11 = 1e-300 puts a zero line of Im c at dp1 ~ -1e300, where c
+        # fits no double: refused, without a warning; the chart is decided
+        model = model_from_vectors(d11=np.zeros(2), d12=np.array([1.0, 1.0]),
+                                   d21=np.array([1 + 1e-300j, 1 + 1j]), d22=np.zeros(2))
+        assert not dp.surface_classification_2p(model).chart_degenerate
+        with pytest.raises(DimensionError, match="overflows"):
+            dp.avoided_crossing_1p(model, [1.0])
+
     def test_constant_imaginary_part_never_crosses(self, recwarn):
         # Im c = Im c0 = dp2^2 on the whole line, c1 = 0: no root of Im c
         model = model_from_vectors(
@@ -409,13 +431,13 @@ SWEEP_OF_CHART = {"cone-no-intersection": "no-crossing", "one-re-one-im-line": "
 def test_dp_1p_scenario_is_the_2p_type(parts, sign, j):
     """For n = 2, c along the sweep at dp2 = +-2^j is c on the chart with
     its second axis scaled by a power of two, so the sweep's scenario is
-    the chart's type, unless a zero line lies along dp1 and never crosses
-    the sweep."""
+    the chart's type, unless Im c11 = 0 puts a zero line along dp1, which
+    never crosses the sweep."""
     model = dp.DPLocalModel(p0=np.zeros(2), lam0=0j,
                             coupling=np.array(parts).reshape(2, 2, 2))
     chart = dp.surface_classification_2p(model)
     sweep = dp.avoided_crossing_1p(model, [sign * 2.0 ** j])
-    if chart.c11.imag != 0 and not chart.chart_degenerate:
+    if chart.c11.imag != 0:
         assert sweep.scenario == SWEEP_OF_CHART[chart.type]
 
 
