@@ -45,8 +45,8 @@ EXIT_DOMAIN = 3
 EXIT_NO_CONVERGENCE = 4
 
 #: grid points per block of ``surface``: a block shares one family
-#: evaluation, one stacked eigvals, one pair assignment and one line
-#: template; with at most workers + 1 blocks in flight their arrays take
+#: evaluation, one stacked eigvals, one pair assignment and one call of
+#: ``_rows``; with at most workers + 1 blocks in flight their arrays take
 #: the same memory on any grid, and only the formatted text grows with it
 BLOCK = 256
 
@@ -165,21 +165,118 @@ def _emit_json(obj, out: str | None):
         sys.stdout.write(text)
 
 
+@functools.cache
+def _digit_tables():
+    """``_format``'s tables, built on the first CSV: 2^j and 5^j for j in
+    [-300, 340], 5^j as hi + lo with hi's Veltkamp halves, each part rounded
+    from Python integers; the ASCII words of 0000-9999 and the index of
+    their last nonzero digit (-99 for 0000); per word of a 24-byte body the
+    masks of its first k bytes and of a '.' at byte k; "", "0.", .., "0.000"."""
+    parts = []
+    for j in range(-300, 341):
+        num, den = (5 ** j, 1) if j >= 0 else (1, 5 ** -j)
+        hi = num / den      # correctly rounded, as is the remainder below
+        hn, hd = hi.as_integer_ratio()
+        parts.append((2.0 ** j, hi, (num * hd - hn * den) / (den * hd)))
+    two, hi, lo = np.array(parts).T
+    split = hi * 134217729.0
+    high = split - (split - hi)
+    place = np.array([1000, 100, 10, 1], np.int16)
+    quads = (np.arange(10000, dtype=np.int16)[:, None] // place % 10).astype(np.uint8)
+    nonzero = quads != 0
+    last = np.where(nonzero.any(axis=1), 3 - np.argmax(nonzero[:, ::-1], axis=1), -99)
+    quads = (quads + ord("0")).view(np.uint32).ravel()
+    first = np.frombuffer(bytes([255] * 24 + [0] * 24), np.uint8)
+    first = np.stack([first[24 - k:48 - k] for k in range(25)]).view(np.uint64).T.copy()
+    dot = (first[:, 1:] ^ first[:, :-1]) & np.uint64(0x2E2E2E2E2E2E2E2E)
+    prefix = [0] + [int.from_bytes(b"0." + b"0" * k, "little") << 8 for k in range(4)]
+    return (two, hi, lo, high, hi - high, quads.astype(np.uint64), last, first, dot,
+            np.array(prefix, np.uint64))
+
+
+def _format(block, ends) -> bytes:
+    """CSV lines of a 2-d float array as ``_rows``; ``ends`` holds each
+    column's separator in its top byte. |x| = D 10^(X-16) to 17 digits, X =
+    floor(log10 |x|): D is |x| 2^j 5^j, j = 16 - X, rounded in double-double
+    arithmetic (Dekker's exact product; error below 2^-46). Non-finite and
+    subnormal x take ``'%.17g' % x``, and so do those whose fraction lies
+    within 2^-30 of one half or whose D falls outside [10^16, 10^17) (a
+    log10 one off). Each value fills 32 bytes, NUL where nothing goes: sign
+    and "0.0.." below 1; the digits, '.' after the integer ones, the
+    fraction's trailing zeros blanked; "e+XX" (X < -4 or X > 16); separator."""
+    x = block.ravel()
+    two, hi5, lo5, hh5, hl5, quads, last4, first, dot, prefix = _digit_tables()
+    a = np.abs(x)
+    zero = a == 0.0
+    normal = (a >= sys.float_info.min) & (a <= sys.float_info.max)
+    a[~normal] = 1.0
+    exp10 = np.floor(np.log10(a)).astype(np.int64)
+    at = 316 - exp10        # j = 16 - X in the tables, which start at j = -300
+    m = a * two.take(at)
+    p = m * hi5.take(at)
+    mh = m * 134217729.0    # Veltkamp's split m = mh + ml
+    mh -= mh - m
+    ml = m - mh
+    hh, hl = hh5.take(at), hl5.take(at)
+    s = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl + m * lo5.take(at)  # m hi5 - p, + m lo5
+    hi = p + s
+    lo = s - (hi - p)
+    whole = np.floor(lo)
+    half = lo - whole
+    digits = hi.astype(np.int64) + whole.astype(np.int64)
+    ok = normal & (digits >= 10 ** 16) & (np.abs(half - 0.5) >= 2.0 ** -30)
+    digits += half > 0.5
+    ok &= digits < 10 ** 17
+    digits[zero] = 0        # zero prints as "0" at X = 0
+    exp10[zero] = 0
+    # D's digits in groups of 4, 4, 4, 4 and 1, and the index of its last nonzero one
+    g0, g1, g2, g3, g16 = [digits // 10 ** k % 10000 for k in (13, 9, 5, 1)] + [digits % 10]
+    last = np.max([last4.take(g) + k for g, k in zip((g0, g1, g2, g3, g16), (0, 4, 8, 12, 13))],
+                  axis=0)
+    words = (quads.take(g0) | quads.take(g1) << np.uint64(32),
+             quads.take(g2) | quads.take(g3) << np.uint64(32),
+             quads.take(g16) >> np.uint64(24))
+    fixed = (exp10 >= -4) & (exp10 <= 16)
+    below1 = fixed & (exp10 < 0)
+    lead = exp10 * fixed        # index of the last integer digit, or below 0
+    keep = np.maximum(last, lead) + 1
+    cut = np.maximum(lead + 1, 17 * below1)
+    has_dot = (last > lead) & ~below1
+    out = np.empty((4, x.size), np.uint64)
+    out[0] = np.signbit(x) * np.uint64(ord("-")) | prefix.take(-exp10 * below1)
+    spill = np.uint64(0)
+    for w, word in enumerate(words):    # the digits, with '.' at byte cut
+        kept = word & first[w].take(keep)
+        low = kept & first[w].take(cut)
+        high = kept ^ low
+        out[w + 1] = low | dot[w].take(cut) * has_dot | high << np.uint64(8) | spill
+        spill = high >> np.uint64(56)
+    sci = np.flatnonzero(~fixed)
+    power = np.abs(exp10[sci])
+    power = quads.take(power) >> np.uint64(16) - np.uint64(8) * (power >= 100)
+    sign = np.uint64(ord("+")) + np.uint64(2) * (exp10[sci] < 0)
+    out[3, sci] |= power << np.uint64(32) | sign << np.uint64(24) | np.uint64(ord("e") << 16)
+    out[3].reshape(block.shape)[:] |= ends
+    out = np.ascontiguousarray(out.T)
+    slow = np.flatnonzero(~(ok | zero))
+    out.view(np.uint8).reshape(-1, 32)[slow, :31] = np.array(
+        ["%.17g" % v for v in x[slow].tolist()], "S31").view(np.uint8).reshape(-1, 31)
+    return out.tobytes().translate(None, b"\0")
+
+
 def _rows(table) -> str:
-    """CSV lines of a 2-d float array, formatted by one template;
-    17 significant digits round-trip doubles."""
+    """CSV lines of a 2-d float array, each float as ``'%.17g' % v`` writes
+    it (17 significant digits round-trip doubles); ``_format`` writes 2048
+    rows at a time, so that its arrays stay small."""
     table = np.asarray(table, dtype=float)
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return (line * len(table)) % tuple(table.ravel().tolist())
+    ends = np.full(table.shape[1], ord(","), np.uint64) << np.uint64(56)
+    ends[-1] = ord("\n") << 56
+    return b"".join(_format(table[start:start + 2048], ends)
+                    for start in range(0, len(table), 2048)).decode("ascii")
 
 
 def _csv(header, table) -> str:
-    """CSV text of a 2-d float array under its header.
-
-    Loop and section files are formatted whole, by one template. ``surface``
-    formats a block at a time instead, so that its formatting overlaps the
-    workers' eigvals; that leaves the heap somewhat more fragmented.
-    """
+    """CSV text of a 2-d float array under its header."""
     return ",".join(header) + "\n" + _rows(table)
 
 
@@ -207,6 +304,8 @@ def _window_axes(window, res):
         lo1, hi1, lo2, hi2 = vals
     else:
         raise _UsageError("--window needs 'lo,hi' or 'lo1,hi1,lo2,hi2'")
+    if not (math.isfinite(hi1 - lo1) and math.isfinite(hi2 - lo2)):
+        raise _UsageError(f"--window '{window}' is too wide: hi - lo overflows")
     if res < 2:
         raise _UsageError("--res must be at least 2")
     return np.linspace(lo1, hi1, res), np.linspace(lo2, hi2, res)

@@ -252,16 +252,22 @@ def _zero_lines(q, labels):
     |disc| <= TOL max(b^2, |4 a cc|); Re c is zero on a line when
     |Re c(x, y)| <= TOL (|qxx| x^2 + |qxy x y| + |qyy| y^2). TOL is
     DEGENERACY_TOL. A line lies along the first axis, (1, 0), only when a = 0.
+    All of it is decided on q 2^-e, 2^e the power of two above max |q_i|, so
+    no scale of c under- or overflows; disc scales back (to inf or 0 past the doubles).
     """
+    e = math.frexp(max(abs(z) for z in q))[1]
+    q = [complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in q]
     a, b, cc = (z.imag for z in q)
     disc = b ** 2 - 4.0 * a * cc
+    with np.errstate(over="ignore"):
+        reported = float(np.ldexp(disc, 2 * e))
     if all(abs(z.imag) <= DEGENERACY_TOL * abs(z) for z in q):
-        return disc, None, None, "degenerate"
+        return reported, None, None, "degenerate"
     if abs(disc) <= DEGENERACY_TOL * max(b ** 2, abs(4.0 * a * cc)):
         # a double line; the first axis when a = 0, and then b = 0 too
-        return disc, None if a else ((1.0, 0.0),) * 2, None, "degenerate"
+        return reported, None if a else ((1.0, 0.0),) * 2, None, "degenerate"
     if disc < 0.0:
-        return disc, None, None, labels[0]
+        return reported, None, None, labels[0]
     if a == 0:  # Im c = y (b x + cc y)
         lines = ((1.0, 0.0), (-cc, b))
     else:
@@ -279,10 +285,10 @@ def _zero_lines(q, labels):
         re = q[0].real * x * x + q[1].real * x * y + q[2].real * y * y
         terms = abs(q[0]) * x * x + abs(q[1] * x * y) + abs(q[2]) * y * y
         if abs(re) <= DEGENERACY_TOL * terms:
-            return disc, lines, None, "degenerate"
+            return reported, lines, None, "degenerate"
         signs.append(1 if re > 0 else -1)
     label = labels[1] if signs[0] != signs[1] else labels[2] if signs[0] < 0 else labels[3]
-    return disc, lines, tuple(signs), label
+    return reported, lines, tuple(signs), label
 
 
 def surface_classification_2p(model: DPLocalModel) -> SurfaceTypeReport:

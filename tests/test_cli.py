@@ -251,6 +251,65 @@ class TestSurface:
                 assert f"{float(tok):.17g}" == tok
 
 
+def percent_g_rows(table):
+    """The CSV lines of a 2-d float array by the '%.17g' template."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (line * len(table)) % tuple(table.ravel().tolist())
+
+
+def signed(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+def neighbours(values):
+    """values and the doubles on either side of each (inf past the largest)."""
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.concatenate([values, np.nextafter(values, np.inf),
+                               np.nextafter(values, -np.inf)])
+
+
+#: doubles where the array kernel of ``cli._rows`` is nearest to the edge of
+#: what it decides itself, each set drawn from a generator seeded 19
+CSV_FLOAT_SETS = {
+    "powers of ten": lambda rng: signed(neighbours(
+        [float(f"1e{k}") for k in range(-324, 309)])),
+    "range ends": lambda rng: signed(neighbours(
+        [1e16, 1e17, sys.float_info.max, sys.float_info.min, 5e-324])),
+    "integers": lambda rng: signed(np.concatenate([
+        np.arange(2 ** 53 - 3000, 2 ** 53 + 3000, dtype=float),
+        1e17 + 16.0 * np.arange(-3000, 3000)])),
+    "dyadic fractions": lambda rng: signed(
+        rng.integers(1, 2 ** 40, 100_000) / 2.0 ** rng.integers(1, 90, 100_000)),
+    "bit patterns": lambda rng: rng.integers(
+        0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64),
+}
+
+
+class TestCsvFloats:
+    """``cli._rows`` writes every double as the bytes of '%.17g', from an
+    array kernel and a per-value path for what the kernel cannot decide."""
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 11).flatmap(lambda k: st.lists(
+        st.lists(st.floats(), min_size=k, max_size=k), min_size=1, max_size=30)))
+    def test_drawn_tables(self, rows):
+        table = np.array(rows, dtype=float)
+        assert cli._rows(table) == percent_g_rows(table)
+
+    @pytest.mark.parametrize("name", CSV_FLOAT_SETS)
+    def test_fixed_sets(self, name):
+        values = CSV_FLOAT_SETS[name](np.random.default_rng(19))
+        # seven columns, so that rows span the kernel's chunks unevenly
+        table = np.concatenate([values, np.zeros(-len(values) % 7)]).reshape(-1, 7)
+        assert cli._rows(table) == percent_g_rows(table)
+
+    def test_zeros_and_specials(self):
+        table = np.array([[0.0, -0.0, np.inf], [-np.inf, np.nan, 1.0]])
+        assert cli._rows(table) == "0,-0,inf\n-inf,nan,1\n"
+
+
 def planted_ep_family(tmp_path, m=6):
     """Two-parameter m x m family A(p) = S (J + p1 B1 + p2 B2) S^-1, where J
     holds a 2x2 Jordan block at 0.5 + 0.2i and m - 2 separated eigenvalues."""
@@ -313,10 +372,8 @@ class TestThreadedSurface:
         table = np.column_stack((
             p0 + dps, model_pair.sheets, np.maximum(a.real, b.real), np.minimum(a.real, b.real),
             np.maximum(a.imag, b.imag), np.minimum(a.imag, b.imag), margin < 1e-3))
-        line = ",".join(["%.17g"] * 11) + "\n"
         expected = ("p1,p2,re_plus,re_minus,im_plus,im_minus,re_plus_exact,re_minus_exact,"
-                    "im_plus_exact,im_minus_exact,pair_margin_flag\n"
-                    + (line * len(table)) % tuple(table.ravel().tolist()))
+                    "im_plus_exact,im_minus_exact,pair_margin_flag\n" + percent_g_rows(table))
         assert len(table) == 61 * 61 > 14 * cli.BLOCK
         assert csv == expected.encode()
 
@@ -607,6 +664,30 @@ class TestScenario:
             code, out = run(capsys, "scenario", "--family", "crystal-example-2",
                             "--at", "0,0", f"--offset=1e-{k}")
             assert (code, json.loads(out)["scenario"]) == (0, "one-re-one-im"), k
+
+    @pytest.mark.parametrize("im01,label", [(1.0, "cone-no-intersection"),
+                                            (-1.0, "im-double-intersection")])
+    def test_dp_type_independent_of_coupling_scale(self, capsys, tmp_path, im01, label):
+        """A = I + s p1 (1 + 0.5i) diag(1, -1) + s p2 [[0, 0.3 + im01 i],
+        [0.7 + 0.2i, 0]] has a DP at 0 whose c scales with s^2; its
+        discriminant squares Im c, yet at s = 2^460 and 2^-460 the type, the
+        lines and their signs are those of s = 1, and nothing warns."""
+        reports = []
+        for k in (0, 460, -460):
+            s = 2.0 ** k
+            path = tmp_path / f"dp{k}.json"
+            path.write_text(json.dumps({"m": 2, "n": 2, "terms": [
+                {"exp": [0, 0], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+                {"exp": [1, 0], "re": [[s, 0], [0, -s]], "im": [[s / 2, 0], [0, -s / 2]]},
+                {"exp": [0, 1], "re": [[0, 0.3 * s], [0.7 * s, 0]],
+                 "im": [[0, im01 * s], [0.2 * s, 0]]}]}))
+            code = cli.main(["scenario", "--family", str(path), "--at", "0,0"])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            report = json.loads(captured.out)
+            reports.append([report[key] for key in ("type", "lines", "line_signs")])
+        assert reports[0][0] == label
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_dp_two_parameter_csv_needs_offset(self, capsys, tmp_path):
         out = tmp_path / "dp.csv"
@@ -914,6 +995,9 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
          "--tol-rank", "5e-324"], "singular value 4.941e-324 has no finite reciprocal"),
     (1, ["find-ep", "--family", "{offdiag}", "--at", "1e308,1e308"],
      "the squared half-gap of the pair overflows at point [1e+308, 1e+308]"),
+    (1, ["surface", "--family", "crystal-example-1", "--at", "0,0",
+         "--window=-1.5e308,1.5e308", "--res", "3", "--out", "{tmp}/s.csv"],
+     "--window '-1.5e308,1.5e308' is too wide: hi - lo overflows"),
 ]
 
 
@@ -936,7 +1020,7 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     cluster tolerance whose bounds overflow decides as an infinite bound
     does, and only a third eigenvalue can refuse a cluster (exit 2 from
     classify); find-ep from an iterate whose squared half-gap overflows
-    exits 1, and so does a surface grid whose points do; a spectrum whose
+    exits 1, and so does a surface grid whose points or window width do; a spectrum whose
     gaps overflow has no cluster there (exit 2 from classify); a Jordan chain whose solve meets a singular value with
     no finite reciprocal exits 2. A failure prints one error line, with the
     text that names its cause (singular values formatted alike on every
