@@ -167,11 +167,14 @@ def _emit_json(obj, out: str | None):
 
 @functools.cache
 def _digit_tables():
-    """``_format``'s tables, built on the first CSV: 2^j and 5^j for j in
-    [-300, 340], 5^j as hi + lo with hi's Veltkamp halves, each part rounded
-    from Python integers; the ASCII words of 0000-9999 and the index of
-    their last nonzero digit (-99 for 0000); per word of a 24-byte body the
-    masks of its first k bytes and of a '.' at byte k; "", "0.", .., "0.000"."""
+    """``_format``'s tables, built on the first CSV. Per j in [-300, 340]:
+    2^j and 5^j, 5^j as hi + lo with hi's Veltkamp halves, each part rounded
+    from Python integers; and the layout of X = 16 - j: the index of the
+    last integer digit, the masks of the body bytes before the '.' and of
+    the '.' (none below 1, none at X = 16), the "-0.0.." word less its sign
+    and the "e+XX" word. The ASCII words of 0000-9999 and the index of their
+    last nonzero digit (-99 for 0000); per word of a 24-byte body the masks
+    of its first k bytes."""
     parts = []
     for j in range(-300, 341):
         num, den = (5 ** j, 1) if j >= 0 else (1, 5 ** -j)
@@ -185,13 +188,25 @@ def _digit_tables():
     quads = (np.arange(10000, dtype=np.int16)[:, None] // place % 10).astype(np.uint8)
     nonzero = quads != 0
     last = np.where(nonzero.any(axis=1), 3 - np.argmax(nonzero[:, ::-1], axis=1), -99)
-    quads = (quads + ord("0")).view(np.uint32).ravel()
+    quads = (quads + ord("0")).view(np.uint32).ravel().astype(np.uint64)
     first = np.frombuffer(bytes([255] * 24 + [0] * 24), np.uint8)
     first = np.stack([first[24 - k:48 - k] for k in range(25)]).view(np.uint64).T.copy()
-    dot = (first[:, 1:] ^ first[:, :-1]) & np.uint64(0x2E2E2E2E2E2E2E2E)
-    prefix = [0] + [int.from_bytes(b"0." + b"0" * k, "little") << 8 for k in range(4)]
-    return (two, hi, lo, high, hi - high, quads.astype(np.uint64), last, first, dot,
-            np.array(prefix, np.uint64))
+    exp10 = 16 - np.arange(-300, 341)
+    fixed = (exp10 >= -4) & (exp10 <= 16)
+    below1 = fixed & (exp10 < 0)
+    lead = exp10 * fixed        # index of the last integer digit, or below 0
+    cut = np.maximum(lead + 1, 17 * below1)
+    low = first[:, cut]
+    dot = (first[:, cut + 1] ^ low) & np.uint64(0x2E2E2E2E2E2E2E2E)
+    dot *= (lead < 16) & ~below1
+    prefix = np.array([0] + [int.from_bytes(b"0." + b"0" * k, "little") << 8
+                             for k in range(4)], np.uint64)
+    power = np.abs(exp10)
+    power = quads.take(power) >> np.uint64(16) - np.uint64(8) * (power >= 100)
+    sign = np.uint64(ord("+")) + np.uint64(2) * (exp10 < 0)
+    suffix = (power << np.uint64(32) | sign << np.uint64(24) | np.uint64(ord("e") << 16)) * ~fixed
+    return (two, hi, lo, high, hi - high, quads, last, first, lead, low, dot,
+            prefix.take(-exp10 * below1), suffix)
 
 
 def _format(block, ends) -> bytes:
@@ -202,16 +217,18 @@ def _format(block, ends) -> bytes:
     subnormal x take ``'%.17g' % x``, and so do those whose fraction lies
     within 2^-30 of one half or whose D falls outside [10^16, 10^17) (a
     log10 one off). Each value fills 32 bytes, NUL where nothing goes: sign
-    and "0.0.." below 1; the digits, '.' after the integer ones, the
-    fraction's trailing zeros blanked; "e+XX" (X < -4 or X > 16); separator."""
+    and "0.0.." below 1; the digits, '.' after the integer ones; "e+XX" (X <
+    -4 or X > 16); separator. All but the sign come from tables at j, except
+    where D ends in 0: there the fraction's trailing zeros are blanked and a
+    '.' before none is dropped."""
     x = block.ravel()
-    two, hi5, lo5, hh5, hl5, quads, last4, first, dot, prefix = _digit_tables()
+    (two, hi5, lo5, hh5, hl5, quads, last4, first,
+     lead_at, low_at, dot_at, prefix_at, suffix_at) = _digit_tables()
     a = np.abs(x)
     zero = a == 0.0
     normal = (a >= sys.float_info.min) & (a <= sys.float_info.max)
-    a[~normal] = 1.0
-    exp10 = np.floor(np.log10(a)).astype(np.int64)
-    at = 316 - exp10        # j = 16 - X in the tables, which start at j = -300
+    a[~normal] = 1.0        # X = 0 for zero and for what '%.17g' writes
+    at = 316 - np.floor(np.log10(a)).astype(np.int64)   # j = 16 - X; the tables start at -300
     m = a * two.take(at)
     p = m * hi5.take(at)
     mh = m * 134217729.0    # Veltkamp's split m = mh + ml
@@ -227,37 +244,34 @@ def _format(block, ends) -> bytes:
     ok = normal & (digits >= 10 ** 16) & (np.abs(half - 0.5) >= 2.0 ** -30)
     digits += half > 0.5
     ok &= digits < 10 ** 17
-    digits[zero] = 0        # zero prints as "0" at X = 0
-    exp10[zero] = 0
-    # D's digits in groups of 4, 4, 4, 4 and 1, and the index of its last nonzero one
-    g0, g1, g2, g3, g16 = [digits // 10 ** k % 10000 for k in (13, 9, 5, 1)] + [digits % 10]
-    last = np.max([last4.take(g) + k for g, k in zip((g0, g1, g2, g3, g16), (0, 4, 8, 12, 13))],
-                  axis=0)
-    words = (quads.take(g0) | quads.take(g1) << np.uint64(32),
-             quads.take(g2) | quads.take(g3) << np.uint64(32),
-             quads.take(g16) >> np.uint64(24))
-    fixed = (exp10 >= -4) & (exp10 <= 16)
-    below1 = fixed & (exp10 < 0)
-    lead = exp10 * fixed        # index of the last integer digit, or below 0
+    digits[~ok] = 0         # zero prints as "0"; '%.17g' overwrites the rest
+    # D's digits in groups of 4, 4, 4, 4 and 1, from its floor quotients by 10^13, 10^9, 10^5, 10
+    groups = [digits // 10 ** k for k in (13, 9, 5, 1)]
+    g16 = digits - 10 * groups[3]
+    for k in (3, 2, 1):
+        groups[k] -= 10000 * groups[k - 1]
+    words = [quads.take(groups[0]) | quads.take(groups[1]) << np.uint64(32),
+             quads.take(groups[2]) | quads.take(groups[3]) << np.uint64(32),
+             quads.take(g16) >> np.uint64(24)]
+    # where D ends in 0: the index of its last nonzero digit, and what that keeps
+    tail = np.flatnonzero(g16 == 0)
+    last = np.max([last4.take(g[tail]) + k for g, k in zip(groups, (0, 4, 8, 12))], axis=0)
+    lead = lead_at.take(at[tail])
     keep = np.maximum(last, lead) + 1
-    cut = np.maximum(lead + 1, 17 * below1)
-    has_dot = (last > lead) & ~below1
-    out = np.empty((4, x.size), np.uint64)
-    out[0] = np.signbit(x) * np.uint64(ord("-")) | prefix.take(-exp10 * below1)
+    no_dot = tail[last <= lead]
+    out = np.empty((x.size, 4), np.uint64)
+    out[:, 0] = np.signbit(x) * np.uint64(ord("-")) | prefix_at.take(at)
     spill = np.uint64(0)
-    for w, word in enumerate(words):    # the digits, with '.' at byte cut
-        kept = word & first[w].take(keep)
-        low = kept & first[w].take(cut)
-        high = kept ^ low
-        out[w + 1] = low | dot[w].take(cut) * has_dot | high << np.uint64(8) | spill
+    for w, word in enumerate(words):    # the digits, with '.' after the integer ones
+        word[tail] &= first[w].take(keep)
+        low = word & low_at[w].take(at)
+        high = word ^ low
+        dot = dot_at[w].take(at)
+        dot[no_dot] = 0
+        out[:, w + 1] = low | dot | high << np.uint64(8) | spill
         spill = high >> np.uint64(56)
-    sci = np.flatnonzero(~fixed)
-    power = np.abs(exp10[sci])
-    power = quads.take(power) >> np.uint64(16) - np.uint64(8) * (power >= 100)
-    sign = np.uint64(ord("+")) + np.uint64(2) * (exp10[sci] < 0)
-    out[3, sci] |= power << np.uint64(32) | sign << np.uint64(24) | np.uint64(ord("e") << 16)
-    out[3].reshape(block.shape)[:] |= ends
-    out = np.ascontiguousarray(out.T)
+    out[:, 3] |= suffix_at.take(at)
+    out.reshape(block.shape + (4,))[:, :, 3] |= ends
     slow = np.flatnonzero(~(ok | zero))
     out.view(np.uint8).reshape(-1, 32)[slow, :31] = np.array(
         ["%.17g" % v for v in x[slow].tolist()], "S31").view(np.uint8).reshape(-1, 31)

@@ -226,8 +226,9 @@ def _chain_head(shifted: numkit.SVD):
     u1 = shifted.solve(u0)
     v0 = shifted.u[:, -1]
     scale = hermitian_inner(u1, v0)
-    with np.errstate(over="ignore"):    # an infinite norm fails the test
-        norm = np.linalg.norm(u1)
+    big = np.abs(u1).max()
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm fails the test
+        norm = np.linalg.norm(u1 / big) * big           # its squares cannot overflow
     if not abs(scale) > 1e-12 * norm:
         raise FrameError("(u1, v0) vanishes; chain normalization impossible")
     return u0, u1, v0 * np.conj(1.0 / scale)

@@ -207,7 +207,9 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
 
     All of it is computed at dp_rest 2^-k, 2^k the power of two above
     max |dp_rest|, so no scale of dp_rest under- or overflows c (homogeneous
-    of degree 2) or sways the label; the report scales back exactly.
+    of degree 2) or sways the label; the report scales back exactly. The
+    discriminant scales back to inf (JSON null) past the doubles, as the
+    two-parameter report's does; a coefficient, root or c value there raises.
     """
     rest = rest_offsets(model, dp_rest)
     k = math.frexp(float(np.abs(rest).max(initial=0.0)))[1]
@@ -216,11 +218,12 @@ def avoided_crossing_1p(model: DPLocalModel, dp_rest) -> AvoidedCrossingReport:
     with np.errstate(over="ignore", invalid="ignore"):     # a far root: _scaled refuses
         roots = [x / y for x, y in lines or () if y]
         values = [float((c0 + c1 * x + c2 * x * x).real) for x in roots]
+        disc = float(np.ldexp(disc, 2 * k))     # degree 4: inf past the doubles
     if lines and len(roots) < 2:    # a line along dp1 (y = 0) has no root
         scenario = ("no-crossing", "degenerate")[len(roots)]
     return AvoidedCrossingReport(
         c0=_scaled(c0, 2 * k), c1=_scaled(c1, k), c2=complex(c2),
-        discriminant=_scaled(disc, 2 * k),
+        discriminant=disc,
         dp1_roots=tuple(_scaled(x, k) for x in roots) or None,
         c_values=tuple(_scaled(x, 2 * k) for x in values) or None,
         scenario=scenario,

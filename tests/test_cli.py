@@ -125,6 +125,17 @@ OFF_DIAGONAL_FAMILY = json.dumps({
     ],
 })
 
+
+def scaled_dp_family(s, im01):
+    """A = I + s p1 (1 + 0.5i) diag(1, -1) + s p2 [[0, 0.3 + im01 i],
+    [0.7 + 0.2i, 0]]: a DP at 0 whose c scales with s^2."""
+    return json.dumps({"m": 2, "n": 2, "terms": [
+        {"exp": [0, 0], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+        {"exp": [1, 0], "re": [[s, 0], [0, -s]], "im": [[s / 2, 0], [0, -s / 2]]},
+        {"exp": [0, 1], "re": [[0, 0.3 * s], [0.7 * s, 0]],
+         "im": [[0, im01 * s], [0.2 * s, 0]]}]})
+
+
 #: a family file in Latin-1, which is not UTF-8
 LATIN1_FAMILY = '{"m": 1, "n": 1, "terms": [], "caf\u00e9": 0}'.encode("latin-1")
 
@@ -284,7 +295,20 @@ CSV_FLOAT_SETS = {
         rng.integers(1, 2 ** 40, 100_000) / 2.0 ** rng.integers(1, 90, 100_000)),
     "bit patterns": lambda rng: rng.integers(
         0, 2 ** 64, 10 ** 6, dtype=np.uint64).view(np.float64),
+    "short decimals": lambda rng: signed(short_decimals(rng)),
 }
+
+
+def short_decimals(rng):
+    """float(f"{k}e{e}") for 40 k of each length 1-16 digits and e in [-30, 30]:
+    17-digit forms that end in zeros or not, integers that end in zeros."""
+    ks = [k for d in range(1, 17) for k in rng.integers(10 ** (d - 1), 10 ** d, 40).tolist()]
+    return np.array([float(f"{k}e{e}") for k in ks for e in range(-30, 31)])
+
+
+def last_digit_zero(values):
+    """Whether the 17-digit decimal of each finite value ends in 0."""
+    return np.array([("%.16e" % v).partition("e")[0][-1] == "0" for v in values.tolist()])
 
 
 class TestCsvFloats:
@@ -303,6 +327,19 @@ class TestCsvFloats:
         values = CSV_FLOAT_SETS[name](np.random.default_rng(19))
         # seven columns, so that rows span the kernel's chunks unevenly
         table = np.concatenate([values, np.zeros(-len(values) % 7)]).reshape(-1, 7)
+        assert cli._rows(table) == percent_g_rows(table)
+
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_all_or_no_trailing_zero(self, zero):
+        """Tables where no 17-digit decimal ends in 0 and where every one
+        does: the kernel blanks trailing zeros only where the 17th is 0."""
+        rng = np.random.default_rng(19)
+        pool = np.concatenate([short_decimals(rng), rng.normal(0, 1e3, 10 ** 5),
+                               rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(float)])
+        pool = signed(pool[np.isfinite(pool)])
+        values = pool[last_digit_zero(pool) == zero]
+        assert len(values) > 50_000
+        table = values[:len(values) // 7 * 7].reshape(-1, 7)
         assert cli._rows(table) == percent_g_rows(table)
 
     def test_zeros_and_specials(self):
@@ -668,26 +705,42 @@ class TestScenario:
     @pytest.mark.parametrize("im01,label", [(1.0, "cone-no-intersection"),
                                             (-1.0, "im-double-intersection")])
     def test_dp_type_independent_of_coupling_scale(self, capsys, tmp_path, im01, label):
-        """A = I + s p1 (1 + 0.5i) diag(1, -1) + s p2 [[0, 0.3 + im01 i],
-        [0.7 + 0.2i, 0]] has a DP at 0 whose c scales with s^2; its
+        """``scaled_dp_family`` has a DP at 0 whose c scales with s^2; its
         discriminant squares Im c, yet at s = 2^460 and 2^-460 the type, the
-        lines and their signs are those of s = 1, and nothing warns."""
+        lines and their signs are those of s = 1, nothing warns, and each
+        report (its discriminant null past the doubles) fits the schema."""
         reports = []
         for k in (0, 460, -460):
-            s = 2.0 ** k
             path = tmp_path / f"dp{k}.json"
-            path.write_text(json.dumps({"m": 2, "n": 2, "terms": [
-                {"exp": [0, 0], "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
-                {"exp": [1, 0], "re": [[s, 0], [0, -s]], "im": [[s / 2, 0], [0, -s / 2]]},
-                {"exp": [0, 1], "re": [[0, 0.3 * s], [0.7 * s, 0]],
-                 "im": [[0, im01 * s], [0.2 * s, 0]]}]}))
+            path.write_text(scaled_dp_family(2.0 ** k, im01))
             code = cli.main(["scenario", "--family", str(path), "--at", "0,0"])
             captured = capsys.readouterr()
             assert (code, captured.err) == (0, "")
             report = json.loads(captured.out)
+            validate(report, "scenario_report.schema.json")
             reports.append([report[key] for key in ("type", "lines", "line_signs")])
         assert reports[0][0] == label
         assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_dp_1p_discriminant_past_the_doubles_is_null(self, capsys, tmp_path):
+        """At s = 2^460 the DP-1p discriminant (degree 4 in s) overflows while
+        c0, c1 and c2 (degree 2) fit: the report prints it as null, which the
+        schema admits, with the scenario of s = 1, as the two-parameter
+        report does."""
+        reports = []
+        for k in (0, 460):
+            path = tmp_path / f"dp{k}.json"
+            path.write_text(scaled_dp_family(2.0 ** k, 1.0))
+            code = cli.main(["scenario", "--family", str(path), "--at", "0,0",
+                             "--offset", "0.01"])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (0, "")
+            reports.append(json.loads(captured.out))
+        assert reports[0]["discriminant"] is not None
+        assert reports[1]["discriminant"] is None
+        validate(reports[1], "scenario_report.schema.json")
+        assert reports[1]["c2"]["re"] == 0.75 * 2.0 ** 920
+        assert reports[1]["scenario"] == reports[0]["scenario"] == "no-crossing"
 
     def test_dp_two_parameter_csv_needs_offset(self, capsys, tmp_path):
         out = tmp_path / "dp.csv"
@@ -998,6 +1051,8 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
     (1, ["surface", "--family", "crystal-example-1", "--at", "0,0",
          "--window=-1.5e308,1.5e308", "--res", "3", "--out", "{tmp}/s.csv"],
      "--window '-1.5e308,1.5e308' is too wide: hi - lo overflows"),
+    (1, ["scenario", "--family", "{offdiag}", "--at", "0,1e-300"],
+     "g1 = 0: cross-section formulas need reindexing"),
 ]
 
 
@@ -1022,7 +1077,8 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     classify); find-ep from an iterate whose squared half-gap overflows
     exits 1, and so does a surface grid whose points or window width do; a spectrum whose
     gaps overflow has no cluster there (exit 2 from classify); a Jordan chain whose solve meets a singular value with
-    no finite reciprocal exits 2. A failure prints one error line, with the
+    no finite reciprocal exits 2, and one whose u1 is too large to square
+    reaches the section's g1 = 0 refusal (exit 1). A failure prints one error line, with the
     text that names its cause (singular values formatted alike on every
     numpy), writes no file, and no case warns."""
     families = {"sep": SEPARATED_FAMILY, "ovf": OVERFLOWING_FAMILY, "flat": FLAT_IM_FAMILY,
