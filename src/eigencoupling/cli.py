@@ -47,7 +47,7 @@ EXIT_NO_CONVERGENCE = 4
 #: grid points per block of ``surface``: a block shares one family
 #: evaluation, one stacked eigvals, one pair assignment and one call of
 #: ``_rows``; with at most workers + 1 blocks in flight their arrays take
-#: the same memory on any grid, and only the formatted text grows with it
+#: the same memory on any grid, and only the formatted bytes grow with it
 BLOCK = 256
 
 
@@ -119,13 +119,13 @@ def _anchor_cluster(fam, at, tol_cluster, tol_rank):
 
 def _write_files(*files):
     """Write each ``(path, parts)`` of ``files``, the concatenation of the
-    text ``parts`` to ``path``, or leave none: when one cannot be written,
-    it and the files written before it are removed again (regular files
-    only, not a device such as /dev/null)."""
+    bytes ``parts`` to ``path``, as they are, or leave none: when one cannot
+    be written, it and the files written before it are removed again
+    (regular files only, not a device such as /dev/null)."""
     written = []
     for path, parts in files:
         try:
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            with open(path, "wb") as handle:
                 written.append(path)
                 handle.writelines(parts)
         except OSError as exc:
@@ -160,7 +160,7 @@ def _json_text(obj) -> str:
 def _emit_json(obj, out: str | None):
     text = _json_text(obj)
     if out:
-        _write_files((out, [text]))
+        _write_files((out, [text.encode()]))
     else:
         sys.stdout.write(text)
 
@@ -278,20 +278,22 @@ def _format(block, ends) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _rows(table) -> str:
+def _rows(table) -> list:
     """CSV lines of a 2-d float array, each float as ``'%.17g' % v`` writes
-    it (17 significant digits round-trip doubles); ``_format`` writes 2048
-    rows at a time, so that its arrays stay small."""
+    it (17 significant digits round-trip doubles), as ASCII bytes in chunks:
+    ``_format`` writes 2048 rows at a time, so that its arrays stay small,
+    and the chunks go to the file as they are."""
     table = np.asarray(table, dtype=float)
     ends = np.full(table.shape[1], ord(","), np.uint64) << np.uint64(56)
     ends[-1] = ord("\n") << 56
-    return b"".join(_format(table[start:start + 2048], ends)
-                    for start in range(0, len(table), 2048)).decode("ascii")
+    return [_format(table[start:start + 2048], ends)
+            for start in range(0, len(table), 2048)]
 
 
-def _csv(header, table) -> str:
-    """CSV text of a 2-d float array under its header."""
-    return ",".join(header) + "\n" + _rows(table)
+def _csv(header, table) -> list:
+    """The parts of a CSV file, in bytes: the header line, then the
+    ``_rows`` chunks of a 2-d float array."""
+    return [(",".join(header) + "\n").encode(), *_rows(table)]
 
 
 def cmd_classify(opts) -> int:
@@ -344,7 +346,7 @@ def _pool():
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="eigvals")
 
 
-def _surface_chunk(model, p0, block, spectra) -> str:
+def _surface_chunk(model, p0, block, spectra) -> bytes:
     """CSV lines of one block of grid offsets: the model's sheets beside the
     exact pair that ``pair_assignment`` matches to the model's pair."""
     try:
@@ -363,7 +365,7 @@ def _surface_chunk(model, p0, block, spectra) -> str:
     rows[:, 8] = np.maximum(exact_a.imag, exact_b.imag)
     rows[:, 9] = np.minimum(exact_a.imag, exact_b.imag)
     rows[:, 10] = margin < 1e-3
-    return _rows(rows)
+    return b"".join(_rows(rows))
 
 
 def cmd_surface(opts) -> int:
@@ -402,7 +404,7 @@ def cmd_surface(opts) -> int:
     header = ["p1", "p2", "re_plus", "re_minus", "im_plus", "im_minus",
               "re_plus_exact", "re_minus_exact", "im_plus_exact",
               "im_minus_exact", "pair_margin_flag"]
-    _write_files((opts["out"], [",".join(header) + "\n", *chunks]))
+    _write_files((opts["out"], [(",".join(header) + "\n").encode(), *chunks]))
     return EXIT_OK
 
 
@@ -428,7 +430,7 @@ def cmd_loop(opts) -> int:
     out = Path(opts["out"])
     side_path = out.with_suffix(".json") if out.suffix == ".csv" else Path(str(out) + ".json")
     csv = _csv(["phi", "re_plus", "im_plus", "re_minus", "im_minus"], table)
-    _write_files((opts["out"], [csv]), (str(side_path), [_json_text(report)]))
+    _write_files((opts["out"], csv), (str(side_path), [_json_text(report).encode()]))
     return EXIT_OK
 
 
@@ -462,8 +464,8 @@ def cmd_scenario(opts) -> int:
             raise _UsageError("--format csv requires --out")
         dps = sweep(offset)
         table = np.column_stack((p0[0] + dps[:, 0], sheets(model, dps).sheets))
-        _write_files((opts["out"], [_csv(["p1", "re_plus", "re_minus", "im_plus", "im_minus"],
-                                         table)]))
+        _write_files((opts["out"], _csv(["p1", "re_plus", "re_minus", "im_plus", "im_minus"],
+                                        table)))
         return EXIT_OK
     if kind.kind == "EP":
         label, report = "EP", ep_asymptotics.cross_section(model, offset)

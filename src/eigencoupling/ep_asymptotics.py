@@ -451,9 +451,11 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
     roots = np.sqrt(radicand)
     core_a = _track_branch(roots)
     core_b = -core_a
-    scale = float(np.abs(roots).max(initial=0.0))
+    # |core_a| = |core_b| = |roots| bit for bit: the cores are +-roots
+    size = np.abs(roots)
+    scale = float(size.max(initial=0.0))
     jump = np.abs(core_a[1:] - core_a[:-1])
-    span = np.abs(core_a[1:]) + np.abs(core_a[:-1])
+    span = size[1:] + size[:-1]
     # near the trajectory's passage through lam0 the root speed is
     # genuinely unbounded; only police jumps away from that region
     bad = np.flatnonzero((span > 0.1 * scale) & (jump > 0.3 * span))
@@ -484,8 +486,8 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
                              "shrink the loop")
     winding = None
     if regime != "on":
-        curve = np.concatenate((core_a, core_b)) if n_curves == 1 else core_a
-        if float(np.abs(curve).min()) > 0.0:
+        if float(size.min()) > 0.0:
+            curve = np.concatenate((core_a, core_b)) if n_curves == 1 else core_a
             angles = np.angle(curve / np.roll(curve, 1))
             winding = int(round(angles.sum() / (2.0 * math.pi)))
     return LoopReport(

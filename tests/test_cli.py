@@ -320,14 +320,14 @@ class TestCsvFloats:
         st.lists(st.floats(), min_size=k, max_size=k), min_size=1, max_size=30)))
     def test_drawn_tables(self, rows):
         table = np.array(rows, dtype=float)
-        assert cli._rows(table) == percent_g_rows(table)
+        assert b"".join(cli._rows(table)) == percent_g_rows(table).encode()
 
     @pytest.mark.parametrize("name", CSV_FLOAT_SETS)
     def test_fixed_sets(self, name):
         values = CSV_FLOAT_SETS[name](np.random.default_rng(19))
         # seven columns, so that rows span the kernel's chunks unevenly
         table = np.concatenate([values, np.zeros(-len(values) % 7)]).reshape(-1, 7)
-        assert cli._rows(table) == percent_g_rows(table)
+        assert b"".join(cli._rows(table)) == percent_g_rows(table).encode()
 
     @pytest.mark.parametrize("zero", [False, True])
     def test_all_or_no_trailing_zero(self, zero):
@@ -340,11 +340,27 @@ class TestCsvFloats:
         values = pool[last_digit_zero(pool) == zero]
         assert len(values) > 50_000
         table = values[:len(values) // 7 * 7].reshape(-1, 7)
-        assert cli._rows(table) == percent_g_rows(table)
+        assert b"".join(cli._rows(table)) == percent_g_rows(table).encode()
 
     def test_zeros_and_specials(self):
         table = np.array([[0.0, -0.0, np.inf], [-np.inf, np.nan, 1.0]])
-        assert cli._rows(table) == "0,-0,inf\n-inf,nan,1\n"
+        assert b"".join(cli._rows(table)) == b"0,-0,inf\n-inf,nan,1\n"
+
+
+class TestWriteFiles:
+    """``cli._write_files`` writes bytes parts as they are, or no file."""
+
+    def test_parts_land_verbatim(self, tmp_path):
+        parts = [b"p1,p2\r\n", b"", b"\x00\xff\n", "café\n".encode()]
+        cli._write_files((tmp_path / "a.csv", parts), (tmp_path / "b.json", [b"{}\n"]))
+        assert (tmp_path / "a.csv").read_bytes() == b"".join(parts)
+        assert (tmp_path / "b.json").read_bytes() == b"{}\n"
+
+    def test_earlier_file_removed_when_later_fails(self, tmp_path):
+        first = tmp_path / "a.csv"
+        with pytest.raises(cli._UsageError, match="cannot write"):
+            cli._write_files((first, [b"1,2\n"]), (tmp_path / "missing" / "b.json", [b"{}\n"]))
+        assert list(tmp_path.iterdir()) == []
 
 
 def planted_ep_family(tmp_path, m=6):
@@ -1158,7 +1174,7 @@ def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch, tmp_path):
 #: flag values of the argv fuzz: zero, ordinary, tiny, subnormal and huge
 FUZZ_VALUE = st.sampled_from((
     "0", "0.1", "-0.1", "0.5", "-0.5", "0.999", "1", "2", "3", "1e-9", "1e-16", "5e-324",
-    "1e-300", "1e150", "-1e150", "1e300", "1e308"))
+    "1e-300", "1e150", "-1e150", "1e300", "1e308", "-1e300", "-1e308", "-5e-324"))
 
 
 def fuzz_list(*sizes):

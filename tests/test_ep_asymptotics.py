@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eigencoupling import degeneracy, ep_asymptotics as ep
 from eigencoupling import family as family_mod
@@ -506,6 +509,107 @@ class TestTrackingOracle:
                 assert same_bits(ep._track_branch(roots), want_a)
         # four ties keep branch a on the principal root, then -1 -> 1 flips it
         assert ep._track_branch(fixed[0].astype(complex))[-1] == -1.0
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def three_abs_loop(model, spec):
+    """``loop_trajectory`` with each magnitude taken from the array it
+    measures: |roots| for the scale, |core_a| for the span and |curve| for
+    the zero test before the winding. The oracle of its single |roots|."""
+    nphi = spec.samples
+    phis = np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
+    dps = np.column_stack((spec.a + spec.r * np.cos(phis),
+                           spec.b + spec.r * np.sin(phis)))
+    mid, radicand = model.pair_terms(dps)
+    if not (np.isfinite(mid).all() and np.isfinite(radicand).all()):
+        raise DimensionError("the pair mean or the radicand F + iG overflows on this loop; "
+                             "shrink the loop")
+    roots = np.sqrt(radicand)
+    core_a = ep._track_branch(roots)
+    core_b = -core_a
+    scale = float(np.abs(roots).max(initial=0.0))
+    jump = np.abs(core_a[1:] - core_a[:-1])
+    span = np.abs(core_a[1:]) + np.abs(core_a[:-1])
+    bad = np.flatnonzero((span > 0.1 * scale) & (jump > 0.3 * span))
+    if bad.size:
+        k = bad[0]
+        raise ResolutionError(
+            f"branch jump {jump[k]:.3e} at phi={phis[k + 1]:.3f} too large; "
+            f"increase samples (currently {nphi})"
+        )
+    end_keep = abs(core_a[-1] - core_a[0]) + abs(core_b[-1] - core_b[0])
+    end_swap = abs(core_a[-1] - core_b[0]) + abs(core_b[-1] - core_a[0])
+    n_curves = 2 if end_keep <= end_swap else 1
+    rho2 = spec.a ** 2 + spec.b ** 2
+    if abs(rho2 - spec.r ** 2) <= 1e-12 * max(rho2, spec.r ** 2):
+        regime = "on"
+    elif rho2 < spec.r ** 2:
+        regime = "inside"
+    else:
+        regime = "outside"
+    f1, f2 = model.split_re[:2]
+    g1, g2 = model.split_im[:2]
+    sigma = (f2 * g1 - f1 * g2) * (g1 * spec.b - g2 * spec.a)
+    crossings = ep._axis_crossings(model, spec.a, spec.b, spec.r)
+    if not all(math.isfinite(x) for x in (sigma, *(c.ordinate for c in crossings))):
+        raise DimensionError("sigma or an axis crossing overflows on this loop; "
+                             "shrink the loop")
+    winding = None
+    if regime != "on":
+        curve = np.concatenate((core_a, core_b)) if n_curves == 1 else core_a
+        if float(np.abs(curve).min()) > 0.0:
+            angles = np.angle(curve / np.roll(curve, 1))
+            winding = int(round(angles.sum() / (2.0 * math.pi)))
+    return (regime, n_curves, winding, float(sigma), crossings,
+            phis, mid + core_a, mid + core_b, core_a, core_b)
+
+
+#: a model coefficient: zero, ordinary, or far enough out that the radicand
+#: underflows to exact zeros or overflows on some loops
+COEFF = st.one_of(st.sampled_from([0.0, 1e-300, -1e-300, 1e150, -1e300]),
+                  st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@st.composite
+def loops_about_an_ep(draw):
+    """A synthetic EP model and a loop inside, on or outside its EP."""
+    model = synthetic_model(*(draw(st.lists(COEFF, min_size=2, max_size=2))
+                              for _ in range(4)))
+    r = draw(st.sampled_from([1e-12, 1e-4, 0.01, 1.0, 1e10]))
+    d = r * draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    return model, ep.LoopSpec(a=d * math.cos(phi), b=d * math.sin(phi), r=r,
+                              samples=draw(st.sampled_from([16, 17, 720, 2000])))
+
+
+#: loops inside and outside the EP on which two of 720 radicands underflow
+#: to zero (p1 = r cos phi near phi = pi/2, 3pi/2) and the others do not
+PARTIAL_ZEROS = [(synthetic_model([1e-300, 0.0], [0.0, 0.0]),
+                  ep.LoopSpec(a=0.0, b=b, r=1e-12, samples=720)) for b in (0.0, 2e-12)]
+
+
+@settings(max_examples=300)
+@given(loops_about_an_ep())
+@example(PARTIAL_ZEROS[0])
+@example(PARTIAL_ZEROS[1])
+def test_loop_trajectory_matches_three_abs_form(case):
+    """``loop_trajectory`` takes |roots| once for the scale, the span and the
+    zero test: the same regime, curves, winding, errors and arrays, bit for
+    bit, as with each magnitude taken from its own array."""
+    model, spec = case
+    try:
+        want = three_abs_loop(model, spec)
+    except (DimensionError, ResolutionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            ep.loop_trajectory(model, spec)
+        assert str(got.value) == str(exc)
+        return
+    report = ep.loop_trajectory(model, spec)
+    assert (report.regime, report.n_curves, report.winding_number, report.sigma,
+            report.axis_crossings) == want[:5]
+    for got, expected in zip((report.phis, report.lam_plus, report.lam_minus,
+                              report.core_plus, report.core_minus), want[5:]):
+        assert same_bits(got, expected)
 
 
 class TestGenericFamilyPipeline:
