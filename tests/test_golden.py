@@ -1,7 +1,14 @@
-"""Golden outputs of the command line on the two builtin crystals.
+"""Golden outputs of the command line on the two builtin crystals and on
+two planted families beyond 3x3.
 
 The files under ``tests/golden/`` hold what the CLI printed or wrote for
-each case below. JSON reports and loop files must match byte for byte.
+each case below. The planted families under ``tests/families/`` are
+A(p) = S (J + p1 B1 + p2 B2) S^-1 with J = diag(0.5 + 0.2i, 0.5 + 0.2i,
+2 + 1.5ik for k = 1..m-2), S = I + 0.2 (X + iY), B1 = X + iY and B2 = X + iY,
+every X and Y a standard normal m x m draw of ``numpy.random.default_rng(12)``
+in that order (the construction of ``test_cli.planted_ep_family``): ``planted-ep-m10`` with
+J[0, 1] = 1, an exceptional point at p = (0, 0), and ``planted-dp-m6``, a
+diabolic point there. JSON reports and loop files must match byte for byte.
 Surface grids and cross-section CSVs are compared to 1e-12 relative to
 max(1, |value|): batched evaluation may change the floating-point summation
 order and with it the last bits. Every case also runs twice, and both runs
@@ -29,6 +36,7 @@ from eigencoupling import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 CRYSTALS = ("crystal-example-1", "crystal-example-2")
+FAMILIES = Path(__file__).parent / "families"
 #: relative tolerance for the CSV files written by batched code paths
 CSV_RTOL = 1e-12
 
@@ -52,9 +60,21 @@ EP_CASES = [
 ]
 
 
+#: the JSON reports of the planted families; find-ep only at the EP, from a
+#: guess 0.036 away
+PLANTED = {
+    "planted-ep-m10": CASES[:3] + [
+        ("find-ep", ["find-ep", "--at", "0.03,-0.02"], {"find-ep.json": "stdout"})],
+    "planted-dp-m6": CASES[:3],
+}
+
+
 def all_cases():
     for family in CRYSTALS:
         cases = CASES + (EP_CASES if family == "crystal-example-1" else [])
+        for name, argv, outputs in cases:
+            yield family, name, argv, outputs
+    for family, cases in PLANTED.items():
         for name, argv, outputs in cases:
             yield family, name, argv, outputs
 
@@ -62,7 +82,8 @@ def all_cases():
 def run_case(family, argv, outputs, out_dir: Path) -> dict:
     """Run one case; return golden suffix -> output bytes."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    full = [argv[0], "--family", family] + [a.replace("{dir}", str(out_dir)) for a in argv[1:]]
+    source = str(FAMILIES / f"{family}.json") if family in PLANTED else family
+    full = [argv[0], "--family", source] + [a.replace("{dir}", str(out_dir)) for a in argv[1:]]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(full)
