@@ -136,25 +136,67 @@ def _write_files(*files):
             raise _UsageError(f"cannot write '{path}': {exc.strerror or exc}") from exc
 
 
-def _plain(obj):
-    """The JSON value of a report: a dataclass is its fields by name, less
-    those declared ``field(repr=False)``; complex is {re, im}; sequences and
-    arrays are lists; a non-finite float is null."""
-    if dataclasses.is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.repr}
-    if isinstance(obj, dict):
-        return {key: _plain(value) for key, value in obj.items()}
-    if isinstance(obj, complex):
-        return {"re": _plain(obj.real), "im": _plain(obj.imag)}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_plain(x) for x in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
+def _fields(report) -> dict:
+    """A dataclass's fields by name, less those declared ``field(repr=False)``."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report) if f.repr}
 
 
 def _json_text(obj) -> str:
-    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The JSON text of a report, as ``json.dumps(value, indent=2,
+    sort_keys=True, allow_nan=False)`` writes its value: a dataclass is
+    ``_fields``; complex is {re, im}; sequences and arrays are lists; a
+    non-finite float is null."""
+    parts = []
+    _put_json(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _put_json(obj, newline: str, parts: list) -> None:
+    """Append the JSON text of ``obj`` to ``parts``, its lines indented
+    after ``newline`` as json.dumps indents them at this depth."""
+    if isinstance(obj, float):
+        parts.append(float.__repr__(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, str):
+        parts.append(_JSON_STRING(obj))
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, bool):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, complex):
+        _put_json({"re": obj.real, "im": obj.imag}, newline, parts)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if len(obj) == 0:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _put_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(obj, dict) or dataclasses.is_dataclass(obj):
+        if not isinstance(obj, dict):
+            obj = _fields(obj)
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            parts.append(sep + _JSON_STRING(key) + ": ")
+            _put_json(obj[key], inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+#: how json.dumps writes a string (ensure_ascii)
+_JSON_STRING = json.encoder.encode_basestring_ascii
 
 
 def _emit_json(obj, out: str | None):
@@ -473,7 +515,7 @@ def cmd_scenario(opts) -> int:
         label, report = "DP-1p", dp_asymptotics.avoided_crossing_1p(model, offset)
     else:
         label, report = "DP", dp_asymptotics.surface_classification_2p(model)
-    _emit_json({"kind": label, **_plain(report)}, opts.get("out"))
+    _emit_json({"kind": label, **_fields(report)}, opts.get("out"))
     return EXIT_OK
 
 
@@ -514,6 +556,8 @@ _FLAGS = (
     ("--config", {"help": "JSON config file; flags override it"}),
 )
 
+_FLAG_KEYWORDS = dict(_FLAGS)
+
 #: a flag value that starts like a negative number: "-0.1,0.1", "-.5", "-1e-3"
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
@@ -552,7 +596,7 @@ def _check_value(name: str, key: str, value) -> None:
     """Refuse a value of option ``key`` that its entry in ``_FLAGS`` does
     not admit: an integer for an int flag, a positive finite number for a
     float flag (the tolerances), one of the choices, or else a string."""
-    keywords = dict(_FLAGS)["--" + key.replace("_", "-")]
+    keywords = _FLAG_KEYWORDS["--" + key.replace("_", "-")]
     kind = keywords.get("type")
     if "choices" in keywords:
         ok, what = value in keywords["choices"], "one of " + ", ".join(keywords["choices"])

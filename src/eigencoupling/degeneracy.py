@@ -17,6 +17,7 @@ iteration on the analytic scalar ((lam_plus - lam_minus)/2)^2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,7 +35,7 @@ from .errors import (
     MultiplicityError,
     TrackingError,
 )
-from .numkit import hermitian_inner
+from .numkit import _modulus, hermitian_inner
 from .pairmodel import coupling
 
 #: Relative eigenvalue-distance threshold for treating a pair as a cluster.
@@ -103,22 +104,20 @@ class EPSearchResult:
     gap: float                  # final pair separation
 
 
-def _nearest_pairs(values):
-    """(gap, i, j) of every pair i < j of the values, nearest first; ties go
-    to the lowest (i, j). A gap past the largest double is inf."""
-    m = len(values)
-    with np.errstate(over="ignore"):
-        return sorted((abs(values[i] - values[j]), i, j)
-                      for i in range(m) for j in range(i + 1, m))
+def _nearest_pairs(row):
+    """(gap, i, j) of every pair i < j of a list of Python complex, nearest
+    first; ties go to the lowest (i, j). A gap past the largest double is inf."""
+    m = len(row)
+    return sorted((_modulus(row[i] - row[j]), i, j) for i in range(m) for j in range(i + 1, m))
 
 
 def _isolation(values, i, j):
-    """Centre of the pair (i, j), and the nearest value of another index with
-    its distance to the centre (inf and None when there is none)."""
-    center = values[i] / 2.0 + values[j] / 2.0      # halves first: no overflow
-    with np.errstate(over="ignore"):    # a distance past the doubles is inf
-        external, k = min(((abs(values[k] - center), k) for k in range(len(values))
-                           if k not in (i, j)), default=(math.inf, None))
+    """Centre of the pair (i, j) of an eigenvalue array, and the nearest value
+    of another index with its distance to the centre (inf and None when
+    there is none)."""
+    center = complex(values[i] / 2.0 + values[j] / 2.0)     # halves first: no overflow
+    external, k = min(((_modulus(z - center), k) for k, z in enumerate(values.tolist())
+                       if k != i and k != j), default=(math.inf, None))
     return center, external, None if k is None else values[k]
 
 
@@ -133,16 +132,20 @@ def find_double_eigenvalues(a, tol_cluster: float = DEFAULT_CLUSTER_TOL):
     if not 0 < tol_cluster < math.inf:
         raise ValueError("tol_cluster must be positive and finite")
     w = numkit.eigvals(a)
+    row = w.tolist()
+    # bounds in Python floats, which overflow to inf without a warning
+    sizes = [_modulus(z) for z in row]
+    widest = tol_cluster * (1.0 + max(sizes, default=0.0))
     used = set()
     clusters = []
-    for gap, i, j in _nearest_pairs(w):
-        # bounds in Python floats, which overflow to inf without a warning
-        size = float(max(abs(w[i]), abs(w[j])))
-        if i in used or j in used or not gap <= tol_cluster * (1.0 + size):
+    for gap, i, j in _nearest_pairs(row):
+        if not gap <= widest:       # nor is any later, wider gap
+            break
+        if i in used or j in used or not gap <= tol_cluster * (1.0 + max(sizes[i], sizes[j])):
             continue
         used.update((i, j))
         center, external, z = _isolation(w, i, j)
-        if z is not None and external <= 10.0 * tol_cluster * (1.0 + float(abs(center))):
+        if z is not None and external <= 10.0 * tol_cluster * (1.0 + _modulus(center)):
             raise MultiplicityError(
                 f"third eigenvalue {z:.6g} within 10x tolerance of the "
                 f"cluster at {center:.6g}; multiplicity > 2 unsupported"
@@ -152,9 +155,7 @@ def find_double_eigenvalues(a, tol_cluster: float = DEFAULT_CLUSTER_TOL):
                 f"cluster at {center:.6g} not isolated: external gap "
                 f"{external:.3e} <= internal gap {gap:.3e}"
             )
-        clusters.append(SpectralCluster(
-            center=complex(center), internal_gap=float(gap), external_gap=float(external),
-        ))
+        clusters.append(SpectralCluster(center=center, internal_gap=gap, external_gap=external))
     return clusters
 
 
@@ -176,15 +177,16 @@ def classify(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) -> Deg
     arr = numkit.as_cmatrix(a)
     shifted = numkit.SVD(arr - lam0 * np.eye(arr.shape[0]))
     s = shifted.s
-    sigma_max = numkit.singular_values(arr)[0]
+    sigma_max = np.linalg.svd(arr, compute_uv=False)[0]
     threshold = tol_rank * float(max(sigma_max, 1e-300))     # threshold * 10 may be inf
-    ambiguous = [x for x in s if threshold / 10.0 < x < threshold * 10.0]
+    values = s.tolist()
+    ambiguous = [x for x in values if threshold / 10.0 < x < threshold * 10.0]
     if ambiguous:
         raise IndeterminateRankError(
             f"singular values [{', '.join(f'{x:.3e}' for x in ambiguous)}] within a factor 10 "
             f"of the rank threshold {threshold:.3e}", singular_values=s,
         )
-    gm = len(s) - int(np.count_nonzero(s > threshold))
+    gm = sum(not x > threshold for x in values)
     if gm not in (1, 2):
         raise ClassificationError(
             f"geometric multiplicity {gm} outside {{1, 2}} for lam0 = {lam0:.6g}"
@@ -226,10 +228,11 @@ def _chain_head(shifted: numkit.SVD):
     u1 = shifted.solve(u0)
     v0 = shifted.u[:, -1]
     scale = hermitian_inner(u1, v0)
-    big = np.abs(u1).max()
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm fails the test
-        norm = np.linalg.norm(u1 / big) * big           # its squares cannot overflow
-    if not abs(scale) > 1e-12 * norm:
+    big = float(np.abs(u1).max())
+    # the scaled norm: u1 / big has entries up to 1, so its squares cannot
+    # overflow; a largest entry of 0, inf or NaN fails as its NaN norm would
+    if not (0.0 < big < math.inf
+            and abs(scale) > 1e-12 * (float(np.linalg.norm(u1 / big)) * big)):
         raise FrameError("(u1, v0) vanishes; chain normalization impossible")
     return u0, u1, v0 * np.conj(1.0 / scale)
 
@@ -349,15 +352,17 @@ def _approximate_split_gradient(fam, p, a, mean):
 
 def _converged(a, mean, gap) -> bool:
     """find_ep's stopping rule: gap <= max(EP_GAP_TOL (1 + |mean|),
-    _EPS_FLOOR sigma_max(A)). As sigma_max(A) <= ||A||_F, the SVD is taken
-    only for a gap within _EPS_FLOOR ||A||_F, the only gaps the floor can
-    decide; 1% to spare covers the rounding of both norms."""
-    with np.errstate(over="ignore"):    # an infinite norm defers to the SVD
-        norm = np.linalg.norm(a)
-    return gap <= EP_GAP_TOL * (1.0 + abs(mean)) or (
-        gap <= 1.01 * _EPS_FLOOR * norm and gap <= _EPS_FLOOR * numkit.singular_values(a)[0])
+    _EPS_FLOOR sigma_max(A)) for a finite A. As sigma_max(A) <= ||A||_F, the
+    SVD is taken only for a gap within _EPS_FLOOR ||A||_F, the only gaps the
+    floor can decide; 1% to spare covers the rounding of both norms."""
+    if gap <= EP_GAP_TOL * (1.0 + abs(mean)):
+        return True
+    frobenius = math.sqrt(np.vdot(a, a).real)     # inf, silently, where it overflows
+    return gap <= 1.01 * _EPS_FLOOR * frobenius and gap <= _EPS_FLOOR * numkit.singular_values(a)[0]
 
 
+# overflow is refused as DimensionError or a non-finite point, not warned about
+@np.errstate(over="ignore", invalid="ignore")
 def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     """Newton search for an exceptional point of a two-parameter family.
 
@@ -375,6 +380,8 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     if fam.n_params != 2:
         raise TrackingError("find_ep requires a two-parameter family")
     p = fam._point(p_guess)
+    # without a guard, evaluate's own point check is all that contains() adds
+    guarded = fam.domain_guard is not None
 
     def probe(point, prev=None):
         """The iterate's matrix, pair, mean, squared half-gap, gap and
@@ -383,24 +390,23 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
         a = family_mod.evaluate(fam, point)
         values = numkit.eigvals(a)
         if prev is None:
-            pairs = _nearest_pairs(values)
+            pairs = _nearest_pairs(values.tolist())
             if not pairs:
                 raise TrackingError("family dimension < 2 has no eigenvalue pairs")
             gap, i, j = pairs[0]
             _, external, third = _isolation(values, i, j)
             # only a real third eigenvalue refuses; a bound past the doubles is inf
-            if third is not None and external <= 1.2 * float(gap):
+            if third is not None and external <= 1.2 * gap:
                 raise TrackingError(
                     f"eigenvalue pair not separated from the rest of the spectrum "
                     f"(external gap {external:.3e} vs internal {gap:.3e})"
                 )
         else:
-            (i,), (j,), _ = numkit.pair_assignment(values[None], np.array([prev]))
+            (i,), (j,), _ = numkit.pair_assignment(values[None], [prev])
         lam_p, lam_m = values[i], values[j]
         mean = lam_p / 2.0 + lam_m / 2.0     # halves first: no overflow
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = ((lam_p - lam_m) / 2.0) ** 2
-        if not np.isfinite(z):
+        z = ((lam_p - lam_m) / 2.0) ** 2
+        if not cmath.isfinite(z):
             raise DimensionError(f"the squared half-gap of the pair overflows at point "
                                  f"{point.tolist()}")
         gap = abs(lam_p - lam_m)
@@ -412,8 +418,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
         if converged:
             break
         cols = _approximate_split_gradient(fam, p, a, mean)
-        jac = np.array([[cols[0].real, cols[1].real],
-                        [cols[0].imag, cols[1].imag]])
+        jac = np.array([cols.real, cols.imag])
         try:
             step = np.linalg.solve(jac, -np.array([z.real, z.imag]))
         except np.linalg.LinAlgError as exc:
@@ -423,7 +428,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
             ) from exc
         for halving in range(11):
             trial = p + step / (2 ** halving)
-            if not fam.contains(trial):
+            if guarded and not fam.contains(trial):
                 continue
             a_t, pair_t, mean_t, z_t, gap_t, conv_t = probe(trial, prev=pair)
             if abs(z_t) < abs(z) or conv_t:

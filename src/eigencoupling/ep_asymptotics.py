@@ -418,6 +418,17 @@ def _track_branch(roots: np.ndarray) -> np.ndarray:
     return np.negative(roots, out=roots.copy(), where=negated)
 
 
+def _turn(core_a: np.ndarray, core_b: np.ndarray, n_curves: int) -> float:
+    """The angle the closed trajectory of nonzero cores turns about lam0:
+    core_a alone for two curves; for one, core_a and then core_b = -core_a,
+    whose steps repeat core_a's bit for bit ((-x)/(-y) is x/y), so core_a's
+    steps count twice, plus the two junctions between the halves."""
+    if n_curves == 2:
+        return np.angle(core_a / np.roll(core_a, 1)).sum()
+    return (2.0 * np.angle(core_a[1:] / core_a[:-1]).sum()
+            + np.angle(core_a[0] / core_b[-1]) + np.angle(core_b[0] / core_a[-1]))
+
+
 # overflow is detected and reported as DimensionError, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
@@ -487,9 +498,7 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
     winding = None
     if regime != "on":
         if float(size.min()) > 0.0:
-            curve = np.concatenate((core_a, core_b)) if n_curves == 1 else core_a
-            angles = np.angle(curve / np.roll(curve, 1))
-            winding = int(round(angles.sum() / (2.0 * math.pi)))
+            winding = int(round(_turn(core_a, core_b, n_curves) / (2.0 * math.pi)))
     return LoopReport(
         regime=regime, sigma=float(sigma), sigma_sign=sigma_sign,
         phis=phis, lam_plus=mid + core_a, lam_minus=mid + core_b,

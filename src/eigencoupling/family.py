@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -56,12 +57,14 @@ class MatrixFamily:
         return self.domain_guard is None or bool(self.domain_guard(p))
 
     def _point(self, p) -> np.ndarray:
-        arr = np.atleast_1d(np.asarray(p, dtype=float))
+        arr = np.asarray(p, dtype=float)
+        if arr.ndim == 0:
+            arr = arr.reshape(1)
         if arr.shape != (self.n_params,):
             raise DimensionError(
                 f"expected {self.n_params} parameters, got shape {arr.shape}"
             )
-        if not np.isfinite(arr).all():
+        if not all(map(math.isfinite, arr.tolist())):
             raise DomainError("parameter point has non-finite entries")
         return arr
 
@@ -128,13 +131,17 @@ class PolynomialFamily:
     # overflow is refused by evaluate's finite check, not warned about
     @np.errstate(over="ignore", invalid="ignore")
     def value(self, p: np.ndarray) -> np.ndarray:
-        """A(p) for points p of shape (..., n); broadcasts over leading axes."""
+        """A(p) for points p of shape (..., n); broadcasts over leading axes.
+        At one point (n,) each monomial is a Python float, the same product
+        of the same powers in the same order."""
         p = np.asarray(p, dtype=float)
         out = np.zeros(p.shape[:-1] + (self.dim, self.dim), dtype=complex)
         term = np.empty_like(out)
         for coeff, exps in self.terms:
-            out += np.multiply(coeff, np.power(p, exps).prod(axis=-1)[..., None, None],
-                               out=term)
+            powers = np.power(p, exps)
+            monomial = (math.prod(powers.tolist()) if p.ndim == 1
+                        else powers.prod(axis=-1)[..., None, None])
+            out += np.multiply(coeff, monomial, out=term)
         return out
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -227,8 +234,9 @@ def parse_polynomial(text: str) -> PolynomialFamily:
         exps.append(exp)
         for key in ("re", "im"):
             rows = raw[key]
+            # json.loads makes plain lists, so their types and lengths are one set each
             if not (isinstance(rows, list) and len(rows) == m
-                    and all(isinstance(r, list) and len(r) == m for r in rows)):
+                    and set(map(type, rows)) == {list} and set(map(len, rows)) == {m}):
                 raise DimensionError(f"$.terms[{t}].{key}: coefficient matrix must be {m}x{m}")
             mats.append(rows)
     cells = list(itertools.chain.from_iterable(itertools.chain.from_iterable(mats)))

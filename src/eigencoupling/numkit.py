@@ -14,6 +14,8 @@ This makes repeated calls on the same input bit-for-bit reproducible.
 from __future__ import annotations
 
 import copy
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,10 +140,12 @@ class SVD:
         equations it needs to hold.
         """
         inv = np.zeros_like(self.s)
-        with np.errstate(over="ignore", divide="ignore"):
+        if len(inv) > 1:
+            # s descends, so every reciprocal is finite where the largest, 1/s[-2], is
+            low = float(self.s[-2])
+            if low == 0.0 or 1.0 / low == math.inf:
+                raise FrameError(f"singular value {low:.3e} has no finite reciprocal")
             inv[:-1] = 1.0 / self.s[:-1]
-        if inv.max() == np.inf:
-            raise FrameError(f"singular value {self.s[-2]:.3e} has no finite reciprocal")
         return self.vh.conj().T @ (inv * (self.u.conj().T @ b))
 
     def adjoint(self) -> "SVD":
@@ -151,18 +155,33 @@ class SVD:
         return adj
 
 
+def _modulus(z: complex) -> float:
+    """|z| of a Python complex: libm's hypot, as numpy's scalar abs and
+    ``np.hypot`` round it (numpy's array abs may not), and inf where it
+    overflows, which abs() raises as OverflowError."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def pair_assignment(values, targets):
     """Assign two eigenvalues to each target pair, many spectra at once.
 
-    ``values`` is (N, m), ``targets`` is (N, 2). For each row the ordered pair
-    (i, j), i != j, minimises |values[i] - targets[0]| + |values[j] - targets[1]|;
-    ties go to the lowest i, then the lowest j. Returns the index arrays i, j
-    and the margin: second-lowest cost minus lowest. A cost that overflows
-    counts as the largest double, so two such tie at margin 0. Needs m >= 2.
+    ``values`` is (N, m), ``targets`` is (N, 2), all finite. For each row the
+    ordered pair (i, j), i != j, minimises |values[i] - targets[0]| +
+    |values[j] - targets[1]|; ties go to the lowest i, then the lowest j.
+    Returns the index arrays i, j and the margin: second-lowest cost minus
+    lowest. A cost that overflows counts as the largest double, so two such
+    tie at margin 0. Needs m >= 2. One row (N = 1) is assigned on Python
+    floats by ``_assign_row``, with the same bits.
     """
     values = np.asarray(values, dtype=complex)
     targets = np.asarray(targets, dtype=complex)
     n, m = values.shape
+    if n == 1:
+        i, j, margin = _assign_row(values[0].tolist(), *targets[0].tolist())
+        return np.array([i]), np.array([j]), np.array([margin])
     # hypot rounds like abs() of a Python complex, unlike numpy's complex abs
     with np.errstate(over="ignore"):
         d0 = values - targets[:, :1]
@@ -176,3 +195,32 @@ def pair_assignment(values, targets):
     lowest = flat[rows, best]
     flat[rows, best] = np.inf          # what is left holds the second-lowest cost
     return best // m, best % m, flat.min(axis=1) - lowest
+
+
+def _assign_row(row, first: complex, second: complex):
+    """``pair_assignment`` of one spectrum ``row`` (a list of Python complex)
+    to the targets (first, second): i, j and the margin, as Python numbers.
+    The costs are the batched path's sums of the same hypot values, capped
+    alike; the scan in (i, j) order keeps the first of equal costs, as argmin
+    does. Rounding is monotonic, so no cost of row i is below |values[i] -
+    first| plus the least |values[j] - second|, and a row whose bound does
+    not beat the second-lowest cost so far is skipped."""
+    to_first = [_modulus(z - first) for z in row]
+    to_second = [_modulus(z - second) for z in row]
+    largest = sys.float_info.max
+    least = min(to_second)
+    lowest = runner_up = math.inf
+    best = None
+    for i, cost_i in enumerate(to_first):
+        if min(cost_i + least, largest) >= runner_up:
+            continue
+        for j, cost_j in enumerate(to_second):
+            cost = cost_i + cost_j
+            if cost > largest:
+                cost = largest
+            if cost < runner_up and i != j:
+                if cost < lowest:
+                    lowest, runner_up, best = cost, lowest, (i, j)
+                else:
+                    runner_up = cost
+    return best[0], best[1], runner_up - lowest

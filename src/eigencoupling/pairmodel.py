@@ -24,7 +24,6 @@ import numpy as np
 
 from . import family as family_mod
 from .errors import DimensionError
-from .numkit import hermitian_inner
 
 
 #: the p_1 sweep of cross-sections and conics: dp_1 in [-SWEEP_SPAN,
@@ -57,20 +56,23 @@ class PairPoint:
 
 
 def projection(d, us, vs) -> np.ndarray:
-    """The 2x2 restriction of a matrix d to the pair: [i, j] = (d u_i, v_j).
+    """The 2x2 restriction of a matrix d to the pair: [i, j] = (d u_i, v_j),
+    the Hermitian inner product of ``numkit.hermitian_inner``.
 
     ``us`` and ``vs`` are the pair's right and left vectors: the Jordan
     chain (u0, u1), (v0, v1) at an EP, the bi-orthonormal frame at a DP.
     """
     images = [d @ u for u in us]
-    return np.array([[hermitian_inner(image, v) for v in vs] for image in images])
+    return np.array([[np.vdot(v, image) for v in vs] for image in images])
 
 
 def coupling(fam, p0, us, vs) -> np.ndarray:
     """[i, j, s] = (dA/dp_s u_i, v_j) at p0: ``projection`` of each of the
     family's derivatives, stacked along the last axis."""
-    return np.stack([projection(family_mod.derivative(fam, p0, s), us, vs)
-                     for s in range(fam.n_params)], axis=-1)
+    out = np.empty((len(us), len(vs), fam.n_params), dtype=complex)
+    for s in range(fam.n_params):
+        out[:, :, s] = projection(family_mod.derivative(fam, p0, s), us, vs)
+    return out
 
 
 def offsets(model, dps) -> np.ndarray:

@@ -1259,3 +1259,73 @@ def test_module_entry_point():
     done = entry("classify", "--family", "crystal-example-1", "--at", "0.3,0.2")
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr == b"error: no eigenvalue cluster at (0.3, 0.2)\n"
+
+
+def plain_oracle(obj):
+    """The value json.dumps must write for a report: a dataclass is its
+    fields by name, less those declared ``field(repr=False)``; complex is
+    {re, im}; sequences and arrays are lists; a non-finite float is null."""
+    if dataclasses.is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.repr}
+    if isinstance(obj, dict):
+        return {key: plain_oracle(value) for key, value in obj.items()}
+    if isinstance(obj, complex):
+        return {"re": plain_oracle(obj.real), "im": plain_oracle(obj.imag)}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [plain_oracle(x) for x in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
+
+
+@dataclasses.dataclass(frozen=True)
+class _Report:
+    shown: object
+    hidden: object = dataclasses.field(default=None, repr=False)
+
+
+JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.floats() | st.complex_numbers()
+             | st.text() | st.builds(np.float64, st.floats())
+             | st.builds(np.complex128, st.complex_numbers()))
+JSON_TREE = st.recursive(JSON_LEAF, lambda inner: (
+    st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4) | st.builds(_Report, inner, inner)
+    | st.builds(lambda xs: np.array(xs, dtype=float), st.lists(st.floats(), max_size=4))
+    | st.builds(lambda xs: np.array(xs, dtype=complex),
+                st.lists(st.complex_numbers(), max_size=4))), max_leaves=20)
+
+
+@settings(max_examples=500)
+@given(JSON_TREE)
+def test_json_text_writes_what_json_dumps_writes(obj):
+    """``_json_text`` writes reports directly; every value must come out as
+    json.dumps writes the plain value, indent 2, keys sorted, ASCII only."""
+    want = json.dumps(plain_oracle(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert cli._json_text(obj) == want
+
+
+def test_json_text_refuses_what_json_refuses():
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        cli._json_text({"count": np.int64(3)})
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--family", "crystal-example-1", "--at", "0,0"],
+    ["find-ep", "--family", "crystal-example-1", "--at", "0.05,-0.03"],
+])
+def test_eigensolver_failure_exits_one(monkeypatch, capsys, argv):
+    """LAPACK's iteration cap on one matrix (numkit's NumericError) ends
+    with exit 1 and one error line, on the per-anchor path and in the
+    Newton search alike."""
+    eigvals = np.linalg.eigvals
+
+    def capped(a):
+        if np.ndim(a) == 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", capped)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eigensolver did not converge: Eigenvalues did not converge\n"

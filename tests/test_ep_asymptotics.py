@@ -384,6 +384,32 @@ class TestLoopTrajectory:
         report = ep.loop_trajectory(model, ep.LoopSpec(a=0.0, b=0.0, r=0.01))
         assert report.winding_number == 1
 
+    @pytest.mark.parametrize("samples", [720, 14400, 72000])
+    def test_winding_matches_the_whole_curve_sum(self, ep_model, samples):
+        """The one-curve turn sums core_a's steps once, doubled, plus the two
+        junctions; summed over the whole curve in one pass instead, as it
+        used to be, the angles differ by rounding only and round to the same
+        winding number, on loops inside, outside and close to either side of
+        the EP."""
+        curves = set()
+        for r in (1e-4, 1e-3, 1e-2, 1e-1):
+            for ratio in (0.0, 0.5, 0.999, 0.99999, 1.00001, 1.001, 2.0):
+                for phi in (0.3, 2.5, 4.4):
+                    spec = ep.LoopSpec(a=r * ratio * math.cos(phi), b=r * ratio * math.sin(phi),
+                                       r=r, samples=samples)
+                    try:
+                        report = ep.loop_trajectory(ep_model, spec)
+                    except ResolutionError:     # too close to the EP for these samples
+                        continue
+                    curve = (np.concatenate((report.core_plus, report.core_minus))
+                             if report.n_curves == 1 else report.core_plus)
+                    whole = np.angle(curve / np.roll(curve, 1)).sum()
+                    turn = ep._turn(report.core_plus, report.core_minus, report.n_curves)
+                    assert abs(turn - whole) <= 1e-9
+                    assert report.winding_number == int(round(whole / (2.0 * math.pi)))
+                    curves.add((report.n_curves, report.winding_number))
+        assert curves == {(1, 1), (2, 0)}
+
     def test_loop_spec_validation(self):
         with pytest.raises(DimensionError):
             ep.LoopSpec(a=0.0, b=0.0, r=-1.0)

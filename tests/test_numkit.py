@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigencoupling import numkit
 from eigencoupling.errors import DimensionError, FrameError
@@ -190,6 +191,12 @@ class TestSolveOnComplement:
         assert np.linalg.norm(basis @ coeffs - x) < 1e-10
 
 
+#: real and imaginary parts of assignment inputs: a few values, so that costs
+#: tie and eigenvalues repeat, the extremes, whose costs overflow, and any double
+PART = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e308, -1e308, np.finfo(float).max]
+                       ) | st.floats(allow_nan=False, allow_infinity=False)
+
+
 def brute_force_assignment(values, targets):
     costs = sorted(
         (abs(values[i] - targets[0]) + abs(values[j] - targets[1]), i, j)
@@ -220,6 +227,31 @@ class TestPairAssignment:
         i, j, margin = numkit.pair_assignment(values, [[0.0, 0.0]])
         assert (i[0], j[0]) == (0, 2)
         assert margin[0] == pytest.approx(0.0)
+
+    @settings(max_examples=400)
+    @given(st.integers(2, 10).flatmap(lambda m: st.lists(
+        st.builds(complex, PART, PART), min_size=m + 2, max_size=m + 2)))
+    def test_one_row_matches_batched(self, numbers):
+        """One spectrum goes through ``_assign_row``; the same row twice
+        goes through the batched arrays, which must give the same bits."""
+        values, targets = np.array([numbers[:-2]]), np.array([numbers[-2:]])
+        one = numkit.pair_assignment(values, targets)
+        batched = numkit.pair_assignment(np.repeat(values, 2, axis=0),
+                                         np.repeat(targets, 2, axis=0))
+        for got, want in zip(one, batched):
+            assert got.dtype == want.dtype and got.shape == (1,)
+            assert got.tobytes() == want[:1].tobytes()
+
+    def test_one_row_ties_and_overflow(self):
+        big = np.finfo(float).max
+        values = np.array([[1.0, 1.0, 2.0, 2.0]], dtype=complex)
+        assert [x.tolist() for x in numkit.pair_assignment(values, [[1.0, 2.0]])] == [
+            [0], [2], [0.0]]
+        values = np.array([[1e308, -1e308]], dtype=complex)
+        assert [x.tolist() for x in numkit.pair_assignment(values, [[-1e308, -1e308]])] == [
+            [0], [1], [0.0]]
+        assert [x.tolist() for x in numkit.pair_assignment(values, [[-1e308, 1e308]])] == [
+            [1], [0], [big]]
 
     def test_overflowing_costs(self):
         # a cost past the largest double counts as the largest double: two
