@@ -556,6 +556,7 @@ _FLAGS = (
     ("--config", {"help": "JSON config file; flags override it"}),
 )
 
+#: the ``add_argument`` keywords of each flag, by flag
 _FLAG_KEYWORDS = dict(_FLAGS)
 
 #: a flag value that starts like a negative number: "-0.1,0.1", "-.5", "-1e-3"

@@ -4,11 +4,12 @@ two planted families beyond 3x3.
 The files under ``tests/golden/`` hold what the CLI printed or wrote for
 each case below. The planted families under ``tests/families/`` are
 A(p) = S (J + p1 B1 + p2 B2) S^-1 with J = diag(0.5 + 0.2i, 0.5 + 0.2i,
-2 + 1.5ik for k = 1..m-2), S = I + 0.2 (X + iY), B1 = X + iY and B2 = X + iY,
-every X and Y a standard normal m x m draw of ``numpy.random.default_rng(12)``
-in that order (the construction of ``test_cli.planted_ep_family``): ``planted-ep-m10`` with
-J[0, 1] = 1, an exceptional point at p = (0, 0), and ``planted-dp-m6``, a
-diabolic point there. JSON reports and loop files must match byte for byte.
+2 + 1.5ik for k = 1..m-2), S = I + 0.2 (X + iY), B1 = X + iY and
+B2 = X + iY, every X and Y a standard normal m x m draw of
+``numpy.random.default_rng(12)`` in that order (the construction of
+``test_cli.planted_ep_family``): ``planted-ep-m10`` with J[0, 1] = 1, an
+exceptional point at p = (0, 0), and ``planted-dp-m6``, a diabolic point
+there. JSON reports and loop files must match byte for byte.
 Surface grids and cross-section CSVs are compared to 1e-12 relative to
 max(1, |value|): batched evaluation may change the floating-point summation
 order and with it the last bits. Every case also runs twice, and both runs
