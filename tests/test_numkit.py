@@ -242,11 +242,8 @@ class TestPairAssignment:
             assert got.dtype == want.dtype and got.shape == (1,)
             assert got.tobytes() == want[:1].tobytes()
 
-    def test_one_row_ties_and_overflow(self):
+    def test_one_row_overflowing_costs(self):
         big = np.finfo(float).max
-        values = np.array([[1.0, 1.0, 2.0, 2.0]], dtype=complex)
-        assert [x.tolist() for x in numkit.pair_assignment(values, [[1.0, 2.0]])] == [
-            [0], [2], [0.0]]
         values = np.array([[1e308, -1e308]], dtype=complex)
         assert [x.tolist() for x in numkit.pair_assignment(values, [[-1e308, -1e308]])] == [
             [0], [1], [0.0]]
