@@ -23,11 +23,9 @@ from .degeneracy import (
     classify,
     codimension,
     dp_frame,
-    dp_frame_of,
     find_double_eigenvalues,
     find_ep,
     jordan_chain,
-    jordan_chain_of,
 )
 from .dp_asymptotics import (
     DPLocalModel,

@@ -372,8 +372,8 @@ def _window_axes(window, res):
 def _local_model(fam, p0, kind):
     """The EP or DP local model of the classified anchor cluster."""
     if kind.kind == "EP":
-        return ep_asymptotics.sensitivities(fam, degeneracy.jordan_chain_of(kind), p0)
-    return dp_asymptotics.dp_sensitivities(fam, degeneracy.dp_frame_of(kind), p0)
+        return ep_asymptotics.sensitivities(fam, degeneracy.jordan_chain(kind), p0)
+    return dp_asymptotics.dp_sensitivities(fam, degeneracy.dp_frame(kind), p0)
 
 
 @functools.cache
@@ -534,7 +534,7 @@ _DEFAULTS = {
     "window": "-0.1,0.1",
     "res": 41,
     "tol_cluster": degeneracy.DEFAULT_CLUSTER_TOL,
-    "tol_rank": numkit.DEFAULT_RANK_TOL,
+    "tol_rank": degeneracy.DEFAULT_RANK_TOL,
     "samples": ep_asymptotics.LoopSpec.samples,
     "format": "json",
 }

@@ -40,6 +40,9 @@ from .pairmodel import coupling
 
 #: Relative eigenvalue-distance threshold for treating a pair as a cluster.
 DEFAULT_CLUSTER_TOL = 1e-6
+#: Rank threshold of ``classify``, relative to sigma_max(A): singular values
+#: of A - lam0 I at or below it count as zero.
+DEFAULT_RANK_TOL = 1e-8
 #: Newton iteration cap of the exceptional-point search.
 DEFAULT_MAX_ITER = 30
 #: Relative pair-gap target of the exceptional-point search.
@@ -62,7 +65,7 @@ class SpectralCluster:
 @dataclass(frozen=True)
 class DegeneracyClass:
     """EP or DP, with the factorisation of A - lam0 I that decided it; the
-    chain and frame builders ``*_of`` reuse it instead of factorising again."""
+    chain and frame builders reuse it instead of factorising again."""
 
     kind: str                     # "EP" | "DP"
     geometric_multiplicity: int
@@ -159,7 +162,7 @@ def find_double_eigenvalues(a, tol_cluster: float = DEFAULT_CLUSTER_TOL):
     return clusters
 
 
-def classify(a, lam0: complex, tol_rank: float = numkit.DEFAULT_RANK_TOL) -> DegeneracyClass:
+def classify(a, lam0: complex, tol_rank: float = DEFAULT_RANK_TOL) -> DegeneracyClass:
     """EP or DP for a (near-)double eigenvalue lam0 of A.
 
     Geometric multiplicity = m - rank(A - lam0 I); multiplicity 1 is an EP
@@ -237,12 +240,7 @@ def _chain_head(shifted: numkit.SVD):
     return u0, u1, v0 * np.conj(1.0 / scale)
 
 
-def jordan_chain(a, lam0: complex) -> JordanChain:
-    """Jordan chain (u0, u1, v0, v1) of a defective double eigenvalue lam0 of A."""
-    return jordan_chain_of(classify(a, lam0))
-
-
-def jordan_chain_of(kind: DegeneracyClass) -> JordanChain:
+def jordan_chain(kind: DegeneracyClass) -> JordanChain:
     """Jordan chain (u0, u1, v0, v1) of a double eigenvalue classified as EP.
 
     Construction: (u0, u1, v0) as in ``_chain_head``, and v1 as the
@@ -268,13 +266,7 @@ def jordan_chain_of(kind: DegeneracyClass) -> JordanChain:
     return chain
 
 
-def dp_frame(a, lam0: complex, right_basis=None) -> DPFrame:
-    """Bi-orthonormalized frame (u1, u2, v1, v2) of a semisimple double pair
-    lam0 of A; ``right_basis`` as in ``dp_frame_of``."""
-    return dp_frame_of(classify(a, lam0), right_basis)
-
-
-def dp_frame_of(kind: DegeneracyClass, right_basis=None) -> DPFrame:
+def dp_frame(kind: DegeneracyClass, right_basis=None) -> DPFrame:
     """Bi-orthonormalized frame (u1, u2, v1, v2) of a pair classified as DP.
 
     ``right_basis`` optionally pins the right eigenvectors (two vectors of
@@ -358,7 +350,8 @@ def _converged(a, mean, gap) -> bool:
     if gap <= EP_GAP_TOL * (1.0 + abs(mean)):
         return True
     frobenius = math.sqrt(np.vdot(a, a).real)     # inf, silently, where it overflows
-    return gap <= 1.01 * _EPS_FLOOR * frobenius and gap <= _EPS_FLOOR * numkit.singular_values(a)[0]
+    return (gap <= 1.01 * _EPS_FLOOR * frobenius
+            and gap <= _EPS_FLOOR * np.linalg.svd(a, compute_uv=False)[0])
 
 
 # overflow is refused as DimensionError or a non-finite point, not warned about

@@ -41,7 +41,6 @@ from .errors import (
     ChartError,
     DegenerateModelError,
     DimensionError,
-    ModelError,
     ResolutionError,
 )
 from .numkit import as_cmatrix
@@ -154,7 +153,7 @@ def curve_split(chain: JordanChain, a0, a1) -> EPCurveSplit:
     m = a0.shape[0]
     bordered = a0 - chain.lam0 * np.eye(m) + np.outer(chain.u1, chain.v1.conj())
     if np.linalg.cond(bordered) > 1e10:
-        raise ModelError("bordered matrix A0 - lam0 I + u1 v1* is numerically singular")
+        raise DegenerateModelError("bordered matrix A0 - lam0 I + u1 v1* is numerically singular")
     correction = np.linalg.solve(bordered, a1 @ chain.u0)
     lam0, u0, u1 = chain.lam0, chain.u0, chain.u1
     linear_term = mu1 * u0 + mu2 * u1 - correction

@@ -67,10 +67,6 @@ class ResolutionError(EigenCouplingError):
     """Sampled trajectory too coarse for reliable branch tracking."""
 
 
-class ModelError(EigenCouplingError):
-    """Local model cannot be built (e.g. numerically singular bordered matrix)."""
-
-
 class ChartError(EigenCouplingError):
     """Requested form needs a different parameter ordering/chart."""
 
@@ -80,4 +76,5 @@ class BranchError(EigenCouplingError):
 
 
 class DegenerateModelError(EigenCouplingError):
-    """Local model is degenerate for the requested construction (e.g. g = 0)."""
+    """Local model is degenerate for the requested construction (e.g. g = 0,
+    or a numerically singular bordered matrix)."""

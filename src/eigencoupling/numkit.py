@@ -22,10 +22,6 @@ import numpy as np
 
 from .errors import DimensionError, FrameError, NumericError
 
-#: Default relative threshold (w.r.t. the largest singular value) separating
-#: "numerically zero" from "numerically nonzero" singular values.
-DEFAULT_RANK_TOL = 1e-8
-
 
 def as_cmatrix(a) -> np.ndarray:
     """Coerce to a finite square 2-d complex128 array."""
@@ -106,11 +102,6 @@ def eig_all(a) -> EigenSet:
     return EigenSet(values=w, vectors=np.column_stack(cols))
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values in descending order."""
-    return np.linalg.svd(as_cmatrix(a), compute_uv=False)
-
-
 class SVD:
     """A matrix with its full singular value decomposition, from one LAPACK call.
 
@@ -136,7 +127,7 @@ class SVD:
         The returned x is orthogonal to that vector; FrameError where a
         singular value has no finite reciprocal. The residual M x - b is not
         checked: away from a double eigenvalue b need not lie in the
-        range of M, and ``degeneracy.jordan_chain_of`` checks the chain
+        range of M, and ``degeneracy.jordan_chain`` checks the chain
         equations it needs to hold.
         """
         inv = np.zeros_like(self.s)

@@ -27,7 +27,7 @@ def crystal2():
 def ep_chain(crystal1):
     a0 = family_mod.evaluate(crystal1, [0.0, 0.0])
     cluster = degeneracy.find_double_eigenvalues(a0)[0]
-    return a0, cluster, degeneracy.jordan_chain(a0, cluster.center)
+    return a0, cluster, degeneracy.jordan_chain(degeneracy.classify(a0, cluster.center))
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +42,8 @@ def dp_frame_pinned(crystal2):
     cluster = degeneracy.find_double_eigenvalues(a0)[0]
     e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    return a0, cluster, degeneracy.dp_frame(a0, cluster.center, right_basis=[e1, e2])
+    return a0, cluster, degeneracy.dp_frame(degeneracy.classify(a0, cluster.center),
+                                            right_basis=[e1, e2])
 
 
 @pytest.fixture(scope="session")

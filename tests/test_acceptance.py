@@ -62,7 +62,7 @@ def ex1():
         crystal_optics.builtin_specs()["crystal-example-1"])
     a0 = family_mod.evaluate(fam, [0.0, 0.0])
     cluster = find_double_eigenvalues(a0)[0]
-    chain = degeneracy.jordan_chain(a0, cluster.center)
+    chain = degeneracy.jordan_chain(degeneracy.classify(a0, cluster.center))
     model = ep_asymptotics.sensitivities(fam, chain, [0.0, 0.0])
     return fam, a0, cluster, chain, model
 
@@ -157,7 +157,7 @@ def test_criterion_03_example1_surfaces(ex1):
 def test_criterion_04_example2_coupling_vectors(ex2):
     fam, a0, cluster = ex2
     pinned = degeneracy.dp_frame(
-        a0, cluster.center,
+        degeneracy.classify(a0, cluster.center),
         right_basis=[np.array([1, 0, 0], complex), np.array([0, 1, 0], complex)])
     assert np.allclose(pinned.v1, EX2_V1, atol=1e-10)
     assert np.allclose(pinned.v2, EX2_V2, atol=1e-10)
@@ -167,11 +167,12 @@ def test_criterion_04_example2_coupling_vectors(ex2):
 
     # frame-invariant check: c coefficients from arbitrary frames
     rng = np.random.default_rng(101)
-    frames = [degeneracy.dp_frame(a0, cluster.center)]
+    frames = [degeneracy.dp_frame(degeneracy.classify(a0, cluster.center))]
     for _ in range(3):
         t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) + 2 * np.eye(2)
         basis = np.column_stack((pinned.u1, pinned.u2)) @ t
-        frames.append(degeneracy.dp_frame(a0, cluster.center, right_basis=basis.T))
+        frames.append(degeneracy.dp_frame(degeneracy.classify(a0, cluster.center),
+                                          right_basis=basis.T))
     for frame in frames:
         other = dp_asymptotics.dp_sensitivities(fam, frame, [0.0, 0.0])
         rep = dp_asymptotics.surface_classification_2p(other)
@@ -185,7 +186,7 @@ def test_criterion_04_example2_coupling_vectors(ex2):
 def test_criterion_05_example2_surfaces(ex2):
     fam, a0, cluster = ex2
     pinned = degeneracy.dp_frame(
-        a0, cluster.center,
+        degeneracy.classify(a0, cluster.center),
         right_basis=[np.array([1, 0, 0], complex), np.array([0, 1, 0], complex)])
     model = dp_asymptotics.dp_sensitivities(fam, pinned, [0.0, 0.0])
     rng = np.random.default_rng(103)

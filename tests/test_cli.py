@@ -414,7 +414,7 @@ class TestThreadedSurface:
         fam = cli._load_family(family)
         p0 = np.zeros(2)
         _, kind = cli._anchor_cluster(fam, p0, degeneracy.DEFAULT_CLUSTER_TOL,
-                                      numkit.DEFAULT_RANK_TOL)
+                                      degeneracy.DEFAULT_RANK_TOL)
         model = cli._local_model(fam, p0, kind)
         axis = np.linspace(-0.05, 0.05, 61)
         dps = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -704,7 +704,7 @@ class TestScenario:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         fam = family_mod.parse_family(TOY_FAMILY)
         kind = degeneracy.classify(family_mod.evaluate(fam, [0.0, 0.0]), 0.0)
-        model = ep_asymptotics.sensitivities(fam, degeneracy.jordan_chain_of(kind), [0.0, 0.0])
+        model = ep_asymptotics.sensitivities(fam, degeneracy.jordan_chain(kind), [0.0, 0.0])
         assert model.split_im[0] == 0.0
         dps = pairmodel.sweep([0.0])
         assert np.array_equal(rows[:, 0], dps[:, 0])
@@ -1069,6 +1069,9 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
      "--window '-1.5e308,1.5e308' is too wide: hi - lo overflows"),
     (1, ["scenario", "--family", "{offdiag}", "--at", "0,1e-300"],
      "g1 = 0: cross-section formulas need reindexing"),
+    (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop=0.0099,0,0.01",
+         "--samples", "16", "--out", "{tmp}/l.csv"],
+     "branch jump 1.128e-01 at phi=3.142 too large; increase samples (currently 16)"),
 ]
 
 
@@ -1094,7 +1097,8 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     exits 1, and so does a surface grid whose points or window width do; a spectrum whose
     gaps overflow has no cluster there (exit 2 from classify); a Jordan chain whose solve meets a singular value with
     no finite reciprocal exits 2, and one whose u1 is too large to square
-    reaches the section's g1 = 0 refusal (exit 1). A failure prints one error line, with the
+    reaches the section's g1 = 0 refusal (exit 1), and so does a loop whose samples are
+    too coarse to track the pair past the EP. A failure prints one error line, with the
     text that names its cause (singular values formatted alike on every
     numpy), writes no file, and no case warns."""
     families = {"sep": SEPARATED_FAMILY, "ovf": OVERFLOWING_FAMILY, "flat": FLAT_IM_FAMILY,

@@ -142,7 +142,7 @@ class TestClassify:
         a = np.array([[1000.0, 1e-3, 0.0], [1e-7, 1000.0, 0.0], [0.0, 0.0, 1005.0]])
         kind = degeneracy.classify(a, 1000.0)
         assert kind.kind == "EP"
-        assert max(chain_residuals(a, degeneracy.jordan_chain_of(kind))) < 1e-5
+        assert max(chain_residuals(a, degeneracy.jordan_chain(kind))) < 1e-5
 
     def test_indeterminate_rank(self):
         with pytest.raises(IndeterminateRankError) as err:
@@ -163,7 +163,7 @@ class TestClassify:
 
 class TestJordanChain:
     def test_two_by_two_block(self):
-        chain = degeneracy.jordan_chain(JORDAN_2, 2.0)
+        chain = degeneracy.jordan_chain(degeneracy.classify(JORDAN_2, 2.0))
         assert np.allclose(chain.u0, [1.0, 0.0])
         assert np.allclose(chain.u1, [0.0, 1.0])
         assert np.allclose(chain.v0, [0.0, 1.0])
@@ -186,7 +186,7 @@ class TestJordanChain:
             [0.0, lam0, 0.0],
             [0.0, 0.0, mu],
         ])
-        chain = degeneracy.jordan_chain(a, lam0)
+        chain = degeneracy.jordan_chain(degeneracy.classify(a, lam0))
         assert np.allclose(chain.u0, [1.0, 0.0, 0.0])
         assert np.allclose(chain.u1, [0.0, 1.0, 0.0])
         assert np.allclose(chain.v0, [0.0, 1.0, 0.0])
@@ -194,7 +194,7 @@ class TestJordanChain:
 
     def test_dp_input_rejected(self):
         with pytest.raises(ClassificationError):
-            degeneracy.jordan_chain(2.0 * np.eye(2), 2.0)
+            degeneracy.jordan_chain(degeneracy.classify(2.0 * np.eye(2), 2.0))
 
     def test_simple_eigenvalue_has_no_chain(self):
         # a one-dimensional kernel but no Jordan block: the unit kernel
@@ -209,7 +209,7 @@ class TestJordanChain:
         assert kind.kind == "EP"
         with np.errstate(all="raise"):
             with pytest.raises(FrameError, match="vanishes"):
-                degeneracy.jordan_chain_of(kind)
+                degeneracy.jordan_chain(kind)
 
     @pytest.mark.parametrize("delta, error", [
         (0.0, None), (1e-6, None), (1e-4, IndeterminateRankError),
@@ -257,12 +257,12 @@ class TestDPFrame:
         return max(pairs)
 
     def test_scalar_matrix(self):
-        frame = degeneracy.dp_frame(2.0 * np.eye(2), 2.0)
+        frame = degeneracy.dp_frame(degeneracy.classify(2.0 * np.eye(2), 2.0))
         assert self.frame_residuals(2.0 * np.eye(2), frame) < 1e-12
 
     def test_block_diagonal(self):
         a = np.diag([3.0 + 1j, 3.0 + 1j, 7.0])
-        frame = degeneracy.dp_frame(a, 3.0 + 1j)
+        frame = degeneracy.dp_frame(degeneracy.classify(a, 3.0 + 1j))
         assert self.frame_residuals(a, frame) < 1e-12
         span = np.column_stack((frame.u1, frame.u2))
         assert np.linalg.norm(span[2, :]) < 1e-12
@@ -287,25 +287,25 @@ class TestDPFrame:
         for _ in range(5):
             q = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 3 * np.eye(3)
             a = q @ np.diag([lam0, lam0, mu]) @ np.linalg.inv(q)
-            frame = degeneracy.dp_frame(a, lam0)
+            frame = degeneracy.dp_frame(degeneracy.classify(a, lam0))
             assert self.frame_residuals(a, frame) <= 1e-8 * np.linalg.norm(a, 2)
 
     def test_ep_input_rejected(self):
         with pytest.raises(ClassificationError):
-            degeneracy.dp_frame(JORDAN_2, 2.0)
+            degeneracy.dp_frame(degeneracy.classify(JORDAN_2, 2.0))
 
     def test_pinned_vector_outside_eigenspace_refused(self, dp_frame_pinned):
         # e3 is no eigenvector of crystal-example-2's A0: ||(A0 - lam0 I) e3|| = sqrt(55)
         a0 = dp_frame_pinned[0]
         e1, e3 = np.eye(3, dtype=complex)[[0, 2]]
         with pytest.raises(FrameError, match=r"7\.416"):
-            degeneracy.dp_frame(a0, 1 + 5j, right_basis=[e1, e3])
+            degeneracy.dp_frame(degeneracy.classify(a0, 1 + 5j), right_basis=[e1, e3])
 
     def test_pinned_basis_needs_two_rows(self, dp_frame_pinned):
         a0 = dp_frame_pinned[0]
         columns = np.eye(3, dtype=complex)[:, :2]
         with pytest.raises(FrameError, match="two vectors"):
-            degeneracy.dp_frame(a0, 1 + 5j, right_basis=columns)
+            degeneracy.dp_frame(degeneracy.classify(a0, 1 + 5j), right_basis=columns)
 
 
 class TestCodimension:
@@ -394,22 +394,19 @@ class TestFindEP:
         through the floor, so only its last probe takes one, and every
         accepted step takes one more for its Jacobian."""
         probes, svds = [], []       # probes: [A, took the floor SVD], in order
-        eigvals, singular_values, svd = numkit.eigvals, numkit.singular_values, np.linalg.svd
+        eigvals, svd = numkit.eigvals, np.linalg.svd
 
         def recording_eigvals(a):
             probes.append([a, False])
             return eigvals(a)
 
-        def recording_singular_values(a):
-            probes[-1][1] = True
-            return singular_values(a)
-
-        def counting_svd(*args, **kwargs):
+        def counting_svd(*args, compute_uv=True, **kwargs):
             svds.append(1)
-            return svd(*args, **kwargs)
+            if not compute_uv:      # the floor's sigma_max(A); a Jacobian takes the vectors
+                probes[-1][1] = True
+            return svd(*args, compute_uv=compute_uv, **kwargs)
 
         monkeypatch.setattr(numkit, "eigvals", recording_eigvals)
-        monkeypatch.setattr(numkit, "singular_values", recording_singular_values)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         result = degeneracy.find_ep(crystal1, [0.05, -0.03])
         gaps = result.residual_history
@@ -430,7 +427,7 @@ class TestFindEP:
             m = int(rng.integers(2, 6))
             u, v = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
             a = np.outer(u, v.conj()) * (3 / np.linalg.norm(u) / np.linalg.norm(v))
-            sigma_max = numkit.singular_values(a)[0]
+            sigma_max = np.linalg.svd(a, compute_uv=False)[0]
             norm_below += np.linalg.norm(a) < sigma_max
             floor = degeneracy._EPS_FLOOR * sigma_max
             assert floor > degeneracy.EP_GAP_TOL        # the floor decides at mean 0
@@ -442,7 +439,7 @@ class TestFindEP:
         """||A||_F overflows once an entry passes about 1e154; its infinite
         bound leaves the decision to sigma_max(A), without a warning."""
         a = np.array([[0.0, 1e160], [1e-160, 0.0]], dtype=complex)
-        floor = degeneracy._EPS_FLOOR * numkit.singular_values(a)[0]
+        floor = degeneracy._EPS_FLOOR * np.linalg.svd(a, compute_uv=False)[0]
         assert degeneracy._converged(a, 0.0, floor)
         assert not degeneracy._converged(a, 0.0, 2.0 * floor)
 
@@ -468,7 +465,7 @@ class TestDPFrameScalarMatrix:
         a = planted_scalar_dp()
         cluster = degeneracy.find_double_eigenvalues(a)[0]
         assert degeneracy.classify(a, cluster.center).kind == "DP"
-        frame = degeneracy.dp_frame(a, cluster.center)
+        frame = degeneracy.dp_frame(degeneracy.classify(a, cluster.center))
         gram = np.array([[hermitian_inner(u, v) for u in (frame.u1, frame.u2)]
                          for v in (frame.v1, frame.v2)])
         assert np.allclose(gram, np.eye(2), atol=1e-12)

@@ -494,7 +494,7 @@ class TestFrameInvariance:
         t = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         t += 2 * np.eye(2)
         u_new = np.column_stack((frame.u1, frame.u2)) @ t
-        new_frame = degeneracy.dp_frame(a0, frame.lam0, right_basis=u_new.T)
+        new_frame = degeneracy.dp_frame(degeneracy.classify(a0, frame.lam0), right_basis=u_new.T)
         return dp.dp_sensitivities(fam, new_frame, [0.0, 0.0])
 
     def test_pair_values_invariant(self, crystal2, dp_frame_pinned, dp_model_pinned):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ TOY_A1 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
 
 def toy_chain():
-    return degeneracy.jordan_chain(TOY_A0, 0.0)
+    return degeneracy.jordan_chain(degeneracy.classify(TOY_A0, 0.0))
 
 
 def toy_model():
@@ -84,6 +85,12 @@ class TestCurveSplit:
         assert split.mu1 == pytest.approx(0.0)
         assert split.mu2 == pytest.approx(0.0)
         assert split.lam_plus(0.01) == pytest.approx(chain.lam0)
+
+    def test_singular_bordered_matrix_refused(self):
+        # u1 = 0 leaves the bordered matrix A0 - lam0 I + u1 v1* = A0, a nilpotent block
+        chain = dataclasses.replace(toy_chain(), u1=np.zeros(2, dtype=complex))
+        with pytest.raises(DegenerateModelError, match="bordered matrix"):
+            ep.curve_split(chain, TOY_A0, TOY_A1)
 
 
 class TestSensitivities:
@@ -659,7 +666,7 @@ class TestGenericFamilyPipeline:
     def test_model_error_shrinks_at_three_halves_order(self):
         for seed in (7, 19):
             fam, a0, lam0 = self.build_family(seed)
-            chain = degeneracy.jordan_chain(a0, lam0)
+            chain = degeneracy.jordan_chain(degeneracy.classify(a0, lam0))
             model = ep.sensitivities(fam, chain, [0.0, 0.0])
             rng = np.random.default_rng(seed + 1)
             directions = [d / np.linalg.norm(d) for d in rng.normal(size=(4, 2))]
