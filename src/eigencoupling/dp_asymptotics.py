@@ -34,7 +34,8 @@ from . import family as family_mod
 from .degeneracy import DPFrame
 from .errors import ChartError, DimensionError
 from .numkit import as_cmatrix
-from .pairmodel import PairPoint, coupling, offsets, pair_at, projection, rest_offsets
+from .pairmodel import (PairPoint, _linear, coupling, offsets, pair_at, projection,
+                        rest_offsets)
 
 #: Relative tolerance of the DP scenarios: a quantity within it of the sum
 #: of the terms it is made of counts as zero (see ``_zero_lines``).
@@ -72,9 +73,9 @@ class DPLocalModel:
     def pair_terms(self, dps):
         """Pair mean lam0 + <d11 + d22, dp>/2 and radicand c at (N, n) offsets."""
         d = self.coupling
-        diff = dps @ (d[0, 0] - d[1, 1])
-        radicand = diff * diff / 4.0 + (dps @ d[0, 1]) * (dps @ d[1, 0])
-        return self.lam0 + dps @ (d[0, 0] + d[1, 1]) / 2.0, radicand
+        diff = _linear(dps, d[0, 0] - d[1, 1])
+        radicand = diff * diff / 4.0 + _linear(dps, d[0, 1]) * _linear(dps, d[1, 0])
+        return self.lam0 + _linear(dps, d[0, 0] + d[1, 1]) / 2.0, radicand
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,8 @@ from .errors import (
     ResolutionError,
 )
 from .numkit import as_cmatrix
-from .pairmodel import (PairPoint, coupling, offsets, pair_at, projection, rest_offsets,
-                        sheets, sweep)
+from .pairmodel import (PairPoint, _linear, coupling, offsets, pair_at, projection,
+                        rest_offsets, sheets, sweep)
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class EPLocalModel:
 
     def pair_terms(self, dps):
         """Pair mean lam0 + <drift, dp>/2 and radicand F + iG at (N, n) offsets."""
-        return (self.lam0 + dps @ (0.5 * (self.drift_re + 1j * self.drift_im)),
-                dps @ (self.split_re + 1j * self.split_im))
+        return (self.lam0 + _linear(dps, 0.5 * (self.drift_re + 1j * self.drift_im)),
+                _linear(dps, self.split_re + 1j * self.split_im))
 
 
 @dataclass(frozen=True)

@@ -144,18 +144,36 @@ class PolynomialFamily:
             out += np.multiply(coeff, monomial, out=term)
         return out
 
+    # a coefficient C_t e_i that overflows is refused by derivative's check
     @np.errstate(over="ignore", invalid="ignore")
+    def _partial(self, i: int):
+        """The i-th partial polynomial (terms with e_i > 0, coefficient C_t
+        e_i, e_i - 1), or, where all its exponents are 0, the matrix its
+        ``value`` takes at every point: its coefficients summed from zeros in
+        term order. (``value`` multiplies each by the monomial 1.0 first;
+        that moves no bit of a finite sum started from +0.)"""
+        partial = PolynomialFamily(self.dim, self.n_params, tuple(
+            (coeff * exps[i], exps[:i] + (exps[i] - 1,) + exps[i + 1:])
+            for coeff, exps in self.terms if exps[i] > 0))
+        if any(any(exps) for _, exps in partial.terms):
+            return partial
+        constant = np.zeros((self.dim, self.dim), dtype=complex)
+        for coeff, _ in partial.terms:
+            constant += coeff
+        return constant
+
     def to_family(self) -> MatrixFamily:
         """The MatrixFamily of ``value``; dA/dp_i is ``value`` of the i-th
-        partial polynomial (terms with e_i > 0, coefficient C_t e_i, e_i - 1)."""
-        partials = [
-            PolynomialFamily(self.dim, self.n_params, tuple(
-                (coeff * exps[i], exps[:i] + (exps[i] - 1,) + exps[i + 1:])
-                for coeff, exps in self.terms if exps[i] > 0))
-            for i in range(self.n_params)
-        ]
-        return MatrixFamily(self.dim, self.n_params, evaluator=self.value,
-                            deriv=lambda p, i: partials[i].value(p))
+        partial polynomial, built on the first dA/dp_i (see ``_partial``)."""
+        partials = [None] * self.n_params
+
+        def deriv(p, i):
+            if partials[i] is None:
+                partials[i] = self._partial(i)
+            partial = partials[i]
+            return partial.copy() if isinstance(partial, np.ndarray) else partial.value(p)
+
+        return MatrixFamily(self.dim, self.n_params, evaluator=self.value, deriv=deriv)
 
 
 def _require(cond, path, message):

@@ -75,6 +75,19 @@ def coupling(fam, p0, us, vs) -> np.ndarray:
     return out
 
 
+def _linear(dps, coeffs) -> np.ndarray:
+    """sum_s dps[:, s] coeffs[s] at (N, n) offsets, summed from +0 in
+    parameter order on numpy's own loops, so that the bits depend neither on
+    the BLAS library nor on its thread count. For n <= 3 and N >= 2 they are
+    those of ``dps @ coeffs`` on OpenBLAS; from n = 4 on its blocked sums may
+    round otherwise, and a single offset goes to its dot, which may fuse
+    multiply-adds."""
+    total = 0.0
+    for s, coeff in enumerate(coeffs.tolist()):
+        total = total + dps[:, s] * coeff
+    return total
+
+
 def offsets(model, dps) -> np.ndarray:
     """Parameter offsets as an (N, n) float array; one offset (n,) gives N = 1."""
     arr = np.asarray(dps, dtype=float)

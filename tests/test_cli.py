@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from eigencoupling import cli, degeneracy, dp_asymptotics, ep_asymptotics, numkit, pairmodel
 from eigencoupling import family as family_mod
+from eigencoupling.errors import FamilyParseError
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 
@@ -1131,6 +1132,43 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+#: a family document with a JSON syntax error on its fifth line
+BROKEN_FAMILY = (b'{\n  "m": 2,\n  "n": 1,\n  "terms": [\n'
+                 b'    {"exp": [0] "re": [[0, 1], [0, 0]]}\n  ]\n}\n')
+BROKEN_JSON = "not valid JSON: Expecting ',' delimiter: line 5 column 17 (char 51)"
+
+
+@pytest.mark.parametrize("flag,doc,error", [
+    ("--family", BROKEN_FAMILY, "$: " + BROKEN_JSON),
+    ("--family", BROKEN_FAMILY.replace(b"\n", b"\r\n"), "$: " + BROKEN_JSON),
+    ("--family", BROKEN_FAMILY.replace(b"\n", b"\r"), "$: " + BROKEN_JSON),
+    ("--config", BROKEN_FAMILY.replace(b"\n", b"\r\n"), "config file is " + BROKEN_JSON),
+    ("--family", b'{"m": 2, "n": 1, "terms": [' + b" " * 9000 + '"caf\u00e9"]}'.encode("latin-1"),
+     "cannot read '{path}': 'utf-8' codec can't decode byte 0xe9 in position 9031: "
+     "invalid continuation byte"),
+], ids=["lf", "crlf", "cr", "config-crlf", "latin1-9k"])
+def test_files_read_as_text_mode_reads_them(flag, doc, error, capsys, tmp_path):
+    """A family or config file is read as bytes and decoded once, CR and
+    CR LF as LF: the positions of a JSON error, and of a byte that is not
+    UTF-8 past the 8 KiB a text-mode reader decodes at a time, are those a
+    file opened in text mode gives."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(doc)
+    with open(path, encoding="utf-8") as handle:    # the text-mode reader, as the oracle
+        try:
+            oracle = family_mod.parse_family(handle.read())
+        except UnicodeDecodeError as exc:
+            oracle = f"cannot read '{path}': {exc}"
+        except FamilyParseError as exc:
+            oracle = BROKEN_JSON if flag == "--config" else str(exc)
+    error = error.replace("{path}", str(path))
+    assert error.endswith(oracle)
+    argv = ["classify", flag, str(path)] + (["--family", "crystal-example-1"] if flag == "--config"
+                                            else []) + ["--at", "0,0"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("command,allocator,flags", [
     ("surface", "meshgrid", ["--window=-0.1,0.1", "--res", "100000"]),
     ("loop", "linspace", ["--loop", "0,0,0.01", "--samples", "1000000000"]),
@@ -1150,8 +1188,9 @@ def test_allocation_failure_exit_one(command, allocator, flags, capsys, tmp_path
 
 
 def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch, tmp_path):
-    """classify factorises A - lam0 I and takes sigma_max(A); the chain or
-    frame reads both its sides from that factorisation and adds no SVD."""
+    """classify factorises A - lam0 I and reads sigma_max(A) from its bounds
+    by ||A||_F; the chain or frame reads both its sides from that
+    factorisation, and at the crystals' anchors adds no SVD."""
     svd = np.linalg.svd
     calls = []
 
@@ -1160,7 +1199,7 @@ def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch, tmp_path):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    limits = {"classify": 2, "scenario": 2, "surface": 2, "loop": 2}
+    limits = {"classify": 1, "scenario": 1, "surface": 1, "loop": 1}
     flags = {"surface": ["--res", "3", "--out", str(tmp_path / "s.csv")],
              "loop": ["--loop", "0,0,0.01", "--out", str(tmp_path / "l.csv")]}
     cases = [(command, crystal) for command in ("classify", "scenario", "surface")

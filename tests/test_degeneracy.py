@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -469,3 +470,226 @@ class TestDPFrameScalarMatrix:
         gram = np.array([[hermitian_inner(u, v) for u in (frame.u1, frame.u2)]
                          for v in (frame.v1, frame.v2)])
         assert np.allclose(gram, np.eye(2), atol=1e-12)
+
+
+class ExactSigmaMax(degeneracy._SigmaMax):
+    """sigma_max(A) with both bounds at the SVD's value, so that every
+    decision is taken against sigma_max(A) itself."""
+
+    def __init__(self, a):
+        super().__init__(a)
+        self.lower = self.upper = self.exact()
+
+
+def classify_by_svd(a, lam0, tol_rank=degeneracy.DEFAULT_RANK_TOL):
+    """``classify`` with the rank threshold always at the SVD's sigma_max(A)."""
+    arr = numkit.as_cmatrix(a)
+    shifted = numkit.SVD(arr - lam0 * np.eye(arr.shape[0]))
+    sigma_max = ExactSigmaMax(arr)
+    threshold = tol_rank * max(sigma_max.exact(), 1e-300)
+    values = shifted.s.tolist()
+    ambiguous = [x for x in values if threshold / 10.0 < x < threshold * 10.0]
+    if ambiguous:
+        raise IndeterminateRankError(
+            f"singular values [{', '.join(f'{x:.3e}' for x in ambiguous)}] within a "
+            f"factor 10 of the rank threshold {threshold:.3e}", singular_values=shifted.s)
+    gm = sum(not x > threshold for x in values)
+    if gm not in (1, 2):
+        raise ClassificationError(
+            f"geometric multiplicity {gm} outside {{1, 2}} for lam0 = {lam0:.6g}")
+    if gm == 1:
+        overlap = abs(shifted.vh[-1] @ shifted.u[:, -1])
+        simple = math.sqrt(tol_rank)
+        if overlap > 10.0 * simple:
+            raise ClassificationError(f"lam0 = {lam0:.6g} is a simple eigenvalue: "
+                                      f"|(u0, v0)| = {overlap:.3e} > 10 x {simple:.3e}")
+        if overlap > simple / 10.0:
+            raise IndeterminateRankError(f"|(u0, v0)| = {overlap:.3e} within a factor 10 of "
+                                         f"the threshold {simple:.3e}", singular_values=shifted.s)
+    return degeneracy.DegeneracyClass(
+        kind="EP" if gm == 1 else "DP", geometric_multiplicity=gm,
+        lam0=complex(lam0), shifted=shifted, sigma_max=sigma_max)
+
+
+def outcome(build, *args):
+    """The bytes of the vectors ``build(*args)`` returns, or its error's type and message."""
+    try:
+        result = build(*args)
+    except (ClassificationError, FrameError, IndeterminateRankError) as exc:
+        return type(exc), str(exc)
+    return [np.asarray(getattr(result, f.name)).tobytes()
+            for f in dataclasses.fields(result)]
+
+
+def pipeline(classify, a, lam0, tol_rank, right_basis):
+    """classify's outcome, then the chain's or the frame's (both frames at a
+    DP with ``right_basis``)."""
+    try:
+        kind = classify(a, lam0, tol_rank)
+    except (ClassificationError, IndeterminateRankError) as exc:
+        return [(type(exc), str(exc))]
+    outcomes = [(kind.kind, kind.geometric_multiplicity, kind.shifted.s.tobytes())]
+    if kind.kind == "EP":
+        outcomes.append(outcome(degeneracy.jordan_chain, kind))
+    else:
+        outcomes.append(outcome(degeneracy.dp_frame, kind))
+        if right_basis is not None:
+            outcomes.append(outcome(degeneracy.dp_frame, kind, right_basis))
+    return outcomes
+
+
+def assert_decides_as_the_svd(monkeypatch, a, lam0, tol_rank=degeneracy.DEFAULT_RANK_TOL,
+                              right_basis=None):
+    """classify, jordan_chain and dp_frame agree with copies that take
+    sigma_max(A) from the SVD and cond(gram) from np.linalg.cond; returns
+    the outcomes."""
+    got = pipeline(degeneracy.classify, a, lam0, tol_rank, right_basis)
+    with monkeypatch.context() as patch:
+        patch.setattr(degeneracy, "_ill_conditioned", lambda g: np.linalg.cond(g) > 1e8)
+        want = pipeline(classify_by_svd, a, lam0, tol_rank, right_basis)
+    assert got == want
+    return got
+
+
+def planted(kind, m, seed):
+    """S J S^-1 in floating point, J with the pair 0.4 - 0.3i as a Jordan
+    block (EP) or twice on the diagonal (DP), the rest of its spectrum apart;
+    and S's first two columns, the planted right eigenvectors."""
+    rng = np.random.default_rng(seed)
+    j = np.diag([PLANTED_LAM0] * 2 + [2.0 + k + 1j * k for k in range(m - 2)])
+    if kind == "EP":
+        j[0, 1] = 1.0
+    s = np.eye(m) + 0.3 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return s @ j @ np.linalg.inv(s), s[:, :2].T
+
+
+#: the planted pair
+PLANTED_LAM0 = 0.4 - 0.3j
+
+
+class TestBoundsDecideAsTheSVD:
+    """classify reads sigma_max(A) from its bounds by ||A||_F and the DP
+    frame cond(gram) from ||G||_F^2 / |det G|; both decide as the SVD does."""
+
+    @pytest.mark.parametrize("kind,m", [("EP", 3), ("DP", 3), ("EP", 5), ("DP", 4)])
+    def test_planted_pairs_at_every_scale(self, kind, m, monkeypatch):
+        """Scaled by 2^k, k in [-40, 40], the planted pair is classified
+        with one SVD, of A - lam0 I, and its chain or both its frames are
+        built or refused as the SVD's sigma_max(A) decides. (The chain's
+        residual bound, absolute below sigma_max(A) = 1, refuses the chains of
+        the smallest scales; rounding refuses those of the largest.)"""
+        a, basis = planted(kind, m, seed=m)
+        svd, calls, built = np.linalg.svd, [], 0
+        for k in range(-40, 41):
+            scaled, lam0 = a * 2.0 ** k, PLANTED_LAM0 * 2.0 ** k
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", lambda *args, **kw: (
+                    calls.append(kw) or svd(*args, **kw)))
+                assert degeneracy.classify(scaled, lam0).kind == kind
+            assert calls == [{}]
+            calls.clear()
+            outcomes = assert_decides_as_the_svd(monkeypatch, scaled, lam0, right_basis=basis)
+            built += all(isinstance(o, list) for o in outcomes[1:])
+        assert built > 40
+
+    @pytest.mark.parametrize("tol_rank", [1e-8, 1e-4])
+    def test_singular_value_in_the_widened_band(self, tol_rank, monkeypatch):
+        """A - lam0 I has singular values 2, 1 and delta, sigma_max(A) = 2;
+        delta sweeps the band between the thresholds of the two bounds, where
+        only the SVD decides: zero, ambiguous and nonzero in turn."""
+        seen = set()
+        for delta in np.geomspace(0.1 * tol_rank, 25.0 * tol_rank, 400):
+            a = np.array([[0.0, 1.0, 0.0], [delta, 0.0, 0.0], [0.0, 0.0, 2.0]])
+            seen.add(assert_decides_as_the_svd(monkeypatch, a, 0.0, tol_rank)[0][0])
+        assert seen == {"EP", IndeterminateRankError, ClassificationError}
+
+    def test_rank_one_matrices(self, monkeypatch):
+        """For a rank-one A, ||A||_F can round below sigma_max(A), as in
+        ``test_floor_margin_on_rank_one_matrices``. At lam0 = 0 the singular
+        value sigma_max(A) of A - lam0 I sits on the top of the ambiguity
+        band, 10 tol_rank sigma_max(A), for tol_rank a few ulps from 0.1."""
+        rng = np.random.default_rng(7)
+        norm_below = 0
+        for _ in range(150):
+            m = int(rng.integers(2, 6))
+            u, v = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+            a = np.outer(u, v.conj()) * (3 / np.linalg.norm(u) / np.linalg.norm(v))
+            norm_below += np.linalg.norm(a) < np.linalg.svd(a, compute_uv=False)[0]
+            for ulps in range(-3, 4):
+                assert_decides_as_the_svd(monkeypatch, a, 0.0, 0.1 + ulps * 2.0 ** -56)
+        assert norm_below > 0
+
+    def test_scaled_unitary_matrices(self, monkeypatch):
+        """For A = c Q, Q unitary, ||A||_F / sqrt(m) can round above
+        sigma_max(A). At lam0 = 0 every singular value of A - lam0 I is
+        sigma_max(A), on the bottom of the ambiguity band for tol_rank a few
+        ulps from 10."""
+        rng = np.random.default_rng(13)
+        norm_above = 0
+        for _ in range(150):
+            m = int(rng.integers(2, 6))
+            q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+            a = q * rng.uniform(0.5, 4.0)
+            norm_above += (np.linalg.norm(a) / math.sqrt(m)
+                           > np.linalg.svd(a, compute_uv=False)[0])
+            for ulps in range(-3, 4):
+                assert_decides_as_the_svd(monkeypatch, a, 0.0, 10.0 + ulps * 2.0 ** -49)
+        assert norm_above > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_zero_matrix(self, m, monkeypatch):
+        for lam0 in (0.0, 1e-300, 1.0):
+            assert_decides_as_the_svd(monkeypatch, np.zeros((m, m)), lam0)
+
+    def test_thresholds_that_underflow(self, monkeypatch):
+        """A tolerance so small that a tenth of the threshold rounds to 0:
+        a zero singular value still counts as zero."""
+        for tol_rank in (5e-324, 1e-322, 1e-310, 1e-300):
+            for a in (np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1e-300])):
+                assert_decides_as_the_svd(monkeypatch, a, 0.0, tol_rank)
+
+    def test_frobenius_norm_lost_to_underflow(self, monkeypatch):
+        """Entries whose squares round in the subnormals, by up to half their
+        size, leave ||A||_F no bound (0 and inf): the SVD decides. A - lam0 I
+        = diag(2s, s, 0), with tolerances that put s near the ambiguity band."""
+        for s in np.geomspace(1e-163, 1e-150, 300):
+            for tol_rank in (0.03, 0.045, 0.055, 0.07, 1e-8):
+                assert_decides_as_the_svd(monkeypatch, np.diag([2.0 * s, s, 0.0]), 0.0, tol_rank)
+
+    def test_overflowing_frobenius_norm(self, monkeypatch):
+        """||A||_F is inf, so the bounds are 0 and inf and the SVD decides."""
+        for a, lam0 in [(np.array([[0.0, 1e160], [1e-160, 0.0]]), 0.0),
+                        (np.diag([1e160, 1e160, 1.0]), 1e160),
+                        (np.array([[1e160, 1.0], [0.0, 1e160]]), 1e160),
+                        (np.diag([1e300, 1e300, -1e300]), 1e300)]:
+            assert_decides_as_the_svd(monkeypatch, a, lam0)
+
+    def test_pinned_frames_around_the_cond_threshold(self, monkeypatch):
+        """Right bases u and u + eps w of a planted DP's eigenspace have
+        cond(gram) near 1e8 for eps near 1e-8: both sides of it are decided
+        as np.linalg.cond decides them."""
+        a, (u, w) = planted("DP", 3, seed=3)
+        refused = set()
+        for eps in np.geomspace(1e-9, 1e-5, 400):
+            outcomes = assert_decides_as_the_svd(monkeypatch, a, PLANTED_LAM0,
+                                                 right_basis=[u, u + eps * w])
+            refused.add(outcomes[2] == (FrameError, "Gram matrix of the candidate "
+                                                    "frames is near singular"))
+        assert refused == {False, True}
+
+    def test_ill_conditioned_is_cond_above_1e8(self):
+        """Random 2x2 matrices with cond = 1e8 (1 + t), |t| <= 1e-6 and
+        densest within the rounding of det G, some 3e-8, of t = 0; scaled by
+        2^k for k in [-40, 40] and to where their squares leave the doubles;
+        singular ones; and the zero matrix."""
+        rng = np.random.default_rng(31)
+        matrices = [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                    np.array([[1e-200, 0.0], [0.0, 1e-300]]), np.diag([1e200, 1e150])]
+        for t in np.concatenate((np.linspace(-1e-6, 1e-6, 101), np.linspace(-3e-8, 3e-8, 401))):
+            q1, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            q2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            g = q1 @ np.diag([1.0, 1.0 / (1e8 * (1.0 + t))]) @ q2
+            matrices += [g * 2.0 ** int(rng.integers(-40, 41)), g * 1e-150, g * 1e150]
+        decided = [degeneracy._ill_conditioned(g) for g in matrices]
+        assert decided == [np.linalg.cond(g) > 1e8 for g in matrices]
+        assert 0 < sum(decided) < len(decided)

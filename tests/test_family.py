@@ -101,6 +101,78 @@ class TestDerivative:
             derivative(fam, [0.0], 1)
 
 
+#: coefficient entries: signed zeros, values whose sums depend on their
+#: order, and values whose partial coefficients C_t e_i overflow
+ENTRY = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.1, 3.0, 1e-16, -2.5e-8, 1e308, -1e308))
+
+
+@st.composite
+def polynomials(draw):
+    """Polynomials of up to 5 terms whose exponents are mostly 0 and 1, so
+    that most partials are constant."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        cells = draw(st.lists(ENTRY, min_size=2 * m * m, max_size=2 * m * m))
+        parts = np.array(cells).reshape(2, m, m)
+        exps = tuple(draw(st.lists(st.sampled_from((0, 0, 1, 1, 2)), min_size=n, max_size=n)))
+        terms.append((parts[0] + 1j * parts[1], exps))
+    return PolynomialFamily(dim=m, n_params=n, terms=tuple(terms))
+
+
+@settings(max_examples=300)
+@given(polynomials(), st.lists(st.sampled_from((0.0, -0.0, 0.5, -1.5, 2.0)),
+                               min_size=3, max_size=3))
+def test_partials_match_value_of_the_partial_polynomial(poly, point):
+    """dA/dp_i, as the family's deriv returns it (non-finite entries too),
+    is bit for bit ``value`` of the i-th partial polynomial, also where the
+    partial is kept as a constant matrix."""
+    fam = poly.to_family()
+    p = np.array(point[:poly.n_params])
+    for i in range(poly.n_params):
+        with np.errstate(over="ignore", invalid="ignore"):
+            partial = PolynomialFamily(poly.dim, poly.n_params, tuple(
+                (coeff * exps[i], exps[:i] + (exps[i] - 1,) + exps[i + 1:])
+                for coeff, exps in poly.terms if exps[i] > 0))
+            want = partial.value(p)
+        assert fam._deriv(p, i).tobytes() == want.tobytes()
+
+
+class TestPartials:
+    def test_built_on_the_first_derivative_only(self, monkeypatch):
+        """Loading and evaluating build no partial; each is built once."""
+        built = []
+        partial = PolynomialFamily._partial
+        monkeypatch.setattr(PolynomialFamily, "_partial",
+                            lambda self, i: built.append(i) or partial(self, i))
+        fam = random_polynomial(np.random.default_rng(3), n=3).to_family()
+        evaluate(fam, [0.1, 0.2, 0.3])
+        family_mod.evaluate_many(fam, np.zeros((4, 3)))
+        assert built == []
+        for i in (2, 0, 2, 2, 0):
+            derivative(fam, [0.1, 0.2, 0.3], i)
+        assert built == [2, 0]
+
+    def test_constant_partial_is_returned_as_a_copy(self):
+        fam = poly_family((C, (0, 0)), (C, (1, 0)), (-C, (1, 0)), (2.0 * C, (0, 1)))
+        first = derivative(fam, [0.5, 0.5], 1)
+        first[:] = 7.0
+        assert np.array_equal(derivative(fam, [-3.0, 2.0], 1), 2.0 * C)
+        assert np.array_equal(derivative(fam, [0.5, 0.5], 0), np.zeros((2, 2)))
+
+    def test_overflowing_partial_coefficient_is_refused_without_warning(self, recwarn):
+        """C_t e_t overflows (1e308 x 2) when the partial is built, on the
+        first dA/dp_i; the derivative refuses it and nothing warns."""
+        fam = poly_family((np.full((2, 2), 1e308), (2,)), (np.full((2, 2), 1e308), (1,)))
+        assert np.isfinite(evaluate(fam, [0.5])).all()
+        with pytest.raises(DimensionError, match=r"dA/dp_0 has non-finite entries"):
+            derivative(fam, [0.5], 0)
+        const = poly_family((np.full((2, 2), 1e308), (1,)), (np.full((2, 2), 1e308), (1,)))
+        with pytest.raises(DimensionError, match=r"dA/dp_0 has non-finite entries"):
+            derivative(const, [0.5], 0)
+        assert not recwarn.list
+
+
 class TestParseFamily:
     DOC = json.dumps({
         "m": 2, "n": 1,

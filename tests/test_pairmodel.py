@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigencoupling import dp_asymptotics, ep_asymptotics
 from eigencoupling import family as family_mod
@@ -132,3 +133,64 @@ def test_coupling_matches_per_derivative_reference(m, n):
     got = dp_asymptotics.dp_sensitivities(fam, frame, p0).coupling
     assert got.shape == (2, 2, n)
     assert got.tobytes() == reference_dp_coupling(fam, frame, p0).tobytes()
+
+
+#: offset and coefficient parts: signed zeros, and values across scales
+PART = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.3, -2.5, 1e-7, 3e5, -1e-300, 1e200))
+
+
+@st.composite
+def pair_models(draw):
+    """An EP or a DP local model of 1 to 3 parameters and 2 to 20 offsets."""
+    n, rows = draw(st.integers(1, 3)), draw(st.integers(2, 20))
+    parts = lambda size: np.array(draw(st.lists(PART, min_size=size, max_size=size)))  # noqa: E731
+    dps = parts(rows * n).reshape(rows, n)
+    lam0 = complex(*parts(2))
+    if draw(st.booleans()):
+        model = ep_asymptotics.EPLocalModel(np.zeros(n), lam0, *parts(4 * n).reshape(4, n))
+    else:
+        coupling = (parts(4 * n) + 1j * parts(4 * n)).reshape(2, 2, n)
+        model = dp_asymptotics.DPLocalModel(np.zeros(n), lam0, coupling)
+    return model, dps
+
+
+def pair_terms_by_blas(model, dps):
+    """``pair_terms`` as it reads with each linear form a matrix product."""
+    if isinstance(model, ep_asymptotics.EPLocalModel):
+        return (model.lam0 + dps @ (0.5 * (model.drift_re + 1j * model.drift_im)),
+                dps @ (model.split_re + 1j * model.split_im))
+    d = model.coupling
+    diff = dps @ (d[0, 0] - d[1, 1])
+    radicand = diff * diff / 4.0 + (dps @ d[0, 1]) * (dps @ d[1, 0])
+    return model.lam0 + dps @ (d[0, 0] + d[1, 1]) / 2.0, radicand
+
+
+@settings(max_examples=400)
+@given(pair_models())
+def test_pair_terms_keep_the_bits_of_the_matrix_product(model_and_offsets):
+    """With up to three parameters, every model in the golden files and the
+    benchmark, and two offsets or more, the sums from +0 in parameter order
+    have the bits of the matrix products they replace, signed zeros
+    included; where a product overflows both are non-finite, which every
+    caller refuses. (From four parameters on BLAS's blocked sums may round
+    otherwise; one offset goes to BLAS's dot, which may fuse multiply-adds.)"""
+    model, dps = model_and_offsets
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = model.pair_terms(dps), pair_terms_by_blas(model, dps)
+    for x, y in zip(got, want):
+        finite = np.isfinite(x)
+        assert np.array_equal(finite, np.isfinite(y))
+        assert x[finite].tobytes() == y[finite].tobytes()
+
+
+@settings(max_examples=200)
+@given(pair_models())
+def test_pair_terms_of_one_offset_are_its_row_of_many(model_and_offsets):
+    """An offset alone gets the bits it gets among others, as a surface
+    block of one point must."""
+    model, dps = model_and_offsets
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = model.pair_terms(dps)
+        for k in range(len(dps)):
+            one = model.pair_terms(dps[k:k + 1])
+            assert [x.tobytes() for x in one] == [x[k:k + 1].tobytes() for x in batch]
