@@ -137,6 +137,24 @@ def scaled_dp_family(s, im01):
          "im": [[0, im01 * s], [0.2 * s, 0]]}]})
 
 
+#: a DP at p = 0 of a 2x2 family over three parameters
+THREE_PARAMETER_DP_FAMILY = json.dumps({
+    "m": 2, "n": 3,
+    "terms": [
+        {"exp": [1, 0, 0], "re": [[1, 0], [0, -1]], "im": [[0, 0], [0, 0]]},
+        {"exp": [0, 1, 0], "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]},
+        {"exp": [0, 0, 1], "re": [[0, 0], [0, 0]], "im": [[0, 1], [1, 0]]},
+    ],
+})
+
+#: diag(-30, 30, 55i): a cluster tolerance that joins -30 and 30 leaves 55i
+#: closer to their mean than they are to each other
+SPREAD_FAMILY = json.dumps({
+    "m": 3, "n": 2,
+    "terms": [{"exp": [0, 0], "re": [[-30, 0, 0], [0, 30, 0], [0, 0, 0]],
+               "im": [[0, 0, 0], [0, 0, 0], [0, 0, 55]]}],
+})
+
 #: a family file in Latin-1, which is not UTF-8
 LATIN1_FAMILY = '{"m": 1, "n": 1, "terms": [], "caf\u00e9": 0}'.encode("latin-1")
 
@@ -1073,6 +1091,27 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
     (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop=0.0099,0,0.01",
          "--samples", "16", "--out", "{tmp}/l.csv"],
      "branch jump 1.128e-01 at phi=3.142 too large; increase samples (currently 16)"),
+    (1, ["surface", "--family", "crystal-example-1", "--at", "0,0", "--res", "1",
+         "--out", "{tmp}/s.csv"], "--res must be at least 2"),
+    (1, ["surface", "--family", "crystal-example-1", "--at", "0,0", "--window=0,1,2",
+         "--out", "{tmp}/s.csv"], "--window needs 'lo,hi' or 'lo1,hi1,lo2,hi2'"),
+    (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop=0,0,0.01"],
+     "loop requires --out for the CSV file"),
+    (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop=0,0",
+         "--out", "{tmp}/l.csv"], "--loop needs exactly three values a,b,r"),
+    (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--offset", "0.01,0.02"],
+     "--offset needs 1 components"),
+    (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--offset", "0.01",
+         "--format", "csv"], "--format csv requires --out"),
+    (1, ["scenario", "--family", "{dp3}", "--at", "0,0,0"],
+     "two-parameter classification needs n = 2; pass --offset for the one-parameter scenario"),
+    (1, ["surface", "--family", "{sep}", "--at", "0.3", "--out", "{tmp}/s.csv"],
+     "surface grids need a two-parameter family"),
+    (1, ["classify", "--config", "{list}"], "config file must hold a JSON object"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "a,b"],
+     "cannot parse --at 'a,b': could not convert string to float: 'a'"),
+    (2, ["classify", "--family", "{spread}", "--at", "0,0", "--tol-cluster", "1.95"],
+     "cluster at 0+0j not isolated: external gap 5.500e+01 <= internal gap 6.000e+01"),
 ]
 
 
@@ -1099,14 +1138,20 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     gaps overflow has no cluster there (exit 2 from classify); a Jordan chain whose solve meets a singular value with
     no finite reciprocal exits 2, and one whose u1 is too large to square
     reaches the section's g1 = 0 refusal (exit 1), and so does a loop whose samples are
-    too coarse to track the pair past the EP. A failure prints one error line, with the
+    too coarse to track the pair past the EP. Exit 1 also for each refusal of
+    a malformed flag value (--res, --window, --loop, --offset, --at), of a
+    command that needs --out without it, of a DP scenario or a surface whose
+    family has not two parameters, and of a config file that holds no JSON
+    object; exit 2 from classify for a cluster that a third eigenvalue sits
+    closer to than its own pair is apart. A failure prints one error line, with the
     text that names its cause (singular values formatted alike on every
     numpy), writes no file, and no case warns."""
     families = {"sep": SEPARATED_FAMILY, "ovf": OVERFLOWING_FAMILY, "flat": FLAT_IM_FAMILY,
                 "one": SCALAR_FAMILY, "dovf": OVERFLOWING_DERIVATIVE_FAMILY,
                 "diag": DIAGONAL_FAMILY, "drift": HUGE_DRIFT_FAMILY,
                 "triple": SCALAR_TRIPLE_FAMILY, "latin1": LATIN1_FAMILY,
-                "offdiag": OFF_DIAGONAL_FAMILY, "dir": None}    # None: a directory
+                "offdiag": OFF_DIAGONAL_FAMILY, "dp3": THREE_PARAMETER_DP_FAMILY,
+                "spread": SPREAD_FAMILY, "list": "[1, 2]", "dir": None}  # None: a directory
     for name, doc in families.items():
         path = tmp_path / f"{name}.json"
         if doc is None:

@@ -1,5 +1,5 @@
-"""Golden outputs of the command line on the two builtin crystals and on
-two planted families beyond 3x3.
+"""Golden outputs of the command line on the two builtin crystals, on two
+planted families beyond 3x3 and on a 3x3 family quadratic in p.
 
 The files under ``tests/golden/`` hold what the CLI printed or wrote for
 each case below. The planted families under ``tests/families/`` are
@@ -9,7 +9,12 @@ B2 = X + iY, every X and Y a standard normal m x m draw of
 ``numpy.random.default_rng(12)`` in that order (the construction of
 ``test_cli.planted_ep_family``): ``planted-ep-m10`` with J[0, 1] = 1, an
 exceptional point at p = (0, 0), and ``planted-dp-m6``, a diabolic point
-there. JSON reports and loop files must match byte for byte.
+there. ``quadratic-ep-m3`` is S J S^-1 with J = [[0.5 + 0.2i, 1, 0],
+[0, 0.5 + 0.2i, 0], [0, 0, 2 + 1.5i]] and S = I plus ones on the
+superdiagonal, an exceptional point at p = (0, 0), plus terms in p1, p2,
+p1^2, p1 p2 and p2^2 with one-decimal coefficients: both its partials are
+polynomials, not constant matrices, unlike those of the planted families,
+which are linear in p. JSON reports and loop files must match byte for byte.
 Surface grids and cross-section CSVs are compared to 1e-12 relative to
 max(1, |value|): batched evaluation may change the floating-point summation
 order and with it the last bits. Every case also runs twice, and both runs
@@ -61,12 +66,14 @@ EP_CASES = [
 ]
 
 
-#: the JSON reports of the planted families; find-ep only at the EP, from a
-#: guess 0.036 away
+#: the JSON reports of the planted and quadratic families; find-ep only at the
+#: EPs, from a guess 0.036 away
 PLANTED = {
     "planted-ep-m10": CASES[:3] + [
         ("find-ep", ["find-ep", "--at", "0.03,-0.02"], {"find-ep.json": "stdout"})],
     "planted-dp-m6": CASES[:3],
+    "quadratic-ep-m3": CASES[:3] + [
+        ("find-ep", ["find-ep", "--at", "0.03,-0.02"], {"find-ep.json": "stdout"})],
 }
 
 
