@@ -137,15 +137,18 @@ def family_adapter(spec: DielectricSpec) -> MatrixFamily:
     def evaluator(p):
         return optical_matrix(spec, direction(p[..., 0], p[..., 1]))
 
-    def deriv(p, i):
-        # ds/dp_i on the chart: e_i with the s3 chain rule in the last entry
+    def deriv(p):
         s = direction(float(p[0]), float(p[1]))
-        ds = np.zeros(3)
-        ds[i], ds[2] = 1.0, -p[i] / s[2]
         eta_s = eta(spec, s)
-        dproj = -(np.outer(ds, s) + np.outer(s, ds))
-        deta = gyration_matrix(spec.activity @ ds)
-        return dproj @ eta_s + (np.eye(3) - np.outer(s, s)) @ deta
+        projector = np.eye(3) - np.outer(s, s)
+        partials = []
+        for i in range(2):
+            # ds/dp_i on the chart: e_i with the s3 chain rule in the last entry
+            ds = np.zeros(3)
+            ds[i], ds[2] = 1.0, -p[i] / s[2]
+            dproj = -(np.outer(ds, s) + np.outer(s, ds))
+            partials.append(dproj @ eta_s + projector @ gyration_matrix(spec.activity @ ds))
+        return partials
 
     return MatrixFamily(dim=3, n_params=2, evaluator=evaluator, deriv=deriv,
                         domain_guard=guard)

@@ -307,24 +307,6 @@ def jordan_chain(kind: DegeneracyClass) -> JordanChain:
     return chain
 
 
-def _ill_conditioned(gram) -> bool:
-    """cond(gram) > 1e8 for a 2x2 Gram matrix G. As cond + 1/cond =
-    ||G||_F^2 / |det G|, which grows with cond, a ratio 1% clear of 1e8
-    decides; np.linalg.cond is taken only near it, or where the squares may
-    under- or overflow (det G's rounding, at most 2 eps ||G||_F^2, moves a
-    ratio near 1e8 by some 1e-8 of it)."""
-    square = np.vdot(gram, gram).real
-    if 1e-290 < square < 1e290:
-        (g00, g01), (g10, g11) = gram.tolist()
-        det = abs(g00 * g11 - g01 * g10)
-        ratio = square / det if det else math.inf
-        if ratio <= 1e8 / 1.01:
-            return False
-        if ratio >= 1.01e8:
-            return True
-    return np.linalg.cond(gram) > 1e8
-
-
 def dp_frame(kind: DegeneracyClass, right_basis=None) -> DPFrame:
     """Bi-orthonormalized frame (u1, u2, v1, v2) of a pair classified as DP.
 
@@ -359,7 +341,7 @@ def dp_frame(kind: DegeneracyClass, right_basis=None) -> DPFrame:
                                  f"{residuals.tolist()} > {bound.tolist()}")
     z_mat = kind.shifted.u[:, -2:]          # the kernel of (A - lam0 I)* = V S U*
     gram = z_mat.conj().T @ u_mat          # gram[j, k] = (u_k, z_j)
-    if _ill_conditioned(gram):
+    if np.linalg.cond(gram) > 1e8:
         raise FrameError("Gram matrix of the candidate frames is near singular")
     v_mat = z_mat @ np.linalg.inv(gram).conj().T
     return DPFrame(

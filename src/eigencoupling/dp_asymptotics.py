@@ -163,20 +163,14 @@ def split_multiparam(model: DPLocalModel, dp) -> PairPoint:
 
 
 def persistence_conditions(model: DPLocalModel, dp) -> PersistenceReport:
-    """Residuals of the persistence systems at one offset."""
-    dp = offsets(model, dp)[0]
-    c = complex(model.pair_terms(dp[None])[1][0])
-    diff = (model.coupling[0, 0] - model.coupling[1, 1]) @ dp
-    off12 = model.coupling[0, 1] @ dp
-    off21 = model.coupling[1, 0] @ dp
-    return PersistenceReport(
-        re_c=float(c.real), im_c=float(c.imag),
-        frame_residuals=(
-            float(diff.real), float(diff.imag),
-            float(off12.real), float(off12.imag),
-            float(off21.real), float(off21.imag),
-        ),
-    )
+    """Residuals of the persistence systems at one offset, each linear form
+    summed as ``pair_terms`` sums it."""
+    dps = offsets(model, dp)[:1]
+    d = model.coupling
+    c = complex(model.pair_terms(dps)[1][0])
+    forms = [complex(_linear(dps, v)[0]) for v in (d[0, 0] - d[1, 1], d[0, 1], d[1, 0])]
+    return PersistenceReport(re_c=c.real, im_c=c.imag,
+                             frame_residuals=tuple(x for z in forms for x in (z.real, z.imag)))
 
 
 def one_param_slopes(model: DPLocalModel):

@@ -187,9 +187,10 @@ def sensitivities(fam: family_mod.MatrixFamily, chain: JordanChain, p0) -> EPLoc
 
 
 def tangency_conditions(model: EPLocalModel, dp):
-    """(F, G) = (<split_re, dp>, <split_im, dp>); (0, 0) keeps the pair double."""
-    dp = offsets(model, dp)[0]
-    return float(model.split_re @ dp), float(model.split_im @ dp)
+    """(F, G) = (<split_re, dp>, <split_im, dp>) at one offset, the real and
+    imaginary part of the model's radicand; (0, 0) keeps the pair double."""
+    radicand = complex(model.pair_terms(offsets(model, dp)[:1])[1][0])
+    return radicand.real, radicand.imag
 
 
 def surface_eval(model: EPLocalModel, dp) -> PairPoint:

@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +36,8 @@ class MatrixFamily:
         an (N, n) block ((N, m, m) matrices, N booleans). An evaluator of
         single points only serves everything but ``evaluate_many``.
     deriv:
-        Analytic derivative ``deriv(p, i)`` = dA/dp_i at one point (n,);
-        required, since the models read dA/dp_i to first order.
+        Analytic derivatives ``deriv(p)``: all n matrices dA/dp_i at one point
+        (n,), in parameter order; required, the models read them to first order.
     domain_guard:
         Optional predicate; points where it returns False raise DomainError.
     """
@@ -111,22 +110,29 @@ def evaluate_many(fam: MatrixFamily, points) -> np.ndarray:
     return _at(fam, pts)
 
 
-def derivative(fam: MatrixFamily, p, i: int) -> np.ndarray:
-    """dA/dp_i at p from the family's analytic ``deriv``. Raises
-    DimensionError where it has non-finite entries (overflow)."""
+def derivative(fam: MatrixFamily, p) -> list:
+    """[dA/dp_0, ..., dA/dp_{n-1}] at p from one call of the family's
+    analytic ``deriv``. Raises DimensionError where it returns another count
+    of matrices or one with non-finite entries (overflow)."""
     pt = fam._point(p)
-    if not 0 <= i < fam.n_params:
-        raise DimensionError(f"parameter index {i} out of range")
-    return _checked(fam._deriv(pt, i), (fam.dim, fam.dim), pt, f"dA/dp_{i}", "deriv")
+    partials = fam._deriv(pt)
+    if len(partials) != fam.n_params:
+        raise DimensionError(f"deriv returned {len(partials)} matrices, expected {fam.n_params}")
+    return [_checked(d, (fam.dim, fam.dim), pt, f"dA/dp_{i}", "deriv")
+            for i, d in enumerate(partials)]
 
 
-@dataclass(frozen=True)
-class PolynomialFamily:
-    """Matrix polynomial sum_t C_t * prod_i p_i^{e_ti}; exact derivatives."""
+class PolynomialFamily(MatrixFamily):
+    """Matrix polynomial sum_t C_t * prod_i p_i^{e_ti}, evaluated by ``value``;
+    dA/dp_i is ``value`` of the i-th partial polynomial, all n of them built
+    on the first derivative (see ``_partial``)."""
 
-    dim: int
-    n_params: int
-    terms: tuple = field(default_factory=tuple)  # of (coeff (m,m) complex, exps tuple)
+    def __init__(self, dim, n_params, terms=()):
+        # evaluator and deriv are methods: stored on the instance, bound methods
+        # would make each family a reference cycle, left to the garbage collector
+        self.dim, self.n_params, self.domain_guard = int(dim), int(n_params), None
+        self.terms = tuple(terms)   # of (coeff (m,m) complex, exps tuple)
+        self._partials = None
 
     # overflow is refused by evaluate's finite check, not warned about
     @np.errstate(over="ignore", invalid="ignore")
@@ -143,6 +149,14 @@ class PolynomialFamily:
                         else powers.prod(axis=-1)[..., None, None])
             out += np.multiply(coeff, monomial, out=term)
         return out
+
+    _evaluator = value
+
+    def _deriv(self, p) -> list:
+        if self._partials is None:
+            self._partials = [self._partial(i) for i in range(self.n_params)]
+        return [partial.copy() if isinstance(partial, np.ndarray) else partial.value(p)
+                for partial in self._partials]
 
     # a coefficient C_t e_i that overflows is refused by derivative's check
     @np.errstate(over="ignore", invalid="ignore")
@@ -161,19 +175,6 @@ class PolynomialFamily:
         for coeff, _ in partial.terms:
             constant += coeff
         return constant
-
-    def to_family(self) -> MatrixFamily:
-        """The MatrixFamily of ``value``; dA/dp_i is ``value`` of the i-th
-        partial polynomial, built on the first dA/dp_i (see ``_partial``)."""
-        partials = [None] * self.n_params
-
-        def deriv(p, i):
-            if partials[i] is None:
-                partials[i] = self._partial(i)
-            partial = partials[i]
-            return partial.copy() if isinstance(partial, np.ndarray) else partial.value(p)
-
-        return MatrixFamily(self.dim, self.n_params, evaluator=self.value, deriv=deriv)
 
 
 def _require(cond, path, message):
@@ -216,7 +217,7 @@ def _refuse_first(mats, ok, message):
             raise FamilyParseError(f"$.terms[{k // 2}].{('re', 'im')[k % 2]}", message)
 
 
-def parse_polynomial(text: str) -> PolynomialFamily:
+def parse_family(text: str) -> PolynomialFamily:
     """Parse the family JSON document into a PolynomialFamily.
 
     Schema (``schemas/family.schema.json``): {"m": int, "n": int, "terms":
@@ -269,8 +270,3 @@ def parse_polynomial(text: str) -> PolynomialFamily:
         _refuse_first(mats, _doubles, "entries must be finite doubles")
     coeffs = parts[:, 0] + 1j * parts[:, 1]
     return PolynomialFamily(dim=m, n_params=n, terms=tuple(zip(coeffs, exps)))
-
-
-def parse_family(text: str) -> MatrixFamily:
-    """Parse the family JSON document into an analytic MatrixFamily."""
-    return parse_polynomial(text).to_family()

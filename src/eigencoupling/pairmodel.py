@@ -68,10 +68,10 @@ def projection(d, us, vs) -> np.ndarray:
 
 def coupling(fam, p0, us, vs) -> np.ndarray:
     """[i, j, s] = (dA/dp_s u_i, v_j) at p0: ``projection`` of each of the
-    family's derivatives, stacked along the last axis."""
+    family's derivatives (one call), stacked along the last axis."""
     out = np.empty((len(us), len(vs), fam.n_params), dtype=complex)
-    for s in range(fam.n_params):
-        out[:, :, s] = projection(family_mod.derivative(fam, p0, s), us, vs)
+    for s, d in enumerate(family_mod.derivative(fam, p0)):
+        out[:, :, s] = projection(d, us, vs)
     return out
 
 

@@ -1,6 +1,6 @@
 """Term-by-term oracle for the family parser.
 
-``parse_polynomial`` checks and converts the coefficient matrices of a whole
+``family.parse_family`` checks and converts the coefficient matrices of a whole
 document at once; this copy of the earlier parser checks and converts them
 one matrix at a time, in term order. Tests compare the two on valid and
 defective documents.

@@ -256,8 +256,8 @@ def test_criterion_07_ep_finder(ex1):
     toy = family_mod.MatrixFamily(
         2, 2,
         evaluator=lambda p: np.array([[0.0, 1.0], [p[0] + 1j * p[1], 0.0]]),
-        deriv=lambda p, i: (np.array([[0.0, 0.0], [1.0, 0.0]]) if i == 0
-                            else np.array([[0.0, 0.0], [1j, 0.0]])),
+        deriv=lambda p: [np.array([[0.0, 0.0], [1.0, 0.0]]),
+                         np.array([[0.0, 0.0], [1j, 0.0]])],
     )
     toy_result = find_ep(toy, [0.2, 0.1])
     assert np.linalg.norm(toy_result.p_star) <= 1e-10

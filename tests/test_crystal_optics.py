@@ -33,6 +33,18 @@ DA1_DS2 = np.array([
 ])
 
 
+def per_index_partial(spec, p, i):
+    """dA/dp_i of the crystal adapter with s, eta(s) and the projector
+    rebuilt for this i alone, as a reference."""
+    s = co.direction(float(p[0]), float(p[1]))
+    ds = np.zeros(3)
+    ds[i], ds[2] = 1.0, -p[i] / s[2]
+    eta_s = co.eta(spec, s)
+    dproj = -(np.outer(ds, s) + np.outer(s, ds))
+    deta = co.gyration_matrix(spec.activity @ ds)
+    return dproj @ eta_s + (np.eye(3) - np.outer(s, s)) @ deta
+
+
 class TestGyration:
     def test_zero(self):
         assert np.allclose(co.gyration_matrix([0.0, 0.0, 0.0]), 0.0)
@@ -152,16 +164,27 @@ class TestRefractiveIndices:
 
 class TestFamilyAdapter:
     def test_reference_derivatives(self, crystal1):
-        assert np.allclose(family_mod.derivative(crystal1, [0.0, 0.0], 0),
-                           DA1_DS1, atol=1e-12)
-        assert np.allclose(family_mod.derivative(crystal1, [0.0, 0.0], 1),
-                           DA1_DS2, atol=1e-12)
+        da_ds1, da_ds2 = family_mod.derivative(crystal1, [0.0, 0.0])
+        assert np.allclose(da_ds1, DA1_DS1, atol=1e-12)
+        assert np.allclose(da_ds2, DA1_DS2, atol=1e-12)
+
+    def test_partials_match_the_per_index_formula_bitwise(self):
+        """One deriv call per point gives each dA/dp_i with the bits of the
+        formula that rebuilds s, eta(s) and the projector for every i."""
+        rng = np.random.default_rng(8)
+        points = np.vstack([[0.0, 0.0], [0.05, -0.03], [-0.0, 0.7],
+                            rng.uniform(-0.7, 0.7, size=(200, 2))])
+        for spec in (SPEC1, SPEC2):
+            fam = co.family_adapter(spec)
+            for p in points:
+                got = family_mod.derivative(fam, p)
+                for i in range(2):
+                    assert got[i].tobytes() == per_index_partial(spec, p, i).tobytes()
 
     def test_derivatives_match_fd_off_pole(self, crystal1, crystal2):
         for fam in (crystal1, crystal2):
             p = np.array([0.21, -0.13])
-            for i in range(2):
-                exact = family_mod.derivative(fam, p, i)
+            for i, exact in enumerate(family_mod.derivative(fam, p)):
                 approx = fd_derivative(lambda q, f=fam: family_mod.evaluate(f, q), p, i)
                 assert np.linalg.norm(exact - approx) < 1e-6 * np.linalg.norm(exact)
 
@@ -169,8 +192,8 @@ class TestFamilyAdapter:
         # Along p(eps) = eps * e1 the Taylor terms are A(0) and dA/ds1(0).
         direction = np.array([1.0, 0.0])
         a0 = family_mod.evaluate(crystal1, [0.0, 0.0])
-        a1 = sum(direction[i] * family_mod.derivative(crystal1, [0.0, 0.0], i)
-                 for i in range(2))
+        partials = family_mod.derivative(crystal1, [0.0, 0.0])
+        a1 = sum(d_i * da for d_i, da in zip(direction, partials))
         assert np.allclose(a0, A1_POLE)
         assert np.allclose(a1, DA1_DS1, atol=1e-12)
 

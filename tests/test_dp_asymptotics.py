@@ -72,7 +72,7 @@ class TestReducedProblem:
 
     def test_crystal_two_first_direction(self, crystal2, dp_frame_pinned):
         _, _, frame = dp_frame_pinned
-        a1 = family_mod.derivative(crystal2, [0.0, 0.0], 0)
+        a1 = family_mod.derivative(crystal2, [0.0, 0.0])[0]
         red = dp.reduced_problem(a1, frame)
         want = np.array([[-2 - 8j, -10j], [6j, 0.0]])
         assert np.allclose(red.matrix, want, atol=1e-8)
@@ -102,7 +102,7 @@ class TestDPSensitivities:
     def test_constant_family(self):
         fam = family_mod.MatrixFamily(
             2, 2, evaluator=lambda p: np.zeros((2, 2)),
-            deriv=lambda p, i: np.zeros((2, 2)),
+            deriv=lambda p: [np.zeros((2, 2))] * 2,
         )
         model = dp.dp_sensitivities(fam, trivial_frame(), [0.0, 0.0])
         assert np.allclose(model.coupling, 0.0)
@@ -110,7 +110,7 @@ class TestDPSensitivities:
     def test_hermitian_diagonal(self):
         fam = family_mod.MatrixFamily(
             2, 1, evaluator=lambda p: np.diag([p[0], -p[0]]).astype(complex),
-            deriv=lambda p, i: np.diag([1.0, -1.0]).astype(complex),
+            deriv=lambda p: [np.diag([1.0, -1.0]).astype(complex)],
         )
         model = dp.dp_sensitivities(fam, trivial_frame(), [0.0])
         assert model.coupling[0, 0, 0] == pytest.approx(1.0)

@@ -75,7 +75,7 @@ class TestCurveSplit:
 
     def test_crystal_direction_coefficient(self, crystal1, ep_chain):
         a0, _, chain = ep_chain
-        a1 = family_mod.derivative(crystal1, [0.0, 0.0], 0)
+        a1 = family_mod.derivative(crystal1, [0.0, 0.0])[0]
         split = ep.curve_split(chain, a0, a1)
         assert split.mu1 == pytest.approx(-4j, abs=1e-8)
 
@@ -104,8 +104,8 @@ class TestSensitivities:
         fam = family_mod.MatrixFamily(
             2, 2,
             evaluator=lambda p: np.array([[0.0, 1.0], [p[0] + 1j * p[1], 0.0]]),
-            deriv=lambda p, i: (np.array([[0.0, 0.0], [1.0, 0.0]]) if i == 0
-                                else np.array([[0.0, 0.0], [1j, 0.0]])),
+            deriv=lambda p: [np.array([[0.0, 0.0], [1.0, 0.0]]),
+                             np.array([[0.0, 0.0], [1j, 0.0]])],
         )
         model = ep.sensitivities(fam, toy_chain(), [0.0, 0.0])
         assert np.allclose(model.split_re, [1.0, 0.0], atol=1e-12)
@@ -116,7 +116,7 @@ class TestSensitivities:
     def test_constant_family(self):
         fam = family_mod.MatrixFamily(
             2, 2, evaluator=lambda p: TOY_A0,
-            deriv=lambda p, i: np.zeros((2, 2)),
+            deriv=lambda p: [np.zeros((2, 2))] * 2,
         )
         model = ep.sensitivities(fam, toy_chain(), [0.0, 0.0])
         for vector in (model.split_re, model.split_im, model.drift_re, model.drift_im):
@@ -659,7 +659,7 @@ class TestGenericFamilyPipeline:
         fam = family_mod.MatrixFamily(
             4, 2,
             evaluator=lambda p: a0 + p[0] * b1 + p[1] * b2,
-            deriv=lambda p, i: b1 if i == 0 else b2,
+            deriv=lambda p: [b1, b2],
         )
         return fam, a0, lam0
 
@@ -690,7 +690,7 @@ class TestGenericFamilyPipeline:
 
     def test_curve_split_matches_exact_eigenvalues(self, crystal1, ep_chain):
         a0, _, chain = ep_chain
-        a1 = family_mod.derivative(crystal1, [0.0, 0.0], 0)
+        a1 = family_mod.derivative(crystal1, [0.0, 0.0])[0]
         split = ep.curve_split(chain, a0, a1)
 
         def error(eps):

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,6 @@ from eigencoupling.family import (
     derivative,
     evaluate,
     parse_family,
-    parse_polynomial,
 )
 from fd_oracle import fd_derivative
 from parse_oracle import parse_polynomial_per_term
@@ -25,7 +26,7 @@ C = np.array([[1.0, 2j], [0.5, -1.0]])
 def poly_family(*terms):
     m = terms[0][0].shape[0]
     n = len(terms[0][1])
-    return PolynomialFamily(dim=m, n_params=n, terms=tuple(terms)).to_family()
+    return PolynomialFamily(dim=m, n_params=n, terms=tuple(terms))
 
 
 def random_polynomial(rng, m=3, n=2, n_terms=4, max_exp=3):
@@ -48,13 +49,13 @@ class TestEvaluate:
 
     def test_shape_guard(self):
         fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros((3, 3)),
-                                      deriv=lambda p, i: np.zeros((2, 2)))
+                                      deriv=lambda p: [np.zeros((2, 2))])
         with pytest.raises(DimensionError):
             evaluate(fam, [0.0])
 
     def test_domain_guard(self):
         fam = family_mod.MatrixFamily(
-            2, 1, evaluator=lambda p: np.eye(2), deriv=lambda p, i: np.zeros((2, 2)),
+            2, 1, evaluator=lambda p: np.eye(2), deriv=lambda p: [np.zeros((2, 2))],
             domain_guard=lambda p: abs(p[0]) < 1.0,
         )
         with pytest.raises(DomainError):
@@ -64,16 +65,15 @@ class TestEvaluate:
 class TestDerivative:
     def test_quadratic_power_rule(self):
         fam = poly_family((C, (2,)))
-        assert np.allclose(derivative(fam, [3.0], 0), 6.0 * C)
+        assert np.allclose(derivative(fam, [3.0])[0], 6.0 * C)
 
     def test_analytic_matches_fd_on_random_families(self):
         rng = np.random.default_rng(42)
         poly = random_polynomial(rng)
-        analytic = poly.to_family()
         for _ in range(100):
             p = rng.uniform(-1.5, 1.5, size=poly.n_params)
             i = int(rng.integers(poly.n_params))
-            exact = derivative(analytic, p, i)
+            exact = derivative(poly, p)[i]
             approx = fd_derivative(poly.value, p, i)
             scale = max(np.linalg.norm(exact), 1.0)
             assert np.linalg.norm(exact - approx) < 1e-6 * scale
@@ -83,22 +83,38 @@ class TestDerivative:
         for _ in range(40):
             poly = random_polynomial(rng, m=int(rng.integers(1, 5)), n=int(rng.integers(1, 4)),
                                      n_terms=int(rng.integers(1, 7)), max_exp=5)
-            fam = poly.to_family()
             for p in rng.uniform(-2.0, 2.0, size=(10, poly.n_params)):
-                for i in range(poly.n_params):
-                    want = per_term_derivative(poly, p, i)
-                    assert derivative(fam, p, i).tobytes() == want.tobytes()
+                for i, got in enumerate(derivative(poly, p)):
+                    assert got.tobytes() == per_term_derivative(poly, p, i).tobytes()
 
     def test_deriv_output_shape_checked(self):
         fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.eye(2),
-                                      deriv=lambda p, i: np.zeros((3, 3)))
+                                      deriv=lambda p: [np.zeros((3, 3))])
         with pytest.raises(DimensionError, match="deriv returned shape"):
-            derivative(fam, [0.0], 0)
+            derivative(fam, [0.0])
 
-    def test_index_range(self):
-        fam = poly_family((C, (1,)))
-        with pytest.raises(DimensionError):
-            derivative(fam, [0.0], 1)
+    def test_deriv_count_checked(self):
+        """deriv must return one matrix per parameter."""
+        for count in (0, 1, 3):
+            fam = family_mod.MatrixFamily(2, 2, evaluator=lambda p: np.eye(2),
+                                          deriv=lambda p: [np.zeros((2, 2))] * count)
+            with pytest.raises(DimensionError,
+                               match=f"deriv returned {count} matrices, expected 2"):
+                derivative(fam, [0.0, 0.0])
+
+    def test_one_deriv_call_per_point(self):
+        """derivative hands deriv the checked point once and returns its
+        matrices in parameter order."""
+        calls = []
+
+        def deriv(p):
+            calls.append(p.tolist())
+            return [C, 2.0 * C, 3.0 * C]
+
+        fam = family_mod.MatrixFamily(2, 3, evaluator=lambda p: np.eye(2), deriv=deriv)
+        got = derivative(fam, [0.5, 1, -2])
+        assert calls == [[0.5, 1.0, -2.0]]
+        assert [d.tolist() for d in got] == [C.tolist(), (2.0 * C).tolist(), (3.0 * C).tolist()]
 
 
 #: coefficient entries: signed zeros, values whose sums depend on their
@@ -127,38 +143,53 @@ def test_partials_match_value_of_the_partial_polynomial(poly, point):
     """dA/dp_i, as the family's deriv returns it (non-finite entries too),
     is bit for bit ``value`` of the i-th partial polynomial, also where the
     partial is kept as a constant matrix."""
-    fam = poly.to_family()
     p = np.array(point[:poly.n_params])
+    got = poly._deriv(p)
     for i in range(poly.n_params):
         with np.errstate(over="ignore", invalid="ignore"):
             partial = PolynomialFamily(poly.dim, poly.n_params, tuple(
                 (coeff * exps[i], exps[:i] + (exps[i] - 1,) + exps[i + 1:])
                 for coeff, exps in poly.terms if exps[i] > 0))
             want = partial.value(p)
-        assert fam._deriv(p, i).tobytes() == want.tobytes()
+        assert got[i].tobytes() == want.tobytes()
 
 
 class TestPartials:
     def test_built_on_the_first_derivative_only(self, monkeypatch):
-        """Loading and evaluating build no partial; each is built once."""
+        """Loading and evaluating build no partial; the first derivative
+        builds all of them, once."""
         built = []
         partial = PolynomialFamily._partial
         monkeypatch.setattr(PolynomialFamily, "_partial",
                             lambda self, i: built.append(i) or partial(self, i))
-        fam = random_polynomial(np.random.default_rng(3), n=3).to_family()
+        fam = random_polynomial(np.random.default_rng(3), n=3)
         evaluate(fam, [0.1, 0.2, 0.3])
         family_mod.evaluate_many(fam, np.zeros((4, 3)))
         assert built == []
-        for i in (2, 0, 2, 2, 0):
-            derivative(fam, [0.1, 0.2, 0.3], i)
-        assert built == [2, 0]
+        for p in ([0.1, 0.2, 0.3], [-1.0, 0.5, 2.0], [0.1, 0.2, 0.3]):
+            derivative(fam, p)
+        assert built == [0, 1, 2]
+
+    def test_freed_without_the_garbage_collector(self):
+        """A family holds no reference to itself, so dropping the last
+        reference frees it, its partials built, with the collector off."""
+        fam = random_polynomial(np.random.default_rng(4))
+        derivative(fam, [0.1, 0.2])
+        ref = weakref.ref(fam)
+        gc.disable()
+        try:
+            del fam
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_constant_partial_is_returned_as_a_copy(self):
         fam = poly_family((C, (0, 0)), (C, (1, 0)), (-C, (1, 0)), (2.0 * C, (0, 1)))
-        first = derivative(fam, [0.5, 0.5], 1)
-        first[:] = 7.0
-        assert np.array_equal(derivative(fam, [-3.0, 2.0], 1), 2.0 * C)
-        assert np.array_equal(derivative(fam, [0.5, 0.5], 0), np.zeros((2, 2)))
+        first = derivative(fam, [0.5, 0.5])
+        first[1][:] = 7.0
+        zero, second = derivative(fam, [-3.0, 2.0])
+        assert np.array_equal(second, 2.0 * C)
+        assert np.array_equal(zero, np.zeros((2, 2)))
 
     def test_overflowing_partial_coefficient_is_refused_without_warning(self, recwarn):
         """C_t e_t overflows (1e308 x 2) when the partial is built, on the
@@ -166,10 +197,10 @@ class TestPartials:
         fam = poly_family((np.full((2, 2), 1e308), (2,)), (np.full((2, 2), 1e308), (1,)))
         assert np.isfinite(evaluate(fam, [0.5])).all()
         with pytest.raises(DimensionError, match=r"dA/dp_0 has non-finite entries"):
-            derivative(fam, [0.5], 0)
+            derivative(fam, [0.5])
         const = poly_family((np.full((2, 2), 1e308), (1,)), (np.full((2, 2), 1e308), (1,)))
         with pytest.raises(DimensionError, match=r"dA/dp_0 has non-finite entries"):
-            derivative(const, [0.5], 0)
+            derivative(const, [0.5])
         assert not recwarn.list
 
 
@@ -184,6 +215,7 @@ class TestParseFamily:
 
     def test_schema_round_trip(self):
         fam = parse_family(self.DOC)
+        assert isinstance(fam, PolynomialFamily)
         assert np.allclose(evaluate(fam, [0.25]), [[0.0, 1.0], [0.25, 0.0]])
 
     def test_missing_terms_path(self):
@@ -220,13 +252,13 @@ class TestParseFamily:
         schema = json.loads((Path(family_mod.__file__).parent / "schemas"
                              / "family.schema.json").read_text())
         good = json.loads(self.DOC)
-        want = parse_polynomial(self.DOC)
+        want = parse_family(self.DOC)
         # the schema's "integer" admits integral floats
         floats = {**good, "m": 2.0, "n": 1.0,
                   "terms": [{**term, "exp": [float(term["exp"][0])]} for term in good["terms"]]}
         for doc in (good, floats):
             jsonschema.validate(doc, schema)
-            got = parse_polynomial(json.dumps(doc))
+            got = parse_family(json.dumps(doc))
             assert (got.dim, got.n_params) == (2, 1)
             assert all(type(e) is int for _, exps in got.terms for e in exps)
             assert np.array_equal(got.value(np.array([0.25])), want.value(np.array([0.25])))
@@ -274,7 +306,7 @@ class TestParseFamily:
         top = sys.float_info.max
         doc = json.dumps({"m": 2, "n": 1, "terms": [
             {"exp": [0], "re": [[top, 0], [1, 0]], "im": [[0, int(top)], [-int(top), 0]]}]})
-        coeff, _ = parse_polynomial(doc).terms[0]
+        coeff, _ = parse_family(doc).terms[0]
         assert np.array_equal(coeff.real, [[top, 0], [1, 0]])
         assert np.array_equal(coeff.imag, [[0, top], [-top, 0]])
 
@@ -346,10 +378,10 @@ def parse_outcome(parse, text):
 @settings(max_examples=400)
 @given(family_documents())
 def test_parse_agrees_with_per_term_oracle(doc):
-    """The document-wide checks and conversion of ``parse_polynomial`` give
-    the per-term parser's coefficients bit for bit, or its error."""
+    """The document-wide checks and conversion of ``parse_family`` give the
+    per-term parser's coefficients bit for bit, or its error."""
     text = json.dumps(doc)
-    assert parse_outcome(parse_polynomial, text) == parse_outcome(parse_polynomial_per_term, text)
+    assert parse_outcome(parse_family, text) == parse_outcome(parse_polynomial_per_term, text)
 
 
 def per_point_polynomial(poly, p):
@@ -377,13 +409,12 @@ class TestEvaluateMany:
     def test_polynomial_matches_per_point_sum_bitwise(self):
         rng = np.random.default_rng(21)
         poly = random_polynomial(rng, m=4, n=3, n_terms=6)
-        fam = poly.to_family()
         points = rng.uniform(-1.5, 1.5, size=(300, 3))
-        batch = family_mod.evaluate_many(fam, points)
+        batch = family_mod.evaluate_many(poly, points)
         assert batch.shape == (300, 4, 4)
         want = np.array([per_point_polynomial(poly, p) for p in points])
         assert batch.tobytes() == want.tobytes()
-        singles = np.array([evaluate(fam, p) for p in points])
+        singles = np.array([evaluate(poly, p) for p in points])
         assert singles.tobytes() == want.tobytes()
 
     def test_empty_batch(self):
@@ -404,7 +435,7 @@ class TestEvaluateMany:
     def test_domain_guard_at_every_point(self):
         guard = lambda p: np.abs(p[..., 0]) < 1.0  # noqa: E731
         fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros(p.shape[:-1] + (2, 2)),
-                                      deriv=lambda p, i: np.zeros((2, 2)), domain_guard=guard)
+                                      deriv=lambda p: [np.zeros((2, 2))], domain_guard=guard)
         assert family_mod.evaluate_many(fam, [[0.0], [0.5]]).shape == (2, 2, 2)
         with pytest.raises(DomainError, match="1.5"):
             family_mod.evaluate_many(fam, [[0.0], [1.5], [0.2]])
@@ -413,7 +444,7 @@ class TestEvaluateMany:
 
     def test_output_shape_checked(self):
         fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros((3, 2, 2)),
-                                      deriv=lambda p, i: np.zeros((2, 2)))
+                                      deriv=lambda p: [np.zeros((2, 2))])
         with pytest.raises(DimensionError):
             family_mod.evaluate_many(fam, [[0.0], [1.0]])
 
@@ -425,9 +456,9 @@ class TestEvaluateMany:
         with pytest.raises(DimensionError, match=r"\[-10.0\]"):
             evaluate(fam, [-10.0])
         with pytest.raises(DimensionError, match=r"dA/dp_0 .* at point \[10.0\]"):
-            derivative(fam, [10.0], 0)
+            derivative(fam, [10.0])
         per_point = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.full((2, 2), np.inf),
-                                            deriv=lambda p, i: np.zeros((2, 2)))
+                                            deriv=lambda p: [np.zeros((2, 2))])
         with pytest.raises(DimensionError, match=r"\[0.5\]"):
             evaluate(per_point, [0.5])
         assert not recwarn.list
@@ -446,7 +477,7 @@ class TestEvaluateMany:
             return p[..., 0] < 1.0
 
         fam = family_mod.MatrixFamily(2, 1, evaluator=evaluator,
-                                      deriv=lambda p, i: np.zeros((2, 2)), domain_guard=guard)
+                                      deriv=lambda p: [np.zeros((2, 2))], domain_guard=guard)
         assert np.array_equal(evaluate(fam, [0.5]), 0.5 * C)
         assert calls == [("guard", (1,)), ("evaluator", (1,))]
         calls.clear()

@@ -1,14 +1,18 @@
 """The shared pair model: one batched evaluation for EP and DP models."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigencoupling import dp_asymptotics, ep_asymptotics
+from eigencoupling import crystal_optics, dp_asymptotics, ep_asymptotics
 from eigencoupling import family as family_mod
 from eigencoupling.degeneracy import DPFrame, JordanChain
 from eigencoupling.errors import DimensionError
-from eigencoupling.pairmodel import projection, sheets
+from eigencoupling.pairmodel import coupling, projection, sheets
+
+FAMILIES = Path(__file__).parent / "families"
 
 
 def grid(half=0.05, res=9):
@@ -93,9 +97,8 @@ def reference_ep_vectors(fam, chain, p0):
     n = fam.n_params
     split = np.zeros(n, dtype=complex)
     drift = np.zeros(n, dtype=complex)
-    for s in range(n):
-        proj = projection(family_mod.derivative(fam, p0, s),
-                          (chain.u0, chain.u1), (chain.v0, chain.v1))
+    for s, d in enumerate(family_mod.derivative(fam, p0)):
+        proj = projection(d, (chain.u0, chain.u1), (chain.v0, chain.v1))
         split[s] = proj[0, 0]
         drift[s] = proj[0, 1] + proj[1, 0]
     return split, drift
@@ -103,9 +106,8 @@ def reference_ep_vectors(fam, chain, p0):
 
 def reference_dp_coupling(fam, frame, p0):
     """The DP coupling stack by one projection per derivative, as a reference."""
-    return np.stack([
-        projection(family_mod.derivative(fam, p0, s), (frame.u1, frame.u2), (frame.v1, frame.v2))
-        for s in range(fam.n_params)], axis=-1)
+    return np.stack([projection(d, (frame.u1, frame.u2), (frame.v1, frame.v2))
+                     for d in family_mod.derivative(fam, p0)], axis=-1)
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -120,7 +122,7 @@ def test_coupling_matches_per_derivative_reference(m, n):
 
     derivs = cvec(n, m, m)
     fam = family_mod.MatrixFamily(m, n, evaluator=lambda p: derivs[0],
-                                  deriv=lambda p, i: derivs[i])
+                                  deriv=lambda p: derivs)
     p0 = rng.normal(size=n)
     lam0 = complex(*rng.normal(size=2))
     chain = JordanChain(lam0, *cvec(4, m))
@@ -133,6 +135,24 @@ def test_coupling_matches_per_derivative_reference(m, n):
     got = dp_asymptotics.dp_sensitivities(fam, frame, p0).coupling
     assert got.shape == (2, 2, n)
     assert got.tobytes() == reference_dp_coupling(fam, frame, p0).tobytes()
+
+
+@pytest.mark.parametrize("source", ["quadratic-ep-m3", "crystal-example-1"])
+def test_one_deriv_call_per_coupling(source, monkeypatch):
+    """``coupling`` reads all n partials at a point from one call of the
+    family's ``deriv``, on a polynomial family and on the crystal adapter."""
+    if source in crystal_optics.builtin_specs():
+        fam = crystal_optics.family_adapter(crystal_optics.builtin_specs()[source])
+    else:
+        fam = family_mod.parse_family((FAMILIES / f"{source}.json").read_text())
+    calls = []
+    deriv = fam._deriv
+    monkeypatch.setattr(fam, "_deriv", lambda p: calls.append(p.tolist()) or deriv(p))
+    vectors = (np.ones(fam.dim, dtype=complex), np.arange(fam.dim) + 1j)
+    points = ([0.0, 0.0], [0.01, -0.02], [0.03, 0.05])
+    for p in points:
+        assert coupling(fam, p, vectors, vectors).shape == (2, 2, 2)
+    assert calls == [list(map(float, p)) for p in points]
 
 
 #: offset and coefficient parts: signed zeros, and values across scales
@@ -194,3 +214,23 @@ def test_pair_terms_of_one_offset_are_its_row_of_many(model_and_offsets):
         for k in range(len(dps)):
             one = model.pair_terms(dps[k:k + 1])
             assert [x.tobytes() for x in one] == [x[k:k + 1].tobytes() for x in batch]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=2, max_size=2))
+def test_one_offset_reports_are_the_radicand_bit_for_bit(ep_model, dp_model_pinned, dp):
+    """On the two crystals' models, ``tangency_conditions`` returns (Re, Im)
+    of the EP radicand F + iG, and ``pair_terms``' formula turns the three
+    frame residuals of ``persistence_conditions`` into its re_c and im_c, bit
+    for bit: no linear form at one offset is left to BLAS's dot."""
+    def bits(*values):
+        return np.array(values, dtype=float).tobytes()
+
+    radicand = ep_model.pair_terms(np.array([dp]))[1]
+    got = ep_asymptotics.tangency_conditions(ep_model, dp)
+    assert bits(*got) == bits(radicand.real[0], radicand.imag[0])
+    report = dp_asymptotics.persistence_conditions(dp_model_pinned, dp)
+    res = report.frame_residuals
+    diff, off12, off21 = (np.array([complex(res[k], res[k + 1])]) for k in (0, 2, 4))
+    c = diff * diff / 4.0 + off12 * off21
+    assert bits(report.re_c, report.im_c) == bits(c.real[0], c.imag[0])
