@@ -1,0 +1,103 @@
+"""Work counts of the command line: the numpy.linalg calls, family
+evaluations and derivatives each command takes, and the bytes it writes.
+
+``tests/work_counts.json`` holds one row per command of
+``test_golden.all_cases()``, plus a res-201 surface and a 72 000-sample
+loop whose per-point work shows. A row counts the calls of each
+numpy.linalg routine the package uses, of ``family.evaluate``,
+``family.evaluate_many`` and ``family.derivative``, and the bytes written
+to standard output and to files. The test asserts equality both ways: a
+count that falls fails as one that rises does, so a change of the work is a
+change of the table, and the table's history is its trajectory. Counts do
+not move with timing, load or the number of CPUs (surface's workers
+factorise the same blocks on any pool).
+
+Regenerate the table (only when a count is meant to change) with::
+
+    PYTHONPATH=src python tests/test_work_counts.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from eigencoupling import cli
+from eigencoupling import family as family_mod
+from test_golden import FAMILIES, PLANTED, all_cases
+
+TABLE = Path(__file__).parent / "work_counts.json"
+#: the numpy.linalg routines counted, and the family functions
+LINALG = ("cond", "eig", "eigvals", "inv", "lstsq", "norm", "solve", "svd")
+FAMILY = ("evaluate", "evaluate_many", "derivative")
+
+#: (family, row name, argv after --family) of the per-point rows
+LARGE = [
+    ("crystal-example-1", "surface-res201",
+     ["surface", "--at", "0,0", "--res", "201", "--out", "{dir}/surface.csv"]),
+    ("crystal-example-1", "loop-72000",
+     ["loop", "--at", "0,0", "--loop=0.003,-0.002,0.01", "--samples", "72000",
+      "--out", "{dir}/loop.csv"]),
+]
+
+
+def rows():
+    """(row key, family, argv after --family) of every row of the table."""
+    for family, name, argv, _ in all_cases():
+        yield f"{family} {name}", family, argv
+    for family, name, argv in LARGE:
+        yield f"{family} {name}", family, argv
+
+
+def measure(family, argv, out_dir: Path) -> dict:
+    """Run one command in ``out_dir``; return its counts, keyed by name."""
+    calls = []      # names, appended from surface's worker threads too
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    out_dir.mkdir(parents=True)
+    source = str(FAMILIES / f"{family}.json") if family in PLANTED else family
+    full = [argv[0], "--family", source] + [a.replace("{dir}", str(out_dir)) for a in argv[1:]]
+    stdout = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout):
+        for name in LINALG:
+            patch.setattr(np.linalg, name, counted(f"linalg.{name}", getattr(np.linalg, name)))
+        for name in FAMILY:
+            patch.setattr(family_mod, name, counted(f"family.{name}", getattr(family_mod, name)))
+        code = cli.main(full)
+    assert code == 0, f"{full} exited {code}"
+    counts = {name: calls.count(name)
+              for name in [f"linalg.{n}" for n in LINALG] + [f"family.{n}" for n in FAMILY]}
+    counts["stdout_bytes"] = len(stdout.getvalue().encode())
+    counts["file_bytes"] = sum(path.stat().st_size for path in out_dir.rglob("*"))
+    return counts
+
+
+def test_table_has_a_row_per_case():
+    assert sorted(json.loads(TABLE.read_text())) == sorted(key for key, _, _ in rows())
+
+
+@pytest.mark.parametrize("key,family,argv", list(rows()), ids=[key for key, _, _ in rows()])
+def test_work_counts(key, family, argv, tmp_path):
+    assert measure(family, argv, tmp_path / "out") == json.loads(TABLE.read_text())[key]
+
+
+def write_table() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {key: measure(family, argv, Path(tmp) / str(k))
+                 for k, (key, family, argv) in enumerate(rows())}
+    TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_table()
