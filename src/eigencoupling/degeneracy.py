@@ -62,40 +62,17 @@ class SpectralCluster:
     external_gap: float      # distance from center to the nearest non-member
 
 
-class _SigmaMax:
-    """sigma_max(A) of a finite A, bounded without a factorisation:
-    ||A||_F / sqrt(m) <= sigma_max(A) <= ||A||_F, widened by 1% for the
-    rounding of both norms. Where ||A||_F may have underflowed or overflows,
-    the bounds are 0 and inf. ``exact`` takes the SVD's value, once."""
-
-    def __init__(self, a):
-        self.matrix = a
-        frobenius = math.sqrt(np.vdot(a, a).real)     # inf, silently, where it overflows
-        if 1e-150 < frobenius < math.inf:     # no square of an entry lost to underflow
-            self.lower = frobenius / (1.01 * math.sqrt(len(a)))
-            self.upper = 1.01 * frobenius
-        else:
-            self.lower, self.upper = 0.0, math.inf
-        self._exact = None
-
-    def exact(self) -> float:
-        if self._exact is None:
-            self._exact = float(np.linalg.svd(self.matrix, compute_uv=False)[0])
-        return self._exact
-
-
 @dataclass(frozen=True)
 class DegeneracyClass:
     """EP or DP, with what decided it: the factorisation of A - lam0 I,
     which the chain and frame builders reuse instead of factorising again,
-    and sigma_max(A), bounded by ||A||_F and factorised only where the
-    bounds leave a decision open."""
+    and sigma_max(A), against which they bound their residuals."""
 
     kind: str                     # "EP" | "DP"
     geometric_multiplicity: int
     lam0: complex = field(compare=False, repr=False)
     shifted: numkit.SVD = field(compare=False, repr=False)    # of A - lam0 I
-    sigma_max: _SigmaMax = field(compare=False, repr=False)   # of A
+    sigma_max: float = field(compare=False, repr=False)       # sigma_max(A)
 
 
 @dataclass(frozen=True)
@@ -197,37 +174,24 @@ def classify(a, lam0: complex, tol_rank: float = DEFAULT_RANK_TOL) -> Degeneracy
     spectrum. At multiplicity 1 the unit kernel vectors of A - lam0 I and
     its adjoint are orthogonal if lam0 is double; |(u0, v0)| = 1/cond(lam0)
     above 10 sqrt(tol_rank) refuses lam0 as simple, and within a factor 10
-    of it is indeterminate.
-
-    The only factorisation is the SVD of A - lam0 I. sigma_max(A) is read
-    from its bounds by ||A||_F (``_SigmaMax``): when every singular value of
-    A - lam0 I is at most a tenth of the threshold at the lower bound or at
-    least 10 times the one at the upper, every threshold between them
-    decides alike. Only otherwise, or where ||A||_F is not a safe bound,
-    does A get its own SVD. The result keeps the SVD of A - lam0 I and the
-    bounds for the builders.
+    of it is indeterminate. The result keeps the SVD of A - lam0 I and
+    sigma_max(A) for the builders.
     """
     if not 0 < tol_rank < math.inf:
         raise ValueError("tol_rank must be positive and finite")
     arr = numkit.as_cmatrix(a)
     shifted = numkit.SVD(arr - lam0 * np.eye(arr.shape[0]))
     s = shifted.s
-    sigma_max = _SigmaMax(arr)
+    sigma_max = float(np.linalg.svd(arr, compute_uv=False)[0])
+    threshold = tol_rank * max(sigma_max, 1e-300)     # threshold * 10 may be inf
     values = s.tolist()
-    # threshold * 10 may be inf; the threshold rounds monotonically in sigma_max
-    zero_below = tol_rank * max(sigma_max.lower, 1e-300) / 10.0
-    rank_above = tol_rank * max(sigma_max.upper, 1e-300) * 10.0
-    if all(x <= zero_below or x >= rank_above for x in values):
-        gm = sum(x <= zero_below for x in values)
-    else:
-        threshold = tol_rank * max(sigma_max.exact(), 1e-300)
-        ambiguous = [x for x in values if threshold / 10.0 < x < threshold * 10.0]
-        if ambiguous:
-            raise IndeterminateRankError(
-                f"singular values [{', '.join(f'{x:.3e}' for x in ambiguous)}] within a "
-                f"factor 10 of the rank threshold {threshold:.3e}", singular_values=s,
-            )
-        gm = sum(not x > threshold for x in values)
+    ambiguous = [x for x in values if threshold / 10.0 < x < threshold * 10.0]
+    if ambiguous:
+        raise IndeterminateRankError(
+            f"singular values [{', '.join(f'{x:.3e}' for x in ambiguous)}] within a factor 10 "
+            f"of the rank threshold {threshold:.3e}", singular_values=s,
+        )
+    gm = sum(not x > threshold for x in values)
     if gm not in (1, 2):
         raise ClassificationError(
             f"geometric multiplicity {gm} outside {{1, 2}} for lam0 = {lam0:.6g}"
@@ -296,10 +260,7 @@ def jordan_chain(kind: DegeneracyClass) -> JordanChain:
     chain = JordanChain(lam0=kind.lam0, u0=u0, u1=u1, v0=v0, v1=v1)
     with np.errstate(over="ignore", invalid="ignore"):     # inf or NaN fails the bound
         residuals = _check_chain(kind.shifted.matrix, chain)
-    # the bound at sigma_max(A)'s lower bound first; the SVD's value only if that fails
-    if not (all(r <= _FRAME_TOL * max(kind.sigma_max.lower, 1.0) for r in residuals.values())
-            or all(r <= _FRAME_TOL * max(kind.sigma_max.exact(), 1.0)
-                   for r in residuals.values())):
+    if not all(r <= _FRAME_TOL * max(kind.sigma_max, 1.0) for r in residuals.values()):
         raise FrameError(
             f"chain residuals too large ({residuals}); lam0 may not be a "
             "double eigenvalue at this point"
@@ -332,13 +293,10 @@ def dp_frame(kind: DegeneracyClass, right_basis=None) -> DPFrame:
             raise FrameError("right_basis must supply two vectors of length m")
         u_mat = vecs.T.copy()
         residuals = np.linalg.norm(kind.shifted.matrix @ u_mat, axis=0)
-        norms = np.linalg.norm(u_mat, axis=0)
-        # the bound at sigma_max(A)'s lower bound first; the SVD's value only if that fails
-        if not np.all(residuals <= _FRAME_TOL * max(kind.sigma_max.lower, 1.0) * norms):
-            bound = _FRAME_TOL * max(kind.sigma_max.exact(), 1.0) * norms
-            if not np.all(residuals <= bound):
-                raise FrameError(f"right_basis leaves the eigenspace: ||(A - lam0 I) u|| = "
-                                 f"{residuals.tolist()} > {bound.tolist()}")
+        bound = _FRAME_TOL * max(kind.sigma_max, 1.0) * np.linalg.norm(u_mat, axis=0)
+        if not np.all(residuals <= bound):
+            raise FrameError(f"right_basis leaves the eigenspace: ||(A - lam0 I) u|| = "
+                             f"{residuals.tolist()} > {bound.tolist()}")
     z_mat = kind.shifted.u[:, -2:]          # the kernel of (A - lam0 I)* = V S U*
     gram = z_mat.conj().T @ u_mat          # gram[j, k] = (u_k, z_j)
     if np.linalg.cond(gram) > 1e8:
@@ -388,13 +346,14 @@ def _approximate_split_gradient(fam, p, a, mean):
 
 def _converged(a, mean, gap) -> bool:
     """find_ep's stopping rule: gap <= max(EP_GAP_TOL (1 + |mean|),
-    _EPS_FLOOR sigma_max(A)) for a finite A. The SVD is taken only for a gap
-    within _EPS_FLOOR times the upper bound of sigma_max(A) by ||A||_F, the
-    only gaps the floor can decide (see ``_SigmaMax``)."""
+    _EPS_FLOOR sigma_max(A)) for a finite A. As sigma_max(A) <= ||A||_F, the
+    SVD is taken only for a gap within _EPS_FLOOR ||A||_F, the only gaps the
+    floor can decide; 1% to spare covers the rounding of both norms."""
     if gap <= EP_GAP_TOL * (1.0 + abs(mean)):
         return True
-    sigma_max = _SigmaMax(a)
-    return gap <= _EPS_FLOOR * sigma_max.upper and gap <= _EPS_FLOOR * sigma_max.exact()
+    frobenius = math.sqrt(np.vdot(a, a).real)     # inf, silently, where it overflows
+    return (gap <= 1.01 * _EPS_FLOOR * frobenius
+            and gap <= _EPS_FLOOR * np.linalg.svd(a, compute_uv=False)[0])
 
 
 # overflow is refused as DimensionError or a non-finite point, not warned about

@@ -1233,18 +1233,16 @@ def test_allocation_failure_exit_one(command, allocator, flags, capsys, tmp_path
 
 
 def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch, tmp_path):
-    """classify factorises A - lam0 I and reads sigma_max(A) from its bounds
-    by ||A||_F; the chain or frame reads both its sides from that
-    factorisation, and at the crystals' anchors adds no SVD."""
+    """classify takes two SVDs, of A - lam0 I and, values only, of A; the
+    chain or frame reads both its sides from the first, and adds none."""
     svd = np.linalg.svd
     calls = []
 
     def counting_svd(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs)
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    limits = {"classify": 1, "scenario": 1, "surface": 1, "loop": 1}
     flags = {"surface": ["--res", "3", "--out", str(tmp_path / "s.csv")],
              "loop": ["--loop", "0,0,0.01", "--out", str(tmp_path / "l.csv")]}
     cases = [(command, crystal) for command in ("classify", "scenario", "surface")
@@ -1255,8 +1253,8 @@ def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch, tmp_path):
         calls.clear()
         argv = [command, "--family", crystal, "--at", "0,0", *flags.get(command, [])]
         assert run(capsys, *argv)[0] == 0
-        counts[command, crystal] = len(calls)
-    assert all(n <= limits[command] for (command, _), n in counts.items()), counts
+        counts[command, crystal] = calls.copy()
+    assert all(kw == [{}, {"compute_uv": False}] for kw in counts.values()), counts
 
 
 #: flag values of the argv fuzz: zero, ordinary, tiny, subnormal and huge

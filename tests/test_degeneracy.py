@@ -472,45 +472,6 @@ class TestDPFrameScalarMatrix:
         assert np.allclose(gram, np.eye(2), atol=1e-12)
 
 
-class ExactSigmaMax(degeneracy._SigmaMax):
-    """sigma_max(A) with both bounds at the SVD's value, so that every
-    decision is taken against sigma_max(A) itself."""
-
-    def __init__(self, a):
-        super().__init__(a)
-        self.lower = self.upper = self.exact()
-
-
-def classify_by_svd(a, lam0, tol_rank=degeneracy.DEFAULT_RANK_TOL):
-    """``classify`` with the rank threshold always at the SVD's sigma_max(A)."""
-    arr = numkit.as_cmatrix(a)
-    shifted = numkit.SVD(arr - lam0 * np.eye(arr.shape[0]))
-    sigma_max = ExactSigmaMax(arr)
-    threshold = tol_rank * max(sigma_max.exact(), 1e-300)
-    values = shifted.s.tolist()
-    ambiguous = [x for x in values if threshold / 10.0 < x < threshold * 10.0]
-    if ambiguous:
-        raise IndeterminateRankError(
-            f"singular values [{', '.join(f'{x:.3e}' for x in ambiguous)}] within a "
-            f"factor 10 of the rank threshold {threshold:.3e}", singular_values=shifted.s)
-    gm = sum(not x > threshold for x in values)
-    if gm not in (1, 2):
-        raise ClassificationError(
-            f"geometric multiplicity {gm} outside {{1, 2}} for lam0 = {lam0:.6g}")
-    if gm == 1:
-        overlap = abs(shifted.vh[-1] @ shifted.u[:, -1])
-        simple = math.sqrt(tol_rank)
-        if overlap > 10.0 * simple:
-            raise ClassificationError(f"lam0 = {lam0:.6g} is a simple eigenvalue: "
-                                      f"|(u0, v0)| = {overlap:.3e} > 10 x {simple:.3e}")
-        if overlap > simple / 10.0:
-            raise IndeterminateRankError(f"|(u0, v0)| = {overlap:.3e} within a factor 10 of "
-                                         f"the threshold {simple:.3e}", singular_values=shifted.s)
-    return degeneracy.DegeneracyClass(
-        kind="EP" if gm == 1 else "DP", geometric_multiplicity=gm,
-        lam0=complex(lam0), shifted=shifted, sigma_max=sigma_max)
-
-
 def outcome(build, *args):
     """The bytes of the vectors ``build(*args)`` returns, or its error's type and message."""
     try:
@@ -521,30 +482,22 @@ def outcome(build, *args):
             for f in dataclasses.fields(result)]
 
 
-def pipeline(classify, a, lam0, tol_rank, right_basis):
-    """classify's outcome, then the chain's or the frame's (both frames at a
-    DP with ``right_basis``)."""
+def pipeline(a, lam0, tol_rank=degeneracy.DEFAULT_RANK_TOL, right_basis=None):
+    """classify's kind or error type, then the outcome of the chain or the
+    frame (both frames at a DP with ``right_basis``)."""
     try:
-        kind = classify(a, lam0, tol_rank)
+        kind = degeneracy.classify(a, lam0, tol_rank)
     except (ClassificationError, IndeterminateRankError) as exc:
-        return [(type(exc), str(exc))]
-    outcomes = [(kind.kind, kind.geometric_multiplicity, kind.shifted.s.tobytes())]
+        return [type(exc)]
     if kind.kind == "EP":
-        outcomes.append(outcome(degeneracy.jordan_chain, kind))
-    else:
-        outcomes.append(outcome(degeneracy.dp_frame, kind))
-        if right_basis is not None:
-            outcomes.append(outcome(degeneracy.dp_frame, kind, right_basis))
-    return outcomes
+        return [kind.kind, outcome(degeneracy.jordan_chain, kind)]
+    return [kind.kind, outcome(degeneracy.dp_frame, kind)] + (
+        [] if right_basis is None else [outcome(degeneracy.dp_frame, kind, right_basis)])
 
 
-def assert_decides_as_the_svd(a, lam0, tol_rank=degeneracy.DEFAULT_RANK_TOL, right_basis=None):
-    """classify, jordan_chain and dp_frame agree with those of a copy of
-    classify that takes sigma_max(A) from the SVD; returns the outcomes."""
-    got = pipeline(degeneracy.classify, a, lam0, tol_rank, right_basis)
-    want = pipeline(classify_by_svd, a, lam0, tol_rank, right_basis)
-    assert got == want
-    return got
+def built(outcomes) -> bool:
+    """Whether every chain or frame of ``pipeline``'s outcomes was built."""
+    return len(outcomes) > 1 and all(isinstance(o, list) for o in outcomes[1:])
 
 
 def planted(kind, m, seed):
@@ -564,110 +517,101 @@ PLANTED_LAM0 = 0.4 - 0.3j
 
 
 class TestBoundsDecideAsTheSVD:
-    """classify reads sigma_max(A) from its bounds by ||A||_F; it decides as
-    the SVD does."""
+    """classify decides against tol_rank sigma_max(A), and the builders
+    bound their residuals by _FRAME_TOL max(sigma_max(A), 1), sigma_max(A)
+    from one SVD of A: at every scale, at thresholds that underflow and at
+    matrices whose ||A||_F overflows."""
 
     @pytest.mark.parametrize("kind,m", [("EP", 3), ("DP", 3), ("EP", 5), ("DP", 4)])
     def test_planted_pairs_at_every_scale(self, kind, m, monkeypatch):
-        """Scaled by 2^k, k in [-40, 40], the planted pair is classified
-        with one SVD, of A - lam0 I, and its chain or both its frames are
-        built or refused as the SVD's sigma_max(A) decides. (The chain's
-        residual bound, absolute below sigma_max(A) = 1, refuses the chains of
-        the smallest scales; rounding refuses those of the largest.)"""
+        """Scaled by 2^k, k in [-40, 40], the planted pair keeps its kind,
+        classified with two SVDs: of A - lam0 I and, values only, of A. Its
+        chain or both its frames are built on one run of scales about 1,
+        more than 40 of them. (The chain's residual bound, absolute below
+        sigma_max(A) = 1, refuses the chains of the smallest scales; rounding
+        refuses those of the largest.)"""
         a, basis = planted(kind, m, seed=m)
-        svd, calls, built = np.linalg.svd, [], 0
+        svd, calls, scales = np.linalg.svd, [], []
         for k in range(-40, 41):
             scaled, lam0 = a * 2.0 ** k, PLANTED_LAM0 * 2.0 ** k
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "svd", lambda *args, **kw: (
                     calls.append(kw) or svd(*args, **kw)))
                 assert degeneracy.classify(scaled, lam0).kind == kind
-            assert calls == [{}]
+            assert calls == [{}, {"compute_uv": False}]
             calls.clear()
-            outcomes = assert_decides_as_the_svd(scaled, lam0, right_basis=basis)
-            built += all(isinstance(o, list) for o in outcomes[1:])
-        assert built > 40
+            outcomes = pipeline(scaled, lam0, right_basis=basis)
+            assert outcomes[0] == kind
+            assert all(isinstance(o, list) or o[0] is FrameError for o in outcomes[1:])
+            if built(outcomes):
+                scales.append(k)
+        assert len(scales) > 40 and 0 in scales
+        assert scales == list(range(scales[0], scales[-1] + 1))
 
     @pytest.mark.parametrize("tol_rank", [1e-8, 1e-4])
     def test_singular_value_in_the_widened_band(self, tol_rank):
         """A - lam0 I has singular values 2, 1 and delta, sigma_max(A) = 2;
-        delta sweeps the band between the thresholds of the two bounds, where
-        only the SVD decides: zero, ambiguous and nonzero in turn."""
-        seen = set()
+        as delta sweeps the band about the threshold 2 tol_rank it counts as
+        zero, ambiguous and nonzero in turn."""
+        seen = []
         for delta in np.geomspace(0.1 * tol_rank, 25.0 * tol_rank, 400):
             a = np.array([[0.0, 1.0, 0.0], [delta, 0.0, 0.0], [0.0, 0.0, 2.0]])
-            seen.add(assert_decides_as_the_svd(a, 0.0, tol_rank)[0][0])
-        assert seen == {"EP", IndeterminateRankError, ClassificationError}
-
-    def test_rank_one_matrices(self):
-        """For a rank-one A, ||A||_F can round below sigma_max(A), as in
-        ``test_floor_margin_on_rank_one_matrices``. At lam0 = 0 the singular
-        value sigma_max(A) of A - lam0 I sits on the top of the ambiguity
-        band, 10 tol_rank sigma_max(A), for tol_rank a few ulps from 0.1."""
-        rng = np.random.default_rng(7)
-        norm_below = 0
-        for _ in range(150):
-            m = int(rng.integers(2, 6))
-            u, v = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
-            a = np.outer(u, v.conj()) * (3 / np.linalg.norm(u) / np.linalg.norm(v))
-            norm_below += np.linalg.norm(a) < np.linalg.svd(a, compute_uv=False)[0]
-            for ulps in range(-3, 4):
-                assert_decides_as_the_svd(a, 0.0, 0.1 + ulps * 2.0 ** -56)
-        assert norm_below > 0
-
-    def test_scaled_unitary_matrices(self):
-        """For A = c Q, Q unitary, ||A||_F / sqrt(m) can round above
-        sigma_max(A). At lam0 = 0 every singular value of A - lam0 I is
-        sigma_max(A), on the bottom of the ambiguity band for tol_rank a few
-        ulps from 10."""
-        rng = np.random.default_rng(13)
-        norm_above = 0
-        for _ in range(150):
-            m = int(rng.integers(2, 6))
-            q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-            a = q * rng.uniform(0.5, 4.0)
-            norm_above += (np.linalg.norm(a) / math.sqrt(m)
-                           > np.linalg.svd(a, compute_uv=False)[0])
-            for ulps in range(-3, 4):
-                assert_decides_as_the_svd(a, 0.0, 10.0 + ulps * 2.0 ** -49)
-        assert norm_above > 0
+            seen.append(pipeline(a, 0.0, tol_rank)[0])
+            if delta < 0.19 * tol_rank or delta > 21.0 * tol_rank:
+                assert seen[-1] == ("EP" if delta < tol_rank else ClassificationError)
+            elif 0.21 * tol_rank < delta < 19.0 * tol_rank:
+                assert seen[-1] is IndeterminateRankError
+        assert set(seen) == {"EP", IndeterminateRankError, ClassificationError}
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_zero_matrix(self, m):
+        """Only lam0 = 0 is an eigenvalue of the zero matrix, of
+        multiplicity m: a DP at m = 2, refused at m = 1 and 3."""
         for lam0 in (0.0, 1e-300, 1.0):
-            assert_decides_as_the_svd(np.zeros((m, m)), lam0)
+            outcomes = pipeline(np.zeros((m, m)), lam0)
+            if m == 2 and lam0 == 0.0:
+                assert outcomes[0] == "DP" and built(outcomes)
+            else:
+                assert outcomes == [ClassificationError]
 
     def test_thresholds_that_underflow(self):
         """A tolerance so small that a tenth of the threshold rounds to 0:
         a zero singular value still counts as zero."""
         for tol_rank in (5e-324, 1e-322, 1e-310, 1e-300):
-            for a in (np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1e-300])):
-                assert_decides_as_the_svd(a, 0.0, tol_rank)
+            outcomes = pipeline(np.diag([1.0, 0.0, 0.0]), 0.0, tol_rank)
+            assert outcomes[0] == "DP" and built(outcomes)
+            # one zero singular value: a simple eigenvalue
+            for a in (np.diag([1.0, 0.0]), np.diag([0.0, 1e-300])):
+                assert pipeline(a, 0.0, tol_rank) == [ClassificationError]
 
     def test_frobenius_norm_lost_to_underflow(self):
-        """Entries whose squares round in the subnormals, by up to half their
-        size, leave ||A||_F no bound (0 and inf): the SVD decides. A - lam0 I
-        = diag(2s, s, 0), with tolerances that put s near the ambiguity band."""
-        for s in np.geomspace(1e-163, 1e-150, 300):
-            for tol_rank in (0.03, 0.045, 0.055, 0.07, 1e-8):
-                assert_decides_as_the_svd(np.diag([2.0 * s, s, 0.0]), 0.0, tol_rank)
+        """Entries whose squares round in the subnormals are decided as at
+        unit scale: A - lam0 I = diag(2s, s, 0), with tolerances that put s
+        near the ambiguity band."""
+        for tol_rank in (0.03, 0.045, 0.055, 0.07, 1e-8):
+            want = pipeline(np.diag([2.0, 1.0, 0.0]), 0.0, tol_rank)
+            for s in np.geomspace(1e-163, 1e-150, 300):
+                assert pipeline(np.diag([2.0 * s, s, 0.0]), 0.0, tol_rank) == want
 
     def test_overflowing_frobenius_norm(self):
-        """||A||_F is inf, so the bounds are 0 and inf and the SVD decides."""
-        for a, lam0 in [(np.array([[0.0, 1e160], [1e-160, 0.0]]), 0.0),
-                        (np.diag([1e160, 1e160, 1.0]), 1e160),
-                        (np.array([[1e160, 1.0], [0.0, 1e160]]), 1e160),
-                        (np.diag([1e300, 1e300, -1e300]), 1e300)]:
-            assert_decides_as_the_svd(a, lam0)
+        """||A||_F is inf, and sigma_max(A) is finite: each pair is decided,
+        and its chain or frame built."""
+        for a, lam0, kind in [(np.array([[0.0, 1e160], [1e-160, 0.0]]), 0.0, "EP"),
+                              (np.diag([1e160, 1e160, 1.0]), 1e160, "DP"),
+                              (np.array([[1e160, 1.0], [0.0, 1e160]]), 1e160, "DP"),
+                              (np.diag([1e300, 1e300, -1e300]), 1e300, "DP")]:
+            outcomes = pipeline(a, lam0)
+            assert outcomes[0] == kind and built(outcomes)
 
     def test_pinned_frames_around_the_cond_threshold(self):
         """Right bases u and u + eps w of a planted DP's eigenspace have
-        cond(gram) near 1e8 for eps near 1e-8: the frame is built on one side
-        of it and refused on the other."""
+        cond(gram) near 1e8 for eps near 1e-8: the frame is refused below a
+        value of eps and built above it."""
         a, (u, w) = planted("DP", 3, seed=3)
-        refused = set()
+        refused = []
         for eps in np.geomspace(1e-9, 1e-5, 400):
-            outcomes = assert_decides_as_the_svd(a, PLANTED_LAM0, right_basis=[u, u + eps * w])
-            refused.add(outcomes[2] == (FrameError, "Gram matrix of the candidate "
-                                                    "frames is near singular"))
-        assert refused == {False, True}
+            outcomes = pipeline(a, PLANTED_LAM0, right_basis=[u, u + eps * w])
+            refused.append(outcomes[2] == (FrameError, "Gram matrix of the candidate "
+                                                       "frames is near singular"))
+        assert refused[0] and not refused[-1]
+        assert refused == sorted(refused, reverse=True)
