@@ -155,26 +155,16 @@ class PolynomialFamily(MatrixFamily):
     def _deriv(self, p) -> list:
         if self._partials is None:
             self._partials = [self._partial(i) for i in range(self.n_params)]
-        return [partial.copy() if isinstance(partial, np.ndarray) else partial.value(p)
-                for partial in self._partials]
+        return [partial.value(p) for partial in self._partials]
 
     # a coefficient C_t e_i that overflows is refused by derivative's check
     @np.errstate(over="ignore", invalid="ignore")
-    def _partial(self, i: int):
-        """The i-th partial polynomial (terms with e_i > 0, coefficient C_t
-        e_i, e_i - 1), or, where all its exponents are 0, the matrix its
-        ``value`` takes at every point: its coefficients summed from zeros in
-        term order. (``value`` multiplies each by the monomial 1.0 first;
-        that moves no bit of a finite sum started from +0.)"""
-        partial = PolynomialFamily(self.dim, self.n_params, tuple(
+    def _partial(self, i: int) -> PolynomialFamily:
+        """The i-th partial polynomial: terms with e_i > 0, coefficient
+        C_t e_i, e_i - 1."""
+        return PolynomialFamily(self.dim, self.n_params, tuple(
             (coeff * exps[i], exps[:i] + (exps[i] - 1,) + exps[i + 1:])
             for coeff, exps in self.terms if exps[i] > 0))
-        if any(any(exps) for _, exps in partial.terms):
-            return partial
-        constant = np.zeros((self.dim, self.dim), dtype=complex)
-        for coeff, _ in partial.terms:
-            constant += coeff
-        return constant
 
 
 def _require(cond, path, message):

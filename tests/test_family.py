@@ -124,8 +124,7 @@ ENTRY = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.1, 3.0, 1e-16, -2.5e-8, 1e308, 
 
 @st.composite
 def polynomials(draw):
-    """Polynomials of up to 5 terms whose exponents are mostly 0 and 1, so
-    that most partials are constant."""
+    """Polynomials of up to 5 terms whose exponents are mostly 0 and 1."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     terms = []
     for _ in range(draw(st.integers(0, 5))):
@@ -141,8 +140,7 @@ def polynomials(draw):
                                min_size=3, max_size=3))
 def test_partials_match_value_of_the_partial_polynomial(poly, point):
     """dA/dp_i, as the family's deriv returns it (non-finite entries too),
-    is bit for bit ``value`` of the i-th partial polynomial, also where the
-    partial is kept as a constant matrix."""
+    is bit for bit ``value`` of the i-th partial polynomial."""
     p = np.array(point[:poly.n_params])
     got = poly._deriv(p)
     for i in range(poly.n_params):

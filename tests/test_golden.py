@@ -12,9 +12,9 @@ exceptional point at p = (0, 0), and ``planted-dp-m6``, a diabolic point
 there. ``quadratic-ep-m3`` is S J S^-1 with J = [[0.5 + 0.2i, 1, 0],
 [0, 0.5 + 0.2i, 0], [0, 0, 2 + 1.5i]] and S = I plus ones on the
 superdiagonal, an exceptional point at p = (0, 0), plus terms in p1, p2,
-p1^2, p1 p2 and p2^2 with one-decimal coefficients: both its partials are
-polynomials, not constant matrices, unlike those of the planted families,
-which are linear in p. JSON reports and loop files must match byte for byte.
+p1^2, p1 p2 and p2^2 with one-decimal coefficients: both its partials
+depend on p, unlike those of the planted families, which are linear in p.
+JSON reports and loop files must match byte for byte.
 Surface grids and cross-section CSVs are compared to 1e-12 relative to
 max(1, |value|): batched evaluation may change the floating-point summation
 order and with it the last bits. Every case also runs twice, and both runs
