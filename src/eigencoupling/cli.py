@@ -82,13 +82,12 @@ def _floats(text: str, what: str):
 
 
 def _read_text(path: str, missing: str) -> str:
-    """The UTF-8 text of the file at ``path``, CR and CR LF read as LF, as
-    text mode reads them. A path that names no file fails with the message
+    """The UTF-8 text of the file at ``path``, read in text mode (CR and
+    CR LF as LF). A path that names no file fails with the message
     ``missing``; any other failure to read names the path and its cause."""
     try:
-        with open(path, "rb") as handle:
-            text = handle.read().decode("utf-8")
-        return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise _UsageError(f"cannot read '{path}': {exc}") from exc
     # ValueError: a NUL byte in the path

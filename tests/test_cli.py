@@ -1193,10 +1193,9 @@ BROKEN_JSON = "not valid JSON: Expecting ',' delimiter: line 5 column 17 (char 5
      "invalid continuation byte"),
 ], ids=["lf", "crlf", "cr", "config-crlf", "latin1-9k"])
 def test_files_read_as_text_mode_reads_them(flag, doc, error, capsys, tmp_path):
-    """A family or config file is read as bytes and decoded once, CR and
-    CR LF as LF: the positions of a JSON error, and of a byte that is not
-    UTF-8 past the 8 KiB a text-mode reader decodes at a time, are those a
-    file opened in text mode gives."""
+    """A family or config file is read in text mode, CR and CR LF as LF:
+    the positions of a JSON error, and of a byte that is not UTF-8 past the
+    first 8 KiB, are those of the whole decoded text."""
     path = tmp_path / "doc.json"
     path.write_bytes(doc)
     with open(path, encoding="utf-8") as handle:    # the text-mode reader, as the oracle
