@@ -371,6 +371,10 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     floor 2 sqrt(eps) sigma_max(A)); at a defective matrix the computed pair
     gap saturates near sqrt(eps)||A|| even though the parameter error is many
     orders smaller (the squared half-gap is linear in dp near the EP).
+
+    The converged point is classified at the pair mean: a DP, or a double
+    eigenvalue ``classify`` refuses, raises ClassificationError, and an
+    undecidable rank IndeterminateRankError, each naming p_star.
     """
     if fam.n_params != 2:
         raise TrackingError("find_ep requires a two-parameter family")
@@ -435,6 +439,16 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
         if np.linalg.norm(step) <= 1e-14 * (1.0 + np.linalg.norm(p)):
             break
     if converged:
+        try:
+            kind = classify(a, mean).kind
+        except IndeterminateRankError as exc:
+            raise IndeterminateRankError(f"at p_star = {p.tolist()}: {exc}",
+                                         singular_values=exc.singular_values) from exc
+        except ClassificationError as exc:
+            raise ClassificationError(f"at p_star = {p.tolist()}: {exc}") from exc
+        if kind != "EP":
+            raise ClassificationError(f"the search converged on a {kind}, not an EP, "
+                                      f"at p_star = {p.tolist()}")
         return EPSearchResult(
             p_star=p, lambda0=complex(mean), iterations=len(history) - 1,
             residual_history=history, gap=float(gap),

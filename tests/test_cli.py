@@ -1112,6 +1112,11 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
      "cannot parse --at 'a,b': could not convert string to float: 'a'"),
     (2, ["classify", "--family", "{spread}", "--at", "0,0", "--tol-cluster", "1.95"],
      "cluster at 0+0j not isolated: external gap 5.500e+01 <= internal gap 6.000e+01"),
+    (2, ["find-ep", "--family", "crystal-example-2", "--at", "0.05,-0.03"],
+     "at p_star = [3.4991784627544553e-09, -2.087120335099058e-09]: singular values "
+     "[3.983e-08, 1.422e-08] within a factor 10 of the rank threshold 7.416e-08"),
+    (2, ["find-ep", "--family", "crystal-example-2", "--at", "0,0"],
+     "the search converged on a DP, not an EP, at p_star = [0.0, 0.0]"),
 ]
 
 
@@ -1143,7 +1148,9 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     command that needs --out without it, of a DP scenario or a surface whose
     family has not two parameters, and of a config file that holds no JSON
     object; exit 2 from classify for a cluster that a third eigenvalue sits
-    closer to than its own pair is apart. A failure prints one error line, with the
+    closer to than its own pair is apart, and from find-ep for a search that
+    converges on a DP or where the rank of its landing point cannot be
+    decided, naming the point. A failure prints one error line, with the
     text that names its cause (singular values formatted alike on every
     numpy), writes no file, and no case warns."""
     families = {"sep": SEPARATED_FAMILY, "ovf": OVERFLOWING_FAMILY, "flat": FLAT_IM_FAMILY,

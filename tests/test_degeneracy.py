@@ -392,8 +392,9 @@ class TestFindEP:
     def test_floor_svd_only_where_it_can_decide(self, crystal1, monkeypatch):
         """A probe whose gap exceeds the Frobenius bound _EPS_FLOOR ||A||_F of
         the noise floor takes no SVD for it. The crystal's search converges
-        through the floor, so only its last probe takes one, and every
-        accepted step takes one more for its Jacobian."""
+        through the floor, so only its last probe takes one, every accepted
+        step takes one more for its Jacobian, and classifying the landing
+        point two: of A - lam0 I and, values only, of A."""
         probes, svds = [], []       # probes: [A, took the floor SVD], in order
         eigvals, svd = numkit.eigvals, np.linalg.svd
 
@@ -416,7 +417,17 @@ class TestFindEP:
         assert all(gap > degeneracy._EPS_FLOOR * np.linalg.norm(a)
                    for (a, _), gap in zip(probes[:-1], gaps))
         assert gaps[-1] > degeneracy.EP_GAP_TOL * (1 + abs(result.lambda0))   # the floor decided
-        assert len(svds) == result.iterations + 1
+        assert len(svds) == result.iterations + 3
+
+    def test_landing_on_a_dp_is_refused(self, crystal2):
+        """crystal-example-2's pair is double at its DP p = 0, where the
+        search stops at once; from a guess nearby it converges close to it,
+        where the rank cannot be decided. Neither is reported as an EP."""
+        with pytest.raises(ClassificationError, match=r"converged on a DP, not an EP, "
+                                                      r"at p_star = \[0\.0, 0\.0\]"):
+            degeneracy.find_ep(crystal2, [0.0, 0.0])
+        with pytest.raises(IndeterminateRankError, match=r"^at p_star = \[3\.49"):
+            degeneracy.find_ep(crystal2, [0.05, -0.03])
 
     def test_floor_margin_on_rank_one_matrices(self):
         """For a rank-one A, sigma_max(A) = ||A||_F, and the computed norms

@@ -54,12 +54,13 @@ CASES = [
      {"scenario-offset.json": "stdout"}),
     ("section", ["scenario", "--at", "0,0", "--offset", "0.01", "--format", "csv",
                  "--out", "{dir}/section.csv"], {"section.csv": "section.csv"}),
-    ("find-ep", ["find-ep", "--at", "0.05,-0.03"], {"find-ep.json": "stdout"}),
     ("surface", ["surface", "--at", "0,0", "--window=-0.05,0.05", "--res", "21",
                  "--out", "{dir}/surface.csv"], {"surface.csv": "surface.csv"}),
 ]
-#: loop trajectories need an EP anchor
+#: find-ep refuses the DP it converges on from a guess near crystal-example-2's
+#: anchor, and loop trajectories need an EP anchor
 EP_CASES = [
+    ("find-ep", ["find-ep", "--at", "0.05,-0.03"], {"find-ep.json": "stdout"}),
     ("loop", ["loop", "--at", "0,0", "--loop=0.003,-0.002,0.01", "--samples", "720",
               "--out", "{dir}/loop.csv"],
      {"loop.csv": "loop.csv", "loop.json": "loop.json"}),
@@ -161,12 +162,12 @@ def test_write_golden_rewrites_only_rejected_files(tmp_path, monkeypatch, capsys
     nudged = "\n".join([header, ",".join(cells), rest])
     surface.write_text(nudged)
     (tmp_path / "crystal-example-1.classify.json").write_text("{}\n")
-    (tmp_path / "crystal-example-2.find-ep.json").unlink()
+    (tmp_path / "crystal-example-2.scenario.json").unlink()
     golden = GOLDEN
     monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
     write_golden()
     assert capsys.readouterr().out.split() == [
-        "wrote", "crystal-example-1.classify.json", "wrote", "crystal-example-2.find-ep.json"]
+        "wrote", "crystal-example-1.classify.json", "wrote", "crystal-example-2.scenario.json"]
     assert surface.read_text() == nudged
     for path in golden.iterdir():
         if path.name != surface.name:

@@ -4,10 +4,11 @@ The optical matrix A(p) of each builtin crystal is rebuilt at 50 digits
 straight from the formulas of ``crystal_optics`` (direction on the upper
 hemisphere, eta = U + G(gamma . s), A = (I - s s^T) eta), and its spectrum
 and largest singular value come from mpmath, not from LAPACK. At the p_star
-of the find-ep golden files the closest eigenvalue pair must then meet the
-search's own convergence test, max(EP_GAP_TOL (1 + |lam|), 2 sqrt(eps)
-sigma_max): the golden points are exceptional points to the precision the
-search can resolve.
+of crystal-example-1's find-ep golden file the closest eigenvalue pair must
+then meet the search's own convergence test, max(EP_GAP_TOL (1 + |lam|),
+2 sqrt(eps) sigma_max): the golden point is an exceptional point to the
+precision the search can resolve. (crystal-example-2's search converges on
+its diabolic point, which find-ep refuses.)
 
 At p = 0 the Jordan chain of crystal-example-1 and the bi-orthonormal frame
 of crystal-example-2 are built in mpmath from a 50-digit SVD of A(0) - lam0 I,
@@ -56,7 +57,7 @@ def reference_matrix(spec, p):
     return projector * eta
 
 
-@pytest.mark.parametrize("family", ["crystal-example-1", "crystal-example-2"])
+@pytest.mark.parametrize("family", ["crystal-example-1"])
 def test_golden_p_star_is_an_exceptional_point(family):
     report = json.loads((GOLDEN / f"{family}.find-ep.json").read_text())
     p_star = report["p_star"]
