@@ -492,7 +492,8 @@ def cmd_scenario(opts) -> int:
     offset = (_floats(opts["offset"], "--offset")
               if opts.get("offset") else [0.0] * (fam.n_params - 1))
     if len(offset) != fam.n_params - 1:
-        raise _UsageError(f"--offset needs {fam.n_params - 1} components")
+        count = fam.n_params - 1
+        raise _UsageError(f"--offset needs {count} component{'s' * (count != 1)}")
     model = _local_model(fam, p0, kind)
     chart_2p = kind.kind == "DP" and not opts.get("offset")
     if chart_2p and fam.n_params != 2:

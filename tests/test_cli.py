@@ -1100,7 +1100,7 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
     (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop=0,0",
          "--out", "{tmp}/l.csv"], "--loop needs exactly three values a,b,r"),
     (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--offset", "0.01,0.02"],
-     "--offset needs 1 components"),
+     "--offset needs 1 component"),
     (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--offset", "0.01",
          "--format", "csv"], "--format csv requires --out"),
     (1, ["scenario", "--family", "{dp3}", "--at", "0,0,0"],
@@ -1117,6 +1117,8 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
      "[3.983e-08, 1.422e-08] within a factor 10 of the rank threshold 7.416e-08"),
     (2, ["find-ep", "--family", "crystal-example-2", "--at", "0,0"],
      "the search converged on a DP, not an EP, at p_star = [0.0, 0.0]"),
+    (1, ["scenario", "--family", "{dp3}", "--at", "0,0,0", "--offset", "0.01"],
+     "--offset needs 2 components"),
 ]
 
 
