@@ -263,33 +263,42 @@ def _format(block, ends) -> bytes:
     -4 or X > 16); separator. All but the sign come from tables at j, except
     where D ends in 0: there the fraction's trailing zeros are blanked and a
     '.' before none is dropped."""
-    x = block.ravel()
+    x = block.ravel()       # a view of the caller's table where it can be: never written
     (two, hi5, lo5, hh5, hl5, quads, last4, first,
      lead_at, low_at, dot_at, prefix_at, suffix_at) = _digit_tables()
-    a = np.abs(x)
-    zero = a == 0.0
-    normal = (a >= sys.float_info.min) & (a <= sys.float_info.max)
-    a[~normal] = 1.0        # X = 0 for zero and for what '%.17g' writes
-    at = 316 - np.floor(np.log10(a)).astype(np.int64)   # j = 16 - X; the tables start at -300
-    m = a * two.take(at)
+    m = np.abs(x)           # each pass below writes into an array it no longer needs
+    zero = m == 0.0
+    normal = (m >= sys.float_info.min) & (m <= sys.float_info.max)
+    m[~normal] = 1.0        # X = 0 for zero and for what '%.17g' writes
+    at = np.log10(m)
+    at = 316 - np.floor(at, out=at).astype(np.int64)   # j = 16 - X; the tables start at -300
+    m *= two.take(at)
     p = m * hi5.take(at)
     mh = m * 134217729.0    # Veltkamp's split m = mh + ml
-    mh -= mh - m
-    ml = m - mh
+    ml = mh - m
+    mh -= ml
+    ml = np.subtract(m, mh, out=ml)
     hh, hl = hh5.take(at), hl5.take(at)
-    s = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl + m * lo5.take(at)  # m hi5 - p, + m lo5
-    hi = p + s
-    lo = s - (hi - p)
-    whole = np.floor(lo)
-    half = lo - whole
-    digits = hi.astype(np.int64) + whole.astype(np.int64)
-    ok = normal & (digits >= 10 ** 16) & (np.abs(half - 0.5) >= 2.0 ** -30)
+    s = mh * hh             # m hi5 - p, + m lo5
+    s -= p
+    s += np.multiply(mh, hl, out=mh)
+    s += np.multiply(ml, hh, out=hh)
+    s += np.multiply(ml, hl, out=hl)
+    s += np.multiply(m, lo5.take(at), out=m)
+    hi = np.add(p, s, out=mh)
+    lo = np.subtract(s, np.subtract(hi, p, out=p), out=s)
+    whole = np.floor(lo, out=p)
+    half = np.subtract(lo, whole, out=lo)
+    digits = np.add(hi.astype(np.int64), whole.astype(np.int64), out=m.view(np.int64))
+    ok = np.abs(np.subtract(half, 0.5, out=whole), out=whole) >= 2.0 ** -30
+    ok &= normal & (digits >= 10 ** 16)
     digits += half > 0.5
+    del m, p, mh, ml, hh, hl, s, hi, lo, whole, half
     ok &= digits < 10 ** 17
     digits[~ok] = 0         # zero prints as "0"; '%.17g' overwrites the rest
     # D's digits in groups of 4, 4, 4, 4 and 1, from its floor quotients by 10^13, 10^9, 10^5, 10
     groups = [digits // 10 ** k for k in (13, 9, 5, 1)]
-    g16 = digits - 10 * groups[3]
+    g16 = np.subtract(digits, 10 * groups[3], out=digits)
     for k in (3, 2, 1):
         groups[k] -= 10000 * groups[k - 1]
     words = [quads.take(groups[0]) | quads.take(groups[1]) << np.uint64(32),
@@ -298,6 +307,7 @@ def _format(block, ends) -> bytes:
     # where D ends in 0: the index of its last nonzero digit, and what that keeps
     tail = np.flatnonzero(g16 == 0)
     last = np.max([last4.take(g[tail]) + k for g, k in zip(groups, (0, 4, 8, 12))], axis=0)
+    del groups, g16, digits
     lead = lead_at.take(at[tail])
     keep = np.maximum(last, lead) + 1
     no_dot = tail[last <= lead]
@@ -306,18 +316,24 @@ def _format(block, ends) -> bytes:
     spill = np.uint64(0)
     for w, word in enumerate(words):    # the digits, with '.' after the integer ones
         word[tail] &= first[w].take(keep)
-        low = word & low_at[w].take(at)
-        high = word ^ low
+        low = low_at[w].take(at)
+        low &= word
+        high = np.bitwise_xor(word, low, out=word)
         dot = dot_at[w].take(at)
         dot[no_dot] = 0
-        out[:, w + 1] = low | dot | high << np.uint64(8) | spill
-        spill = high >> np.uint64(56)
+        low |= dot
+        low |= np.left_shift(high, np.uint64(8), out=dot)
+        np.bitwise_or(low, spill, out=out[:, w + 1])
+        spill = np.right_shift(high, np.uint64(56), out=high)
     out[:, 3] |= suffix_at.take(at)
     out.reshape(block.shape + (4,))[:, :, 3] |= ends
+    del words, word, low, high, dot, spill, at
     slow = np.flatnonzero(~(ok | zero))
     out.view(np.uint8).reshape(-1, 32)[slow, :31] = np.array(
         ["%.17g" % v for v in x[slow].tolist()], "S31").view(np.uint8).reshape(-1, 31)
-    return out.tobytes().translate(None, b"\0")
+    data = out.tobytes()
+    del out
+    return data.translate(None, b"\0")
 
 
 def _rows(table) -> list:

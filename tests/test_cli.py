@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from eigencoupling import family as family_mod
 from eigencoupling.errors import FamilyParseError
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
+GOLDEN = Path(__file__).parent / "golden"
 
 TOY_FAMILY = json.dumps({
     "m": 2, "n": 2,
@@ -364,6 +366,43 @@ class TestCsvFloats:
     def test_zeros_and_specials(self):
         table = np.array([[0.0, -0.0, np.inf], [-np.inf, np.nan, 1.0]])
         assert b"".join(cli._rows(table)) == b"0,-0,inf\n-inf,nan,1\n"
+
+    @pytest.mark.parametrize("layout", ["C", "F", "column slice", "negative stride"])
+    def test_caller_table_unchanged(self, layout):
+        """The kernel works in place on its own arrays, never on the table:
+        a chunk of a C-ordered table reaches it as a view. Two chunks of
+        rows, with zeros, subnormals and non-finite values among them."""
+        rng = np.random.default_rng(19)
+        values = CSV_FLOAT_SETS["range ends"](rng).tolist() + [0.0, -0.0, np.inf, np.nan]
+        pool = rng.permutation(np.resize(values, 3000 * 8))
+        table = {"C": pool.reshape(3000, 8),
+                 "F": np.asfortranarray(pool.reshape(3000, 8)),
+                 "column slice": pool.reshape(3000, 8)[:, 1:6],
+                 "negative stride": pool.reshape(3000, 8)[::-1, ::-2]}[layout]
+        before = table.copy()
+        assert b"".join(cli._rows(table)) == percent_g_rows(before).encode()
+        assert table.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("name,rows", [("loop", 2048), ("surface", 256)])
+    def test_traced_peak_per_value(self, name, rows):
+        """What one ``_format`` call holds at once, its result included, as
+        tracemalloc counts it: at most 160 bytes per value, on a chunk of a
+        loop CSV's rows and on a block of a surface CSV's, each from the
+        golden file of crystal-example-1."""
+        path = GOLDEN / f"crystal-example-1.{name}.csv"
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        block = np.resize(table, (rows, table.shape[1]))
+        ends = np.full(block.shape[1], ord(","), np.uint64) << np.uint64(56)
+        ends[-1] = ord("\n") << 56
+        cli._format(block, ends)    # builds the digit tables
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli._format(block, ends)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / block.size <= 160
 
 
 class TestWriteFiles:
@@ -1347,7 +1386,7 @@ def test_module_entry_point():
         return subprocess.run([sys.executable, "-m", "eigencoupling", *argv], capture_output=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
 
-    golden = Path(__file__).parent / "golden" / "crystal-example-1.classify.json"
+    golden = GOLDEN / "crystal-example-1.classify.json"
     done = entry("classify", "--family", "crystal-example-1", "--at", "0,0")
     assert (done.returncode, done.stdout, done.stderr) == (0, golden.read_bytes(), b"")
     done = entry("classify", "--family", "crystal-example-1", "--at", "0.3,0.2")
