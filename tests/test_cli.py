@@ -1377,6 +1377,81 @@ def test_argv_fuzz(fuzz_dir, argv):
         json.loads(out.getvalue(), parse_constant=refuse_constant)
 
 
+#: strings without '/': a path drawn as --out or --family stays in the fuzz directory
+PLAIN_TEXT = st.text(st.characters(exclude_characters="/"), max_size=6)
+
+
+#: every JSON type; res and samples at most 64, so no drawn grid or loop is large
+def json_values(small_ints=False):
+    ints = st.integers(max_value=64) if small_ints else st.integers()
+    return st.recursive(
+        st.none() | st.booleans() | ints | st.floats() | PLAIN_TEXT,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+            st.text(max_size=4), inner, max_size=3), max_leaves=5)
+
+
+#: meaningful values of each config key, beside which any JSON value is drawn;
+#: the commands run in the fuzz directory
+CONFIG_VALUES = {
+    "family": st.sampled_from(["crystal-example-1", "crystal-example-2", "toy.json",
+                               "offdiag.json", "missing.json", ""]),
+    "at": st.sampled_from(["0,0", "0.05,-0.03", "0", "0,0,0", "0,nan", "a,b"]),
+    "window": fuzz_list(1, 2, 3, 4),
+    "res": st.integers(-2, 64),
+    "tol_cluster": FUZZ_VALUE.map(float),
+    "tol_rank": FUZZ_VALUE.map(float),
+    "loop": st.sampled_from(["0.003,-0.002,0.01", "0.02,0,0.01"]) | fuzz_list(2, 3),
+    "samples": st.integers(-2, 64),
+    "offset": FUZZ_VALUE | fuzz_list(2),
+    "out": st.sampled_from(["out.csv", "out", "out.json", "", "."]),
+    "format": st.sampled_from(["csv", "json", "xml"]),
+}
+#: what the config file may also hold: the other flags, spelt with '-' too
+CONFIG_KEYS = sorted({*CONFIG_VALUES, "tol-cluster", "tol-rank", "config", "command"})
+
+
+@st.composite
+def config_docs(draw):
+    """A config object: known keys, mostly with meaningful values, and
+    unknown keys, each with any JSON value, over a base that is mostly a
+    whole run of every command (keys that one command does not read serve
+    the others)."""
+    doc = {}
+    if draw(st.integers(0, 4)):
+        doc = {"family": draw(st.sampled_from(["crystal-example-1", "crystal-example-2"])),
+               "at": "0,0", "out": "out.csv", "loop": "0.003,-0.002,0.01"}
+    unknown = PLAIN_TEXT.filter(lambda k: k.replace("-", "_") not in CONFIG_KEYS)
+    for key in draw(st.lists(st.sampled_from(CONFIG_KEYS) | unknown, max_size=6, unique=True)):
+        small = key.replace("-", "_") in ("res", "samples")
+        meaningful = CONFIG_VALUES.get(key.replace("-", "_"))
+        values = json_values(small) if meaningful is None else meaningful | json_values(small)
+        doc[key] = draw(values)
+    return doc
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(sorted(cli._COMMANDS)), config_docs())
+def test_config_fuzz(fuzz_dir, command, doc):
+    """Any config object, given to any command by --config alone, ends in a
+    documented exit code, without a traceback, with one 'error:' line when
+    it fails and none when it succeeds, and with standard JSON on stdout."""
+    (fuzz_dir / "config.json").write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", "config.json"])
+    finally:
+        os.chdir(cwd)
+    assert code in range(5)
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    assert sum(line.startswith("error: ") for line in lines) == (code != 0), lines
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=refuse_constant)
+
+
 def test_module_entry_point():
     """``python -m eigencoupling`` exits with main's code: the report on
     stdout, or one error line on stderr."""
