@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import crystal_optics, degeneracy, dp_asymptotics, ep_asymptotics, numkit
+from . import crystal_optics, degeneracy, numkit
 from . import family as family_mod
 from .errors import (
     ClassificationError,
@@ -386,9 +386,12 @@ def _window_axes(window, res):
 
 
 def _local_model(fam, p0, kind):
-    """The EP or DP local model of the classified anchor cluster."""
+    """The EP or DP local model of the classified anchor cluster. A command
+    imports the asymptotics module of its anchor's kind only where it uses it."""
     if kind.kind == "EP":
+        from . import ep_asymptotics
         return ep_asymptotics.sensitivities(fam, degeneracy.jordan_chain(kind), p0)
+    from . import dp_asymptotics
     return dp_asymptotics.dp_sensitivities(fam, degeneracy.dp_frame(kind), p0)
 
 
@@ -480,8 +483,9 @@ def cmd_loop(opts) -> int:
     if kind.kind != "EP":
         raise ClassificationError("loop trajectories need an EP anchor")
     model = _local_model(fam, p0, kind)
+    from . import ep_asymptotics
     spec = ep_asymptotics.LoopSpec(a=vals[0], b=vals[1], r=vals[2],
-                                   samples=opts["samples"])
+                                   samples=opts.get("samples", ep_asymptotics.LoopSpec.samples))
     report = ep_asymptotics.loop_trajectory(model, spec)
     table = np.column_stack((report.phis, report.lam_plus.real, report.lam_plus.imag,
                              report.lam_minus.real, report.lam_minus.imag))
@@ -527,11 +531,14 @@ def cmd_scenario(opts) -> int:
                                         table)))
         return EXIT_OK
     if kind.kind == "EP":
+        from . import ep_asymptotics
         label, report = "EP", ep_asymptotics.cross_section(model, offset)
-    elif not chart_2p:
-        label, report = "DP-1p", dp_asymptotics.avoided_crossing_1p(model, offset)
     else:
-        label, report = "DP", dp_asymptotics.surface_classification_2p(model)
+        from . import dp_asymptotics
+        if not chart_2p:
+            label, report = "DP-1p", dp_asymptotics.avoided_crossing_1p(model, offset)
+        else:
+            label, report = "DP", dp_asymptotics.surface_classification_2p(model)
     _emit_json({"kind": label, **_fields(report)}, opts.get("out"))
     return EXIT_OK
 
@@ -552,7 +559,6 @@ _DEFAULTS = {
     "res": 41,
     "tol_cluster": degeneracy.DEFAULT_CLUSTER_TOL,
     "tol_rank": degeneracy.DEFAULT_RANK_TOL,
-    "samples": ep_asymptotics.LoopSpec.samples,
     "format": "json",
 }
 

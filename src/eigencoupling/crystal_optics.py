@@ -23,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degeneracy import DEFAULT_CLUSTER_TOL
 from .errors import BranchError, DimensionError, DomainError
 from .family import MatrixFamily
-from . import numkit
 
 #: Chart guard margin: points with s1^2 + s2^2 >= 1 - margin are rejected so
 #: s3 stays off 0, where the derivative's chain-rule term -p_i / s3 blows up.
@@ -110,6 +108,8 @@ def refractive_indices(spec: DielectricSpec, s):
     separated from zero by 10x the cluster tolerance, otherwise the principal
     branch of the inverse square root is meaningless and BranchError is raised.
     """
+    from . import numkit    # here: loading a crystal needs neither module
+    from .degeneracy import DEFAULT_CLUSTER_TOL
     w = numkit.eigvals(optical_matrix(spec, s))
     zero_idx = int(np.argmin(np.abs(w)))
     pair = [w[k] for k in range(3) if k != zero_idx]

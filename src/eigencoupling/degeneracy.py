@@ -177,12 +177,18 @@ def classify(a, lam0: complex, tol_rank: float = DEFAULT_RANK_TOL) -> Degeneracy
     of it is indeterminate. The result keeps the SVD of A - lam0 I and
     sigma_max(A) for the builders.
     """
+    return _classify(a, lam0, tol_rank)
+
+
+def _classify(a, lam0, tol_rank, sigma_max=None) -> DegeneracyClass:
+    """``classify``, reusing sigma_max(A) where the caller has taken it."""
     if not 0 < tol_rank < math.inf:
         raise ValueError("tol_rank must be positive and finite")
     arr = numkit.as_cmatrix(a)
     shifted = numkit.SVD(arr - lam0 * np.eye(arr.shape[0]))
     s = shifted.s
-    sigma_max = float(np.linalg.svd(arr, compute_uv=False)[0])
+    if sigma_max is None:
+        sigma_max = float(np.linalg.svd(arr, compute_uv=False)[0])
     threshold = tol_rank * max(sigma_max, 1e-300)     # threshold * 10 may be inf
     values = s.tolist()
     ambiguous = [x for x in values if threshold / 10.0 < x < threshold * 10.0]
@@ -344,16 +350,21 @@ def _approximate_split_gradient(fam, p, a, mean):
     return coupling(fam, p, (u0,), (v0,))[0, 0]
 
 
-def _converged(a, mean, gap) -> bool:
+def _converged(a, mean, gap, floor=None) -> bool:
     """find_ep's stopping rule: gap <= max(EP_GAP_TOL (1 + |mean|),
     _EPS_FLOOR sigma_max(A)) for a finite A. As sigma_max(A) <= ||A||_F, the
     SVD is taken only for a gap within _EPS_FLOOR ||A||_F, the only gaps the
-    floor can decide; 1% to spare covers the rounding of both norms."""
+    floor can decide; 1% to spare covers the rounding of both norms. The
+    sigma_max(A) it takes goes to the list ``floor``, if one is given."""
     if gap <= EP_GAP_TOL * (1.0 + abs(mean)):
         return True
     frobenius = math.sqrt(np.vdot(a, a).real)     # inf, silently, where it overflows
-    return (gap <= 1.01 * _EPS_FLOOR * frobenius
-            and gap <= _EPS_FLOOR * np.linalg.svd(a, compute_uv=False)[0])
+    if not gap <= 1.01 * _EPS_FLOOR * frobenius:
+        return False
+    sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
+    if floor is not None:
+        floor.append(sigma_max)
+    return gap <= _EPS_FLOOR * sigma_max
 
 
 # overflow is refused as DimensionError or a non-finite point, not warned about
@@ -383,9 +394,9 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     guarded = fam.domain_guard is not None
 
     def probe(point, prev=None):
-        """The iterate's matrix, pair, mean, squared half-gap, gap and
-        convergence; the first probe takes the nearest pair and checks that
-        it stands apart, later ones the assignment to the previous pair."""
+        """The iterate's matrix, pair, mean, squared half-gap, gap, convergence
+        and the floor test's sigma_max(A) (None if untaken); the first probe takes
+        the nearest pair, which must stand apart, later ones the previous pair's match."""
         a = family_mod.evaluate(fam, point)
         values = numkit.eigvals(a)
         if prev is None:
@@ -409,9 +420,10 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
             raise DimensionError(f"the squared half-gap of the pair overflows at point "
                                  f"{point.tolist()}")
         gap = abs(lam_p - lam_m)
-        return a, (lam_p, lam_m), mean, z, gap, _converged(a, mean, gap)
+        floor = [None]      # _converged, evaluated before floor[-1], appends any it takes
+        return a, (lam_p, lam_m), mean, z, gap, _converged(a, mean, gap, floor), floor[-1]
 
-    a, pair, mean, z, gap, converged = probe(p)
+    a, pair, mean, z, gap, converged, sigma_max = probe(p)
     history = [gap]
     for iteration in range(DEFAULT_MAX_ITER):
         if converged:
@@ -429,9 +441,10 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
             trial = p + step / (2 ** halving)
             if guarded and not fam.contains(trial):
                 continue
-            a_t, pair_t, mean_t, z_t, gap_t, conv_t = probe(trial, prev=pair)
+            a_t, pair_t, mean_t, z_t, gap_t, conv_t, sigma_t = probe(trial, prev=pair)
             if abs(z_t) < abs(z) or conv_t:
-                p, a, pair, mean, z, gap, converged = trial, a_t, pair_t, mean_t, z_t, gap_t, conv_t
+                p, a, pair, mean, z, gap, converged, sigma_max = (
+                    trial, a_t, pair_t, mean_t, z_t, gap_t, conv_t, sigma_t)
                 history.append(gap)
                 break
         else:       # no trial step accepted
@@ -440,7 +453,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
             break
     if converged:
         try:
-            kind = classify(a, mean).kind
+            kind = _classify(a, mean, DEFAULT_RANK_TOL, sigma_max).kind
         except IndeterminateRankError as exc:
             raise IndeterminateRankError(f"at p_star = {p.tolist()}: {exc}",
                                          singular_values=exc.singular_values) from exc

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -609,6 +610,79 @@ print(*seen, "concurrent.futures" in sys.modules, info.misses, info.hits)
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[-9:] == ["False"] * 5 + ["0", "True", "1", "1"]
+
+
+#: the package's public names, by the module that defines them
+EXPORTS = {
+    "cli": (), "crystal_optics": (), "errors": (),
+    "degeneracy": ("DPFrame", "JordanChain", "classify", "codimension", "dp_frame",
+                   "find_double_eigenvalues", "find_ep", "jordan_chain"),
+    "dp_asymptotics": ("DPLocalModel", "avoided_crossing_1p", "dp_sensitivities",
+                       "one_param_slopes", "persistence_conditions", "reduced_problem",
+                       "split_multiparam", "surface_classification_2p"),
+    "ep_asymptotics": ("EPLocalModel", "LoopSpec", "branch_cuts", "complex_plane_conic",
+                       "cross_section", "curve_split", "loop_trajectory", "sensitivities",
+                       "surface_eval", "tangency_conditions"),
+    "family": ("MatrixFamily", "PolynomialFamily", "derivative", "evaluate",
+               "evaluate_many", "parse_family"),
+    "numkit": ("eig_all", "hermitian_inner"),
+    "pairmodel": ("PairSheets", "sheets"),
+}
+
+
+@pytest.mark.parametrize("crystal,kind", [("crystal-example-1", "ep_asymptotics"),
+                                          ("crystal-example-2", "dp_asymptotics")])
+def test_import_footprint(tmp_path, crystal, kind):
+    """``import eigencoupling`` imports none of the package's modules; the
+    benchmark's setup, a builtin crystal and a parsed family file, only
+    those it runs; classify and find-ep neither asymptotics module; loop,
+    scenario and surface only the one of the anchor's kind. Every public
+    name resolves, lazily, to its module's object."""
+    probe = """
+import json, pathlib, sys
+def loaded():
+    return sorted(name.split(".", 1)[1] for name in sys.modules
+                  if name.startswith("eigencoupling."))
+crystal, path, out = sys.argv[1:]
+import eigencoupling as ec
+seen = [loaded()]
+ec.crystal_optics.family_adapter(ec.crystal_optics.builtin_specs()[crystal])
+ec.parse_family(pathlib.Path(path).read_text(encoding="utf-8"))
+seen.append(loaded())
+from eigencoupling import cli
+codes = [cli.main(argv + ["--family", crystal]) for argv in (
+    ["classify", "--at", "0,0"], ["find-ep", "--at", "0.05,-0.03"])]
+seen.append(loaded())
+codes += [cli.main(argv + ["--family", crystal]) for argv in (
+    ["loop", "--at", "0,0", "--loop", "0,0,0.01", "--out", out + "/l.csv"],
+    ["scenario", "--at", "0,0"], ["scenario", "--at", "0,0", "--offset", "0.01"],
+    ["surface", "--at", "0,0", "--res", "3", "--out", out + "/s.csv"])]
+seen.append(loaded())
+print(json.dumps([codes, seen]))
+"""
+    src = str(Path(cli.__file__).parents[1])
+    family = Path(__file__).parent / "families" / "planted-ep-m10.json"
+    done = subprocess.run([sys.executable, "-c", probe, crystal, str(family), str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, seen = json.loads(done.stdout.splitlines()[-1])
+    # crystal-example-2's anchor is a DP: no loop, and find-ep refuses where it lands
+    assert codes == ([0] * 6 if kind == "ep_asymptotics" else [0, 2, 2, 0, 0, 0])
+    imported, setup, searched, modelled = (set(s) for s in seen)
+    assert imported == set()
+    assert setup == {"crystal_optics", "errors", "family"}
+    assert not searched & {"ep_asymptotics", "dp_asymptotics"}
+    assert modelled & {"ep_asymptotics", "dp_asymptotics"} == {kind}
+
+    import eigencoupling
+    for module, names in EXPORTS.items():
+        held = importlib.import_module(f"eigencoupling.{module}")
+        assert getattr(eigencoupling, module) is held
+        for name in (module, *names):
+            assert name in dir(eigencoupling) and name in eigencoupling.__all__, name
+        for name in names:
+            assert getattr(eigencoupling, name) is getattr(held, name), name
 
 
 class TestLoop:

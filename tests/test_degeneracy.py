@@ -393,7 +393,7 @@ class TestFindEP:
         the noise floor takes no SVD for it. The crystal's search converges
         through the floor, so only its last probe takes one, every accepted
         step takes one more for its Jacobian, and classifying the landing
-        point two: of A - lam0 I and, values only, of A."""
+        point one, of A - lam0 I: it reuses the floor's sigma_max(A)."""
         probes, svds = [], []       # probes: [A, took the floor SVD], in order
         eigvals, svd = numkit.eigvals, np.linalg.svd
 
@@ -416,7 +416,7 @@ class TestFindEP:
         assert all(gap > degeneracy._EPS_FLOOR * np.linalg.norm(a)
                    for (a, _), gap in zip(probes[:-1], gaps))
         assert gaps[-1] > degeneracy.EP_GAP_TOL * (1 + abs(result.lambda0))   # the floor decided
-        assert len(svds) == result.iterations + 3
+        assert len(svds) == result.iterations + 2
 
     def test_landing_on_a_dp_is_refused(self, crystal2):
         """crystal-example-2's pair is double at its DP p = 0, where the
