@@ -98,12 +98,25 @@ def _read_text(path: str, missing: str) -> str:
 
 
 def _load_family(source: str) -> family_mod.MatrixFamily:
+    """The family ``source`` names: a builtin crystal, or else the family
+    document in the file at that path. The file is read on every call, so a
+    rewritten file loads afresh; its text is parsed by ``_parsed``, once per
+    process while it stays the last text parsed."""
     builtins = crystal_optics.builtin_specs()
     if source in builtins:
         return crystal_optics.family_adapter(builtins[source])
-    return family_mod.parse_family(_read_text(
+    return _parsed(_read_text(
         source, f"family '{source}' is neither a builtin "
                 f"({', '.join(sorted(builtins))}) nor an existing file"))
+
+
+@functools.lru_cache(maxsize=1)
+def _parsed(text: str) -> family_mod.PolynomialFamily:
+    """``family.parse_family(text)``, kept for the last text: the commands
+    of one process that load the same document share one family, whose
+    arrays are read-only. A refused text raises again on every call, since
+    the cache keeps no exception."""
+    return family_mod.parse_family(text)
 
 
 def _anchor_cluster(fam, at, tol_cluster, tol_rank):

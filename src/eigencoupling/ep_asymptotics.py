@@ -292,8 +292,6 @@ class SectionReport:
     re_slopes: Optional[tuple]
     im_slopes: Optional[tuple]
     vertical_tangents: bool
-    cusp_re_coeffs: Optional[tuple] = field(repr=False)   # ((f1+rho1)/2, (f1-rho1)/2, h1/2)
-    cusp_im_coeffs: Optional[tuple] = field(repr=False)   # ((rho1-f1)/2, -(f1+rho1)/2, r1/2)
 
 
 def cross_section(model: EPLocalModel, fixed_rest=None) -> SectionReport:
@@ -319,7 +317,6 @@ def cross_section(model: EPLocalModel, fixed_rest=None) -> SectionReport:
     im_level = model.lam0.imag - (
         float(np.sum((r1 * model.split_im[1:] - g1 * model.drift_im[1:]) * rest))
         / (2.0 * g1))
-    rho1 = math.hypot(f1, g1)
     # gamma is the difference of these two terms; it counts as zero once
     # it is lost in their rounding, on any scale of the offsets
     gamma_scale = abs(g1 * float(np.sum(model.split_re[1:] * rest))) + abs(f1 * im_rest)
@@ -335,14 +332,10 @@ def cross_section(model: EPLocalModel, fixed_rest=None) -> SectionReport:
             re_slopes = (0.5 * h1 + half, 0.5 * h1 - half)
         else:
             im_slopes = (0.5 * r1 + half, 0.5 * r1 - half)
-    offsets_zero = bool(np.all(rest == 0.0))
-    cusp_re = ((f1 + rho1) / 2.0, (f1 - rho1) / 2.0, h1 / 2.0) if offsets_zero else None
-    cusp_im = ((rho1 - f1) / 2.0, -(f1 + rho1) / 2.0, r1 / 2.0) if offsets_zero else None
     return SectionReport(
         gamma=gamma, p1_cross=float(model.p0[0] + dp1_cross),
         re_level=re_level, im_level=im_level, crossing=crossing,
         re_slopes=re_slopes, im_slopes=im_slopes, vertical_tangents=crossing == "cusp",
-        cusp_re_coeffs=cusp_re, cusp_im_coeffs=cusp_im,
     )
 
 

@@ -259,4 +259,5 @@ def parse_family(text: str) -> PolynomialFamily:
     if not below:           # also when an entry is the largest double, which passes
         _refuse_first(mats, _doubles, "entries must be finite doubles")
     coeffs = parts[:, 0] + 1j * parts[:, 1]
+    coeffs.flags.writeable = False   # the command line shares a parsed family
     return PolynomialFamily(dim=m, n_params=n, terms=tuple(zip(coeffs, exps)))

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from eigencoupling import cli, degeneracy, dp_asymptotics, ep_asymptotics, numkit, pairmodel
 from eigencoupling import family as family_mod
 from eigencoupling.errors import FamilyParseError
+import test_golden
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 GOLDEN = Path(__file__).parent / "golden"
@@ -1035,6 +1036,48 @@ class TestConfigAndErrors:
         schema = json.loads((SCHEMA_DIR / "family.schema.json").read_text())
         jsonschema.validate(json.loads(TOY_FAMILY), schema)
         jsonschema.validate(json.loads(SEPARATED_FAMILY), schema)
+
+
+class TestFamilyCache:
+    """Commands in one process parse a family file's text once and share the
+    family; the file is still read by every command."""
+
+    def test_rewritten_file_loads_afresh(self, capsys, tmp_path):
+        path = tmp_path / "toy.json"
+        path.write_text(TOY_FAMILY)
+        code, out = run(capsys, "classify", "--family", str(path), "--at", "0,0")
+        assert code == 0 and json.loads(out)["lambda0"] == {"re": 0.0, "im": 0.0}
+        doc = json.loads(TOY_FAMILY)
+        doc["terms"][0]["re"] = [[1, 1], [0, 1]]    # A + I: the EP moves to lambda = 1
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "classify", "--family", str(path), "--at", "0,0")
+        assert code == 0 and json.loads(out)["lambda0"] == {"re": 1.0, "im": 0.0}
+
+    def test_refused_document_refused_again(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"m": 2}')
+        errors = []
+        for _ in range(2):
+            assert cli.main(["classify", "--family", str(path), "--at", "0,0"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: $.")
+        path.write_text(TOY_FAMILY)
+        assert run(capsys, "classify", "--family", str(path), "--at", "0,0")[0] == 0
+
+    @pytest.mark.parametrize(
+        "family,name,argv,outputs", list(test_golden.all_cases()),
+        ids=[f"{family}-{name}" for family, name, _, _ in test_golden.all_cases()])
+    def test_golden_case_twice_from_an_empty_cache(self, family, name, argv, outputs, tmp_path):
+        """The second run of a golden case, whose family file is then parsed
+        already, gives the bytes of the first and the golden outputs."""
+        cli._parsed.cache_clear()
+        first = test_golden.run_case(family, argv, outputs, tmp_path / "first")
+        second = test_golden.run_case(family, argv, outputs, tmp_path / "second")
+        assert cli._parsed.cache_info().hits == int(family in test_golden.PLANTED)
+        assert first == second
+        for suffix, got in second.items():
+            test_golden._check_golden(f"{family}.{suffix}", got)
 
 
 def planted_dp_family(tmp_path):

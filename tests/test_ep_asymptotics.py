@@ -279,11 +279,6 @@ class TestCrossSection:
         assert section.crossing == "cusp"
         assert section.vertical_tangents
         assert section.p1_cross == pytest.approx(0.0, abs=1e-10)
-        # inner radicand coefficients (f1 +- rho1)/2 with f1 = 0, rho1 = 4
-        assert section.cusp_re_coeffs[0] == pytest.approx(2.0, abs=1e-8)
-        assert section.cusp_re_coeffs[1] == pytest.approx(-2.0, abs=1e-8)
-        # and their Im counterparts (rho1 - f1)/2, -(f1 + rho1)/2
-        assert section.cusp_im_coeffs[:2] == pytest.approx((2.0, -2.0), abs=1e-8)
         # the cusp branches match the surfaces: Re delta = sqrt(2|t|)
         for t in (0.01, -0.01):
             sheets = ep.surface_eval(ep_model, [t, 0.0])

@@ -216,6 +216,16 @@ class TestParseFamily:
         assert isinstance(fam, PolynomialFamily)
         assert np.allclose(evaluate(fam, [0.25]), [[0.0, 1.0], [0.25, 0.0]])
 
+    def test_coefficients_read_only(self):
+        """A parsed family's coefficients refuse writes, so that the commands
+        of one process can share it; values and derivatives only read them."""
+        fam = parse_family(self.DOC)
+        coeff, _ = fam.terms[1]
+        with pytest.raises(ValueError, match="read-only"):
+            coeff[0, 0] = 2.0
+        assert np.array_equal(evaluate(fam, [0.25]), [[0.0, 1.0], [0.25, 0.0]])
+        assert np.array_equal(derivative(fam, [0.25])[0], [[0.0, 0.0], [1.0, 0.0]])
+
     def test_missing_terms_path(self):
         with pytest.raises(FamilyParseError) as err:
             parse_family(json.dumps({"m": 2, "n": 1}))

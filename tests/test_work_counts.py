@@ -3,10 +3,13 @@ evaluations and derivatives each command takes, and the bytes it writes.
 
 ``tests/work_counts.json`` holds one row per command of
 ``test_golden.all_cases()``, plus a res-201 surface and a 72 000-sample
-loop whose per-point work shows. A row counts the calls of each
-numpy.linalg routine the package uses, of ``family.evaluate``,
-``family.evaluate_many`` and ``family.derivative``, and the bytes written
-to standard output and to files. The test asserts equality both ways: a
+loop whose per-point work shows, and one row of three commands run in one
+process on one family file, which parse it once. A row counts the calls of
+each numpy.linalg routine the package uses, of ``family.evaluate``,
+``family.evaluate_many``, ``family.derivative`` and ``family.parse_family``,
+and the bytes written to standard output and to files. Each row starts with
+the command line's family cache empty, so a row does not depend on the
+rows run before it. The test asserts equality both ways: a
 count that falls fails as one that rises does, so a change of the work is a
 change of the table, and the table's history is its trajectory. Counts do
 not move with timing, load or the number of CPUs (surface's workers
@@ -35,7 +38,7 @@ from test_golden import FAMILIES, PLANTED, all_cases
 TABLE = Path(__file__).parent / "work_counts.json"
 #: the numpy.linalg routines counted, and the family functions
 LINALG = ("cond", "eig", "eigvals", "inv", "lstsq", "norm", "solve", "svd")
-FAMILY = ("evaluate", "evaluate_many", "derivative")
+FAMILY = ("evaluate", "evaluate_many", "derivative", "parse_family")
 
 #: (family, row name, argv after --family) of the per-point rows
 LARGE = [
@@ -45,18 +48,28 @@ LARGE = [
      ["loop", "--at", "0,0", "--loop=0.003,-0.002,0.01", "--samples", "72000",
       "--out", "{dir}/loop.csv"]),
 ]
+#: (family, row name, names of its golden cases) of the rows that run several
+#: commands in one process
+SEQUENCES = [
+    ("planted-ep-m10", "classify+scenario+find-ep", ("classify", "scenario", "find-ep")),
+]
 
 
 def rows():
-    """(row key, family, argv after --family) of every row of the table."""
+    """(row key, family, the argv after --family of each command) of every
+    row of the table."""
     for family, name, argv, _ in all_cases():
-        yield f"{family} {name}", family, argv
+        yield f"{family} {name}", family, [argv]
     for family, name, argv in LARGE:
-        yield f"{family} {name}", family, argv
+        yield f"{family} {name}", family, [argv]
+    for family, name, cases in SEQUENCES:
+        argvs = {case: argv for fam, case, argv, _ in all_cases() if fam == family}
+        yield f"{family} {name}", family, [argvs[case] for case in cases]
 
 
-def measure(family, argv, out_dir: Path) -> dict:
-    """Run one command in ``out_dir``; return its counts, keyed by name."""
+def measure(family, argvs, out_dir: Path) -> dict:
+    """Run the commands ``argvs`` in turn in ``out_dir``, starting with an
+    empty family cache; return their summed counts, keyed by name."""
     calls = []      # names, appended from surface's worker threads too
 
     def counted(name, fn):
@@ -67,15 +80,18 @@ def measure(family, argv, out_dir: Path) -> dict:
 
     out_dir.mkdir(parents=True)
     source = str(FAMILIES / f"{family}.json") if family in PLANTED else family
-    full = [argv[0], "--family", source] + [a.replace("{dir}", str(out_dir)) for a in argv[1:]]
+    cli._parsed.cache_clear()
     stdout = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout):
         for name in LINALG:
             patch.setattr(np.linalg, name, counted(f"linalg.{name}", getattr(np.linalg, name)))
         for name in FAMILY:
             patch.setattr(family_mod, name, counted(f"family.{name}", getattr(family_mod, name)))
-        code = cli.main(full)
-    assert code == 0, f"{full} exited {code}"
+        for argv in argvs:
+            full = [argv[0], "--family", source] + [
+                a.replace("{dir}", str(out_dir)) for a in argv[1:]]
+            code = cli.main(full)
+            assert code == 0, f"{full} exited {code}"
     counts = {name: calls.count(name)
               for name in [f"linalg.{n}" for n in LINALG] + [f"family.{n}" for n in FAMILY]}
     counts["stdout_bytes"] = len(stdout.getvalue().encode())
@@ -87,15 +103,26 @@ def test_table_has_a_row_per_case():
     assert sorted(json.loads(TABLE.read_text())) == sorted(key for key, _, _ in rows())
 
 
-@pytest.mark.parametrize("key,family,argv", list(rows()), ids=[key for key, _, _ in rows()])
-def test_work_counts(key, family, argv, tmp_path):
-    assert measure(family, argv, tmp_path / "out") == json.loads(TABLE.read_text())[key]
+@pytest.mark.parametrize("key,family,argvs", list(rows()), ids=[key for key, _, _ in rows()])
+def test_work_counts(key, family, argvs, tmp_path):
+    assert measure(family, argvs, tmp_path / "out") == json.loads(TABLE.read_text())[key]
+
+
+@pytest.mark.parametrize("family,name,cases", SEQUENCES, ids=[name for _, name, _ in SEQUENCES])
+def test_sequence_is_its_commands_less_the_repeated_parses(family, name, cases):
+    """Commands run one after another in one process do the work of each
+    run alone, except that their family file is parsed once."""
+    table = json.loads(TABLE.read_text())
+    singles = [table[f"{family} {case}"] for case in cases]
+    want = {key: sum(row[key] for row in singles) for key in singles[0]}
+    want["family.parse_family"] = 1
+    assert table[f"{family} {name}"] == want
 
 
 def write_table() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        table = {key: measure(family, argv, Path(tmp) / str(k))
-                 for k, (key, family, argv) in enumerate(rows())}
+        table = {key: measure(family, argvs, Path(tmp) / str(k))
+                 for k, (key, family, argvs) in enumerate(rows())}
     TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
 
 
