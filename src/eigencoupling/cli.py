@@ -98,16 +98,24 @@ def _read_text(path: str, missing: str) -> str:
 
 
 def _load_family(source: str) -> family_mod.MatrixFamily:
-    """The family ``source`` names: a builtin crystal, or else the family
-    document in the file at that path. The file is read on every call, so a
-    rewritten file loads afresh; its text is parsed by ``_parsed``, once per
-    process while it stays the last text parsed."""
+    """The family ``source`` names: a builtin crystal, built once per
+    process by ``_builtin``, or else the family document in the file at that
+    path. The file is read on every call, so a rewritten file loads afresh;
+    its text is parsed by ``_parsed``, once per process while it stays the
+    last text parsed."""
     builtins = crystal_optics.builtin_specs()
     if source in builtins:
-        return crystal_optics.family_adapter(builtins[source])
+        return _builtin(source)
     return _parsed(_read_text(
         source, f"family '{source}' is neither a builtin "
                 f"({', '.join(sorted(builtins))}) nor an existing file"))
+
+
+@functools.cache
+def _builtin(name: str) -> family_mod.MatrixFamily:
+    """The family of the builtin crystal ``name``, built on its first load:
+    the commands of one process share it, as they share a parsed document."""
+    return crystal_optics.family_adapter(crystal_optics.builtin_specs()[name])
 
 
 @functools.lru_cache(maxsize=1)
@@ -119,15 +127,57 @@ def _parsed(text: str) -> family_mod.PolynomialFamily:
     return family_mod.parse_family(text)
 
 
-def _anchor_cluster(fam, at, tol_cluster, tol_rank):
-    """The tightest eigenvalue cluster of A(at), the first of
-    ``find_double_eigenvalues``'s nearest-first list, and its classification."""
-    a = family_mod.evaluate(fam, at)
+def _read_only(obj):
+    """``obj``, its array attributes made read-only."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return obj
+
+
+class _Analysis:
+    """What the commands read at an anchor p0: the tightest eigenvalue
+    cluster of A(p0), its classification, and the EP or DP local model,
+    built on first use. The commands of a process share it (``_anchor``),
+    so every array it holds is read-only."""
+
+    def __init__(self, fam, p0, cluster, kind):
+        self._fam, self._p0 = fam, p0
+        self.cluster, self.kind = cluster, kind
+
+    @functools.cached_property
+    def model(self):
+        """The local model of the classified cluster. A refused chain or
+        frame is not stored and raises again on the next use. A command
+        imports the asymptotics module of its anchor's kind only here."""
+        if self.kind.kind == "EP":
+            from . import ep_asymptotics
+            model = ep_asymptotics.sensitivities(
+                self._fam, degeneracy.jordan_chain(self.kind), self._p0)
+        else:
+            from . import dp_asymptotics
+            model = dp_asymptotics.dp_sensitivities(
+                self._fam, degeneracy.dp_frame(self.kind), self._p0)
+        return _read_only(model)
+
+
+@functools.lru_cache(maxsize=1)
+def _anchor(fam, at: bytes, tol_cluster, tol_rank) -> _Analysis:
+    """The analysis of the point whose float64 coordinates have the bytes
+    ``at``: the first of ``find_double_eigenvalues``'s nearest-first
+    clusters of A(at), and its classification. Kept for the last anchor,
+    keyed by the family object, the bits of the point (-0.0 is not 0.0)
+    and both tolerances; a refused anchor raises again on every call, since
+    the cache keeps no exception."""
+    p0 = np.frombuffer(at)
+    a = family_mod.evaluate(fam, p0)
     clusters = degeneracy.find_double_eigenvalues(a, tol_cluster)
     if not clusters:
         raise ClassificationError(
-            f"no eigenvalue cluster at ({', '.join(str(float(x)) for x in at)})")
-    return clusters[0], degeneracy.classify(a, clusters[0].center, tol_rank)
+            f"no eigenvalue cluster at ({', '.join(str(float(x)) for x in p0)})")
+    kind = degeneracy.classify(a, clusters[0].center, tol_rank)
+    _read_only(kind.shifted)
+    return _Analysis(fam, p0, clusters[0], kind)
 
 
 def _write_files(*files):
@@ -370,7 +420,8 @@ def _csv(header, table) -> list:
 def cmd_classify(opts) -> int:
     fam = _load_family(opts["family"])
     at = np.asarray(_floats(opts["at"], "--at"))
-    cluster, kind = _anchor_cluster(fam, at, opts["tol_cluster"], opts["tol_rank"])
+    anchor = _anchor(fam, at.tobytes(), opts["tol_cluster"], opts["tol_rank"])
+    cluster, kind = anchor.cluster, anchor.kind
     report = {
         "lambda0": cluster.center,
         "kind": kind.kind,
@@ -396,16 +447,6 @@ def _window_axes(window, res):
     if res < 2:
         raise _UsageError("--res must be at least 2")
     return np.linspace(lo1, hi1, res), np.linspace(lo2, hi2, res)
-
-
-def _local_model(fam, p0, kind):
-    """The EP or DP local model of the classified anchor cluster. A command
-    imports the asymptotics module of its anchor's kind only where it uses it."""
-    if kind.kind == "EP":
-        from . import ep_asymptotics
-        return ep_asymptotics.sensitivities(fam, degeneracy.jordan_chain(kind), p0)
-    from . import dp_asymptotics
-    return dp_asymptotics.dp_sensitivities(fam, degeneracy.dp_frame(kind), p0)
 
 
 @functools.cache
@@ -449,8 +490,7 @@ def cmd_surface(opts) -> int:
     p0 = np.asarray(_floats(opts["at"], "--at"))
     if fam.n_params != 2:
         raise _UsageError("surface grids need a two-parameter family")
-    _, kind = _anchor_cluster(fam, p0, opts["tol_cluster"], opts["tol_rank"])
-    model = _local_model(fam, p0, kind)
+    model = _anchor(fam, p0.tobytes(), opts["tol_cluster"], opts["tol_rank"]).model
     axis1, axis2 = _window_axes(opts["window"], opts["res"])
     dps = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
     with np.errstate(over="ignore"):    # the corners bound every point
@@ -492,10 +532,10 @@ def cmd_loop(opts) -> int:
         raise _UsageError("--loop needs exactly three values a,b,r")
     fam = _load_family(opts["family"])
     p0 = np.asarray(_floats(opts["at"], "--at"))
-    _, kind = _anchor_cluster(fam, p0, opts["tol_cluster"], opts["tol_rank"])
-    if kind.kind != "EP":
+    anchor = _anchor(fam, p0.tobytes(), opts["tol_cluster"], opts["tol_rank"])
+    if anchor.kind.kind != "EP":
         raise ClassificationError("loop trajectories need an EP anchor")
-    model = _local_model(fam, p0, kind)
+    model = anchor.model
     from . import ep_asymptotics
     spec = ep_asymptotics.LoopSpec(a=vals[0], b=vals[1], r=vals[2],
                                    samples=opts.get("samples", ep_asymptotics.LoopSpec.samples))
@@ -521,13 +561,14 @@ def cmd_find_ep(opts) -> int:
 def cmd_scenario(opts) -> int:
     fam = _load_family(opts["family"])
     p0 = np.asarray(_floats(opts["at"], "--at"))
-    _, kind = _anchor_cluster(fam, p0, opts["tol_cluster"], opts["tol_rank"])
+    anchor = _anchor(fam, p0.tobytes(), opts["tol_cluster"], opts["tol_rank"])
+    kind = anchor.kind
     offset = (_floats(opts["offset"], "--offset")
               if opts.get("offset") else [0.0] * (fam.n_params - 1))
     if len(offset) != fam.n_params - 1:
         count = fam.n_params - 1
         raise _UsageError(f"--offset needs {count} component{'s' * (count != 1)}")
-    model = _local_model(fam, p0, kind)
+    model = anchor.model
     chart_2p = kind.kind == "DP" and not opts.get("offset")
     if chart_2p and fam.n_params != 2:
         raise _UsageError("two-parameter classification needs n = 2; "

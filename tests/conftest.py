@@ -11,6 +11,14 @@ settings.register_profile("eigencoupling", derandomize=True, deadline=None)
 settings.load_profile("eigencoupling")
 
 
+@pytest.fixture(autouse=True)
+def fresh_anchor():
+    """Each test starts as a fresh process does, with no anchor analysis
+    kept: a test that counts or breaks the work at an anchor sees it done."""
+    from eigencoupling import cli
+    cli._anchor.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def crystal1():
     return crystal_optics.family_adapter(

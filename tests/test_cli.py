@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from eigencoupling import cli, degeneracy, dp_asymptotics, ep_asymptotics, numkit, pairmodel
 from eigencoupling import family as family_mod
-from eigencoupling.errors import FamilyParseError
+from eigencoupling.errors import FamilyParseError, FrameError
 import test_golden
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -473,9 +473,8 @@ class TestThreadedSurface:
 
         fam = cli._load_family(family)
         p0 = np.zeros(2)
-        _, kind = cli._anchor_cluster(fam, p0, degeneracy.DEFAULT_CLUSTER_TOL,
-                                      degeneracy.DEFAULT_RANK_TOL)
-        model = cli._local_model(fam, p0, kind)
+        model = cli._anchor(fam, p0.tobytes(), degeneracy.DEFAULT_CLUSTER_TOL,
+                            degeneracy.DEFAULT_RANK_TOL).model
         axis = np.linspace(-0.05, 0.05, 61)
         dps = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         values = np.linalg.eigvals(family_mod.evaluate_many(fam, p0 + dps))
@@ -1079,6 +1078,122 @@ class TestFamilyCache:
         for suffix, got in second.items():
             test_golden._check_golden(f"{family}.{suffix}", got)
 
+    def test_builtin_crystal_loaded_once(self):
+        assert cli._load_family("crystal-example-1") is cli._load_family("crystal-example-1")
+        assert cli._load_family("crystal-example-1") is not cli._load_family("crystal-example-2")
+
+    def test_builtin_specs_unchanged_by_commands(self, tmp_path):
+        """The crystals' tensors, which every command at a crystal now shares
+        through one family, are as they were after the commands that model."""
+        from eigencoupling import crystal_optics
+        specs = crystal_optics.builtin_specs()
+        before = {name: (spec.anisotropy.copy(), spec.activity.copy())
+                  for name, spec in specs.items()}
+        for crystal in ("crystal-example-1", "crystal-example-2"):
+            anchor = ["--family", crystal, "--at", "0,0"]
+            assert cli.main(["surface", *anchor, "--res", "5",
+                             "--out", str(tmp_path / "s.csv")]) == 0
+            assert cli.main(["scenario", *anchor, "--offset", "0.01", "--format", "csv",
+                             "--out", str(tmp_path / "section.csv")]) == 0
+        assert cli.main(["loop", "--family", "crystal-example-1", "--at", "0,0",
+                         "--loop=0.003,-0.002,0.01", "--out", str(tmp_path / "l.csv")]) == 0
+        assert crystal_optics.builtin_specs() is specs and list(specs) == list(before)
+        for name, (anisotropy, activity) in before.items():
+            assert np.array_equal(specs[name].anisotropy, anisotropy)
+            assert np.array_equal(specs[name].activity, activity)
+
+
+class TestAnchorCache:
+    """Commands in one process at the anchor of the command before them share
+    its analysis: the cluster, the classification and the local model. The
+    cache is keyed by the family object, the bits of the point and both
+    tolerances, and keeps no refusal."""
+
+    CRYSTAL = ["--family", "crystal-example-1"]
+
+    def test_signed_zero_is_another_anchor(self, capsys):
+        for at in ("0,0", "0,-0.0"):
+            assert run(capsys, "scenario", *self.CRYSTAL, "--at", at)[0] == 0
+        info = cli._anchor.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+        last = cli._anchor(cli._load_family("crystal-example-1"), np.array([0.0, -0.0]).tobytes(),
+                           degeneracy.DEFAULT_CLUSTER_TOL, degeneracy.DEFAULT_RANK_TOL)
+        assert cli._anchor.cache_info().hits == 1
+        assert np.signbit(last.model.p0).tolist() == [False, True]
+
+    def test_rank_tolerance_is_part_of_the_key(self, capsys):
+        """A rank tolerance of 0.1 puts two singular values of A - lam0 I
+        within a factor 10 of its threshold, after the default one decided EP."""
+        code, out = run(capsys, "classify", *self.CRYSTAL, "--at", "0,0")
+        assert code == 0 and json.loads(out)["kind"] == "EP"
+        assert cli.main(["classify", *self.CRYSTAL, "--at", "0,0", "--tol-rank", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: singular values [3.245e+00, 1.571e+00] within a factor 10 of the "
+            "rank threshold 3.832e-01\n")
+        assert cli._anchor.cache_info().hits == 0
+
+    def test_rewritten_family_file_gives_its_report(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        for family in ("planted-ep-m10", "planted-dp-m6"):
+            path.write_text((test_golden.FAMILIES / f"{family}.json").read_text())
+            code, out = run(capsys, "classify", "--family", str(path), "--at", "0,0")
+            assert code == 0
+            assert out == (GOLDEN / f"{family}.classify.json").read_text()
+        assert cli._anchor.cache_info().hits == 0
+
+    def test_refused_anchor_refused_again(self, capsys, tmp_path):
+        fam = tmp_path / "sep.json"
+        fam.write_text(SEPARATED_FAMILY)
+        errors = []
+        for _ in range(2):
+            assert cli.main(["classify", "--family", str(fam), "--at", "0.3"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: no eigenvalue cluster at (0.3)\n"] * 2
+        assert cli._anchor.cache_info().currsize == 0
+
+    def test_refused_chain_refused_again(self, capsys, monkeypatch):
+        """The anchor is kept, but a chain that fails is built again by the
+        next command that needs the model, which then succeeds."""
+        calls = []
+
+        def refuse(kind):
+            calls.append(kind)
+            raise FrameError("(u1, v0) vanishes; chain normalization impossible")
+
+        argv = ["scenario", *self.CRYSTAL, "--at", "0,0"]
+        errors = []
+        with monkeypatch.context() as patch:
+            patch.setattr(degeneracy, "jordan_chain", refuse)
+            for _ in range(2):
+                assert cli.main(argv) == 2
+                errors.append(capsys.readouterr().err)
+        assert errors == ["error: (u1, v0) vanishes; chain normalization impossible\n"] * 2
+        assert len(calls) == 2 and calls[0] is calls[1]
+        code, out = run(capsys, *argv)
+        assert code == 0 and out == (GOLDEN / "crystal-example-1.scenario.json").read_text()
+        assert cli._anchor.cache_info().hits == 2
+
+    def test_golden_cases_forward_and_back_in_one_process(self, tmp_path):
+        cases = list(test_golden.all_cases())
+        for k, (family, name, argv, outputs) in enumerate(cases + cases[::-1]):
+            got = test_golden.run_case(family, argv, outputs, tmp_path / str(k))
+            for suffix, blob in got.items():
+                test_golden._check_golden(f"{family}.{suffix}", blob)
+        assert cli._anchor.cache_info().hits > 0
+
+    @pytest.mark.parametrize("crystal", ["crystal-example-1", "crystal-example-2"])
+    def test_shared_arrays_are_read_only(self, capsys, crystal):
+        assert run(capsys, "scenario", "--family", crystal, "--at", "0,0")[0] == 0
+        shared = cli._anchor(cli._load_family(crystal), np.zeros(2).tobytes(),
+                             degeneracy.DEFAULT_CLUSTER_TOL, degeneracy.DEFAULT_RANK_TOL)
+        svd = shared.kind.shifted
+        arrays = [svd.matrix, svd.u, svd.s, svd.vh] + [
+            value for value in vars(shared.model).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == (9 if crystal == "crystal-example-1" else 6)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
 
 def planted_dp_family(tmp_path):
     """Two-parameter 2x2 family with A(0) = S (lam0 I) S^-1 (a scalar matrix)."""
@@ -1398,7 +1513,8 @@ def test_allocation_failure_exit_one(command, allocator, flags, capsys, tmp_path
 
 def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch, tmp_path):
     """classify takes two SVDs, of A - lam0 I and, values only, of A; the
-    chain or frame reads both its sides from the first, and adds none."""
+    chain or frame reads both its sides from the first, and adds none. Each
+    command runs alone, from an empty anchor cache."""
     svd = np.linalg.svd
     calls = []
 
@@ -1415,6 +1531,7 @@ def test_one_factorisation_per_shifted_matrix(capsys, monkeypatch, tmp_path):
     counts = {}
     for command, crystal in cases:
         calls.clear()
+        cli._anchor.cache_clear()
         argv = [command, "--family", crystal, "--at", "0,0", *flags.get(command, [])]
         assert run(capsys, *argv)[0] == 0
         counts[command, crystal] = calls.copy()

@@ -29,7 +29,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from eigencoupling import crystal_optics, degeneracy, pairmodel
+from eigencoupling import cli, crystal_optics, degeneracy, pairmodel
 
 GOLDEN = Path(__file__).parent / "golden"
 DIGITS = 50
@@ -314,3 +314,27 @@ def test_ep_model_order_of_accuracy(ep_model, direction):
                                     for i in range(3) for j in range(3) if i != j)))
     slope = np.polyfit(np.log(ts), np.log(errors), 1)[0]
     assert abs(slope - 1.5) <= 0.05, errors
+
+
+@pytest.mark.parametrize("direction", [(0.0, 1.0), (0.6, 0.8)])
+def test_dp_model_order_of_accuracy(direction):
+    """The DP model that the command line shares between its commands at
+    crystal-example-2's anchor, its pair at dp = t d against the 50-digit
+    spectrum of A(t d), t from 1e-2 to 1e-6: along a line the pair of a DP
+    splits like t, the model keeps those terms, and its error falls like t^2.
+    The reference shares no code with the frame, the coupling or the model."""
+    model = cli._anchor(cli._load_family("crystal-example-2"), np.zeros(2).tobytes(),
+                        degeneracy.DEFAULT_CLUSTER_TOL, degeneracy.DEFAULT_RANK_TOL).model
+    spec = crystal_optics.builtin_specs()["crystal-example-2"]
+    ts = np.logspace(-2, -6, 9)
+    pairs = pairmodel.sheets(model, np.outer(ts, direction)).pair
+    errors = []
+    with mpmath.workdps(DIGITS):
+        for t, pair in zip(ts, pairs):
+            values = mpmath.eig(reference_matrix(spec, t * np.array(direction)),
+                                left=False, right=False)
+            plus, minus = (mpmath.mpc(complex(z)) for z in pair)
+            errors.append(float(min(max(abs(plus - values[i]), abs(minus - values[j]))
+                                    for i in range(3) for j in range(3) if i != j)))
+    slope = np.polyfit(np.log(ts), np.log(errors), 1)[0]
+    assert abs(slope - 2.0) <= 0.05, errors

@@ -3,13 +3,14 @@ evaluations and derivatives each command takes, and the bytes it writes.
 
 ``tests/work_counts.json`` holds one row per command of
 ``test_golden.all_cases()``, plus a res-201 surface and a 72 000-sample
-loop whose per-point work shows, and one row of three commands run in one
-process on one family file, which parse it once. A row counts the calls of
-each numpy.linalg routine the package uses, of ``family.evaluate``,
-``family.evaluate_many``, ``family.derivative`` and ``family.parse_family``,
-and the bytes written to standard output and to files. Each row starts with
-the command line's family cache empty, so a row does not depend on the
-rows run before it. The test asserts equality both ways: a
+loop whose per-point work shows, and rows of several commands run in one
+process on one family, which parse its file once and analyse a repeated
+anchor once. A row counts the calls of each numpy.linalg routine the
+package uses, of ``family.evaluate``, ``family.evaluate_many``,
+``family.derivative`` and ``family.parse_family``, and the bytes written to
+standard output and to files. Each row starts with the command line's
+family and anchor caches empty, so a row does not depend on the rows run
+before it. The test asserts equality both ways: a
 count that falls fails as one that rises does, so a change of the work is a
 change of the table, and the table's history is its trajectory. Counts do
 not move with timing, load or the number of CPUs (surface's workers
@@ -49,10 +50,15 @@ LARGE = [
       "--out", "{dir}/loop.csv"]),
 ]
 #: (family, row name, names of its golden cases) of the rows that run several
-#: commands in one process
+#: commands in one process; the cases of a row that analyse an anchor share one
 SEQUENCES = [
     ("planted-ep-m10", "classify+scenario+find-ep", ("classify", "scenario", "find-ep")),
+    ("crystal-example-1", "scenario+loop+surface", ("scenario", "loop", "surface")),
 ]
+#: the commands that analyse their anchor (``cli._anchor``)
+ANCHORED = ("classify", "scenario", "loop", "surface")
+#: the counted calls of a row, less the family parses
+WORK = [f"linalg.{n}" for n in LINALG] + [f"family.{n}" for n in FAMILY if n != "parse_family"]
 
 
 def rows():
@@ -68,8 +74,9 @@ def rows():
 
 
 def measure(family, argvs, out_dir: Path) -> dict:
-    """Run the commands ``argvs`` in turn in ``out_dir``, starting with an
-    empty family cache; return their summed counts, keyed by name."""
+    """Run the commands ``argvs`` in turn in ``out_dir``, starting with
+    empty family and anchor caches; return their summed counts, keyed by
+    name."""
     calls = []      # names, appended from surface's worker threads too
 
     def counted(name, fn):
@@ -81,6 +88,7 @@ def measure(family, argvs, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True)
     source = str(FAMILIES / f"{family}.json") if family in PLANTED else family
     cli._parsed.cache_clear()
+    cli._anchor.cache_clear()
     stdout = io.StringIO()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(stdout):
         for name in LINALG:
@@ -109,13 +117,26 @@ def test_work_counts(key, family, argvs, tmp_path):
 
 
 @pytest.mark.parametrize("family,name,cases", SEQUENCES, ids=[name for _, name, _ in SEQUENCES])
-def test_sequence_is_its_commands_less_the_repeated_parses(family, name, cases):
+def test_sequence_is_its_commands_less_the_repeated_parses_and_anchors(family, name, cases):
     """Commands run one after another in one process do the work of each
-    run alone, except that their family file is parsed once."""
+    run alone, except that their family file is parsed once and that a
+    command at an anchor analysed before it does none of the work it shares
+    with the commands before it there: per count, the least of its row and
+    the most of theirs (the cluster and classification after classify, the
+    local model too after scenario or loop)."""
     table = json.loads(TABLE.read_text())
+    argvs = {case: argv for fam, case, argv, _ in all_cases() if fam == family}
     singles = [table[f"{family} {case}"] for case in cases]
     want = {key: sum(row[key] for row in singles) for key in singles[0]}
-    want["family.parse_family"] = 1
+    want["family.parse_family"] = max(row["family.parse_family"] for row in singles)
+    anchored = [(argvs[case], row) for case, row in zip(cases, singles)
+                if argvs[case][0] in ANCHORED]
+    assert len({argv[argv.index("--at") + 1] for argv, _ in anchored}) == 1
+    done = {key: anchored[0][1][key] for key in WORK}   # per count, the most so far
+    for _, row in anchored[1:]:
+        for key in WORK:
+            want[key] -= min(row[key], done[key])
+            done[key] = max(done[key], row[key])
     assert table[f"{family} {name}"] == want
 
 
