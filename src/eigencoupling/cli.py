@@ -22,20 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import crystal_optics, degeneracy, numkit
+from . import crystal_optics, degeneracy, errors, numkit
 from . import family as family_mod
-from .errors import (
-    ClassificationError,
-    ConvergenceError,
-    DimensionError,
-    DomainError,
-    EigenCouplingError,
-    FrameError,
-    IndeterminateRankError,
-    MultiplicityError,
-    NumericError,
-    TrackingError,
-)
 from .pairmodel import sheets, sweep
 
 EXIT_OK = 0
@@ -57,12 +45,10 @@ class _UsageError(Exception):
 
 #: exception -> exit code; the first matching entry wins
 _EXIT_CODES = (
-    ((_UsageError, MemoryError), EXIT_USAGE),
-    ((MultiplicityError, ClassificationError, IndeterminateRankError,
-      FrameError), EXIT_NO_DEGENERACY),
-    (DomainError, EXIT_DOMAIN),
-    ((ConvergenceError, TrackingError), EXIT_NO_CONVERGENCE),
-    (EigenCouplingError, EXIT_USAGE),
+    (errors.ClassificationError, EXIT_NO_DEGENERACY),
+    (errors.DomainError, EXIT_DOMAIN),
+    (errors.ConvergenceError, EXIT_NO_CONVERGENCE),
+    ((_UsageError, errors.EigenCouplingError, MemoryError), EXIT_USAGE),
 )
 
 
@@ -173,7 +159,7 @@ def _anchor(fam, at: bytes, tol_cluster, tol_rank) -> _Analysis:
     a = family_mod.evaluate(fam, p0)
     clusters = degeneracy.find_double_eigenvalues(a, tol_cluster)
     if not clusters:
-        raise ClassificationError(
+        raise errors.ClassificationError(
             f"no eigenvalue cluster at ({', '.join(str(float(x)) for x in p0)})")
     kind = degeneracy.classify(a, clusters[0].center, tol_rank)
     _read_only(kind.shifted)
@@ -467,7 +453,7 @@ def _surface_chunk(model, p0, block, spectra) -> bytes:
     try:
         values = spectra.result()
     except np.linalg.LinAlgError as exc:  # iteration cap inside LAPACK, as in numkit
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+        raise errors.EigenCouplingError(f"eigensolver did not converge: {exc}") from exc
     model_pair = sheets(model, block)
     i, j, margin = numkit.pair_assignment(values, model_pair.pair)
     at = np.arange(len(block))
@@ -495,7 +481,7 @@ def cmd_surface(opts) -> int:
     dps = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
     with np.errstate(over="ignore"):    # the corners bound every point
         if not np.isfinite(p0 + dps[[0, -1]]).all():
-            raise DimensionError("the grid points p0 + offset overflow")
+            raise errors.DimensionError("the grid points p0 + offset overflow")
     pool = _pool()
     pending = collections.deque()    # (block, its eigvals future), oldest first
     chunks = []
@@ -534,7 +520,7 @@ def cmd_loop(opts) -> int:
     p0 = np.asarray(_floats(opts["at"], "--at"))
     anchor = _anchor(fam, p0.tobytes(), opts["tol_cluster"], opts["tol_rank"])
     if anchor.kind.kind != "EP":
-        raise ClassificationError("loop trajectories need an EP anchor")
+        raise errors.ClassificationError("loop trajectories need an EP anchor")
     model = anchor.model
     from . import ep_asymptotics
     spec = ep_asymptotics.LoopSpec(a=vals[0], b=vals[1], r=vals[2],
@@ -636,6 +622,10 @@ _FLAGS = (
 #: the ``add_argument`` keywords of each flag, by flag
 _FLAG_KEYWORDS = dict(_FLAGS)
 
+#: the largest value of each int flag whose float64 arrays numpy can size
+#: (sys.maxsize bytes): res^2 grid points of two coordinates, one per sample
+_MAX_COUNT = {"res": math.isqrt(sys.maxsize // 16), "samples": sys.maxsize // 8}
+
 #: a flag value that starts like a negative number: "-0.1,0.1", "-.5", "-1e-3"
 _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
@@ -672,16 +662,19 @@ def _attach_negative_values(argv: list) -> list:
 
 def _check_value(name: str, key: str, value) -> None:
     """Refuse a value of option ``key`` that its entry in ``_FLAGS`` does
-    not admit: an integer for an int flag, a positive finite number for a
-    float flag (the tolerances), one of the choices, or else a string."""
+    not admit: an integer up to ``_MAX_COUNT`` for an int flag, a positive
+    finite double for a float flag (the tolerances), one of the choices, or
+    else a string."""
     keywords = _FLAG_KEYWORDS["--" + key.replace("_", "-")]
     kind = keywords.get("type")
     if "choices" in keywords:
         ok, what = value in keywords["choices"], "one of " + ", ".join(keywords["choices"])
     elif kind is int:
         ok, what = type(value) is int, "an integer"
+        if ok and value > _MAX_COUNT[key]:
+            ok, what = False, f"at most {_MAX_COUNT[key]} (numpy sizes no larger arrays)"
     elif kind is float:
-        ok = type(value) in (int, float) and 0 < value < math.inf
+        ok = type(value) in (int, float) and 0 < value <= sys.float_info.max
         what = "a positive finite number"
     else:
         ok, what = isinstance(value, str), "a string"
@@ -704,7 +697,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
         text = _read_text(args.config, f"config file '{args.config}' not found")
         try:
             cfg = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # also an integer of more digits than int() reads
             raise _UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise _UsageError("config file must hold a JSON object")
@@ -728,10 +721,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(_attach_negative_values(argv))
         opts = _merge_options(args)
         return _COMMANDS[args.command][0](opts)
-    except (_UsageError, EigenCouplingError, MemoryError) as exc:
+    except (_UsageError, errors.EigenCouplingError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; a bare one says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        if isinstance(exc, ConvergenceError) and exc.residual_history:
+        if isinstance(exc, errors.ConvergenceError) and exc.residual_history:
             history = ", ".join(f"{x:.3e}" for x in exc.residual_history)
             print(f"residual history: {history}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))

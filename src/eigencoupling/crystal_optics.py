@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, DimensionError, DomainError
+from .errors import DimensionError, DomainError, EigenCouplingError
 from .family import MatrixFamily
 
 #: Chart guard margin: points with s1^2 + s2^2 >= 1 - margin are rejected so
@@ -106,7 +106,7 @@ def refractive_indices(spec: DielectricSpec, s):
 
     The structural zero eigenvalue is excluded; the remaining pair must be
     separated from zero by 10x the cluster tolerance, otherwise the principal
-    branch of the inverse square root is meaningless and BranchError is raised.
+    branch of the inverse square root is meaningless and EigenCouplingError is raised.
     """
     from . import numkit    # here: loading a crystal needs neither module
     from .degeneracy import DEFAULT_CLUSTER_TOL
@@ -116,7 +116,7 @@ def refractive_indices(spec: DielectricSpec, s):
     scale = 1.0 + max(abs(z) for z in w)
     for lam in pair:
         if abs(lam) <= 10.0 * DEFAULT_CLUSTER_TOL * scale:
-            raise BranchError(
+            raise EigenCouplingError(
                 f"eigenvalue {lam:.3e} too close to zero for n = lambda^(-1/2)"
             )
     return tuple(1.0 / np.sqrt(complex(lam)) for lam in pair)

@@ -26,15 +26,7 @@ import numpy as np
 
 from . import family as family_mod
 from . import numkit
-from .errors import (
-    ClassificationError,
-    ConvergenceError,
-    DimensionError,
-    FrameError,
-    IndeterminateRankError,
-    MultiplicityError,
-    TrackingError,
-)
+from .errors import ClassificationError, ConvergenceError, DimensionError
 from .numkit import _modulus, hermitian_inner
 from .pairmodel import coupling
 
@@ -131,7 +123,7 @@ def find_double_eigenvalues(a, tol_cluster: float = DEFAULT_CLUSTER_TOL):
     Pairs with |lam_i - lam_j| <= tol * (1 + max|lam|) are greedily matched
     by increasing gap, ties to the lowest (i, j); each eigenvalue joins at
     most one cluster. A third eigenvalue within 10x tol of a cluster center
-    raises MultiplicityError (triple or higher coincidences are out of scope).
+    raises ClassificationError (triple or higher coincidences are out of scope).
     """
     if not 0 < tol_cluster < math.inf:
         raise ValueError("tol_cluster must be positive and finite")
@@ -150,12 +142,12 @@ def find_double_eigenvalues(a, tol_cluster: float = DEFAULT_CLUSTER_TOL):
         used.update((i, j))
         center, external, z = _isolation(w, i, j)
         if z is not None and external <= 10.0 * tol_cluster * (1.0 + _modulus(center)):
-            raise MultiplicityError(
+            raise ClassificationError(
                 f"third eigenvalue {z:.6g} within 10x tolerance of the "
                 f"cluster at {center:.6g}; multiplicity > 2 unsupported"
             )
         if external <= gap:
-            raise MultiplicityError(
+            raise ClassificationError(
                 f"cluster at {center:.6g} not isolated: external gap "
                 f"{external:.3e} <= internal gap {gap:.3e}"
             )
@@ -170,7 +162,7 @@ def classify(a, lam0: complex, tol_rank: float = DEFAULT_RANK_TOL) -> Degeneracy
     (Jordan block), 2 a DP. The rank threshold tol_rank * sigma_max(A) is
     anchored to A so that a semisimple pair (A - lam0 I ~ 0) is not misread
     as full rank. A singular value within a factor 10 of the threshold makes
-    the decision ambiguous and raises IndeterminateRankError carrying the
+    the decision ambiguous and raises ClassificationError carrying the
     spectrum. At multiplicity 1 the unit kernel vectors of A - lam0 I and
     its adjoint are orthogonal if lam0 is double; |(u0, v0)| = 1/cond(lam0)
     above 10 sqrt(tol_rank) refuses lam0 as simple, and within a factor 10
@@ -193,7 +185,7 @@ def _classify(a, lam0, tol_rank, sigma_max=None) -> DegeneracyClass:
     values = s.tolist()
     ambiguous = [x for x in values if threshold / 10.0 < x < threshold * 10.0]
     if ambiguous:
-        raise IndeterminateRankError(
+        raise ClassificationError(
             f"singular values [{', '.join(f'{x:.3e}' for x in ambiguous)}] within a factor 10 "
             f"of the rank threshold {threshold:.3e}", singular_values=s,
         )
@@ -210,8 +202,8 @@ def _classify(a, lam0, tol_rank, sigma_max=None) -> DegeneracyClass:
             raise ClassificationError(f"lam0 = {lam0:.6g} is a simple eigenvalue: "
                                       f"|(u0, v0)| = {overlap:.3e} > 10 x {simple:.3e}")
         if overlap > simple / 10.0:
-            raise IndeterminateRankError(f"|(u0, v0)| = {overlap:.3e} within a factor 10 of "
-                                         f"the threshold {simple:.3e}", singular_values=s)
+            raise ClassificationError(f"|(u0, v0)| = {overlap:.3e} within a factor 10 of "
+                                      f"the threshold {simple:.3e}", singular_values=s)
     return DegeneracyClass(
         kind="EP" if gm == 1 else "DP", geometric_multiplicity=gm,
         lam0=complex(lam0), shifted=shifted, sigma_max=sigma_max,
@@ -234,7 +226,7 @@ def _check_chain(shifted, chain: JordanChain):
 def _chain_head(shifted: numkit.SVD):
     """(u0, u1, v0) at M = A - lam0 I from its SVD: u0 the gauge-fixed kernel vector,
     u1 the minimum-norm solve of M u1 = u0, and v0 = u[:, -1], the kernel of
-    M* = V S U*, scaled to (u1, v0) = 1; FrameError when (u1, v0) vanishes."""
+    M* = V S U*, scaled to (u1, v0) = 1; ClassificationError when (u1, v0) vanishes."""
     u0 = shifted.null_vector()
     u1 = shifted.solve(u0)
     v0 = shifted.u[:, -1]
@@ -244,7 +236,7 @@ def _chain_head(shifted: numkit.SVD):
     # overflow; a largest entry of 0, inf or NaN fails as its NaN norm would
     if not (0.0 < big < math.inf
             and abs(scale) > 1e-12 * (float(np.linalg.norm(u1 / big)) * big)):
-        raise FrameError("(u1, v0) vanishes; chain normalization impossible")
+        raise ClassificationError("(u1, v0) vanishes; chain normalization impossible")
     return u0, u1, v0 * np.conj(1.0 / scale)
 
 
@@ -256,7 +248,7 @@ def jordan_chain(kind: DegeneracyClass) -> JordanChain:
     (u1, v1) = 0. Every vector comes from the classification's factorisation
     of A - lam0 I, read the other way, V S U*, for the adjoint. The solves
     check nothing; ``_check_chain`` does, and an inconsistent chain raises
-    FrameError.
+    ClassificationError.
     """
     if kind.kind != "EP":
         raise ClassificationError("jordan_chain needs an EP; classify says DP")
@@ -267,7 +259,7 @@ def jordan_chain(kind: DegeneracyClass) -> JordanChain:
     with np.errstate(over="ignore", invalid="ignore"):     # inf or NaN fails the bound
         residuals = _check_chain(kind.shifted.matrix, chain)
     if not all(r <= _FRAME_TOL * max(kind.sigma_max, 1.0) for r in residuals.values()):
-        raise FrameError(
+        raise ClassificationError(
             f"chain residuals too large ({residuals}); lam0 may not be a "
             "double eigenvalue at this point"
         )
@@ -296,17 +288,17 @@ def dp_frame(kind: DegeneracyClass, right_basis=None) -> DPFrame:
     else:
         vecs = np.asarray(right_basis, dtype=complex)
         if vecs.shape != (2, m):
-            raise FrameError("right_basis must supply two vectors of length m")
+            raise ClassificationError("right_basis must supply two vectors of length m")
         u_mat = vecs.T.copy()
         residuals = np.linalg.norm(kind.shifted.matrix @ u_mat, axis=0)
         bound = _FRAME_TOL * max(kind.sigma_max, 1.0) * np.linalg.norm(u_mat, axis=0)
         if not np.all(residuals <= bound):
-            raise FrameError(f"right_basis leaves the eigenspace: ||(A - lam0 I) u|| = "
-                             f"{residuals.tolist()} > {bound.tolist()}")
+            raise ClassificationError(f"right_basis leaves the eigenspace: ||(A - lam0 I) u||"
+                                      f" = {residuals.tolist()} > {bound.tolist()}")
     z_mat = kind.shifted.u[:, -2:]          # the kernel of (A - lam0 I)* = V S U*
     gram = z_mat.conj().T @ u_mat          # gram[j, k] = (u_k, z_j)
     if np.linalg.cond(gram) > 1e8:
-        raise FrameError("Gram matrix of the candidate frames is near singular")
+        raise ClassificationError("Gram matrix of the candidate frames is near singular")
     v_mat = z_mat @ np.linalg.inv(gram).conj().T
     return DPFrame(
         lam0=kind.lam0,
@@ -345,8 +337,8 @@ def _approximate_split_gradient(fam, p, a, mean):
     builds from one SVD of A - mean I."""
     try:
         u0, _, v0 = _chain_head(numkit.SVD(a - mean * np.eye(len(a))))
-    except FrameError as exc:
-        raise TrackingError("approximate chain normalization broke down") from exc
+    except ClassificationError as exc:
+        raise ConvergenceError("approximate chain normalization broke down") from exc
     return coupling(fam, p, (u0,), (v0,))[0, 0]
 
 
@@ -384,11 +376,11 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     orders smaller (the squared half-gap is linear in dp near the EP).
 
     The converged point is classified at the pair mean: a DP, or a double
-    eigenvalue ``classify`` refuses, raises ClassificationError, and an
-    undecidable rank IndeterminateRankError, each naming p_star.
+    eigenvalue ``classify`` refuses, or an undecidable rank raises
+    ClassificationError naming p_star.
     """
     if fam.n_params != 2:
-        raise TrackingError("find_ep requires a two-parameter family")
+        raise ConvergenceError("find_ep requires a two-parameter family")
     p = fam._point(p_guess)
     # without a guard, evaluate's own point check is all that contains() adds
     guarded = fam.domain_guard is not None
@@ -402,12 +394,12 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
         if prev is None:
             pairs = _nearest_pairs(values.tolist())
             if not pairs:
-                raise TrackingError("family dimension < 2 has no eigenvalue pairs")
+                raise ConvergenceError("family dimension < 2 has no eigenvalue pairs")
             gap, i, j = pairs[0]
             _, external, third = _isolation(values, i, j)
             # only a real third eigenvalue refuses; a bound past the doubles is inf
             if third is not None and external <= 1.2 * gap:
-                raise TrackingError(
+                raise ConvergenceError(
                     f"eigenvalue pair not separated from the rest of the spectrum "
                     f"(external gap {external:.3e} vs internal {gap:.3e})"
                 )
@@ -454,11 +446,9 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     if converged:
         try:
             kind = _classify(a, mean, DEFAULT_RANK_TOL, sigma_max).kind
-        except IndeterminateRankError as exc:
-            raise IndeterminateRankError(f"at p_star = {p.tolist()}: {exc}",
-                                         singular_values=exc.singular_values) from exc
         except ClassificationError as exc:
-            raise ClassificationError(f"at p_star = {p.tolist()}: {exc}") from exc
+            raise ClassificationError(f"at p_star = {p.tolist()}: {exc}",
+                                      singular_values=exc.singular_values) from exc
         if kind != "EP":
             raise ClassificationError(f"the search converged on a {kind}, not an EP, "
                                       f"at p_star = {p.tolist()}")

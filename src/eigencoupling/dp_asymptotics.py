@@ -32,7 +32,7 @@ import numpy as np
 
 from . import family as family_mod
 from .degeneracy import DPFrame
-from .errors import ChartError, DimensionError
+from .errors import DimensionError, EigenCouplingError
 from .numkit import as_cmatrix
 from .pairmodel import (PairPoint, _linear, coupling, offsets, pair_at, projection,
                         rest_offsets)
@@ -298,7 +298,7 @@ def surface_classification_2p(model: DPLocalModel) -> SurfaceTypeReport:
     them. The chart is degenerate when Im c11 = 0 puts a line along dp1.
     """
     if model.n_params != 2:
-        raise ChartError("surface classification needs a two-parameter model")
+        raise EigenCouplingError("surface classification needs a two-parameter model")
     c11, c12, c22 = _quadratic_form(model, lambda v: v[0], lambda v: v[1])
     disc, lines, signs, surface = _zero_lines((c11, c12, c22), _CHART_LABELS)
 

@@ -37,12 +37,7 @@ import numpy as np
 
 from . import family as family_mod
 from .degeneracy import JordanChain
-from .errors import (
-    ChartError,
-    DegenerateModelError,
-    DimensionError,
-    ResolutionError,
-)
+from .errors import DimensionError, EigenCouplingError
 from .numkit import as_cmatrix
 from .pairmodel import (PairPoint, _linear, coupling, offsets, pair_at, projection,
                         rest_offsets, sheets, sweep)
@@ -104,7 +99,7 @@ class BranchCut:
         whose sign condition admits it.
         """
         if len(self.normal) != 2:
-            raise ChartError("ray sampling is defined for two-parameter charts")
+            raise EigenCouplingError("ray sampling is defined for two-parameter charts")
         direction = np.array([-self.normal[1], self.normal[0]])
         direction = direction / np.linalg.norm(direction)
         if self.sign * (self.sign_coeff @ direction) < 0:
@@ -153,7 +148,7 @@ def curve_split(chain: JordanChain, a0, a1) -> EPCurveSplit:
     m = a0.shape[0]
     bordered = a0 - chain.lam0 * np.eye(m) + np.outer(chain.u1, chain.v1.conj())
     if np.linalg.cond(bordered) > 1e10:
-        raise DegenerateModelError("bordered matrix A0 - lam0 I + u1 v1* is numerically singular")
+        raise EigenCouplingError("bordered matrix A0 - lam0 I + u1 v1* is numerically singular")
     correction = np.linalg.solve(bordered, a1 @ chain.u0)
     lam0, u0, u1 = chain.lam0, chain.u0, chain.u1
     linear_term = mu1 * u0 + mu2 * u1 - correction
@@ -206,7 +201,7 @@ def branch_cuts(model: EPLocalModel) -> BranchCutSet:
     <drift_im, dp>/2. Undefined when split_im vanishes identically.
     """
     if np.linalg.norm(model.split_im) < 1e-14:
-        raise DegenerateModelError("split_im = 0: branch-cut directions undefined")
+        raise EigenCouplingError("split_im = 0: branch-cut directions undefined")
     re_cut = BranchCut(
         kind="re", normal=model.split_im.copy(), sign_coeff=model.split_re.copy(),
         sign=-1, level_base=model.lam0.real, level_coeff=0.5 * model.drift_re,
@@ -257,9 +252,9 @@ def complex_plane_conic(model: EPLocalModel, fixed_rest=None) -> ConicReport:
     rest, gamma = _fixed_rest(model, fixed_rest)
     f1, g1 = model.split_re[0], model.split_im[0]
     if f1 * f1 + g1 * g1 < 1e-28:
-        raise DegenerateModelError("f1 = g1 = 0: pair insensitive to p_1")
+        raise EigenCouplingError("f1 = g1 = 0: pair insensitive to p_1")
     if abs(g1) < 1e-14:
-        raise ChartError(
+        raise EigenCouplingError(
             "g1 = 0: asymptote/hyperbola forms need a parameter reindexing"
         )
     root = math.hypot(f1, g1)
@@ -308,7 +303,7 @@ def cross_section(model: EPLocalModel, fixed_rest=None) -> SectionReport:
     f1, g1 = float(model.split_re[0]), float(model.split_im[0])
     h1, r1 = model.drift_re[0], model.drift_im[0]
     if abs(g1) < 1e-14:
-        raise ChartError("g1 = 0: cross-section formulas need reindexing")
+        raise EigenCouplingError("g1 = 0: cross-section formulas need reindexing")
     im_rest = float(np.sum(model.split_im[1:] * rest))
     dp1_cross = -im_rest / g1
     re_level = model.lam0.real - (
@@ -433,7 +428,7 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
     near = |r[k-1] - r[k]| and far = |r[k-1] + r[k]|, the sign s_k keeps
     s_{k-1} when near < far, flips it when near > far, and restarts at +1 on
     an exact tie (near == far, as at an exact zero root). A jump of branch
-    a above 0.3 (|a[k]| + |a[k-1]|), away from lam0, raises ResolutionError;
+    a above 0.3 (|a[k]| + |a[k-1]|), away from lam0, raises EigenCouplingError;
     a loop whose squares, pair mean, radicand, sigma or axis crossings
     overflow raises DimensionError. The full trajectories add the pair mean;
     mean and radicand come from ``pair_terms``. Regime: the loop encloses the
@@ -443,7 +438,7 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
     trajectories cross in the on/outside regimes.
     """
     if model.n_params != 2:
-        raise ChartError("loop trajectories need a two-parameter chart")
+        raise EigenCouplingError("loop trajectories need a two-parameter chart")
     nphi = spec.samples
     phis = np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
     dps = np.column_stack((spec.a + spec.r * np.cos(phis),
@@ -465,7 +460,7 @@ def loop_trajectory(model: EPLocalModel, spec: LoopSpec) -> LoopReport:
     bad = np.flatnonzero((span > 0.1 * scale) & (jump > 0.3 * span))
     if bad.size:
         k = bad[0]
-        raise ResolutionError(
+        raise EigenCouplingError(
             f"branch jump {jump[k]:.3e} at phi={phis[k + 1]:.3f} too large; "
             f"increase samples (currently {nphi})"
         )

@@ -1,16 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per exit code of the CLI,
+and two of exit 1 that callers tell apart, ``DimensionError`` (also a
+ValueError) and ``FamilyParseError`` (with its JSON path)."""
 
 
 class EigenCouplingError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors (exit 1): also raised
+    itself, e.g. when the eigensolver does not converge, a local model is
+    degenerate, or a loop is sampled too coarsely to track its pair."""
 
 
 class DimensionError(EigenCouplingError, ValueError):
     """Vector/matrix shapes are incompatible or not square."""
-
-
-class NumericError(EigenCouplingError, RuntimeError):
-    """Backend numerical routine failed (e.g. eigensolver non-convergence)."""
 
 
 class DomainError(EigenCouplingError):
@@ -28,53 +28,21 @@ class FamilyParseError(EigenCouplingError, ValueError):
         super().__init__(f"{path}: {message}")
 
 
-class MultiplicityError(EigenCouplingError):
-    """Three or more eigenvalues nearly coincide; only double ones are handled."""
-
-
 class ClassificationError(EigenCouplingError):
-    """Degeneracy kind does not match the operation (EP vs DP), or is neither."""
+    """No usable double eigenvalue: a triple coincidence, a degeneracy kind
+    that does not match the operation (EP vs DP), a chain or frame that
+    cannot be built, or an undecidable rank, whose refusal alone carries the
+    spectrum that triggered it in ``singular_values`` (None otherwise)."""
 
-
-class IndeterminateRankError(EigenCouplingError):
-    """A singular value sits too close to the rank threshold to decide.
-
-    ``singular_values`` holds the full spectrum that triggered the ambiguity.
-    """
-
-    def __init__(self, message, singular_values):
+    def __init__(self, message, singular_values=None):
         self.singular_values = singular_values
         super().__init__(message)
 
 
-class FrameError(EigenCouplingError):
-    """Bi-orthonormal frame construction failed (singular Gram matrix etc.)."""
-
-
-class TrackingError(EigenCouplingError):
-    """Eigenvalue pair cannot be followed unambiguously between iterates."""
-
-
 class ConvergenceError(EigenCouplingError):
-    """Iteration cap exceeded. Carries the residual history."""
+    """Iteration cap exceeded, or the iterates' pair cannot be followed.
+    Carries the residual history."""
 
     def __init__(self, message, residual_history=None):
         self.residual_history = list(residual_history or [])
         super().__init__(message)
-
-
-class ResolutionError(EigenCouplingError):
-    """Sampled trajectory too coarse for reliable branch tracking."""
-
-
-class ChartError(EigenCouplingError):
-    """Requested form needs a different parameter ordering/chart."""
-
-
-class BranchError(EigenCouplingError):
-    """Principal-branch evaluation undefined (eigenvalue too close to zero)."""
-
-
-class DegenerateModelError(EigenCouplingError):
-    """Local model is degenerate for the requested construction (e.g. g = 0,
-    or a numerically singular bordered matrix)."""

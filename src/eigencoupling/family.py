@@ -221,7 +221,7 @@ def parse_family(text: str) -> PolynomialFamily:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer of more digits than int() reads
         raise FamilyParseError("$", f"not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "$", "top level must be an object")
     _check_keys(doc, "$", ("m", "n", "terms"))

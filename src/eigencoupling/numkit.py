@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FrameError, NumericError
+from .errors import ClassificationError, DimensionError, EigenCouplingError
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -81,7 +81,7 @@ def _sorted_spectrum(a, vectors: bool):
     try:
         w, v = np.linalg.eig(arr) if vectors else (np.linalg.eigvals(arr), None)
     except np.linalg.LinAlgError as exc:  # iteration cap inside LAPACK
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+        raise EigenCouplingError(f"eigensolver did not converge: {exc}") from exc
     order = np.lexsort((w.imag, w.real))
     return w[order], (v[:, order] if vectors else None)
 
@@ -124,7 +124,7 @@ class SVD:
         """Minimum-norm solution of M x = b on the complement of the trailing
         right singular vector (the kernel of a rank-(m-1) M).
 
-        The returned x is orthogonal to that vector; FrameError where a
+        The returned x is orthogonal to that vector; ClassificationError where a
         singular value has no finite reciprocal. The residual M x - b is not
         checked: away from a double eigenvalue b need not lie in the
         range of M, and ``degeneracy.jordan_chain`` checks the chain
@@ -135,7 +135,7 @@ class SVD:
             # s descends, so every reciprocal is finite where the largest, 1/s[-2], is
             low = float(self.s[-2])
             if low == 0.0 or 1.0 / low == math.inf:
-                raise FrameError(f"singular value {low:.3e} has no finite reciprocal")
+                raise ClassificationError(f"singular value {low:.3e} has no finite reciprocal")
             inv[:-1] = 1.0 / self.s[:-1]
         return self.vh.conj().T @ (inv * (self.u.conj().T @ b))
 

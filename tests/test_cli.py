@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import importlib
+import inspect
 import io
 import json
 import os
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eigencoupling import cli, degeneracy, dp_asymptotics, ep_asymptotics, numkit, pairmodel
+from eigencoupling import errors as errors_mod
 from eigencoupling import family as family_mod
-from eigencoupling.errors import FamilyParseError, FrameError
+from eigencoupling.errors import ClassificationError, FamilyParseError
 import test_golden
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -161,6 +163,15 @@ SPREAD_FAMILY = json.dumps({
 
 #: a family file in Latin-1, which is not UTF-8
 LATIN1_FAMILY = '{"m": 1, "n": 1, "terms": [], "caf\u00e9": 0}'.encode("latin-1")
+
+#: config files with an integer beyond the double range, or a count beyond
+#: what numpy can size as an array of float64 (none of them is allocated)
+HUGE_CONFIGS = {
+    "rank400": {"family": "crystal-example-1", "at": "0,0", "tol_rank": 10**400},
+    "cluster400": {"family": "crystal-example-1", "at": "0,0", "tol-cluster": 10**400},
+    "res63": {"res": 2**63}, "samples63": {"samples": 2**63},
+    "res60": {"res": 2**60}, "samples400": {"samples": 10**400},
+}
 
 
 def validate(report, schema_name):
@@ -1158,7 +1169,7 @@ class TestAnchorCache:
 
         def refuse(kind):
             calls.append(kind)
-            raise FrameError("(u1, v0) vanishes; chain normalization impossible")
+            raise ClassificationError("(u1, v0) vanishes; chain normalization impossible")
 
         argv = ["scenario", *self.CRYSTAL, "--at", "0,0"]
         errors = []
@@ -1390,6 +1401,41 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
      "the search converged on a DP, not an EP, at p_star = [0.0, 0.0]"),
     (1, ["scenario", "--family", "{dp3}", "--at", "0,0,0", "--offset", "0.01"],
      "--offset needs 2 components"),
+    (1, ["classify", "--config", "{rank400}"],
+     f"config key 'tol_rank' must be a positive finite number, got {10**400}"),
+    (1, ["classify", "--config", "{cluster400}"],
+     f"config key 'tol-cluster' must be a positive finite number, got {10**400}"),
+    (1, ["surface", "--family", "crystal-example-1", "--at", "0,0", "--res", str(2**60),
+         "--out", "{tmp}/s.csv"],
+     "--res must be at most 759250124 (numpy sizes no larger arrays), got 1152921504606846976"),
+    (1, ["surface", "--family", "crystal-example-1", "--at", "0,0", "--config", "{res60}",
+         "--out", "{tmp}/s.csv"], "config key 'res' must be at most 759250124 (numpy sizes "
+                                  "no larger arrays), got 1152921504606846976"),
+    (1, ["surface", "--family", "crystal-example-1", "--at", "0,0",
+         "--res", "9223372036854775807", "--out", "{tmp}/s.csv"],
+     "--res must be at most 759250124 (numpy sizes no larger arrays), got 9223372036854775807"),
+    (1, ["surface", "--family", "crystal-example-1", "--at", "0,0", "--config", "{res63}",
+         "--out", "{tmp}/s.csv"], "config key 'res' must be at most 759250124 (numpy sizes "
+                                  "no larger arrays), got 9223372036854775808"),
+    (1, ["surface", "--family", "crystal-example-1", "--at", "0,0", "--res", str(10**400),
+         "--out", "{tmp}/s.csv"],
+     f"--res must be at most 759250124 (numpy sizes no larger arrays), got {10**400}"),
+    (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop=0,0,0.01",
+         "--samples", str(2**60), "--out", "{tmp}/l.csv"],
+     "--samples must be at most 1152921504606846975 (numpy sizes no larger arrays), "
+     "got 1152921504606846976"),
+    (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop=0,0,0.01",
+         "--samples", "9223372036854775807", "--out", "{tmp}/l.csv"],
+     "--samples must be at most 1152921504606846975 (numpy sizes no larger arrays), "
+     "got 9223372036854775807"),
+    (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop=0,0,0.01",
+         "--config", "{samples63}", "--out", "{tmp}/l.csv"],
+     "config key 'samples' must be at most 1152921504606846975 (numpy sizes no larger "
+     "arrays), got 9223372036854775808"),
+    (1, ["loop", "--family", "crystal-example-1", "--at", "0,0", "--loop=0,0,0.01",
+         "--config", "{samples400}", "--out", "{tmp}/l.csv"],
+     "config key 'samples' must be at most 1152921504606846975 (numpy sizes no larger "
+     f"arrays), got {10**400}"),
 ]
 
 
@@ -1423,7 +1469,10 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     object; exit 2 from classify for a cluster that a third eigenvalue sits
     closer to than its own pair is apart, and from find-ep for a search that
     converges on a DP or where the rank of its landing point cannot be
-    decided, naming the point. A failure prints one error line, with the
+    decided, naming the point. Exit 1 for a config tolerance that is an
+    integer beyond the double range, and for a --res or --samples, by flag
+    or by config, whose float64 arrays numpy could not size (from 2^60,
+    about 2^63 and 10^400). A failure prints one error line, with the
     text that names its cause (singular values formatted alike on every
     numpy), writes no file, and no case warns."""
     families = {"sep": SEPARATED_FAMILY, "ovf": OVERFLOWING_FAMILY, "flat": FLAT_IM_FAMILY,
@@ -1431,7 +1480,8 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
                 "diag": DIAGONAL_FAMILY, "drift": HUGE_DRIFT_FAMILY,
                 "triple": SCALAR_TRIPLE_FAMILY, "latin1": LATIN1_FAMILY,
                 "offdiag": OFF_DIAGONAL_FAMILY, "dp3": THREE_PARAMETER_DP_FAMILY,
-                "spread": SPREAD_FAMILY, "list": "[1, 2]", "dir": None}  # None: a directory
+                "spread": SPREAD_FAMILY, "list": "[1, 2]", "dir": None,  # None: a directory
+                **{name: json.dumps(doc) for name, doc in HUGE_CONFIGS.items()}}
     for name, doc in families.items():
         path = tmp_path / f"{name}.json"
         if doc is None:
@@ -1455,6 +1505,53 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     assert code == 0 or sorted(path.name for path in tmp_path.rglob("*")) == sorted(
         f"{name}.json" for name in families)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+#: the exit code of each exception that main reports: one class per code but 1
+EXIT_CODE_OF = {
+    errors_mod.EigenCouplingError: 1, errors_mod.DimensionError: 1,
+    errors_mod.FamilyParseError: 1, errors_mod.ClassificationError: 2,
+    errors_mod.DomainError: 3, errors_mod.ConvergenceError: 4,
+    MemoryError: 1, cli._UsageError: 1,
+}
+
+
+@pytest.mark.parametrize("exc_type", [
+    *(cls for _, cls in inspect.getmembers(errors_mod, inspect.isclass)), MemoryError,
+    cli._UsageError], ids=lambda cls: cls.__name__)
+def test_exception_exit_codes(exc_type, capsys, monkeypatch):
+    """Each class of ``errors``, and the two other exceptions main
+    reports, raised by a command ends in its exit code with one error line,
+    no traceback and nothing on stdout. A class added to ``errors`` fails
+    here until it is given a code."""
+    def refuse(opts):
+        if exc_type is FamilyParseError:
+            raise exc_type("$.m", "refused")
+        raise exc_type("refused")
+
+    monkeypatch.setitem(cli._COMMANDS, "classify", (refuse, cli._ANCHOR_FLAGS))
+    code = cli.main(["classify", "--family", "crystal-example-1", "--at", "0,0"])
+    assert code == EXIT_CODE_OF[exc_type]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: $.m: refused\n" if exc_type is FamilyParseError
+                            else "error: refused\n")
+
+
+@pytest.mark.parametrize("flag,doc", [
+    ("--config", '{"family": "crystal-example-1", "at": "0,0", "tol_rank": 1%s}'),
+    ("--family", '{"m": 1, "n": 1, "terms": [{"exp": [0], "re": [[1%s]], "im": [[0]]}]}'),
+])
+def test_integer_of_many_digits_exits_one(flag, doc, capsys, tmp_path):
+    """A config or family file that holds an integer of 5001 digits, more
+    than int() reads by default, ends in exit 1 with one error line: it is
+    refused as JSON, or else as a value beyond the double range."""
+    path = tmp_path / "doc.json"
+    path.write_text(doc % ("0" * 5000))
+    argv = ["classify", flag, str(path), *(["--at", "0"] if flag == "--family" else [])]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 #: a family document with a JSON syntax error on its fifth line
@@ -1544,6 +1641,12 @@ FUZZ_VALUE = st.sampled_from((
     "1e-300", "1e150", "-1e150", "1e300", "1e308", "-1e300", "-1e308", "-5e-324"))
 
 
+#: integers beyond 2^63 and beyond the double range, of either sign: as a
+#: --res or --samples, numpy could size no array of that many float64 values
+HUGE = st.integers(2**63 - 1, 2**64) | st.integers(2 * 10**308, 10**400)
+HUGE_INTS = HUGE | HUGE.map(lambda n: -n)
+
+
 def fuzz_list(*sizes):
     return st.sampled_from(sizes).flatmap(
         lambda size: st.lists(FUZZ_VALUE, min_size=size, max_size=size).map(",".join))
@@ -1555,9 +1658,9 @@ FUZZ_FLAGS = {
     "scenario": {"--tol-cluster": FUZZ_VALUE, "--tol-rank": FUZZ_VALUE,
                  "--offset": FUZZ_VALUE, "--format": st.just("csv")},
     "surface": {"--tol-cluster": FUZZ_VALUE, "--tol-rank": FUZZ_VALUE,
-                "--window": fuzz_list(2, 4), "--res": FUZZ_VALUE},
+                "--window": fuzz_list(2, 4), "--res": FUZZ_VALUE | HUGE_INTS.map(str)},
     "loop": {"--tol-cluster": FUZZ_VALUE, "--tol-rank": FUZZ_VALUE, "--loop": fuzz_list(3),
-             "--samples": FUZZ_VALUE},
+             "--samples": FUZZ_VALUE | HUGE_INTS.map(str)},
     "find-ep": {},
 }
 
@@ -1631,11 +1734,11 @@ CONFIG_VALUES = {
                                "offdiag.json", "missing.json", ""]),
     "at": st.sampled_from(["0,0", "0.05,-0.03", "0", "0,0,0", "0,nan", "a,b"]),
     "window": fuzz_list(1, 2, 3, 4),
-    "res": st.integers(-2, 64),
-    "tol_cluster": FUZZ_VALUE.map(float),
-    "tol_rank": FUZZ_VALUE.map(float),
+    "res": st.integers(-2, 64) | HUGE_INTS,
+    "tol_cluster": FUZZ_VALUE.map(float) | HUGE_INTS,
+    "tol_rank": FUZZ_VALUE.map(float) | HUGE_INTS,
     "loop": st.sampled_from(["0.003,-0.002,0.01", "0.02,0,0.01"]) | fuzz_list(2, 3),
-    "samples": st.integers(-2, 64),
+    "samples": st.integers(-2, 64) | HUGE_INTS,
     "offset": FUZZ_VALUE | fuzz_list(2),
     "out": st.sampled_from(["out.csv", "out", "out.json", "", "."]),
     "format": st.sampled_from(["csv", "json", "xml"]),
@@ -1647,9 +1750,9 @@ CONFIG_KEYS = sorted({*CONFIG_VALUES, "tol-cluster", "tol-rank", "config", "comm
 @st.composite
 def config_docs(draw):
     """A config object: known keys, mostly with meaningful values, and
-    unknown keys, each with any JSON value, over a base that is mostly a
-    whole run of every command (keys that one command does not read serve
-    the others)."""
+    unknown keys, each with any JSON value or a huge integer, over a base
+    that is mostly a whole run of every command (keys that one command does
+    not read serve the others)."""
     doc = {}
     if draw(st.integers(0, 4)):
         doc = {"family": draw(st.sampled_from(["crystal-example-1", "crystal-example-2"])),
@@ -1659,6 +1762,7 @@ def config_docs(draw):
         small = key.replace("-", "_") in ("res", "samples")
         meaningful = CONFIG_VALUES.get(key.replace("-", "_"))
         values = json_values(small) if meaningful is None else meaningful | json_values(small)
+        values |= HUGE_INTS
         doc[key] = draw(values)
     return doc
 
@@ -1756,7 +1860,7 @@ def test_json_text_refuses_what_json_refuses():
     ["find-ep", "--family", "crystal-example-1", "--at", "0.05,-0.03"],
 ])
 def test_eigensolver_failure_exits_one(monkeypatch, capsys, argv):
-    """LAPACK's iteration cap on one matrix (numkit's NumericError) ends
+    """LAPACK's iteration cap on one matrix (numkit's EigenCouplingError) ends
     with exit 1 and one error line, on the per-anchor path and in the
     Newton search alike."""
     eigvals = np.linalg.eigvals

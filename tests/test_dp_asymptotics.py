@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from eigencoupling import degeneracy, dp_asymptotics as dp
 from eigencoupling import family as family_mod
-from eigencoupling.errors import ChartError, DimensionError
+from eigencoupling.errors import DimensionError, EigenCouplingError
 
 # hand-derived coupling vectors of the second builtin crystal (pinned frame)
 D11 = np.array([-2 - 8j, 0.0])
@@ -485,7 +485,7 @@ class TestSurfaceClassification2P:
     def test_needs_two_parameters(self):
         model = model_from_vectors(
             d11=np.zeros(3), d12=np.ones(3), d21=np.ones(3), d22=np.zeros(3))
-        with pytest.raises(ChartError):
+        with pytest.raises(EigenCouplingError, match="needs a two-parameter model"):
             dp.surface_classification_2p(model)
 
 
