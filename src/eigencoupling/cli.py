@@ -8,7 +8,6 @@ error, 2 no degeneracy found at the anchor, 3 domain error, 4 non-convergence.
 
 from __future__ import annotations
 
-import argparse
 import collections
 import contextlib
 import dataclasses
@@ -50,11 +49,6 @@ _EXIT_CODES = (
     (errors.ConvergenceError, EXIT_NO_CONVERGENCE),
     ((_UsageError, errors.EigenCouplingError, MemoryError), EXIT_USAGE),
 )
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _floats(text: str, what: str):
@@ -594,78 +588,94 @@ _COMMANDS = {
     "scenario": (cmd_scenario, _ANCHOR_FLAGS + ("offset", "format")),
 }
 
-_DEFAULTS = {
-    "window": "-0.1,0.1",
-    "res": 41,
-    "tol_cluster": degeneracy.DEFAULT_CLUSTER_TOL,
-    "tol_rank": degeneracy.DEFAULT_RANK_TOL,
-    "format": "json",
+#: the flags, each taking one value: its type, choices and default, if any, and its help
+_FLAGS = {
+    "--family": {"help": "builtin name or family JSON path"},
+    "--at": {"help": "anchor point (find-ep: starting guess), comma-separated"},
+    "--window": {"default": "-0.1,0.1", "help": "grid window 'lo,hi' or 'lo1,hi1,lo2,hi2'"},
+    "--res": {"type": int, "default": 41, "help": "grid resolution per axis"},
+    "--tol-cluster": {"type": float, "default": degeneracy.DEFAULT_CLUSTER_TOL,
+                      "help": "eigenvalue cluster tolerance"},
+    "--tol-rank": {"type": float, "default": degeneracy.DEFAULT_RANK_TOL,
+                   "help": "rank tolerance, relative to the largest singular value"},
+    "--loop": {"help": "loop parameters a,b,r"},
+    "--samples": {"type": int, "help": "loop sample count"},
+    "--offset": {"help": "fixed offsets of parameters 2..n"},
+    "--out": {"help": "output file path"},
+    "--format": {"choices": ("csv", "json"), "default": "json", "help": "scenario output type"},
+    "--config": {"help": "JSON config file; flags override it"},
 }
-
-
-#: the flags, each taking one value, and their ``add_argument`` keywords
-_FLAGS = (
-    ("--family", {"help": "builtin name or family JSON path"}),
-    ("--at", {"help": "anchor point (find-ep: starting guess), comma-separated"}),
-    ("--window", {"help": "grid window 'lo,hi' or 'lo1,hi1,lo2,hi2'"}),
-    ("--res", {"type": int, "help": "grid resolution per axis"}),
-    ("--tol-cluster", {"type": float, "dest": "tol_cluster"}),
-    ("--tol-rank", {"type": float, "dest": "tol_rank"}),
-    ("--loop", {"help": "loop parameters a,b,r"}),
-    ("--samples", {"type": int, "help": "loop sample count"}),
-    ("--offset", {"help": "fixed offsets of parameters 2..n"}),
-    ("--out", {"help": "output file path"}),
-    ("--format", {"choices": ("csv", "json")}),
-    ("--config", {"help": "JSON config file; flags override it"}),
-)
-
-#: the ``add_argument`` keywords of each flag, by flag
-_FLAG_KEYWORDS = dict(_FLAGS)
 
 #: the largest value of each int flag whose float64 arrays numpy can size
 #: (sys.maxsize bytes): res^2 grid points of two coordinates, one per sample
 _MAX_COUNT = {"res": math.isqrt(sys.maxsize // 16), "samples": sys.maxsize // 8}
 
-#: a flag value that starts like a negative number: "-0.1,0.1", "-.5", "-1e-3"
-_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
+#: a token that starts like a negative number ("-0.1,0.1", "-1e-3"): a flag's value;
+#: group 1 holds a plain number ("-5", "-.5"), which is positional standing alone
+_NEGATIVE = re.compile(r"-(?=\.?\d)(\d+$|\d*\.\d+$)?")
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The command-line parser, built once per process on first use."""
-    parser = _Parser(prog="eigencoupling", description=__doc__)
-    parser.add_argument("command", choices=_COMMANDS)
-    for flag, keywords in _FLAGS:
-        parser.add_argument(flag, **keywords)
-    return parser
+def _option(token: str):
+    """(flag, the value after '=' or None) for an option token, which may be a unique prefix
+    of the flag; (None, None) for an unknown option; None for a positional token."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    names = [option for option in ("-h", "--help", *_FLAGS) if option.startswith(name)]
+    if len(names) > 1:
+        raise _UsageError(f"ambiguous option: {token} could match {', '.join(names)}")
+    if names:
+        return names[0], value if eq else None
+    number = _NEGATIVE.match(token)
+    return None if number and number[1] or " " in token else (None, None)
 
 
-def _attach_negative_values(argv: list) -> list:
-    """Spell ``--flag -0.1,0.1`` as ``--flag=-0.1,0.1``.
-
-    argparse reads a token that starts with '-' as an option unless it is a
-    plain negative number, so a list such as -0.1,0.1 after --window, --loop
-    or --offset would not reach its flag; the attached spelling always does.
-    A unique prefix of a flag counts as the flag, as it does for argparse;
-    an ambiguous one is left for argparse to refuse.
-    """
-    out = []
-    for token in argv:
-        flag = out[-1] if out else ""
-        if (_NEGATIVE_VALUE.match(token) and len(flag) > 2 and "=" not in flag
-                and sum(name.startswith(flag) for name, _ in _FLAGS) == 1):
-            out[-1] = f"{flag}={token}"
-        else:
-            out.append(token)
-    return out
+def _parse_argv(argv):
+    """The command and the given flags of ``argv`` by option key, in one pass, or None for
+    ``--help``: the command anywhere, ``--flag value`` or ``--flag=value``, the last of a repeated
+    flag, only positionals after ``--``; checks, order and messages as Python's standard parser."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    options = [_option(token) for token in argv[:end]]
+    flags, extras, i = {}, [], 0
+    while i < len(argv):
+        token, option = argv[i], options[i] if i < end else None
+        i += 1
+        if i == end + 1 and ("command" not in flags or command_at == end - 1):
+            continue    # a '--' beside the command is dropped
+        if option is None and "command" not in flags:
+            option, command_at = ("command", token), i - 1
+        if option is None or option[0] is None:
+            extras.append(token)
+            continue
+        flag, value = option
+        if flag in ("-h", "--help"):
+            return None
+        if value is None:
+            if not (i < end and (options[i] is None or _NEGATIVE.match(argv[i]))):
+                raise _UsageError(f"argument {flag}: expected one argument")
+            value, i = argv[i], i + 1
+        keywords = _FLAGS.get(flag, {"choices": _COMMANDS})
+        kind, choices = keywords.get("type", str), keywords.get("choices")
+        try:
+            flags[flag] = value = kind(value)
+        except ValueError:
+            raise _UsageError(f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+        if choices and value not in choices:
+            raise _UsageError(f"argument {flag}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, choices))})")
+    if "command" not in flags:
+        raise _UsageError("the following arguments are required: command")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return flags["command"], {f[2:].replace("-", "_"): flags[f] for f in _FLAGS if f in flags}
 
 
 def _check_value(name: str, key: str, value) -> None:
     """Refuse a value of option ``key`` that its entry in ``_FLAGS`` does
     not admit: an integer up to ``_MAX_COUNT`` for an int flag, a positive
     finite double for a float flag (the tolerances), one of the choices, or
-    else a string."""
-    keywords = _FLAG_KEYWORDS["--" + key.replace("_", "-")]
+    else a non-empty string."""
+    keywords = _FLAGS["--" + key.replace("_", "-")]
     kind = keywords.get("type")
     if "choices" in keywords:
         ok, what = value in keywords["choices"], "one of " + ", ".join(keywords["choices"])
@@ -677,24 +687,24 @@ def _check_value(name: str, key: str, value) -> None:
         ok = type(value) in (int, float) and 0 < value <= sys.float_info.max
         what = "a positive finite number"
     else:
-        ok, what = isinstance(value, str), "a string"
+        ok, what = isinstance(value, str) and value != "", "a non-empty string"
     if not ok:
         raise _UsageError(f"{name} must be {what}, got {value!r}")
 
 
-def _merge_options(args: argparse.Namespace) -> dict:
+def _merge_options(command: str, flags: dict) -> dict:
     """Defaults, then the config file (its keys may serve other commands),
     then the flags, each of which the command must read. Every value the
-    command reads passes ``_check_value``."""
-    read = _COMMANDS[args.command][1]
-    flags = {key: value for key, value in vars(args).items()
-             if value is not None and key not in ("command", "config")}
+    command reads, and the config file's path, passes ``_check_value``."""
+    read = _COMMANDS[command][1]
+    config = flags.pop("config", None)
     unread = ["--" + key.replace("_", "-") for key in flags if key not in read]
     if unread:
-        raise _UsageError(f"{args.command} does not read {', '.join(unread)}")
-    opts = dict(_DEFAULTS)
-    if args.config:
-        text = _read_text(args.config, f"config file '{args.config}' not found")
+        raise _UsageError(f"{command} does not read {', '.join(unread)}")
+    opts = {f[2:].replace("-", "_"): kw["default"] for f, kw in _FLAGS.items() if "default" in kw}
+    if config is not None:
+        _check_value("--config", "config", config)
+        text = _read_text(config, f"config file '{config}' not found")
         try:
             cfg = json.loads(text)
         except ValueError as exc:   # also an integer of more digits than int() reads
@@ -718,9 +728,13 @@ def _merge_options(args: argparse.Namespace) -> dict:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(_attach_negative_values(argv))
-        opts = _merge_options(args)
-        return _COMMANDS[args.command][0](opts)
+        parsed = _parse_argv(argv)
+        if parsed is None:      # -h or --help
+            print(f"usage: eigencoupling {{{','.join(_COMMANDS)}}} [--flag value | --flag=value]"
+                  " ...\n", __doc__, *(f"  {flag:<15}{keywords['help']}"
+                                       for flag, keywords in _FLAGS.items()), sep="\n")
+            return EXIT_OK
+        return _COMMANDS[parsed[0]][0](_merge_options(*parsed))
     except (_UsageError, errors.EigenCouplingError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; a bare one says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -18,6 +18,7 @@ from eigencoupling import cli, degeneracy, dp_asymptotics, ep_asymptotics, numki
 from eigencoupling import errors as errors_mod
 from eigencoupling import family as family_mod
 from eigencoupling.errors import ClassificationError, FamilyParseError
+import argv_oracle
 import test_golden
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -952,16 +953,77 @@ class TestNegativeValues:
                    "--at", "-inf,0")[0] == 1
 
 
-def test_parser_built_once_on_first_use():
-    """Importing the CLI builds no parser; the first call builds the only one."""
-    probe = ("import eigencoupling.cli as c; n = c._build_parser.cache_info().currsize; "
-             "c.main(['classify', '--family', 'crystal-example-1', '--at', '0,0']); "
-             "c.main(['classify', '--family', 'crystal-example-1', '--at', '0,0']); "
-             "i = c._build_parser.cache_info(); print(n, i.misses, i.hits)")
+def test_command_line_imports_no_argparse():
+    """Importing the CLI and running a command import neither argparse nor
+    the gettext it brings."""
+    probe = ("import sys, eigencoupling.cli as c; "
+             "code = c.main(['classify', '--family', 'crystal-example-1', '--at', '0,0']); "
+             "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules)")
     src = str(Path(cli.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout.split()[-3:] == ["0", "1", "1"]
+    assert done.stdout.split()[-3:] == ["0", "False", "False"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["classify", "--he"], ["--at", "0", "-h"]])
+def test_help_names_every_command_and_flag(argv, capsys):
+    """-h, --help or a prefix of it prints the usage, the commands and one
+    line per flag with its help to stdout and returns 0."""
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: eigencoupling ") and err == ""
+    assert all(command in out.splitlines()[0] for command in cli._COMMANDS)
+    for flag, keywords in cli._FLAGS.items():
+        assert f"  {flag} " in out and keywords["help"] in out, flag
+
+
+def oracle_outcome(parse, argv):
+    """What ``parse`` makes of ``argv``: (command, flags), or its refusal's text."""
+    try:
+        return parse(list(argv))
+    except cli._UsageError as exc:
+        return str(exc)
+
+
+#: a flag by its name, a unique or an ambiguous prefix, or an unknown option
+ARGV_FLAGS = st.sampled_from([*cli._FLAGS, "--fam", "--a", "--w", "--tol-c", "--tol-r",
+                              "--sa", "--off", "--form", "--con", "--tol", "--f", "--o",
+                              "--t", "--bogus", "-x"])
+#: flag values: negative numbers, lists and words starting with '-', others
+ARGV_VALUES = st.sampled_from(["0,0", "crystal-example-1", "3", "1e-8", "1_0", " 5 ", "abc",
+                               "1e-8x", "csv", "json", "xml", "", "-5", "-.5", "-1.5",
+                               "-1e-2", "-0.05,0.05", "-.02,0.03", "-5 x", "-inf,0", "-x"])
+#: one or two tokens: a command or a stray token, a flag with its value in
+#: either spelling, or a flag alone, whose value is missing unless a token
+#: that can be one follows
+ARGV_ITEMS = st.one_of(
+    st.sampled_from([*cli._COMMANDS, "bogus", "extra", "-", "-x", "-5", "-1e-2"]).map(
+        lambda token: [token]),
+    st.tuples(ARGV_FLAGS, ARGV_VALUES).map(list),
+    st.tuples(ARGV_FLAGS, ARGV_VALUES).map(lambda pair: ["=".join(pair)]),
+    ARGV_FLAGS.map(lambda flag: [flag]))
+
+
+@settings(max_examples=500)
+@given(st.lists(ARGV_ITEMS, max_size=7).map(lambda items: sum(items, [])))
+def test_argv_parsed_as_argparse_parsed_it(argv):
+    """The one-pass parser and the argparse oracle agree on every drawn
+    command line: the same command and flag values, or the same refusal."""
+    assert oracle_outcome(cli._parse_argv, argv) == oracle_outcome(argv_oracle.parse, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--at", "0,0", "--", "classify"], ["--", "classify", "--at", "0,0"],
+    ["classify", "--", "--at", "0,0"], ["classify", "--at", "0,0", "--"],
+    ["classify", "x", "--"], ["--at", "0,0", "--"], ["--", "--", "classify"],
+    ["classify", "--", "--"], ["--at", "--", "0,0"], ["--bogus", "--", "classify"],
+    ["classify", "--=x"], ["classify", "---x"]])
+def test_separator_read_as_argparse_read_it(argv):
+    """After '--' every token is positional; beside the command the '--' is
+    dropped, elsewhere it is an unrecognized argument, as under argparse.
+    (``--at=--`` is left out: argparse gave --at the value [], the one-pass
+    parser gives it '--', and either is refused as an anchor.)"""
+    assert oracle_outcome(cli._parse_argv, argv) == oracle_outcome(argv_oracle.parse, argv)
 
 
 class TestConfigAndErrors:
@@ -1436,6 +1498,47 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
          "--config", "{samples400}", "--out", "{tmp}/l.csv"],
      "config key 'samples' must be at most 1152921504606846975 (numpy sizes no larger "
      f"arrays), got {10**400}"),
+    # the command line's grammar and its refusals, each with the text it had under argparse
+    (1, ["--family", "crystal-example-1", "--at", "0,0"],
+     "the following arguments are required: command"),
+    (1, ["bogus", "--family", "crystal-example-1", "--at", "0,0"],
+     "argument command: invalid choice: 'bogus' "
+     "(choose from 'classify', 'surface', 'loop', 'find-ep', 'scenario')"),
+    (1, ["surface", "--family", "crystal-example-1", "--at", "0,0", "--res", "abc",
+         "--out", "{tmp}/s.csv"], "argument --res: invalid int value: 'abc'"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-rank", "1e-8x"],
+     "argument --tol-rank: invalid float value: '1e-8x'"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol", "1e-8"],
+     "ambiguous option: --tol could match --tol-cluster, --tol-rank"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "extra"],
+     "unrecognized arguments: extra"),
+    (1, ["classify", "--family", "crystal-example-1", "--at"],
+     "argument --at: expected one argument"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "-x"],
+     "unrecognized arguments: -x"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "--", "0,0"],
+     "argument --at: expected one argument"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "-inf,0"],
+     "argument --at: expected one argument"),
+    (0, ["--family", "crystal-example-1", "classify", "--at", "0,0"], None),
+    (0, ["--at", "0,0", "--fam=crystal-example-1", "--", "classify"], None),
+    (2, ["classify", "--family", "crystal-example-1", "--at=0,0", "--at", "0.1,0"],
+     "no eigenvalue cluster at (0.1, 0.0)"),
+    # an empty value is refused, by flag and by config key alike
+    (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--offset="],
+     "--offset must be a non-empty string, got ''"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--out="],
+     "--out must be a non-empty string, got ''"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--config="],
+     "--config must be a non-empty string, got ''"),
+    (1, ["scenario", "--family", "crystal-example-1", "--at", "0,0", "--config", "{blank}"],
+     "config key 'offset' must be a non-empty string, got ''"),
+    (1, ["classify", "--family", "crystal-example-1", "--at="],
+     "--at must be a non-empty string, got ''"),
+    (0, ["--help"], None),
+    (0, ["classify", "-h"], None),
 ]
 
 
@@ -1472,7 +1575,12 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     decided, naming the point. Exit 1 for a config tolerance that is an
     integer beyond the double range, and for a --res or --samples, by flag
     or by config, whose float64 arrays numpy could not size (from 2^60,
-    about 2^63 and 10^400). A failure prints one error line, with the
+    about 2^63 and 10^400). Exit 1 for each refusal of the command line
+    (no or an unknown command, a value of the wrong type or choice, an
+    ambiguous prefix, a flag without its value, a stray token), with the
+    text argparse gave it, and for an empty value by flag or config key;
+    exit 0 for a command after a flag and for -h or --help, and the last
+    of a repeated flag wins. A failure prints one error line, with the
     text that names its cause (singular values formatted alike on every
     numpy), writes no file, and no case warns."""
     families = {"sep": SEPARATED_FAMILY, "ovf": OVERFLOWING_FAMILY, "flat": FLAT_IM_FAMILY,
@@ -1481,6 +1589,7 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
                 "triple": SCALAR_TRIPLE_FAMILY, "latin1": LATIN1_FAMILY,
                 "offdiag": OFF_DIAGONAL_FAMILY, "dp3": THREE_PARAMETER_DP_FAMILY,
                 "spread": SPREAD_FAMILY, "list": "[1, 2]", "dir": None,  # None: a directory
+                "blank": json.dumps({"offset": ""}),
                 **{name: json.dumps(doc) for name, doc in HUGE_CONFIGS.items()}}
     for name, doc in families.items():
         path = tmp_path / f"{name}.json"
