@@ -7,8 +7,9 @@ loop whose per-point work shows, and rows of several commands run in one
 process on one family, which parse its file once and analyse a repeated
 anchor once. A row counts the calls of each numpy.linalg routine the
 package uses, of ``family.evaluate``, ``family.evaluate_many``,
-``family.derivative`` and ``family.parse_family``, and the bytes written to
-standard output and to files. Each row starts with the command line's
+``family.derivative`` and ``family.parse_family``, of ``numkit.as_cmatrix``,
+the finite check of a matrix (also under the name the asymptotics modules
+import it by), and the bytes written to standard output and to files. Each row starts with the command line's
 family and anchor caches empty, so a row does not depend on the rows run
 before it. The test asserts equality both ways: a
 count that falls fails as one that rises does, so a change of the work is a
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigencoupling import cli
+from eigencoupling import cli, dp_asymptotics, ep_asymptotics, numkit
 from eigencoupling import family as family_mod
 from test_golden import FAMILIES, PLANTED, all_cases
 
@@ -40,6 +41,8 @@ TABLE = Path(__file__).parent / "work_counts.json"
 #: the numpy.linalg routines counted, and the family functions
 LINALG = ("cond", "eig", "eigvals", "inv", "lstsq", "norm", "solve", "svd")
 FAMILY = ("evaluate", "evaluate_many", "derivative", "parse_family")
+#: the modules that hold ``numkit.as_cmatrix``, each under that name
+CHECKERS = (numkit, dp_asymptotics, ep_asymptotics)
 
 #: (family, row name, argv after --family) of the per-point rows
 LARGE = [
@@ -58,7 +61,8 @@ SEQUENCES = [
 #: the commands that analyse their anchor (``cli._anchor``)
 ANCHORED = ("classify", "scenario", "loop", "surface")
 #: the counted calls of a row, less the family parses
-WORK = [f"linalg.{n}" for n in LINALG] + [f"family.{n}" for n in FAMILY if n != "parse_family"]
+WORK = ([f"linalg.{n}" for n in LINALG] + [f"family.{n}" for n in FAMILY if n != "parse_family"]
+        + ["numkit.as_cmatrix"])
 
 
 def rows():
@@ -95,13 +99,17 @@ def measure(family, argvs, out_dir: Path) -> dict:
             patch.setattr(np.linalg, name, counted(f"linalg.{name}", getattr(np.linalg, name)))
         for name in FAMILY:
             patch.setattr(family_mod, name, counted(f"family.{name}", getattr(family_mod, name)))
+        check = counted("numkit.as_cmatrix", numkit.as_cmatrix)
+        for module in CHECKERS:
+            patch.setattr(module, "as_cmatrix", check)
         for argv in argvs:
             full = [argv[0], "--family", source] + [
                 a.replace("{dir}", str(out_dir)) for a in argv[1:]]
             code = cli.main(full)
             assert code == 0, f"{full} exited {code}"
     counts = {name: calls.count(name)
-              for name in [f"linalg.{n}" for n in LINALG] + [f"family.{n}" for n in FAMILY]}
+              for name in [f"linalg.{n}" for n in LINALG] + [f"family.{n}" for n in FAMILY]
+              + ["numkit.as_cmatrix"]}
     counts["stdout_bytes"] = len(stdout.getvalue().encode())
     counts["file_bytes"] = sum(path.stat().st_size for path in out_dir.rglob("*"))
     return counts
