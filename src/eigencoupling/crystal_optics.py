@@ -110,7 +110,7 @@ def refractive_indices(spec: DielectricSpec, s):
     """
     from . import numkit    # here: loading a crystal needs neither module
     from .degeneracy import DEFAULT_CLUSTER_TOL
-    w = numkit.eigvals(optical_matrix(spec, s))
+    w = numkit.eigvals(numkit.as_cmatrix(optical_matrix(spec, s)))
     zero_idx = int(np.argmin(np.abs(w)))
     pair = [w[k] for k in range(3) if k != zero_idx]
     scale = 1.0 + max(abs(z) for z in w)

@@ -28,7 +28,6 @@ from . import family as family_mod
 from . import numkit
 from .errors import ClassificationError, ConvergenceError, DimensionError
 from .numkit import _modulus, hermitian_inner
-from .pairmodel import coupling
 
 #: Relative eigenvalue-distance threshold for treating a pair as a cluster.
 DEFAULT_CLUSTER_TOL = 1e-6
@@ -127,7 +126,7 @@ def find_double_eigenvalues(a, tol_cluster: float = DEFAULT_CLUSTER_TOL):
     """
     if not 0 < tol_cluster < math.inf:
         raise ValueError("tol_cluster must be positive and finite")
-    w = numkit.eigvals(a)
+    w = numkit.eigvals(numkit.as_cmatrix(a))
     row = w.tolist()
     # bounds in Python floats, which overflow to inf without a warning
     sizes = [_modulus(z) for z in row]
@@ -169,14 +168,14 @@ def classify(a, lam0: complex, tol_rank: float = DEFAULT_RANK_TOL) -> Degeneracy
     of it is indeterminate. The result keeps the SVD of A - lam0 I and
     sigma_max(A) for the builders.
     """
-    return _classify(a, lam0, tol_rank)
-
-
-def _classify(a, lam0, tol_rank, sigma_max=None) -> DegeneracyClass:
-    """``classify``, reusing sigma_max(A) where the caller has taken it."""
     if not 0 < tol_rank < math.inf:
         raise ValueError("tol_rank must be positive and finite")
-    arr = numkit.as_cmatrix(a)
+    return _classify(numkit.as_cmatrix(a), lam0, tol_rank)
+
+
+def _classify(arr, lam0, tol_rank, sigma_max=None) -> DegeneracyClass:
+    """``classify`` of a checked matrix (``numkit.as_cmatrix``), reusing
+    sigma_max(A) where the caller has taken it."""
     shifted = numkit.SVD(arr - lam0 * np.eye(arr.shape[0]))
     s = shifted.s
     if sigma_max is None:
@@ -331,15 +330,16 @@ def codimension(matrix_type: str, kind: str) -> Optional[int]:
     return _CODIMENSION_TABLE[key]
 
 
-def _approximate_split_gradient(fam, p, a, mean):
+def _approximate_split_gradient(fam, p, shifted):
     """Columns f_s + i g_s = (dA/dp_s u0, v0) of the Newton Jacobian at the
-    iterate p, A = A(p), on the approximate (u0, v0) that ``_chain_head``
-    builds from one SVD of A - mean I."""
+    iterate p, on the approximate (u0, v0) that ``_chain_head`` builds from
+    one SVD of ``shifted`` = A(p) - mean I: the entries of
+    ``pairmodel.coupling``, one ``vdot`` per partial."""
     try:
-        u0, _, v0 = _chain_head(numkit.SVD(a - mean * np.eye(len(a))))
+        u0, _, v0 = _chain_head(numkit.SVD(shifted))
     except ClassificationError as exc:
         raise ConvergenceError("approximate chain normalization broke down") from exc
-    return coupling(fam, p, (u0,), (v0,))[0, 0]
+    return np.array([np.vdot(v0, d @ u0) for d in family_mod.derivative(fam, p)])
 
 
 def _converged(a, mean, gap, floor=None) -> bool:
@@ -384,15 +384,18 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     p = fam._point(p_guess)
     # without a guard, evaluate's own point check is all that contains() adds
     guarded = fam.domain_guard is not None
+    eye = np.eye(fam.dim)
 
     def probe(point, prev=None):
-        """The iterate's matrix, pair, mean, squared half-gap, gap, convergence
-        and the floor test's sigma_max(A) (None if untaken); the first probe takes
-        the nearest pair, which must stand apart, later ones the previous pair's match."""
+        """The iterate's matrix, pair (as Python complex), mean, squared half-gap,
+        gap, convergence and the floor test's sigma_max(A) (None if untaken); the
+        first probe takes the nearest pair, which must stand apart, later ones the
+        previous pair's match. ``evaluate`` has checked the matrix."""
         a = family_mod.evaluate(fam, point)
         values = numkit.eigvals(a)
+        row = values.tolist()
         if prev is None:
-            pairs = _nearest_pairs(values.tolist())
+            pairs = _nearest_pairs(row)
             if not pairs:
                 raise ConvergenceError("family dimension < 2 has no eigenvalue pairs")
             gap, i, j = pairs[0]
@@ -404,7 +407,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
                     f"(external gap {external:.3e} vs internal {gap:.3e})"
                 )
         else:
-            (i,), (j,), _ = numkit.pair_assignment(values[None], [prev])
+            i, j, _ = numkit._assign_row(row, *prev)
         lam_p, lam_m = values[i], values[j]
         mean = lam_p / 2.0 + lam_m / 2.0     # halves first: no overflow
         z = ((lam_p - lam_m) / 2.0) ** 2
@@ -413,14 +416,14 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
                                  f"{point.tolist()}")
         gap = abs(lam_p - lam_m)
         floor = [None]      # _converged, evaluated before floor[-1], appends any it takes
-        return a, (lam_p, lam_m), mean, z, gap, _converged(a, mean, gap, floor), floor[-1]
+        return a, (row[i], row[j]), mean, z, gap, _converged(a, mean, gap, floor), floor[-1]
 
     a, pair, mean, z, gap, converged, sigma_max = probe(p)
     history = [gap]
     for iteration in range(DEFAULT_MAX_ITER):
         if converged:
             break
-        cols = _approximate_split_gradient(fam, p, a, mean)
+        cols = _approximate_split_gradient(fam, p, a - mean * eye)
         jac = np.array([cols.real, cols.imag])
         try:
             step = np.linalg.solve(jac, -np.array([z.real, z.imag]))

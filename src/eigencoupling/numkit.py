@@ -75,9 +75,9 @@ class EigenSet:
         return ((self.values[k], self.vectors[:, k]) for k in range(len(self.values)))
 
 
-def _sorted_spectrum(a, vectors: bool):
-    """Eigenvalues sorted by (Re, Im), and the matching eigenvector columns or None."""
-    arr = as_cmatrix(a)
+def _sorted_spectrum(arr, vectors: bool):
+    """Eigenvalues of a checked matrix (``as_cmatrix``) sorted by (Re, Im),
+    and the matching eigenvector columns or None."""
     try:
         w, v = np.linalg.eig(arr) if vectors else (np.linalg.eigvals(arr), None)
     except np.linalg.LinAlgError as exc:  # iteration cap inside LAPACK
@@ -86,9 +86,12 @@ def _sorted_spectrum(a, vectors: bool):
     return w[order], (v[:, order] if vectors else None)
 
 
-def eigvals(a) -> np.ndarray:
-    """All eigenvalues with multiplicity, sorted by (Re, Im) like ``eig_all``."""
-    return _sorted_spectrum(a, vectors=False)[0]
+def eigvals(arr) -> np.ndarray:
+    """All eigenvalues with multiplicity, sorted by (Re, Im) like ``eig_all``,
+    of a finite square complex128 array: one that ``as_cmatrix`` or
+    ``family.evaluate`` returned. Where a caller's matrix comes in, the
+    caller checks it (``degeneracy.find_double_eigenvalues``)."""
+    return _sorted_spectrum(arr, vectors=False)[0]
 
 
 def eig_all(a) -> EigenSet:
@@ -97,7 +100,7 @@ def eig_all(a) -> EigenSet:
     Eigenvectors are unit-norm and gauge-fixed; the set is sorted by
     (Re, Im) of the eigenvalue so identical inputs give identical output.
     """
-    w, v = _sorted_spectrum(a, vectors=True)
+    w, v = _sorted_spectrum(as_cmatrix(a), vectors=True)
     cols = [gauge_fix(col / np.linalg.norm(col)) for col in v.T]   # LAPACK's columns are nonzero
     return EigenSet(values=w, vectors=np.column_stack(cols))
 

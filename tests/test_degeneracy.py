@@ -457,7 +457,8 @@ class TestFindEP:
         # at the EP the approximate chain is the Jordan chain, so the Newton
         # Jacobian columns are the squared-gap gradient F + iG of the model
         a0, cluster, _ = ep_chain
-        cols = degeneracy._approximate_split_gradient(crystal1, np.zeros(2), a0, cluster.center)
+        cols = degeneracy._approximate_split_gradient(
+            crystal1, np.zeros(2), a0 - cluster.center * np.eye(3))
         model = ep_model.split_re + 1j * ep_model.split_im
         assert np.abs(cols - model).max() <= 1e-12 * np.abs(model).max()
 
