@@ -359,6 +359,12 @@ def _converged(a, mean, gap, floor=None) -> bool:
     return gap <= _EPS_FLOOR * sigma_max
 
 
+def _accepted(history) -> str:
+    """'1 accepted step' or 'k accepted steps' of a search's residual history."""
+    steps = len(history) - 1
+    return f"{steps} accepted step{'s' * (steps != 1)}"
+
+
 # overflow is refused as DimensionError or a non-finite point, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
@@ -368,7 +374,9 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     first-order model is <f, dp> + i <g, dp>; the Jacobian columns f + i g are
     recomputed each step from the approximate chain of the tracked pair.
     Damped with step halving (up to 10 halvings per step), at most
-    ``DEFAULT_MAX_ITER`` steps.
+    ``DEFAULT_MAX_ITER`` steps. An unconverged search raises ConvergenceError
+    naming its stop: the iteration cap, no full or halved step inside the
+    domain that lowers |z|, or a step below 1e-14 (1 + |p|).
 
     Convergence: pair gap below max(EP_GAP_TOL * (1 + |mean|), eigensolver noise
     floor 2 sqrt(eps) sigma_max(A)); at a defective matrix the computed pair
@@ -420,6 +428,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
 
     a, pair, mean, z, gap, converged, sigma_max = probe(p)
     history = [gap]
+    stop = f"within {DEFAULT_MAX_ITER} iterations"
     for iteration in range(DEFAULT_MAX_ITER):
         if converged:
             break
@@ -443,8 +452,12 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
                 history.append(gap)
                 break
         else:       # no trial step accepted
+            stop = (f"after {_accepted(history)}: no full or halved Newton step inside "
+                    f"the domain lowers |z|")
             break
-        if np.linalg.norm(step) <= 1e-14 * (1.0 + np.linalg.norm(p)):
+        size = np.linalg.norm(step)
+        if size <= 1e-14 * (1.0 + np.linalg.norm(p)):
+            stop = f"after {_accepted(history)}: the Newton step stalled at |dp| = {size:.3e}"
             break
     if converged:
         try:
@@ -459,7 +472,5 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
             p_star=p, lambda0=complex(mean), iterations=len(history) - 1,
             residual_history=history, gap=float(gap),
         )
-    raise ConvergenceError(
-        f"no exceptional point within {DEFAULT_MAX_ITER} iterations "
-        f"(last gap {gap:.3e})", residual_history=history,
-    )
+    raise ConvergenceError(f"no exceptional point {stop} (last gap {gap:.3e})",
+                           residual_history=history)

@@ -1353,7 +1353,8 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
     (3, ["classify", "--family", "crystal-example-1", "--at", "0.9,0.9"],
      "point [0.9, 0.9] outside the family domain"),
     (4, ["find-ep", "--family", "crystal-example-1", "--at", "0.2,0.1"],
-     "no exceptional point within 30 iterations (last gap 1.074e+00)"),
+     "no exceptional point after 1 accepted step: no full or halved Newton step inside the "
+     "domain lowers |z| (last gap 1.074e+00)"),
     (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-cluster", "-1e-6"],
      "--tol-cluster must be a positive finite number, got -1e-06"),
     (1, ["classify", "--family", "crystal-example-1", "--at", "0,0", "--tol-rank", "-1e-8"],

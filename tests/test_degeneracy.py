@@ -375,15 +375,36 @@ class TestFindEP:
             degeneracy.find_ep(fam, [0.3, 0.2])
 
     def test_far_guess_does_not_converge(self, crystal1):
-        # greedy pair selection at (0.2, 0.1) latches onto the wrong pair
-        with pytest.raises(ConvergenceError):
+        # greedy pair selection at (0.2, 0.1) latches onto the wrong pair;
+        # after one step no full or halved step lowers |z|, and the error says so
+        with pytest.raises(ConvergenceError, match=r"^no exceptional point after 1 accepted "
+                                                   r"step: no full or halved Newton step inside "
+                                                   r"the domain lowers \|z\| \(last gap "
+                                                   r"1\.074e\+00\)$") as err:
             degeneracy.find_ep(crystal1, [0.2, 0.1])
+        assert len(err.value.residual_history) == 2
 
     def test_iteration_cap(self, crystal1, monkeypatch):
         monkeypatch.setattr(degeneracy, "DEFAULT_MAX_ITER", 1)
-        with pytest.raises(ConvergenceError) as err:
+        with pytest.raises(ConvergenceError, match=r"^no exceptional point within 1 "
+                                                   r"iterations \(last gap") as err:
             degeneracy.find_ep(crystal1, [0.05, -0.03])
-        assert len(err.value.residual_history) >= 1
+        assert len(err.value.residual_history) == 2
+
+    def test_stalled_step(self):
+        """A(p) = [[0, 1], [p1 - 1e10 + 1e-6 + i p2, 0]] has its EP at p1 =
+        1e10 - 1e-6, between two doubles 1.9e-6 apart: the first step lands
+        next to it, and the next is below 1e-14 (1 + |p|), so the search
+        stops on the stalled step, unconverged."""
+        fam = family_mod.MatrixFamily(
+            2, 2, evaluator=lambda p: np.array([[0.0, 1.0], [p[0] - 1e10 + 1e-6 + 1j * p[1], 0.0]]),
+            deriv=lambda p: [np.array([[0.0, 0.0], [1.0, 0.0]]),
+                             np.array([[0.0, 0.0], [1j, 0.0]])])
+        with pytest.raises(ConvergenceError, match=r"^no exceptional point after 1 accepted "
+                                                   r"step: the Newton step stalled at \|dp\| = "
+                                                   r"1\.000e-06 \(last gap 1\.905e-03\)$") as err:
+            degeneracy.find_ep(fam, [1e10, 0.0])
+        assert len(err.value.residual_history) == 2
 
     def test_floor_svd_only_where_it_can_decide(self, crystal1, monkeypatch):
         """A probe whose gap exceeds the Frobenius bound _EPS_FLOOR ||A||_F of
