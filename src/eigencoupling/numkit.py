@@ -167,15 +167,12 @@ def pair_assignment(values, targets):
     |values[j] - targets[1]|; ties go to the lowest i, then the lowest j.
     Returns the index arrays i, j and the margin: second-lowest cost minus
     lowest. A cost that overflows counts as the largest double, so two such
-    tie at margin 0. Needs m >= 2. One row (N = 1) is assigned on Python
-    floats by ``_assign_row``, with the same bits.
+    tie at margin 0. Needs m >= 2. ``_assign_row`` assigns one spectrum on
+    Python floats, with the same bits.
     """
     values = np.asarray(values, dtype=complex)
     targets = np.asarray(targets, dtype=complex)
     n, m = values.shape
-    if n == 1:
-        i, j, margin = _assign_row(values[0].tolist(), *targets[0].tolist())
-        return np.array([i]), np.array([j]), np.array([margin])
     # hypot rounds like abs() of a Python complex, unlike numpy's complex abs
     with np.errstate(over="ignore"):
         d0 = values - targets[:, :1]

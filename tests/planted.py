@@ -34,13 +34,9 @@ class Planted:
     """A planted family and what was planted in it."""
 
     family: PolynomialFamily
-    document: dict              # the family JSON document
     kind: str                   # "EP" | "DP"
     lam0: complex
     p_star: tuple
-    j_mat: np.ndarray
-    s_mat: np.ndarray
-    b_mats: tuple               # B_0, ..., B_{n-1}
 
 
 def _num(x) -> float:
@@ -85,5 +81,5 @@ def planted(seed: int, kind: str, m: int, n: int = 2) -> Planted:
     document = {"m": m, "n": n, "terms": [
         {"exp": exps, "re": coeff.real.tolist(), "im": coeff.imag.tolist()}
         for exps, coeff in terms]}
-    return Planted(family=parse_family(json.dumps(document)), document=document, kind=kind,
-                   lam0=lam0, p_star=p_star, j_mat=j_mat, s_mat=s_mat, b_mats=tuple(b_mats))
+    return Planted(family=parse_family(json.dumps(document)), kind=kind, lam0=lam0,
+                   p_star=p_star)

@@ -62,7 +62,8 @@ def steps(fam, guess):
     def guarded(f, p):
         trials.append(p)
         inside = contains(f, p)
-        refused.extend([p] * (not inside))
+        if not inside:
+            refused.append(p)
         return inside
 
     with pytest.MonkeyPatch.context() as patch:
@@ -115,3 +116,18 @@ def test_steps_out_of_the_chart(guess):
     assert_same(CRYSTAL, guess)
     trials, refused, accepted = steps(CRYSTAL, guess)
     assert refused > 0 and trials > accepted
+
+
+@pytest.mark.parametrize("kind", ["EP", "DP"])
+@pytest.mark.parametrize("m", range(2, 11))
+def test_planted_family_holds_its_degeneracy(kind, m):
+    """At p* the planted family's nearest pair is double at lam0, of the
+    planted kind, and an EP search from p* stays there."""
+    fam = planted(m, kind, m)
+    a = family_mod.evaluate(fam.family, fam.p_star)
+    cluster = degeneracy.find_double_eigenvalues(a)[0]
+    assert abs(cluster.center - fam.lam0) <= 1e-12
+    assert degeneracy.classify(a, cluster.center).kind == kind
+    if kind == "EP":
+        result = degeneracy.find_ep(fam.family, fam.p_star)
+        assert np.abs(result.p_star - fam.p_star).max() <= 1e-12
