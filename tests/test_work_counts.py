@@ -7,9 +7,11 @@ loop whose per-point work shows, and rows of several commands run in one
 process on one family, which parse its file once and analyse a repeated
 anchor once. A row counts the calls of each numpy.linalg routine the
 package uses, of ``family.evaluate``, ``family.evaluate_many``,
-``family.derivative`` and ``family.parse_family``, of ``numkit.as_cmatrix``,
-the finite check of a matrix (also under the name the asymptotics modules
-import it by), and the bytes written to standard output and to files. Each row starts with the command line's
+``family.derivative`` and ``family.parse_family``, of
+``MatrixFamily._point``, the check of a parameter point, of
+``numkit.as_cmatrix``, the finite check of a matrix (also under the name the
+asymptotics modules import it by), and the bytes written to standard output
+and to files. Each row starts with the command line's
 family and anchor caches empty, so a row does not depend on the rows run
 before it. The test asserts equality both ways: a
 count that falls fails as one that rises does, so a change of the work is a
@@ -62,7 +64,7 @@ SEQUENCES = [
 ANCHORED = ("classify", "scenario", "loop", "surface")
 #: the counted calls of a row, less the family parses
 WORK = ([f"linalg.{n}" for n in LINALG] + [f"family.{n}" for n in FAMILY if n != "parse_family"]
-        + ["numkit.as_cmatrix"])
+        + ["family._point", "numkit.as_cmatrix"])
 
 
 def rows():
@@ -99,6 +101,8 @@ def measure(family, argvs, out_dir: Path) -> dict:
             patch.setattr(np.linalg, name, counted(f"linalg.{name}", getattr(np.linalg, name)))
         for name in FAMILY:
             patch.setattr(family_mod, name, counted(f"family.{name}", getattr(family_mod, name)))
+        patch.setattr(family_mod.MatrixFamily, "_point",
+                      counted("family._point", family_mod.MatrixFamily._point))
         check = counted("numkit.as_cmatrix", numkit.as_cmatrix)
         for module in CHECKERS:
             patch.setattr(module, "as_cmatrix", check)
@@ -109,7 +113,7 @@ def measure(family, argvs, out_dir: Path) -> dict:
             assert code == 0, f"{full} exited {code}"
     counts = {name: calls.count(name)
               for name in [f"linalg.{n}" for n in LINALG] + [f"family.{n}" for n in FAMILY]
-              + ["numkit.as_cmatrix"]}
+              + ["family._point", "numkit.as_cmatrix"]}
     counts["stdout_bytes"] = len(stdout.getvalue().encode())
     counts["file_bytes"] = sum(path.stat().st_size for path in out_dir.rglob("*"))
     return counts
