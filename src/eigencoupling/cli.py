@@ -531,8 +531,6 @@ def cmd_loop(opts) -> int:
 
 def cmd_find_ep(opts) -> int:
     fam = _load_family(opts["family"])
-    if fam.n_params != 2 or fam.dim < 2:
-        raise _UsageError("find-ep needs a two-parameter family of dimension >= 2")
     guess = np.asarray(_floats(opts["at"], "--at"))
     _emit_json(degeneracy.find_ep(fam, guess), opts.get("out"))
     return EXIT_OK

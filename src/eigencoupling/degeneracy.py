@@ -26,7 +26,7 @@ import numpy as np
 
 from . import family as family_mod
 from . import numkit
-from .errors import ClassificationError, ConvergenceError, DimensionError
+from .errors import ClassificationError, ConvergenceError, DimensionError, DomainError
 from .numkit import _modulus, hermitian_inner
 
 #: Relative eigenvalue-distance threshold for treating a pair as a cluster.
@@ -342,21 +342,19 @@ def _approximate_split_gradient(fam, p, shifted):
     return np.array([np.vdot(v0, d @ u0) for d in family_mod.derivative(fam, p)])
 
 
-def _converged(a, mean, gap, floor=None) -> bool:
-    """find_ep's stopping rule: gap <= max(EP_GAP_TOL (1 + |mean|),
-    _EPS_FLOOR sigma_max(A)) for a finite A. As sigma_max(A) <= ||A||_F, the
-    SVD is taken only for a gap within _EPS_FLOOR ||A||_F, the only gaps the
-    floor can decide; 1% to spare covers the rounding of both norms. The
-    sigma_max(A) it takes goes to the list ``floor``, if one is given."""
+def _converged(a, mean, gap) -> tuple:
+    """find_ep's stopping rule, gap <= max(EP_GAP_TOL (1 + |mean|),
+    _EPS_FLOOR sigma_max(A)) for a finite A, and the sigma_max(A) it took
+    (None if untaken). As sigma_max(A) <= ||A||_F, the SVD is taken only for
+    a gap within _EPS_FLOOR ||A||_F, the only gaps the floor can decide; 1%
+    to spare covers the rounding of both norms."""
     if gap <= EP_GAP_TOL * (1.0 + abs(mean)):
-        return True
+        return True, None
     frobenius = math.sqrt(np.vdot(a, a).real)     # inf, silently, where it overflows
     if not gap <= 1.01 * _EPS_FLOOR * frobenius:
-        return False
+        return False, None
     sigma_max = float(np.linalg.svd(a, compute_uv=False)[0])
-    if floor is not None:
-        floor.append(sigma_max)
-    return gap <= _EPS_FLOOR * sigma_max
+    return gap <= _EPS_FLOOR * sigma_max, sigma_max
 
 
 def _accepted(history) -> str:
@@ -373,10 +371,11 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     Iterates on the analytic scalar z(p) = ((lam_plus - lam_minus)/2)^2 whose
     first-order model is <f, dp> + i <g, dp>; the Jacobian columns f + i g are
     recomputed each step from the approximate chain of the tracked pair.
-    Damped with step halving (up to 10 halvings per step), at most
-    ``DEFAULT_MAX_ITER`` steps. An unconverged search raises ConvergenceError
-    naming its stop: the iteration cap, no full or halved step inside the
-    domain that lowers |z|, or a step below 1e-14 (1 + |p|).
+    Damped with step halving (up to 10 halvings per step, also of a trial
+    ``evaluate`` refuses), at most ``DEFAULT_MAX_ITER`` steps. A family of
+    another shape raises DimensionError; an unconverged search,
+    ConvergenceError naming its stop: the iteration cap, no full or halved
+    step inside the domain that lowers |z|, or a step below 1e-14 (1 + |p|).
 
     Convergence: pair gap below max(EP_GAP_TOL * (1 + |mean|), eigensolver noise
     floor 2 sqrt(eps) sigma_max(A)); at a defective matrix the computed pair
@@ -387,11 +386,9 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     eigenvalue ``classify`` refuses, or an undecidable rank raises
     ClassificationError naming p_star.
     """
-    if fam.n_params != 2:
-        raise ConvergenceError("find_ep requires a two-parameter family")
+    if fam.n_params != 2 or fam.dim < 2:
+        raise DimensionError("find-ep needs a two-parameter family of dimension >= 2")
     p = fam._point(p_guess)
-    # without a guard, evaluate's own point check is all that contains() adds
-    guarded = fam.domain_guard is not None
     eye = np.eye(fam.dim)
 
     def probe(point, prev=None):
@@ -403,10 +400,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
         values = numkit.eigvals(a)
         row = values.tolist()
         if prev is None:
-            pairs = _nearest_pairs(row)
-            if not pairs:
-                raise ConvergenceError("family dimension < 2 has no eigenvalue pairs")
-            gap, i, j = pairs[0]
+            gap, i, j = _nearest_pairs(row)[0]
             _, external, third = _isolation(values, i, j)
             # only a real third eigenvalue refuses; a bound past the doubles is inf
             if third is not None and external <= 1.2 * gap:
@@ -423,8 +417,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
             raise DimensionError(f"the squared half-gap of the pair overflows at point "
                                  f"{point.tolist()}")
         gap = abs(lam_p - lam_m)
-        floor = [None]      # _converged, evaluated before floor[-1], appends any it takes
-        return a, (row[i], row[j]), mean, z, gap, _converged(a, mean, gap, floor), floor[-1]
+        return (a, (row[i], row[j]), mean, z, gap) + _converged(a, mean, gap)
 
     a, pair, mean, z, gap, converged, sigma_max = probe(p)
     history = [gap]
@@ -443,9 +436,10 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
             ) from exc
         for halving in range(11):
             trial = p + step / (2 ** halving)
-            if guarded and not fam.contains(trial):
+            try:
+                a_t, pair_t, mean_t, z_t, gap_t, conv_t, sigma_t = probe(trial, prev=pair)
+            except DomainError:     # outside the domain, or not finite
                 continue
-            a_t, pair_t, mean_t, z_t, gap_t, conv_t, sigma_t = probe(trial, prev=pair)
             if abs(z_t) < abs(z) or conv_t:
                 p, a, pair, mean, z, gap, converged, sigma_max = (
                     trial, a_t, pair_t, mean_t, z_t, gap_t, conv_t, sigma_t)

@@ -5,7 +5,7 @@ import pytest
 
 from eigencoupling import degeneracy, numkit
 from eigencoupling import family as family_mod
-from eigencoupling.errors import ClassificationError, ConvergenceError
+from eigencoupling.errors import ClassificationError, ConvergenceError, DimensionError
 from eigencoupling.numkit import hermitian_inner
 
 CRYSTAL_A0 = np.array([
@@ -406,6 +406,30 @@ class TestFindEP:
             degeneracy.find_ep(fam, [1e10, 0.0])
         assert len(err.value.residual_history) == 2
 
+    @pytest.mark.parametrize("dim,n_params", [(3, 3), (1, 2)], ids=["three-parameter", "1x1"])
+    def test_family_of_another_shape_refused(self, dim, n_params):
+        """The search needs a pair over a two-parameter chart: a family of
+        any other shape is refused before its first evaluation."""
+        fam = family_mod.MatrixFamily(
+            dim, n_params, evaluator=lambda p: pytest.fail("evaluated"),
+            deriv=lambda p: pytest.fail("differentiated"))
+        with pytest.raises(DimensionError, match=r"^find-ep needs a two-parameter family "
+                                                 r"of dimension >= 2$"):
+            degeneracy.find_ep(fam, [0.0] * n_params)
+
+    @pytest.mark.parametrize("guarded", [True, False], ids=["crystal", "toy"])
+    def test_non_finite_newton_step(self, crystal1, monkeypatch, guarded):
+        """A Newton step that overflows makes every trial non-finite, which
+        ``evaluate`` refuses as it refuses a point outside the domain: each
+        halving is refused, and the search stops unconverged, with or
+        without a domain guard."""
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([np.inf, 0.0]))
+        with pytest.raises(ConvergenceError, match=r"^no exceptional point after 0 accepted "
+                                                   r"steps: no full or halved Newton step "
+                                                   r"inside the domain lowers \|z\|") as err:
+            degeneracy.find_ep(crystal1 if guarded else toy_family(), [0.05, -0.03])
+        assert len(err.value.residual_history) == 1
+
     def test_floor_svd_only_where_it_can_decide(self, crystal1, monkeypatch):
         """A probe whose gap exceeds the Frobenius bound _EPS_FLOOR ||A||_F of
         the noise floor takes no SVD for it. The crystal's search converges
@@ -451,7 +475,8 @@ class TestFindEP:
     def test_floor_margin_on_rank_one_matrices(self):
         """For a rank-one A, sigma_max(A) = ||A||_F, and the computed norms
         differ by rounding in either direction: a gap at the floor or one ulp
-        either side of it is decided as the floor decides it."""
+        either side of it is decided as the floor decides it, on the
+        sigma_max(A) the test returns."""
         rng = np.random.default_rng(7)
         norm_below = 0
         for _ in range(200):
@@ -463,16 +488,22 @@ class TestFindEP:
             floor = degeneracy._EPS_FLOOR * sigma_max
             assert floor > degeneracy.EP_GAP_TOL        # the floor decides at mean 0
             for gap in (np.nextafter(floor, 0.0), floor, np.nextafter(floor, np.inf)):
-                assert degeneracy._converged(a, 0.0, gap) == (gap <= floor)
+                assert degeneracy._converged(a, 0.0, gap) == (gap <= floor, sigma_max)
         assert norm_below > 0
 
     def test_overflowing_frobenius_norm_defers_to_the_svd(self):
         """||A||_F overflows once an entry passes about 1e154; its infinite
-        bound leaves the decision to sigma_max(A), without a warning."""
+        bound leaves the decision to sigma_max(A), without a warning, and the
+        test returns that sigma_max(A). Where the Frobenius bound or the
+        tolerance decides, it returns None for it."""
         a = np.array([[0.0, 1e160], [1e-160, 0.0]], dtype=complex)
-        floor = degeneracy._EPS_FLOOR * np.linalg.svd(a, compute_uv=False)[0]
-        assert degeneracy._converged(a, 0.0, floor)
-        assert not degeneracy._converged(a, 0.0, 2.0 * floor)
+        sigma_max = np.linalg.svd(a, compute_uv=False)[0]
+        floor = degeneracy._EPS_FLOOR * sigma_max
+        assert degeneracy._converged(a, 0.0, floor) == (True, sigma_max)
+        assert degeneracy._converged(a, 0.0, 2.0 * floor) == (False, sigma_max)
+        small = np.array([[0.0, 1.0], [1e-6, 0.0]], dtype=complex)
+        assert degeneracy._converged(small, 0.0, 1.0) == (False, None)
+        assert degeneracy._converged(small, 0.0, 0.0) == (True, None)
 
     def test_jacobian_is_the_ep_model_gradient(self, crystal1, ep_chain, ep_model):
         # at the EP the approximate chain is the Jordan chain, so the Newton

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import find_ep_oracle
 from eigencoupling import crystal_optics, degeneracy
 from eigencoupling import family as family_mod
-from eigencoupling.errors import ConvergenceError, EigenCouplingError
+from eigencoupling.errors import ConvergenceError, DomainError, EigenCouplingError
 from planted import planted
 from test_golden import FAMILIES
 
@@ -54,28 +54,25 @@ def assert_same(fam, guess):
 
 def steps(fam, guess):
     """(trials, refused, accepted) of the search from ``guess``: every full
-    or halved step it tried, probed or refused by the domain guard; those the
-    guard refused; and the steps it took."""
+    or halved step it tried; those ``family.evaluate`` refused with
+    DomainError, outside the domain or not finite; and the steps it took."""
     trials, refused = [], []
-    evaluate, contains = family_mod.evaluate, family_mod.MatrixFamily.contains
+    evaluate = family_mod.evaluate
 
-    def guarded(f, p):
+    def recording(f, p):
         trials.append(p)
-        inside = contains(f, p)
-        if not inside:
+        try:
+            return evaluate(f, p)
+        except DomainError:
             refused.append(p)
-        return inside
+            raise
 
     with pytest.MonkeyPatch.context() as patch:
-        if fam.domain_guard is None:
-            patch.setattr(family_mod, "evaluate",
-                          lambda f, p: trials.append(p) or evaluate(f, p))
-        else:
-            patch.setattr(family_mod.MatrixFamily, "contains", guarded)
+        patch.setattr(family_mod, "evaluate", recording)
         result = outcome(degeneracy.find_ep, fam, guess)
     history = result[2] if isinstance(result[0], type) else result[5]
-    # without a guard the first probe, of the guess, is no trial
-    return len(trials) - (fam.domain_guard is None), len(refused), len(history) - 1
+    # the first probe, of the guess, is no trial
+    return len(trials) - 1, len(refused), len(history) - 1
 
 
 @settings(max_examples=120)
@@ -111,8 +108,9 @@ def test_halved_step_accepted_on_the_way_to_convergence(fam, guess):
 @pytest.mark.parametrize("guess", [(0.949, 0.232), (0.176, -0.136), (0.2, 0.1)])
 def test_steps_out_of_the_chart(guess):
     """Searches on the crystal that try steps outside the chart: the domain
-    guard refuses them unprobed, and a halved step is tried instead. The
-    first converges; from the other two no trial lowers |z| in the end."""
+    guard of ``family.evaluate`` refuses them before any eigenvalue is taken,
+    and a halved step is tried instead. The first converges; from the other
+    two no trial lowers |z| in the end."""
     assert_same(CRYSTAL, guess)
     trials, refused, accepted = steps(CRYSTAL, guess)
     assert refused > 0 and trials > accepted
