@@ -81,14 +81,20 @@ def _checked(a, shape, points, name="A(p)", source="evaluator") -> np.ndarray:
     return a
 
 
-def _at(fam: MatrixFamily, points) -> np.ndarray:
-    """A(p) at finite ``points`` of shape (n,) or (N, n): the domain guard,
-    one evaluator call and the output check."""
+def _inside(fam: MatrixFamily, points) -> np.ndarray:
+    """Finite ``points`` ((n,) or (N, n)), refused unless the domain guard admits each."""
     if fam.domain_guard is not None:
         inside = np.asarray(fam.domain_guard(points), dtype=bool)
         if not inside.all():
             bad = np.reshape(points, (-1, fam.n_params))[int(np.argmin(inside))]
             raise DomainError(f"point {bad.tolist()} outside the family domain")
+    return points
+
+
+def _at(fam: MatrixFamily, points) -> np.ndarray:
+    """A(p) at finite ``points`` of shape (n,) or (N, n): the domain guard,
+    one evaluator call and the output check."""
+    _inside(fam, points)
     return _checked(fam._evaluator(points), points.shape[:-1] + (fam.dim, fam.dim), points)
 
 
@@ -112,9 +118,10 @@ def evaluate_many(fam: MatrixFamily, points) -> np.ndarray:
 
 def derivative(fam: MatrixFamily, p) -> list:
     """[dA/dp_0, ..., dA/dp_{n-1}] at p from one call of the family's
-    analytic ``deriv``. Raises DimensionError where it returns another count
-    of matrices or one with non-finite entries (overflow)."""
-    pt = fam._point(p)
+    analytic ``deriv``. Raises DomainError outside the family's validity
+    domain, as ``evaluate`` does, and DimensionError where ``deriv`` returns
+    another count of matrices or one with non-finite entries (overflow)."""
+    pt = _inside(fam, fam._point(p))
     partials = fam._deriv(pt)
     if len(partials) != fam.n_params:
         raise DimensionError(f"deriv returned {len(partials)} matrices, expected {fam.n_params}")

@@ -279,3 +279,13 @@ class TestBatchedAdapter:
     def test_guard_checked_at_every_point(self, crystal1):
         with pytest.raises(DomainError):
             family_mod.evaluate_many(crystal1, [[0.0, 0.0], [0.8, 0.7]])
+
+    @pytest.mark.parametrize("point", [[0.9999999, 0.0], [0.9, 0.9]])
+    def test_derivative_refuses_what_evaluate_refuses(self, crystal1, point):
+        """Inside the margin, where s3 ~ 1e-4 makes the partials large, and
+        off the unit disk, derivative refuses a point with the guard's
+        text, as evaluate does."""
+        for fn in (family_mod.evaluate, family_mod.derivative):
+            with pytest.raises(DomainError, match=rf"^point \[{point[0]}, {point[1]}\] "
+                                                  r"outside the family domain$"):
+                fn(crystal1, point)

@@ -449,6 +449,9 @@ class TestEvaluateMany:
             family_mod.evaluate_many(fam, [[0.0], [1.5], [0.2]])
         with pytest.raises(DomainError):
             evaluate(fam, [-2.0])
+        fam._deriv = lambda p: pytest.fail("deriv called outside the domain")
+        with pytest.raises(DomainError, match=r"^point \[-2.0\] outside the family domain$"):
+            derivative(fam, [-2.0])
 
     def test_output_shape_checked(self):
         fam = family_mod.MatrixFamily(2, 1, evaluator=lambda p: np.zeros((3, 2, 2)),
