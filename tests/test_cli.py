@@ -20,6 +20,7 @@ from eigencoupling import family as family_mod
 from eigencoupling.errors import ClassificationError, FamilyParseError
 import argv_oracle
 import test_golden
+from planted import planted
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 GOLDEN = Path(__file__).parent / "golden"
@@ -153,6 +154,12 @@ THREE_PARAMETER_DP_FAMILY = json.dumps({
         {"exp": [0, 0, 1], "re": [[0, 0], [0, 0]], "im": [[0, 1], [1, 0]]},
     ],
 })
+
+#: an EP at p* of a planted 3x3 family over three parameters
+PLANTED_EP3 = planted(5, "EP", 3, n=3)
+THREE_PARAMETER_EP_FAMILY = json.dumps({"m": 3, "n": 3, "terms": [
+    {"exp": list(exps), "re": coeff.real.tolist(), "im": coeff.imag.tolist()}
+    for coeff, exps in PLANTED_EP3.family.terms]})
 
 #: diag(-30, 30, 55i): a cluster tolerance that joins -30 and 30 leaves 55i
 #: closer to their mean than they are to each other
@@ -649,7 +656,7 @@ def test_import_footprint(tmp_path, crystal, kind):
     benchmark's setup, a builtin crystal and a parsed family file, only
     those it runs; classify and find-ep neither asymptotics module; loop,
     scenario and surface only the one of the anchor's kind. Every public
-    name resolves, lazily, to its module's object."""
+    name resolves, lazily, to its module's object; another name is refused."""
     probe = """
 import json, pathlib, sys
 def loaded():
@@ -695,6 +702,8 @@ print(json.dumps([codes, seen]))
             assert name in dir(eigencoupling) and name in eigencoupling.__all__, name
         for name in names:
             assert getattr(eigencoupling, name) is getattr(held, name), name
+    with pytest.raises(AttributeError, match="^module 'eigencoupling' has no attribute 'bogus'$"):
+        eigencoupling.bogus
 
 
 class TestLoop:
@@ -1540,6 +1549,14 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
      "--at must be a non-empty string, got ''"),
     (0, ["--help"], None),
     (0, ["classify", "-h"], None),
+    # a family of three parameters: find-ep refuses its shape, and a loop its EP's chart
+    (1, ["find-ep", "--family", "{ep3}", "--at", "0,0,0"],
+     "find-ep needs a two-parameter family of dimension >= 2"),
+    (1, ["loop", "--family", "{ep3}", "--at", ",".join(map(str, PLANTED_EP3.p_star)),
+         "--loop=0,0,0.01", "--out", "{tmp}/l.csv"],
+     "loop trajectories need a two-parameter chart"),
+    (1, ["classify", "--family", "crystal-example-1", "--at", "0.1"],
+     "expected 2 parameters, got shape (1,)"),
 ]
 
 
@@ -1547,7 +1564,9 @@ EXIT_CASES = [  # exit code, argv, the error line's text after 'error: '
                          ids=[f"{code}-argv{k}" for k, (code, *_) in enumerate(EXIT_CASES)])
 def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
     """One case per documented exit code; exit 1 also for find-ep on a
-    one-parameter family or a 1x1 one, for non-finite flag values, for
+    one-parameter family, a three-parameter one or a 1x1 one, for a loop at
+    the EP of a three-parameter family, for an --at of another parameter
+    count than the family's, for non-finite flag values, for
     tolerances that are not positive and finite, for a flag the command does
     not read, for a family that overflows on the surface grid or whose
     derivative overflows at the anchor, for a DP offset whose c overflows
@@ -1589,7 +1608,8 @@ def test_exit_codes(code, argv, error, capsys, tmp_path, recwarn):
                 "diag": DIAGONAL_FAMILY, "drift": HUGE_DRIFT_FAMILY,
                 "triple": SCALAR_TRIPLE_FAMILY, "latin1": LATIN1_FAMILY,
                 "offdiag": OFF_DIAGONAL_FAMILY, "dp3": THREE_PARAMETER_DP_FAMILY,
-                "spread": SPREAD_FAMILY, "list": "[1, 2]", "dir": None,  # None: a directory
+                "spread": SPREAD_FAMILY, "ep3": THREE_PARAMETER_EP_FAMILY,
+                "list": "[1, 2]", "dir": None,  # None: a directory
                 "blank": json.dumps({"offset": ""}),
                 **{name: json.dumps(doc) for name, doc in HUGE_CONFIGS.items()}}
     for name, doc in families.items():

@@ -109,6 +109,19 @@ class TestEta:
             co.DielectricSpec(anisotropy=[[0, 1, 0], [0, 0, 0], [0, 0, 0]],
                               activity=np.zeros((3, 3)))
 
+    def test_shape_validation(self):
+        with pytest.raises(DimensionError, match=r"^activity must be 3x3, got \(2, 2\)$"):
+            co.DielectricSpec(anisotropy=np.eye(3), activity=np.zeros((2, 2)))
+
+    def test_direction_off_the_unit_disk_refused(self):
+        with pytest.raises(DomainError, match=r"^chart point with s1\^2 \+ s2\^2 = 2.0 "
+                                              r"outside the unit disk$"):
+            co.direction([0.0, 1.0], [0.5, 1.0])
+
+    def test_activity_vector_of_three_entries(self):
+        with pytest.raises(DimensionError, match=r"must have 3 entries, got \(2,\)"):
+            co.gyration_matrix([1.0, 2.0])
+
 
 def test_builtin_specs_built_once():
     """Every command asks for the builtin crystals; they are built on the

@@ -214,6 +214,20 @@ class TestBranchCuts:
             assert sheets.re_plus == pytest.approx(level, abs=1e-12)
             assert sheets.re_minus == pytest.approx(level, abs=1e-12)
 
+    @pytest.mark.parametrize("f1", [1.0, -1.0])
+    def test_ray_on_the_admitted_side(self, f1):
+        """The ray runs along the in-plane normal of g, on the side where
+        <f, dp> <= 0: as the normal points for f1 > 0, turned round for f1 < 0."""
+        model = synthetic_model([f1, 0.0], [0.0, 1.0])
+        offsets, _ = ep.branch_cuts(model).re_cut.ray_points([0.5, 1.0])
+        assert offsets.tolist() == [[-0.5 * f1, 0.0], [-f1, 0.0]]
+
+    def test_ray_needs_a_two_parameter_chart(self):
+        cuts = ep.branch_cuts(synthetic_model([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+        with pytest.raises(EigenCouplingError, match="^ray sampling is defined for "
+                                                     "two-parameter charts$"):
+            cuts.re_cut.ray_points([0.1])
+
     def test_degenerate_model(self):
         model = synthetic_model([1.0, 0.0], [0.0, 0.0])
         with pytest.raises(EigenCouplingError, match="split_im = 0"):
@@ -265,6 +279,11 @@ class TestComplexPlaneConic:
     def test_chart_error_without_g1(self):
         model = synthetic_model([1.0, 0.0], [0.0, 1.0])
         with pytest.raises(EigenCouplingError, match="parameter reindexing"):
+            ep.complex_plane_conic(model, [0.0])
+
+    def test_pair_insensitive_to_p1(self):
+        model = synthetic_model([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(EigenCouplingError, match="^f1 = g1 = 0: pair insensitive to p_1$"):
             ep.complex_plane_conic(model, [0.0])
 
 

@@ -61,6 +61,20 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(fam, [1.5])
 
+    def test_point_of_one_parameter_may_be_a_scalar(self):
+        fam = poly_family((C, (1,)))
+        assert evaluate(fam, 2.0).tolist() == evaluate(fam, [2.0]).tolist()
+
+    def test_point_of_another_parameter_count_refused(self):
+        fam = poly_family((C, (1, 0)))
+        with pytest.raises(DimensionError, match=r"^expected 2 parameters, got shape \(3,\)$"):
+            evaluate(fam, [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("dim,n_params", [(0, 2), (2, 0)])
+    def test_empty_family_refused(self, dim, n_params):
+        with pytest.raises(DimensionError, match="^dim and n_params must be at least 1$"):
+            family_mod.MatrixFamily(dim, n_params, evaluator=None, deriv=None)
+
 
 class TestDerivative:
     def test_quadratic_power_rule(self):

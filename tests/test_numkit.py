@@ -16,6 +16,21 @@ CRYSTAL_A0 = np.array([
 ])
 
 
+class TestAsCmatrix:
+    @pytest.mark.parametrize("a,message", [
+        (np.zeros((2, 3)), r"^expected a square matrix, got shape \(2, 3\)$"),
+        (np.zeros(3), r"^expected a square matrix, got shape \(3,\)$"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "^matrix has non-finite entries$"),
+    ], ids=["2x3", "vector", "nan"])
+    def test_refused(self, a, message):
+        with pytest.raises(DimensionError, match=message):
+            numkit.as_cmatrix(a)
+
+    def test_complex_copy_of_real(self):
+        a = numkit.as_cmatrix([[1, 2], [3, 4]])
+        assert a.dtype == complex and a.tolist() == [[1, 2], [3, 4]]
+
+
 class TestHermitianInner:
     def test_chain_normalization(self):
         assert numkit.hermitian_inner(U1, V0) == pytest.approx(1.0)
@@ -161,6 +176,11 @@ class TestNullVector:
         first = numkit.SVD(CRYSTAL_A0 - 2.0 * np.eye(3)).null_vector()
         second = numkit.SVD(CRYSTAL_A0 - 2.0 * np.eye(3)).null_vector()
         assert np.array_equal(first, second)
+
+    def test_gauge_of_the_zero_vector(self):
+        x = np.zeros(3, dtype=complex)
+        fixed = numkit.gauge_fix(x)
+        assert fixed is not x and fixed.tolist() == [0, 0, 0]
 
     def test_gauge_normalization(self):
         x = numkit.SVD(CRYSTAL_A0 - 2.0 * np.eye(3)).null_vector()
