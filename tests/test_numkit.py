@@ -26,10 +26,6 @@ class TestAsCmatrix:
         with pytest.raises(DimensionError, match=message):
             numkit.as_cmatrix(a)
 
-    def test_complex_copy_of_real(self):
-        a = numkit.as_cmatrix([[1, 2], [3, 4]])
-        assert a.dtype == complex and a.tolist() == [[1, 2], [3, 4]]
-
 
 class TestHermitianInner:
     def test_chain_normalization(self):
