@@ -25,12 +25,6 @@ from . import crystal_optics, degeneracy, errors, numkit
 from . import family as family_mod
 from .pairmodel import sheets, sweep
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_NO_DEGENERACY = 2
-EXIT_DOMAIN = 3
-EXIT_NO_CONVERGENCE = 4
-
 #: grid points per block of ``surface``: a block shares one family
 #: evaluation, one stacked eigvals, one pair assignment and one call of
 #: ``_rows``; with at most workers + 1 blocks in flight their arrays take
@@ -38,26 +32,13 @@ EXIT_NO_CONVERGENCE = 4
 BLOCK = 256
 
 
-class _UsageError(Exception):
-    pass
-
-
-#: exception -> exit code; the first matching entry wins
-_EXIT_CODES = (
-    (errors.ClassificationError, EXIT_NO_DEGENERACY),
-    (errors.DomainError, EXIT_DOMAIN),
-    (errors.ConvergenceError, EXIT_NO_CONVERGENCE),
-    ((_UsageError, errors.EigenCouplingError, MemoryError), EXIT_USAGE),
-)
-
-
 def _floats(text: str, what: str):
     try:
         values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise _UsageError(f"cannot parse {what} '{text}': {exc}") from exc
+        raise errors.EigenCouplingError(f"cannot parse {what} '{text}': {exc}") from exc
     if not all(math.isfinite(v) for v in values):
-        raise _UsageError(f"{what} '{text}' has non-finite values")
+        raise errors.EigenCouplingError(f"{what} '{text}' has non-finite values")
     return values
 
 
@@ -69,12 +50,12 @@ def _read_text(path: str, missing: str) -> str:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
-        raise _UsageError(f"cannot read '{path}': {exc}") from exc
+        raise errors.EigenCouplingError(f"cannot read '{path}': {exc}") from exc
     # ValueError: a NUL byte in the path
     except (FileNotFoundError, NotADirectoryError, ValueError) as exc:
-        raise _UsageError(missing) from exc
+        raise errors.EigenCouplingError(missing) from exc
     except OSError as exc:
-        raise _UsageError(f"cannot read '{path}': {exc.strerror or exc}") from exc
+        raise errors.EigenCouplingError(f"cannot read '{path}': {exc.strerror or exc}") from exc
 
 
 def _load_family(source: str) -> family_mod.MatrixFamily:
@@ -176,7 +157,8 @@ def _write_files(*files):
                 if os.path.isfile(done):
                     with contextlib.suppress(OSError):
                         os.remove(done)
-            raise _UsageError(f"cannot write '{path}': {exc.strerror or exc}") from exc
+            raise errors.EigenCouplingError(
+                f"cannot write '{path}': {exc.strerror or exc}") from exc
 
 
 def _fields(report) -> dict:
@@ -240,14 +222,6 @@ def _put_json(obj, newline: str, parts: list) -> None:
 
 #: how json.dumps writes a string (ensure_ascii)
 _JSON_STRING = json.encoder.encode_basestring_ascii
-
-
-def _emit_json(obj, out: str | None):
-    text = _json_text(obj)
-    if out:
-        _write_files((out, [text.encode()]))
-    else:
-        sys.stdout.write(text)
 
 
 @functools.cache
@@ -391,18 +365,18 @@ def _rows(table) -> list:
             for start in range(0, len(table), 2048)]
 
 
-def _csv(header, table) -> list:
+def _csv(header, chunks) -> list:
     """The parts of a CSV file, in bytes: the header line, then the
-    ``_rows`` chunks of a 2-d float array."""
-    return [(",".join(header) + "\n").encode(), *_rows(table)]
+    ``_rows`` chunks."""
+    return [(",".join(header) + "\n").encode(), *chunks]
 
 
-def cmd_classify(opts) -> int:
+def cmd_classify(opts) -> dict:
     fam = _load_family(opts["family"])
     at = np.asarray(_floats(opts["at"], "--at"))
     anchor = _anchor(fam, at.tobytes(), opts["tol_cluster"], opts["tol_rank"])
     cluster, kind = anchor.cluster, anchor.kind
-    report = {
+    return {
         "lambda0": cluster.center,
         "kind": kind.kind,
         "geometric_multiplicity": kind.geometric_multiplicity,
@@ -410,8 +384,6 @@ def cmd_classify(opts) -> int:
         "external_gap": cluster.external_gap,   # inf (null) when no eigenvalue lies outside
         "codimension": degeneracy.codimension("complex-nonsymmetric", kind.kind),
     }
-    _emit_json(report, opts.get("out"))
-    return EXIT_OK
 
 
 def _window_axes(window, res):
@@ -421,11 +393,11 @@ def _window_axes(window, res):
     elif len(vals) == 4:
         lo1, hi1, lo2, hi2 = vals
     else:
-        raise _UsageError("--window needs 'lo,hi' or 'lo1,hi1,lo2,hi2'")
+        raise errors.EigenCouplingError("--window needs 'lo,hi' or 'lo1,hi1,lo2,hi2'")
     if not (math.isfinite(hi1 - lo1) and math.isfinite(hi2 - lo2)):
-        raise _UsageError(f"--window '{window}' is too wide: hi - lo overflows")
+        raise errors.EigenCouplingError(f"--window '{window}' is too wide: hi - lo overflows")
     if res < 2:
-        raise _UsageError("--res must be at least 2")
+        raise errors.EigenCouplingError("--res must be at least 2")
     return np.linspace(lo1, hi1, res), np.linspace(lo2, hi2, res)
 
 
@@ -463,13 +435,13 @@ def _surface_chunk(model, p0, block, spectra) -> bytes:
     return b"".join(_rows(rows))
 
 
-def cmd_surface(opts) -> int:
+def cmd_surface(opts) -> None:
     if not opts.get("out"):
-        raise _UsageError("surface requires --out for the CSV file")
+        raise errors.EigenCouplingError("surface requires --out for the CSV file")
     fam = _load_family(opts["family"])
     p0 = np.asarray(_floats(opts["at"], "--at"))
     if fam.n_params != 2:
-        raise _UsageError("surface grids need a two-parameter family")
+        raise errors.EigenCouplingError("surface grids need a two-parameter family")
     model = _anchor(fam, p0.tobytes(), opts["tol_cluster"], opts["tol_rank"]).model
     axis1, axis2 = _window_axes(opts["window"], opts["res"])
     dps = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -498,18 +470,17 @@ def cmd_surface(opts) -> int:
     header = ["p1", "p2", "re_plus", "re_minus", "im_plus", "im_minus",
               "re_plus_exact", "re_minus_exact", "im_plus_exact",
               "im_minus_exact", "pair_margin_flag"]
-    _write_files((opts["out"], [(",".join(header) + "\n").encode(), *chunks]))
-    return EXIT_OK
+    _write_files((opts["out"], _csv(header, chunks)))
 
 
-def cmd_loop(opts) -> int:
+def cmd_loop(opts) -> None:
     if not opts.get("out"):
-        raise _UsageError("loop requires --out for the CSV file")
+        raise errors.EigenCouplingError("loop requires --out for the CSV file")
     if not opts.get("loop"):
-        raise _UsageError("loop requires --loop a,b,r")
+        raise errors.EigenCouplingError("loop requires --loop a,b,r")
     vals = _floats(opts["loop"], "--loop")
     if len(vals) != 3:
-        raise _UsageError("--loop needs exactly three values a,b,r")
+        raise errors.EigenCouplingError("--loop needs exactly three values a,b,r")
     fam = _load_family(opts["family"])
     p0 = np.asarray(_floats(opts["at"], "--at"))
     anchor = _anchor(fam, p0.tobytes(), opts["tol_cluster"], opts["tol_rank"])
@@ -524,19 +495,16 @@ def cmd_loop(opts) -> int:
                              report.lam_minus.real, report.lam_minus.imag))
     out = Path(opts["out"])
     side_path = out.with_suffix(".json") if out.suffix == ".csv" else Path(str(out) + ".json")
-    csv = _csv(["phi", "re_plus", "im_plus", "re_minus", "im_minus"], table)
+    csv = _csv(["phi", "re_plus", "im_plus", "re_minus", "im_minus"], _rows(table))
     _write_files((opts["out"], csv), (str(side_path), [_json_text(report).encode()]))
-    return EXIT_OK
 
 
-def cmd_find_ep(opts) -> int:
+def cmd_find_ep(opts) -> degeneracy.EPSearchResult:
     fam = _load_family(opts["family"])
-    guess = np.asarray(_floats(opts["at"], "--at"))
-    _emit_json(degeneracy.find_ep(fam, guess), opts.get("out"))
-    return EXIT_OK
+    return degeneracy.find_ep(fam, np.asarray(_floats(opts["at"], "--at")))
 
 
-def cmd_scenario(opts) -> int:
+def cmd_scenario(opts) -> dict | None:
     fam = _load_family(opts["family"])
     p0 = np.asarray(_floats(opts["at"], "--at"))
     anchor = _anchor(fam, p0.tobytes(), opts["tol_cluster"], opts["tol_rank"])
@@ -545,23 +513,23 @@ def cmd_scenario(opts) -> int:
               if opts.get("offset") else [0.0] * (fam.n_params - 1))
     if len(offset) != fam.n_params - 1:
         count = fam.n_params - 1
-        raise _UsageError(f"--offset needs {count} component{'s' * (count != 1)}")
+        raise errors.EigenCouplingError(f"--offset needs {count} component{'s' * (count != 1)}")
     model = anchor.model
     chart_2p = kind.kind == "DP" and not opts.get("offset")
     if chart_2p and fam.n_params != 2:
-        raise _UsageError("two-parameter classification needs n = 2; "
-                          "pass --offset for the one-parameter scenario")
+        raise errors.EigenCouplingError("two-parameter classification needs n = 2; "
+                                        "pass --offset for the one-parameter scenario")
     if opts.get("format") == "csv":
         if chart_2p:
-            raise _UsageError("--format csv at a DP anchor needs --offset (the "
-                              "two-parameter classification is a JSON report)")
+            raise errors.EigenCouplingError("--format csv at a DP anchor needs --offset (the "
+                                            "two-parameter classification is a JSON report)")
         if not opts.get("out"):
-            raise _UsageError("--format csv requires --out")
+            raise errors.EigenCouplingError("--format csv requires --out")
         dps = sweep(offset)
         table = np.column_stack((p0[0] + dps[:, 0], sheets(model, dps).sheets))
         _write_files((opts["out"], _csv(["p1", "re_plus", "re_minus", "im_plus", "im_minus"],
-                                        table)))
-        return EXIT_OK
+                                        _rows(table))))
+        return None
     if kind.kind == "EP":
         from . import ep_asymptotics
         label, report = "EP", ep_asymptotics.cross_section(model, offset)
@@ -571,13 +539,13 @@ def cmd_scenario(opts) -> int:
             label, report = "DP-1p", dp_asymptotics.avoided_crossing_1p(model, offset)
         else:
             label, report = "DP", dp_asymptotics.surface_classification_2p(model)
-    _emit_json({"kind": label, **_fields(report)}, opts.get("out"))
-    return EXIT_OK
+    return {"kind": label, **_fields(report)}
 
 
 _ANCHOR_FLAGS = ("family", "at", "tol_cluster", "tol_rank", "out")
 
-#: command -> its function and the flags it reads (as option keys)
+#: command -> its function, which returns the JSON report main writes (None
+#: when it wrote its own files), and the flags it reads (as option keys)
 _COMMANDS = {
     "classify": (cmd_classify, _ANCHOR_FLAGS),
     "surface": (cmd_surface, _ANCHOR_FLAGS + ("window", "res")),
@@ -621,7 +589,8 @@ def _option(token: str):
     name, eq, value = token.partition("=")
     names = [option for option in ("-h", "--help", *_FLAGS) if option.startswith(name)]
     if len(names) > 1:
-        raise _UsageError(f"ambiguous option: {token} could match {', '.join(names)}")
+        raise errors.EigenCouplingError(
+            f"ambiguous option: {token} could match {', '.join(names)}")
     if names:
         return names[0], value if eq else None
     number = _NEGATIVE.match(token)
@@ -650,21 +619,22 @@ def _parse_argv(argv):
             return None
         if value is None:
             if not (i < end and (options[i] is None or _NEGATIVE.match(argv[i]))):
-                raise _UsageError(f"argument {flag}: expected one argument")
+                raise errors.EigenCouplingError(f"argument {flag}: expected one argument")
             value, i = argv[i], i + 1
         keywords = _FLAGS.get(flag, {"choices": _COMMANDS})
         kind, choices = keywords.get("type", str), keywords.get("choices")
         try:
             flags[flag] = value = kind(value)
         except ValueError:
-            raise _UsageError(f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+            raise errors.EigenCouplingError(
+                f"argument {flag}: invalid {kind.__name__} value: {value!r}")
         if choices and value not in choices:
-            raise _UsageError(f"argument {flag}: invalid choice: {value!r} "
-                              f"(choose from {', '.join(map(repr, choices))})")
+            raise errors.EigenCouplingError(f"argument {flag}: invalid choice: {value!r} "
+                                            f"(choose from {', '.join(map(repr, choices))})")
     if "command" not in flags:
-        raise _UsageError("the following arguments are required: command")
+        raise errors.EigenCouplingError("the following arguments are required: command")
     if extras:
-        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+        raise errors.EigenCouplingError(f"unrecognized arguments: {' '.join(extras)}")
     return flags["command"], {f[2:].replace("-", "_"): flags[f] for f in _FLAGS if f in flags}
 
 
@@ -687,7 +657,7 @@ def _check_value(name: str, key: str, value) -> None:
     else:
         ok, what = isinstance(value, str) and value != "", "a non-empty string"
     if not ok:
-        raise _UsageError(f"{name} must be {what}, got {value!r}")
+        raise errors.EigenCouplingError(f"{name} must be {what}, got {value!r}")
 
 
 def _merge_options(command: str, flags: dict) -> dict:
@@ -698,7 +668,7 @@ def _merge_options(command: str, flags: dict) -> dict:
     config = flags.pop("config", None)
     unread = ["--" + key.replace("_", "-") for key in flags if key not in read]
     if unread:
-        raise _UsageError(f"{command} does not read {', '.join(unread)}")
+        raise errors.EigenCouplingError(f"{command} does not read {', '.join(unread)}")
     opts = {f[2:].replace("-", "_"): kw["default"] for f, kw in _FLAGS.items() if "default" in kw}
     if config is not None:
         _check_value("--config", "config", config)
@@ -706,9 +676,9 @@ def _merge_options(command: str, flags: dict) -> dict:
         try:
             cfg = json.loads(text)
         except ValueError as exc:   # also an integer of more digits than int() reads
-            raise _UsageError(f"config file is not valid JSON: {exc}") from exc
+            raise errors.EigenCouplingError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
-            raise _UsageError("config file must hold a JSON object")
+            raise errors.EigenCouplingError("config file must hold a JSON object")
         for name, value in cfg.items():
             key = str(name).replace("-", "_")
             if key in read:
@@ -719,11 +689,12 @@ def _merge_options(command: str, flags: dict) -> dict:
     opts.update(flags)
     for key in ("family", "at"):
         if not opts.get(key):
-            raise _UsageError(f"--{key} is required")
+            raise errors.EigenCouplingError(f"--{key} is required")
     return opts
 
 
 def main(argv=None) -> int:
+    """Run a command line; the report goes to stdout or --out, an error to stderr."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         parsed = _parse_argv(argv)
@@ -731,20 +702,22 @@ def main(argv=None) -> int:
             print(f"usage: eigencoupling {{{','.join(_COMMANDS)}}} [--flag value | --flag=value]"
                   " ...\n", __doc__, *(f"  {flag:<15}{keywords['help']}"
                                        for flag, keywords in _FLAGS.items()), sep="\n")
-            return EXIT_OK
-        return _COMMANDS[parsed[0]][0](_merge_options(*parsed))
-    except (_UsageError, errors.EigenCouplingError, MemoryError) as exc:
+            return 0
+        opts = _merge_options(*parsed)
+        report = _COMMANDS[parsed[0]][0](opts)
+        if report is not None and opts.get("out"):
+            _write_files((opts["out"], [_json_text(report).encode()]))
+        elif report is not None:
+            sys.stdout.write(_json_text(report))
+        return 0
+    except (errors.EigenCouplingError, MemoryError) as exc:
         # numpy's MemoryError names the allocation; a bare one says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, errors.ConvergenceError) and exc.residual_history:
             history = ", ".join(f"{x:.3e}" for x in exc.residual_history)
             print(f"residual history: {history}", file=sys.stderr)
-        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+        return getattr(exc, "exit_code", 1)    # MemoryError has none
 
 
 def entry():
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

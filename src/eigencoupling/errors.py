@@ -1,12 +1,16 @@
 """Exception types shared across the package: one per exit code of the CLI,
-and two of exit 1 that callers tell apart, ``DimensionError`` (also a
-ValueError) and ``FamilyParseError`` (with its JSON path)."""
+which each names in ``exit_code``, and two of exit 1 that callers tell
+apart, ``DimensionError`` (also a ValueError) and ``FamilyParseError`` (with
+its JSON path)."""
 
 
 class EigenCouplingError(Exception):
     """Base class for all package-specific errors (exit 1): also raised
-    itself, e.g. when the eigensolver does not converge, a local model is
-    degenerate, or a loop is sampled too coarsely to track its pair."""
+    itself, e.g. for a command line the CLI refuses, when the eigensolver
+    does not converge, a local model is degenerate, or a loop is sampled too
+    coarsely to track its pair."""
+
+    exit_code = 1
 
 
 class DimensionError(EigenCouplingError, ValueError):
@@ -15,6 +19,8 @@ class DimensionError(EigenCouplingError, ValueError):
 
 class DomainError(EigenCouplingError):
     """Parameter point outside the validity domain of a matrix family."""
+
+    exit_code = 3
 
 
 class FamilyParseError(EigenCouplingError, ValueError):
@@ -34,6 +40,8 @@ class ClassificationError(EigenCouplingError):
     cannot be built, or an undecidable rank, whose refusal alone carries the
     spectrum that triggered it in ``singular_values`` (None otherwise)."""
 
+    exit_code = 2
+
     def __init__(self, message, singular_values=None):
         self.singular_values = singular_values
         super().__init__(message)
@@ -42,6 +50,8 @@ class ClassificationError(EigenCouplingError):
 class ConvergenceError(EigenCouplingError):
     """Iteration cap exceeded, or the iterates' pair cannot be followed.
     Carries the residual history."""
+
+    exit_code = 4
 
     def __init__(self, message, residual_history=None):
         self.residual_history = list(residual_history or [])

@@ -51,10 +51,6 @@ class MatrixFamily:
         if self.dim < 1 or self.n_params < 1:
             raise DimensionError("dim and n_params must be at least 1")
 
-    def contains(self, p) -> bool:
-        p = self._point(p)
-        return self.domain_guard is None or bool(self.domain_guard(p))
-
     def _point(self, p) -> np.ndarray:
         arr = np.asarray(p, dtype=float)
         if arr.ndim == 0:

@@ -10,7 +10,7 @@ Tests compare the two on drawn command lines.
 import argparse
 import re
 
-from eigencoupling import cli
+from eigencoupling import cli, errors
 
 
 #: a flag value that starts like a negative number: "-0.1,0.1", "-.5", "-1e-3"
@@ -19,7 +19,7 @@ NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise cli._UsageError(message)
+        raise errors.EigenCouplingError(message)
 
 
 def build_parser() -> _Parser:
@@ -56,7 +56,7 @@ PARSER = build_parser()
 
 def parse(argv: list):
     """The command and the given flags by option key, as ``cli._parse_argv``
-    returns them; a refusal raises ``cli._UsageError`` with argparse's text."""
+    returns them; a refusal raises ``errors.EigenCouplingError`` with argparse's text."""
     args = PARSER.parse_args(attach_negative_values(argv))
     return args.command, {key: value for key, value in vars(args).items()
                           if value is not None and key != "command"}

@@ -4,10 +4,12 @@ unchanged from ``degeneracy`` and ``numkit``.
 
 ``degeneracy.find_ep`` must return what this copy returns, bit for bit, or
 raise the same error; ``test_find_ep_oracle`` compares the two on drawn
-inputs. The function bodies are the old ones word for word; ``numkit``
-below is a namespace that sends their ``numkit.`` calls to the copies here,
-and to the package for what has not changed (``SVD``). The constants are
-copied too, so that a change of the package's does not move the oracle.
+inputs. The function bodies are the old ones word for word, but for the
+call of the domain test that ``MatrixFamily`` no longer has, now
+``_contains`` here; ``numkit`` below is a namespace that sends their
+``numkit.`` calls to the copies here, and to the package for what has not
+changed (``SVD``). The constants are copied too, so that a change of the
+package's does not move the oracle.
 """
 
 from __future__ import annotations
@@ -230,6 +232,12 @@ def _converged(a, mean, gap, floor=None) -> bool:
     return gap <= _EPS_FLOOR * sigma_max
 
 
+def _contains(fam, p) -> bool:
+    """Whether ``p`` lies in the domain of ``fam``: the removed ``MatrixFamily.contains``."""
+    p = fam._point(p)
+    return fam.domain_guard is None or bool(fam.domain_guard(p))
+
+
 # overflow is refused as DimensionError or a non-finite point, not warned about
 @np.errstate(over="ignore", invalid="ignore")
 def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
@@ -253,7 +261,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
     if fam.n_params != 2:
         raise ConvergenceError("find_ep requires a two-parameter family")
     p = fam._point(p_guess)
-    # without a guard, evaluate's own point check is all that contains() adds
+    # without a guard, evaluate's own point check is all that _contains() adds
     guarded = fam.domain_guard is not None
 
     def probe(point, prev=None):
@@ -302,7 +310,7 @@ def find_ep(fam: family_mod.MatrixFamily, p_guess) -> EPSearchResult:
             ) from exc
         for halving in range(11):
             trial = p + step / (2 ** halving)
-            if guarded and not fam.contains(trial):
+            if guarded and not _contains(fam, trial):
                 continue
             a_t, pair_t, mean_t, z_t, gap_t, conv_t, sigma_t = probe(trial, prev=pair)
             if abs(z_t) < abs(z) or conv_t:

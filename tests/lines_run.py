@@ -1,22 +1,24 @@
-"""Every ``raise`` statement of the package runs in the tier-1 suite.
+"""Every executable line of the package runs in the tier-1 suite.
 
 Runs the suite in this process under a line tracer limited to the package's
 source in ``src/eigencoupling``, built on the standard library alone:
 ``sys.settrace``, and ``threading.settrace`` for surface's worker threads.
-Then it lists each ``raise`` statement of the package, found with ``ast``,
-whose line never ran, and exits 1 if there is one or if the suite fails.
-Commands the suite runs in a child process are not traced. pytest does not
-collect this file. Run it (about twice the suite's time) with::
+Then it lists each executable line of the package, a line that some
+instruction of the module's compiled code objects belongs to (their
+``co_lines()``), that never ran, and exits 1 if there is one or if the
+suite fails. Commands the suite runs in a child process are not traced.
+pytest does not collect this file. Run it (about twice the suite's time)
+with::
 
-    PYTHONPATH=src python tests/raises_run.py [pytest arguments]
+    PYTHONPATH=src python tests/lines_run.py [pytest arguments]
 """
 
 from __future__ import annotations
 
-import ast
 import os
 import sys
 import threading
+import types
 from pathlib import Path
 
 import pytest
@@ -25,10 +27,16 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "eigencoupling"
 
 
-def raise_lines(path: Path) -> list:
-    """The line of each ``raise`` statement of the module at ``path``."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise))
+def code_lines(path: Path) -> list:
+    """The executable lines of the module at ``path``: those that an
+    instruction of its code objects, nested ones included, belongs to (the
+    interpreter's own instructions before the first line carry line 0)."""
+    lines, todo = set(), [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        lines.update(line for *_, line in code.co_lines() if line)
+        todo.extend(const for const in code.co_consts if isinstance(const, types.CodeType))
+    return sorted(lines)
 
 
 def run_traced(args) -> tuple:
@@ -66,14 +74,14 @@ def run_traced(args) -> tuple:
 def main(argv) -> int:
     code, by_file = run_traced(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     if not by_file:
-        print(f"raises_run: no line of {PACKAGE} ran; is it the package imported?")
+        print(f"lines_run: no line of {PACKAGE} ran; is it the package imported?")
         return 1
     missed = [f"{path.relative_to(ROOT)}:{line}"
               for path in sorted(PACKAGE.glob("*.py"))
-              for line in raise_lines(path) if line not in by_file.get(path, ())]
+              for line in code_lines(path) if line not in by_file.get(path, ())]
     for where in missed:
-        print(f"raises_run: raise never ran at {where}")
-    print(f"raises_run: {len(missed)} raise statement(s) never ran; the suite exited {int(code)}")
+        print(f"lines_run: line never ran at {where}")
+    print(f"lines_run: {len(missed)} line(s) never ran; the suite exited {int(code)}")
     return int(bool(missed) or code != 0)
 
 

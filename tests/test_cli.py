@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -437,7 +438,7 @@ class TestWriteFiles:
 
     def test_earlier_file_removed_when_later_fails(self, tmp_path):
         first = tmp_path / "a.csv"
-        with pytest.raises(cli._UsageError, match="cannot write"):
+        with pytest.raises(errors_mod.EigenCouplingError, match="cannot write"):
             cli._write_files((first, [b"1,2\n"]), (tmp_path / "missing" / "b.json", [b"{}\n"]))
         assert list(tmp_path.iterdir()) == []
 
@@ -990,7 +991,7 @@ def oracle_outcome(parse, argv):
     """What ``parse`` makes of ``argv``: (command, flags), or its refusal's text."""
     try:
         return parse(list(argv))
-    except cli._UsageError as exc:
+    except errors_mod.EigenCouplingError as exc:
         return str(exc)
 
 
@@ -1642,15 +1643,15 @@ EXIT_CODE_OF = {
     errors_mod.EigenCouplingError: 1, errors_mod.DimensionError: 1,
     errors_mod.FamilyParseError: 1, errors_mod.ClassificationError: 2,
     errors_mod.DomainError: 3, errors_mod.ConvergenceError: 4,
-    MemoryError: 1, cli._UsageError: 1,
+    MemoryError: 1,
 }
 
 
 @pytest.mark.parametrize("exc_type", [
-    *(cls for _, cls in inspect.getmembers(errors_mod, inspect.isclass)), MemoryError,
-    cli._UsageError], ids=lambda cls: cls.__name__)
+    *(cls for _, cls in inspect.getmembers(errors_mod, inspect.isclass)), MemoryError],
+    ids=lambda cls: cls.__name__)
 def test_exception_exit_codes(exc_type, capsys, monkeypatch):
-    """Each class of ``errors``, and the two other exceptions main
+    """Each class of ``errors``, and MemoryError, the other exception main
     reports, raised by a command ends in its exit code with one error line,
     no traceback and nothing on stdout. A class added to ``errors`` fails
     here until it is given a code."""
@@ -1935,6 +1936,46 @@ def test_module_entry_point():
     done = entry("classify", "--family", "crystal-example-1", "--at", "0.3,0.2")
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr == b"error: no eigenvalue cluster at (0.3, 0.2)\n"
+
+
+@pytest.mark.parametrize("code,argv,stderr", [
+    (0, ["classify", "--at", "0,0"], ""),
+    (1, ["classify"], "error: --at is required\n"),
+    (2, ["classify", "--at", "0.3,0.2"], "error: no eigenvalue cluster at (0.3, 0.2)\n"),
+    (3, ["classify", "--at", "0.9,0.9"], "error: point [0.9, 0.9] outside the family domain\n"),
+    (4, ["find-ep", "--at", "0.2,0.1"],
+     "error: no exceptional point after 1 accepted step: no full or halved Newton step inside "
+     "the domain lowers |z| (last gap 1.074e+00)\nresidual history: 1.223e+00, 1.074e+00\n"),
+], ids=[f"exit{code}" for code in range(5)])
+def test_module_entry_in_process(monkeypatch, capsys, code, argv, stderr):
+    """``python -m eigencoupling``, run in this process, exits through
+    ``entry`` with each exit code: the golden report on stdout, or nothing
+    there and one error line on stderr."""
+    monkeypatch.setattr(sys, "argv", ["eigencoupling", *argv, "--family", "crystal-example-1"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("eigencoupling", run_name="__main__")
+    assert exited.value.code == code
+    out, err = capsys.readouterr()
+    assert err == stderr
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == (code != 0)
+    golden = GOLDEN / "crystal-example-1.classify.json"
+    assert out == (golden.read_text() if code == 0 else "")
+
+
+def test_pool_without_affinity_call(monkeypatch, tmp_path):
+    """Where os has no sched_getaffinity, surface's pool takes one worker per
+    CPU that os.cpu_count() reports."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cli._pool.cache_clear()
+    try:
+        assert cli.main(["surface", "--family", "crystal-example-1", "--at", "0,0",
+                         "--res", "3", "--out", str(tmp_path / "s.csv")]) == 0
+        assert cli._pool()._max_workers == 3
+    finally:
+        if cli._pool.cache_info().currsize:
+            cli._pool().shutdown()
+        cli._pool.cache_clear()
 
 
 def plain_oracle(obj):

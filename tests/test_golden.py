@@ -127,6 +127,20 @@ def test_golden_output(family, name, argv, outputs, tmp_path):
         _check_golden(f"{family}.{suffix}", got)
 
 
+@pytest.mark.parametrize(
+    "family,name,argv,outputs", [case for case in all_cases() if "stdout" in case[3].values()],
+    ids=[f"{family}-{name}" for family, name, _, outputs in all_cases()
+         if "stdout" in outputs.values()])
+def test_json_report_through_out(family, name, argv, outputs, tmp_path):
+    """A JSON report that a case prints goes, with --out, to that file
+    instead, byte for byte, and nothing is printed."""
+    (suffix,) = outputs
+    got = run_case(family, [*argv, "--out", "{dir}/report.json"],
+                   {suffix: "report.json", "printed": "stdout"}, tmp_path)
+    assert got["printed"] == b""
+    _check_golden(f"{family}.{suffix}", got[suffix])
+
+
 def _check_golden(name: str, got: bytes) -> None:
     want = (GOLDEN / name).read_bytes()
     if name.endswith(("surface.csv", "section.csv")):
